@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke bench-tabu bench-obs bench-serve bench-shard bench-cut bench-fault bench-prep bench-jobs bench-recovery
+.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke bench-tabu bench-obs bench-serve bench-fault bench-prep bench-jobs bench-recovery
 
 build:
 	$(GO) build ./...
@@ -26,8 +26,9 @@ staticcheck:
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # check is the CI gate: static analysis plus the full suite under the race
-# detector (the parallel multi-start in internal/fact shares a mutex-guarded
-# best-candidate slot that plain `go test` never exercises for races).
+# detector (internal/fact fans component sub-solves, cut sub-solves and
+# multi-start iterations out on a shared worker pool, and plain `go test`
+# never exercises that sharing for races).
 check: vet staticcheck race
 
 # chaos runs the fault-injection suite under the race detector: seeded,
@@ -77,19 +78,6 @@ bench-obs:
 # keeps it CI-grade; see docs/SERVING.md for what the legs mean.
 bench-serve:
 	$(GO) run ./cmd/empbench -benchserve
-
-# bench-shard regenerates BENCH_shard.json (legacy whole-dataset solve vs
-# the component-sharded pipeline, plus the 1-worker/N-worker determinism
-# check). Speedup tracks GOMAXPROCS; see docs/SHARDING.md.
-bench-shard:
-	$(GO) run ./cmd/empbench -benchshard
-
-# bench-cut regenerates BENCH_cut.json (whole-graph solve vs the cut-sharded
-# solve at 1/2/4 workers on the paper-sized single-component 50k1 dataset,
-# with the p / heterogeneity gap and the cross-worker determinism check).
-# Speedup beyond the serial decomposition needs cores; see docs/SHARDING.md.
-bench-cut:
-	$(GO) run ./cmd/empbench -benchcut -scale 1
 
 # bench-fault regenerates BENCH_fault.json (graceful degradation under
 # shrinking deadlines, shard-panic survival, transient-failure retries). The

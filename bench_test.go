@@ -17,6 +17,7 @@ import (
 	"emp/internal/experiments"
 	"emp/internal/fact"
 	"emp/internal/geom"
+	"emp/internal/solvecache"
 	"emp/internal/tabu"
 )
 
@@ -302,7 +303,7 @@ func BenchmarkParallelConstruction(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := fact.Solve(ds, defaultBenchSet(), fact.Config{
-					Iterations: 4, Parallelism: v.workers, Seed: 1, SkipLocalSearch: true,
+					Iterations: 4, Pool: solvecache.NewPool(v.workers), Seed: 1, SkipLocalSearch: true,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -40,8 +40,6 @@ func main() {
 		benchTabu  = flag.Bool("benchtabu", false, "run the tabu kernel benchmark and write BENCH_tabu.json")
 		benchObs   = flag.Bool("benchobs", false, "run the telemetry overhead benchmark and write BENCH_obs.json")
 		benchServe = flag.Bool("benchserve", false, "run the serving throughput benchmark and write BENCH_serve.json")
-		benchShard = flag.Bool("benchshard", false, "run the component-sharding benchmark and write BENCH_shard.json")
-		benchCut   = flag.Bool("benchcut", false, "run the cut-sharding benchmark and write BENCH_cut.json")
 		benchFault = flag.Bool("benchfault", false, "run the fault-injection/degradation benchmark and write BENCH_fault.json")
 		benchPrep  = flag.Bool("benchprep", false, "run the prepared-dataset artifact benchmark and write BENCH_prep.json")
 		benchJobs  = flag.Bool("benchjobs", false, "run the async job API benchmark and write BENCH_jobs.json")
@@ -90,33 +88,6 @@ func main() {
 			res.Dataset, res.Scale, res.ColdPerSec, res.HotPerSec, res.HotColdSpeedup,
 			res.DedupConcurrent, res.DedupSeconds, res.DedupJoined)
 		fmt.Println("wrote BENCH_serve.json")
-		return
-	}
-	if *benchShard {
-		cfg := experiments.Config{Scale: *scale, Seed: *seed}
-		res, err := experiments.WriteShardBench(cfg, "BENCH_shard.json")
-		if err != nil {
-			log.Fatalf("benchshard: %v", err)
-		}
-		fmt.Printf("shard on %s (%d areas, %d components, GOMAXPROCS %d): legacy %.3fs, sharded w=1 %.3fs, w=%d %.3fs (%.2fx), identical=%v\n",
-			res.Dataset, res.Areas, res.Components, res.GoMaxProcs,
-			res.LegacySeconds, res.SeqSeconds, res.ShardWorkers, res.ShardSeconds,
-			res.Speedup, res.IdenticalAcrossWorkers)
-		fmt.Println("wrote BENCH_shard.json")
-		return
-	}
-	if *benchCut {
-		cfg := experiments.Config{Scale: *scale, Seed: *seed}
-		res, err := experiments.WriteCutBench(cfg, "BENCH_cut.json")
-		if err != nil {
-			log.Fatalf("benchcut: %v", err)
-		}
-		fmt.Printf("cut on %s (%d areas, %d shards, GOMAXPROCS %d): whole %.3fs p=%d", res.Dataset, res.Areas, res.CutShards, res.GoMaxProcs, res.WholeSeconds, res.WholeP)
-		for _, leg := range res.Legs {
-			fmt.Printf("; w=%d %.3fs (%.2fx)", leg.Workers, leg.Seconds, leg.Speedup)
-		}
-		fmt.Printf("; cut p=%d, H gap %+.1f%%, identical=%v\n", res.CutP, res.HeteroGapPct, res.IdenticalAcrossWorkers)
-		fmt.Println("wrote BENCH_cut.json")
 		return
 	}
 	if *benchFault {

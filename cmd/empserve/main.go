@@ -66,13 +66,13 @@
 //	                schema produced by empgen.
 //
 // Datasets with several connected components are solved component-by-
-// component on a process-wide worker pool (docs/SHARDING.md); the
-// "options" object accepts "shard_off" and "shard_workers" to steer it.
-// Large single-component datasets can opt into cut-based sharding with
-// "cut_shards" (>= 2 slices the graph along low-connectivity cuts, solves
-// the parts concurrently and repairs the stitch seams; result-affecting,
-// so it splits the cache fingerprint) and "cut_workers" (pool size,
-// result-neutral).
+// component on a process-wide worker pool sized to -workers
+// (docs/SHARDING.md); the same pool runs cut sub-solves and multi-start
+// iterations. Large single-component datasets can opt into cut-based
+// sharding with "cut_shards" (>= 2 slices the graph along low-connectivity
+// cuts, solves the parts concurrently and repairs the stitch seams;
+// result-affecting, so it splits the cache fingerprint). Unknown keys in
+// "options" are rejected with 400.
 //
 // With -state-dir set, the server keeps crash-safe state there (see
 // docs/ROBUSTNESS.md): an append-only job journal re-admits queued/running

@@ -125,8 +125,7 @@ func Solve(ds *Dataset, set ConstraintSet, opt Options) (*Solution, error) {
 // cancelled mid-solve the call returns an error wrapping ctx.Err() within
 // one check interval instead of running to completion. Datasets whose
 // contiguity graph has multiple connected components are solved as
-// concurrent per-component shards by default (see Options.ShardOff and
-// docs/SHARDING.md).
+// concurrent per-component shards on Options.Pool (see docs/SHARDING.md).
 func SolveCtx(ctx context.Context, ds *Dataset, set ConstraintSet, opt Options) (*Solution, error) {
 	res, err := fact.SolveCtx(ctx, ds, set, opt)
 	if res == nil {

@@ -7,12 +7,13 @@ import (
 	"emp/internal/constraint"
 	"emp/internal/fact"
 	"emp/internal/skater"
+	"emp/internal/solvecache"
 	"emp/internal/tabu"
 )
 
 // Ablations runs the design-choice studies DESIGN.md calls out, beyond the
 // paper's own artifacts: merge limit, construction iterations and
-// parallelism, local-search algorithm, area pickup order, and a quality
+// worker count, local-search algorithm, area pickup order, and a quality
 // comparison against the SKATER tree-partition baseline at the same k.
 func Ablations(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
@@ -45,12 +46,12 @@ func Ablations(cfg Config) ([]Table, error) {
 	// Construction iterations and parallelism.
 	it := Table{
 		ID:     "ablation",
-		Title:  "Ablation: construction iterations (best p kept) and parallelism",
+		Title:  "Ablation: construction iterations (best p kept) and workers",
 		Header: []string{"iterations", "workers", "p", "construction"},
 	}
 	for _, row := range []struct{ iters, workers int }{{1, 1}, {3, 1}, {3, 3}, {5, 1}} {
 		res, err := fact.Solve(ds, defaults, fact.Config{
-			Iterations: row.iters, Parallelism: row.workers, Seed: cfg.Seed, SkipLocalSearch: true,
+			Iterations: row.iters, Pool: solvecache.NewPool(row.workers), Seed: cfg.Seed, SkipLocalSearch: true,
 		})
 		if err != nil {
 			return nil, err

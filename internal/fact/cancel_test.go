@@ -9,14 +9,15 @@ import (
 
 	"emp/internal/census"
 	"emp/internal/constraint"
+	"emp/internal/solvecache"
 )
 
 // TestParallelMatchesSequentialBest pins the multi-start determinism claim:
 // with the same seed, parallel and sequential construction must pick the
 // identical best candidate (same p, same heterogeneity, same assignment),
 // because each iteration owns its RNG and the tie-break prefers the lowest
-// iteration index. This is also the regression test for the semaphore fix —
-// bounded goroutine creation must not change which iterations run.
+// iteration index. Bounded goroutine creation on the pool must not change
+// which iterations run.
 func TestParallelMatchesSequentialBest(t *testing.T) {
 	ds, err := census.Generate(census.Options{Name: "par", Areas: 240, States: 2, Seed: 5})
 	if err != nil {
@@ -29,13 +30,13 @@ func TestParallelMatchesSequentialBest(t *testing.T) {
 	base := Config{Iterations: 6, Seed: 9, SkipLocalSearch: true}
 
 	seqCfg := base
-	seqCfg.Parallelism = 1
+	seqCfg.Pool = solvecache.NewPool(1)
 	seq, err := Solve(ds, set, seqCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parCfg := base
-	parCfg.Parallelism = 4
+	parCfg.Pool = solvecache.NewPool(4)
 	par, err := Solve(ds, set, parCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestSolveCtxCancelMidRun(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"tabu", Config{Iterations: 60, Seed: 2, Parallelism: 2}},
+		{"tabu", Config{Iterations: 60, Seed: 2, Pool: solvecache.NewPool(2)}},
 		{"anneal", Config{Iterations: 60, Seed: 2, LocalSearch: LocalSearchAnneal}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

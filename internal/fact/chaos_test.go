@@ -13,6 +13,7 @@ import (
 	"emp/internal/data"
 	"emp/internal/fault"
 	"emp/internal/obs"
+	"emp/internal/solvecache"
 )
 
 // chaosSetup generates the suite's datasets and binds a private metrics
@@ -24,6 +25,9 @@ func chaosSetup(t *testing.T) (*data.Dataset, *data.Dataset, constraint.Set, *ob
 	single, err := census.Generate(census.Options{Name: "chaos1", Areas: 400, States: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if single.Components() != 1 {
+		t.Fatalf("chaos1 has %d components; the whole-graph tests need 1", single.Components())
 	}
 	multi, err := census.Generate(census.Options{Name: "chaos4", Areas: 400, States: 4, Components: 4, Seed: 11})
 	if err != nil {
@@ -66,9 +70,9 @@ func assignment(res *Result, n int) []int {
 // the deadline lands there deterministically, never inside construction.
 func TestChaosDeadlineMidSearchDegrades(t *testing.T) {
 	single, _, set, reg := chaosSetup(t)
-	cfg := Config{Seed: 3, Iterations: 1, ShardOff: true}
+	cfg := Config{Seed: 3, Iterations: 1}
 
-	incumbent, err := Solve(single, set, Config{Seed: 3, Iterations: 1, ShardOff: true, SkipLocalSearch: true})
+	incumbent, err := Solve(single, set, Config{Seed: 3, Iterations: 1, SkipLocalSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +111,7 @@ func TestChaosDeadlineMidSearchDegrades(t *testing.T) {
 // search: its revert-to-best epilogue must also hold under a deadline.
 func TestChaosAnnealDeadlineDegrades(t *testing.T) {
 	single, _, set, _ := chaosSetup(t)
-	incumbent, err := Solve(single, set, Config{Seed: 3, Iterations: 1, ShardOff: true, SkipLocalSearch: true})
+	incumbent, err := Solve(single, set, Config{Seed: 3, Iterations: 1, SkipLocalSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +120,7 @@ func TestChaosAnnealDeadlineDegrades(t *testing.T) {
 	}})
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 1, ShardOff: true, LocalSearch: LocalSearchAnneal})
+	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 1, LocalSearch: LocalSearchAnneal})
 	fault.Enable(nil)
 	if err != nil {
 		t.Fatalf("deadline mid-anneal must degrade, not fail: %v", err)
@@ -217,23 +221,23 @@ func TestChaosTransientRetrySucceeds(t *testing.T) {
 // the solve, sequentially and in parallel.
 func TestChaosConstructionPanicDiscardsIteration(t *testing.T) {
 	single, _, set, reg := chaosSetup(t)
-	for _, par := range []int{1, 4} {
+	for _, slots := range []int{1, 4} {
 		// Iteration 1's first sweep check panics once; iterations 0, 2, 3
 		// proceed. (The sweep site is hit many times per iteration, so After
-		// counts whole-solve hits; Times:1 with the sequential path pins the
-		// panic to exactly one iteration. In the parallel leg the hit order
+		// counts whole-solve hits; Times:1 with a one-slot pool pins the
+		// panic to exactly one iteration. With four slots the hit order
 		// interleaves, but exactly one iteration still dies.)
 		fault.Enable(&fault.Plan{Rules: []fault.Rule{
 			{Site: "fact.construct.sweep", Kind: fault.KindPanic, Times: 1},
 		}})
 		res, err := SolveCtx(context.Background(), single, set,
-			Config{Seed: 3, Iterations: 4, Parallelism: par, ShardOff: true, SkipLocalSearch: true})
+			Config{Seed: 3, Iterations: 4, Pool: solvecache.NewPool(slots), SkipLocalSearch: true})
 		fault.Enable(nil)
 		if err != nil {
-			t.Fatalf("parallelism %d: construction panic must not fail the solve: %v", par, err)
+			t.Fatalf("pool %d: construction panic must not fail the solve: %v", slots, err)
 		}
 		if res.Iterations != 3 {
-			t.Errorf("parallelism %d: iterations = %d, want 3 (one discarded)", par, res.Iterations)
+			t.Errorf("pool %d: iterations = %d, want 3 (one discarded)", slots, res.Iterations)
 		}
 		found := false
 		for _, w := range res.Warnings {
@@ -242,7 +246,7 @@ func TestChaosConstructionPanicDiscardsIteration(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("parallelism %d: no discard warning: %v", par, res.Warnings)
+			t.Errorf("pool %d: no discard warning: %v", slots, res.Warnings)
 		}
 	}
 	if got := reg.Counter("emp_panics_recovered_total", "").Value(); got != 2 {
@@ -286,7 +290,7 @@ func TestChaosCancellationStillFails(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
-	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 1, ShardOff: true})
+	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -306,7 +310,7 @@ func TestChaosPreIncumbentDeadlineFails(t *testing.T) {
 	defer fault.Enable(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
-	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 1, ShardOff: true})
+	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -324,7 +328,7 @@ func TestChaosInjectedDeadlineMidConstruction(t *testing.T) {
 	// times on 400 areas, well under After); the rule then cancels a later
 	// iteration mid-flight. The solve must serve the completed iterations'
 	// incumbent without local search, degraded — never fail.
-	incumbent, err := Solve(single, set, Config{Seed: 3, Iterations: 1, ShardOff: true, SkipLocalSearch: true})
+	incumbent, err := Solve(single, set, Config{Seed: 3, Iterations: 1, SkipLocalSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +336,7 @@ func TestChaosInjectedDeadlineMidConstruction(t *testing.T) {
 		{Site: "fact.construct.sweep", Kind: fault.KindCancel, After: 1000, Times: 1 << 30},
 	}})
 	res, err := SolveCtx(context.Background(), single, set,
-		Config{Seed: 3, Iterations: 8, ShardOff: true})
+		Config{Seed: 3, Iterations: 8, Pool: solvecache.NewPool(1)})
 	fault.Enable(nil)
 	if err != nil {
 		t.Fatalf("injected deadline with an incumbent must degrade, not fail: %v", err)
@@ -412,7 +416,7 @@ func TestConstructionBudgetLeavesSearchTime(t *testing.T) {
 	defer fault.Enable(nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 64, ShardOff: true})
+	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 64, Pool: solvecache.NewPool(1)})
 	if err != nil {
 		t.Fatalf("budgeted construction must degrade, not fail: %v", err)
 	}

@@ -52,9 +52,6 @@ func construct(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator, 
 			return nil, err
 		}
 	}
-	if cfg.KernelOff {
-		p.SetHeteroKernel(false)
-	}
 	b := &builder{
 		ctx:    ctx,
 		ds:     ds,

@@ -12,7 +12,6 @@ import (
 	"emp/internal/prep"
 	"emp/internal/region"
 	"emp/internal/shard"
-	"emp/internal/solvecache"
 	"emp/internal/tabu"
 )
 
@@ -48,7 +47,7 @@ func cutSubSolveCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 // regions touching cut edges. Unlike component sharding the decomposition is
 // lossy (regions cannot span shards during the sub-solves), so the result
 // differs from the whole-graph solve; it is still a pure function of
-// (dataset, constraints, config), independent of CutWorkers, because the
+// (dataset, constraints, config), independent of the Pool size, because the
 // plan is deterministic, each sub-solve owns a mixed seed, and merge and
 // repair run in shard order.
 func solveCut(ctx context.Context, ds *data.Dataset, set constraint.Set, ev *constraint.Evaluator, cfg Config) (*Result, error) {
@@ -98,14 +97,10 @@ func solveCut(ctx context.Context, ds *data.Dataset, set constraint.Set, ev *con
 	met.cutSolves.Inc()
 	met.cutShards.Add(int64(len(plan.Shards)))
 
-	pool := cfg.ShardPool
-	if pool == nil {
-		pool = solvecache.NewPool(cfg.CutWorkers)
-	}
 	shardSpan, shardCtx := met.spanShard.StartCtx(ctx)
 	subCtx, cancelSub := cutSubSolveCtx(ctx)
 	defer cancelSub()
-	subs, failMsgs, runErr := runSubSolves(subCtx, shardCtx, plan, subArts, set, cfg, pool, "cut shard")
+	subs, failMsgs, runErr := runSubSolves(subCtx, shardCtx, plan, subArts, set, cfg, "cut shard")
 	if err := settleSubSolves(ctx, subCtx, plan, subs, failMsgs, runErr, "cut shard"); err != nil {
 		shardSpan.End()
 		return nil, err
@@ -121,9 +116,6 @@ func solveCut(ctx context.Context, ds *data.Dataset, set constraint.Set, ev *con
 	if err != nil {
 		shardSpan.End()
 		return nil, fmt.Errorf("fact: merging cut-shard partitions: %w", err)
-	}
-	if cfg.KernelOff {
-		merged.SetHeteroKernel(false)
 	}
 	shardSpan.End()
 
@@ -184,7 +176,6 @@ func repairSeams(ctx context.Context, p *region.Partition, plan *shard.Plan, fea
 		Objective:    cfg.Objective,
 		Tenure:       tenure,
 		MaxNoImprove: maxNoImprove,
-		Seed:         cfg.Seed,
 		Restrict:     mask,
 		Ctx:          spanCtx,
 	})

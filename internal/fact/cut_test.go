@@ -7,6 +7,7 @@ import (
 	"emp/internal/constraint"
 	"emp/internal/data"
 	"emp/internal/prep"
+	"emp/internal/solvecache"
 )
 
 // cutTestInstance builds the single-component census instance the cut-mode
@@ -64,7 +65,7 @@ func TestCutDeterministicAcrossWorkers(t *testing.T) {
 	ds, set := cutTestInstance(t)
 	var ref *Result
 	for _, workers := range []int{1, 2, 4} {
-		res, err := Solve(ds, set, Config{Seed: 7, CutShards: 4, CutWorkers: workers})
+		res, err := Solve(ds, set, Config{Seed: 7, CutShards: 4, Pool: solvecache.NewPool(workers)})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,8 +86,8 @@ func TestCutDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCutDefaultOff is the opt-in differential: the zero-value config (and
-// every cut-neutral knob) must take the pre-existing solve path untouched.
+// TestCutDefaultOff is the opt-in differential: the zero-value config must
+// take the whole-graph solve path untouched.
 func TestCutDefaultOff(t *testing.T) {
 	ds, set := cutTestInstance(t)
 	base, err := Solve(ds, set, Config{Seed: 7})
@@ -96,33 +97,6 @@ func TestCutDefaultOff(t *testing.T) {
 	if base.CutShards != 0 || base.SeamMoves != 0 || base.SeamRepairTime != 0 {
 		t.Fatalf("default solve touched the cut path: CutShards=%d SeamMoves=%d SeamRepairTime=%v",
 			base.CutShards, base.SeamMoves, base.SeamRepairTime)
-	}
-	// cut_workers alone (no cut_shards) is inert.
-	inert, err := Solve(ds, set, Config{Seed: 7, CutWorkers: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inert.CutShards != 0 {
-		t.Fatalf("CutWorkers alone engaged the cut path")
-	}
-	// ShardOff disables cut sharding like it disables component sharding.
-	off, err := Solve(ds, set, Config{Seed: 7, ShardOff: true, CutShards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.CutShards != 0 {
-		t.Fatalf("ShardOff did not disable the cut path")
-	}
-	for name, res := range map[string]*Result{"cut_workers": inert, "shard_off": off} {
-		if res.P != base.P || res.HeteroAfter != base.HeteroAfter {
-			t.Fatalf("%s: p=%d H=%v, default p=%d H=%v", name, res.P, res.HeteroAfter, base.P, base.HeteroAfter)
-		}
-		a, b := assignments(t, res), assignments(t, base)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: area %d assigned %d, default run assigned %d", name, i, a[i], b[i])
-			}
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"emp/internal/census"
 	"emp/internal/constraint"
 	"emp/internal/data"
+	"emp/internal/solvecache"
 	"emp/internal/tabu"
 )
 
@@ -28,11 +29,11 @@ func extensionFixture(t *testing.T) (*data.Dataset, constraint.Set) {
 // regardless of worker count.
 func TestSolveParallelMatchesSequential(t *testing.T) {
 	ds, set := extensionFixture(t)
-	seq, err := Solve(ds, set, Config{Iterations: 4, Seed: 3, SkipLocalSearch: true})
+	seq, err := Solve(ds, set, Config{Iterations: 4, Seed: 3, SkipLocalSearch: true, Pool: solvecache.NewPool(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Solve(ds, set, Config{Iterations: 4, Seed: 3, SkipLocalSearch: true, Parallelism: 4})
+	par, err := Solve(ds, set, Config{Iterations: 4, Seed: 3, SkipLocalSearch: true, Pool: solvecache.NewPool(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +54,9 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSolveParallelismExceedsIterations(t *testing.T) {
+func TestSolvePoolExceedsIterations(t *testing.T) {
 	ds, set := extensionFixture(t)
-	res, err := Solve(ds, set, Config{Iterations: 2, Seed: 1, Parallelism: 16, SkipLocalSearch: true})
+	res, err := Solve(ds, set, Config{Iterations: 2, Seed: 1, Pool: solvecache.NewPool(16), SkipLocalSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"emp/internal/anneal"
@@ -14,6 +14,7 @@ import (
 	"emp/internal/flight"
 	"emp/internal/prep"
 	"emp/internal/region"
+	"emp/internal/shard"
 	"emp/internal/solvecache"
 	"emp/internal/tabu"
 )
@@ -73,30 +74,8 @@ type Config struct {
 	// the paper's heterogeneity H(P). See tabu.Objective for alternatives
 	// (spatial compactness, weighted multi-criteria).
 	Objective tabu.Objective
-	// Parallelism runs construction iterations on up to this many
-	// goroutines (the paper's future-work parallelization). 0 or 1 keeps
-	// the construction sequential. Results are deterministic for a given
-	// Seed regardless of Parallelism because each iteration owns its seed
-	// and the best-p tie-break prefers the lowest iteration index.
-	Parallelism int
 	// LocalSearch selects the phase-3 algorithm (default Tabu search).
 	LocalSearch LocalSearch
-	// KernelOff disables the incremental heterogeneity kernel (the
-	// per-region Fenwick indexes over dissimilarity ranks) and falls back
-	// to naive member scans. The solutions are identical; the flag exists
-	// for differential testing and benchmarking. See docs/ALGORITHM.md.
-	KernelOff bool
-	// ShardOff disables component sharding: datasets whose contiguity graph
-	// has more than one connected component are by default decomposed into
-	// per-component sub-solves that run concurrently and merge
-	// deterministically (regions never span components, so the
-	// decomposition is lossless). See docs/SHARDING.md.
-	ShardOff bool
-	// ShardWorkers bounds the concurrency of the per-component sub-solves.
-	// 0 means GOMAXPROCS; 1 solves shards sequentially (same output: the
-	// merge order is the component order, not the completion order).
-	// Ignored when ShardPool is set.
-	ShardWorkers int
 	// CutShards, when >= 2, opts the solve into cut-based sharding: the
 	// dataset is sliced into up to CutShards balanced sub-instances along
 	// low-connectivity cuts (shard.NewCutPlan), the sub-instances are solved
@@ -104,19 +83,16 @@ type Config struct {
 	// component sharding the cut changes the search trajectory, so results
 	// differ from the whole-graph solve (the knob is fingerprinted by the
 	// serving layer); they are still deterministic per (dataset, constraints,
-	// config) and independent of CutWorkers. 0 (the default) and 1 leave the
-	// solve on its normal path; ShardOff disables cut sharding too. See
-	// docs/SHARDING.md.
+	// config) and independent of the Pool size. 0 (the default) and 1 leave
+	// the solve on its normal path. See docs/SHARDING.md.
 	CutShards int
-	// CutWorkers bounds the concurrency of cut-shard sub-solves. 0 means
-	// GOMAXPROCS; 1 solves them sequentially with identical results (the
-	// merge and repair order is the shard order, never the completion
-	// order). Ignored when ShardPool is set.
-	CutWorkers int
-	// ShardPool, when non-nil, supplies the worker slots for sub-solves
-	// instead of a private pool. Servers share one pool across concurrent
-	// requests so the aggregate shard fan-out respects one global budget.
-	ShardPool *solvecache.Pool
+	// Pool bounds every fan-out of the solve: component sub-solves, cut
+	// sub-solves and construction multi-start iterations. nil means a private
+	// pool of GOMAXPROCS slots. Servers share one pool across concurrent
+	// requests so the aggregate fan-out respects one global budget. Results
+	// never depend on the pool size: every fan-out merges in index order, not
+	// completion order.
+	Pool *solvecache.Pool
 	// Prepared, when non-nil and built from the same dataset the solve runs
 	// on, supplies the prepared-dataset artifact: the dissimilarity matrix,
 	// heterogeneity rank kernel, CSR graph and scratch pools are reused
@@ -175,6 +151,14 @@ func (c *Config) preparedFor(ds *data.Dataset) *prep.Artifact {
 	return nil
 }
 
+// pool returns the configured worker pool, or a private GOMAXPROCS-slot pool.
+func (c *Config) pool() *solvecache.Pool {
+	if c.Pool != nil {
+		return c.Pool
+	}
+	return solvecache.NewPool(0)
+}
+
 func (c Config) withDefaults(n int) Config {
 	if c.MergeLimit == 0 {
 		c.MergeLimit = 3
@@ -221,7 +205,7 @@ type Result struct {
 	Iterations int
 	// Shards is the number of sub-solves (connected components, or cut
 	// shards in cut mode); 0 when the solve ran on the whole dataset
-	// (single component or ShardOff).
+	// (single component).
 	Shards int
 	// CutShards is the number of cut-partition sub-instances the solve was
 	// decomposed into; 0 when cut sharding was off or did not engage.
@@ -284,9 +268,8 @@ func canceled(err error) error {
 // per-phase budget split is described in docs/ROBUSTNESS.md.
 //
 // When the contiguity graph has more than one connected component the solve
-// is sharded by default: each component is an independent sub-instance
-// (regions never span components), solved concurrently and merged in
-// component order. Config.ShardOff forces the legacy whole-dataset path.
+// is sharded: each component is an independent sub-instance (regions never
+// span components), solved concurrently and merged in component order.
 func SolveCtx(ctx context.Context, ds *data.Dataset, set constraint.Set, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -303,10 +286,10 @@ func SolveCtx(ctx context.Context, ds *data.Dataset, set constraint.Set, cfg Con
 	// becomes a descendant through the derived context.
 	solveSpan, ctx := met.histSolve.StartCtx(ctx)
 	defer solveSpan.End()
-	if !cfg.ShardOff && cfg.CutShards > 1 {
+	if cfg.CutShards > 1 {
 		return solveCut(ctx, ds, set, ev, cfg)
 	}
-	if !cfg.ShardOff && ds.Components() > 1 {
+	if ds.Components() > 1 {
 		return solveSharded(ctx, ds, set, ev, cfg)
 	}
 	return solveWhole(ctx, ds, ev, cfg, false)
@@ -363,86 +346,57 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 		}
 		return consCtx
 	}
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > cfg.Iterations {
-		workers = cfg.Iterations
-	}
-	var firstErr error
-	var deadlineHit bool // a (possibly injected) deadline stopped an iteration
-	// recordIter folds one iteration outcome into the shared state and
-	// reports whether construction should stop admitting iterations. The
-	// parallel path calls it under the mutex.
-	recordIter := func(it int, p *region.Partition, err error) (stop bool) {
-		switch {
-		case err == nil:
-			candidates[it] = p
-			return false
-		case errors.Is(err, errConstructPanic):
-			// One multi-start iteration died; the others still count.
-			panicMsgs[it] = fmt.Sprintf("construction iteration %d discarded: %v", it, err)
-			return false
-		case errors.Is(err, context.DeadlineExceeded):
-			if ctx.Err() == nil && consCtx != ctx && consCtx.Err() != nil {
-				// Only the construction budget slice expired: stop the
-				// re-rolls, the overall deadline still funds the search.
-				return true
-			}
-			deadlineHit = true
-			return true
-		case errors.Is(err, context.Canceled):
-			return true // the ctx.Err() check below settles the outcome
-		default:
-			if firstErr == nil {
-				firstErr = err
-			}
-			return true
-		}
-	}
 	// Warm starting engages only on the first iteration (the one under the
 	// full deadline): it is the "resume from the prior incumbent" slot, while
 	// re-rolls keep their cold multi-start diversity. A WarmStart of the
 	// wrong length is ignored wholesale — it indexes a different dataset.
 	warmOK := len(cfg.WarmStart) == ds.N()
-	if workers == 1 {
-		for it := 0; it < cfg.Iterations; it++ {
-			ic := iterCtx(it)
-			if ic.Err() != nil {
-				break
+	// Iterations fan out on the pool. Shard sub-solves already hold a pool
+	// slot (acquiring another could deadlock a shared pool) and a single
+	// iteration has nothing to overlap, so both run on this goroutine.
+	var pool *solvecache.Pool
+	if !asShard && cfg.Iterations > 1 {
+		pool = cfg.pool()
+	}
+	errs := make([]error, cfg.Iterations)
+	// stop ends admission after an iteration fails for a reason other than
+	// its own panic, as a deadline or cancellation would.
+	var stop atomic.Bool
+	// Run can only fail with ctx's own error, which the checks below settle.
+	_ = shard.Run(ctx, cfg.Iterations, pool, func(it int) error {
+		ic := iterCtx(it)
+		if stop.Load() || ic.Err() != nil {
+			return nil
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(it)))
+		candidates[it], errs[it] = safeConstruct(ic, ds, ev, feas, &cfg, rng, warmOK && it == 0)
+		if errs[it] != nil && !errors.Is(errs[it], errConstructPanic) {
+			stop.Store(true)
+		}
+		return nil
+	})
+	var firstErr error
+	var deadlineHit bool // a (possibly injected) deadline stopped an iteration
+	for it, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, errConstructPanic):
+			// One multi-start iteration died; the others still count.
+			panicMsgs[it] = fmt.Sprintf("construction iteration %d discarded: %v", it, err)
+		case errors.Is(err, context.DeadlineExceeded):
+			// A hit, unless only the construction budget slice expired: that
+			// stops the re-rolls but the overall deadline still funds the
+			// search.
+			if ctx.Err() != nil || consCtx == ctx || consCtx.Err() == nil {
+				deadlineHit = true
 			}
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(it)))
-			p, err := safeConstruct(ic, ds, ev, feas, &cfg, rng, warmOK && it == 0)
-			if recordIter(it, p, err) {
-				break
+		case errors.Is(err, context.Canceled):
+			// the ctx.Err() check below settles the outcome
+		default:
+			if firstErr == nil {
+				firstErr = err
 			}
 		}
-	} else {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		sem := make(chan struct{}, workers)
-		for it := 0; it < cfg.Iterations; it++ {
-			// Acquire the semaphore before spawning so at most `workers`
-			// goroutines exist at a time, instead of creating all
-			// cfg.Iterations up front and parking them inside.
-			sem <- struct{}{}
-			if iterCtx(it).Err() != nil {
-				<-sem
-				break // stop admitting work; running iterations drain below
-			}
-			wg.Add(1)
-			go func(it int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(it)))
-				p, err := safeConstruct(iterCtx(it), ds, ev, feas, &cfg, rng, warmOK && it == 0)
-				mu.Lock()
-				defer mu.Unlock()
-				recordIter(it, p, err)
-			}(it)
-		}
-		wg.Wait()
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -540,7 +494,6 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 				Objective:    cfg.Objective,
 				Tenure:       cfg.TabuLength,
 				MaxNoImprove: cfg.MaxNoImprove,
-				Seed:         cfg.Seed,
 				Ctx:          searchCtx,
 			})
 			res.TabuMoves = stats.Moves

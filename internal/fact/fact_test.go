@@ -402,47 +402,3 @@ func TestSolveRandomInstancesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestSolveKernelOffDifferential runs the full FaCT pipeline (construction
-// through AddArea/MergeRegions plus the Tabu phase) with and without the
-// incremental heterogeneity kernel: the end-to-end solutions must be
-// identical area by area.
-func TestSolveKernelOffDifferential(t *testing.T) {
-	ds, err := census.Scaled("2k", 0.12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := constraint.Set{
-		constraint.AtMost(constraint.Min, census.AttrPop16Up, 3000),
-		constraint.AtLeast(constraint.Sum, census.AttrTotalPop, 20000),
-	}
-	on, err := Solve(ds, set, Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Solve(ds, set, Config{Seed: 7, KernelOff: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Partition.HeteroKernelEnabled() == off.Partition.HeteroKernelEnabled() {
-		t.Fatal("KernelOff flag did not propagate to the partition")
-	}
-	if on.P != off.P || on.Unassigned != off.Unassigned {
-		t.Fatalf("kernel on: p=%d u=%d; off: p=%d u=%d", on.P, on.Unassigned, off.P, off.Unassigned)
-	}
-	for a := 0; a < ds.N(); a++ {
-		if on.Partition.Assignment(a) != off.Partition.Assignment(a) {
-			t.Fatalf("area %d: assignment %d (kernel) vs %d (naive)",
-				a, on.Partition.Assignment(a), off.Partition.Assignment(a))
-		}
-	}
-	dh := on.HeteroAfter - off.HeteroAfter
-	if dh < 0 {
-		dh = -dh
-	}
-	if dh > 1e-6*(1+off.HeteroAfter) {
-		t.Errorf("final H differs: kernel %g naive %g", on.HeteroAfter, off.HeteroAfter)
-	}
-	checkSolution(t, on, set)
-	checkSolution(t, off, set)
-}

@@ -6,7 +6,9 @@ import (
 
 	"emp/internal/census"
 	"emp/internal/constraint"
+	"emp/internal/data"
 	"emp/internal/prep"
+	"emp/internal/shard"
 )
 
 // preparedSet builds a constraint set proportional to the dataset's total
@@ -23,8 +25,9 @@ func preparedSet(t *testing.T, dsTotal float64) constraint.Set {
 // TestSolvePreparedDifferential pins the prep.Artifact result-neutrality
 // contract on every census dataset: a solve with Config.Prepared set
 // produces a bit-identical result — same p, same H(P), same assignment of
-// every area — to the unprepared solve, on both the whole-dataset path
-// (ShardOff) and the component-sharded path. Datasets are scaled down so
+// every area — to the unprepared solve, on both the component-sharded path
+// and the whole-dataset path (the largest component solved on its own, so
+// every preset exercises it). Datasets are scaled down so
 // the sweep (which also runs under -race in CI) stays fast; the larger
 // names keep multiple components, so the sharded path is genuinely
 // exercised with prepared sub-artifacts.
@@ -44,16 +47,17 @@ func TestSolvePreparedDifferential(t *testing.T) {
 				total += v
 			}
 			set := preparedSet(t, total)
-			art, err := prep.New(ds)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, mode := range []struct {
-				name     string
-				shardOff bool
-			}{{"sharded", false}, {"whole", true}} {
+				name string
+				ds   *data.Dataset
+			}{{"sharded", ds}, {"whole", largestComponent(t, ds)}} {
 				t.Run(mode.name, func(t *testing.T) {
-					cfg := Config{Seed: 3, Iterations: 2, ShardOff: mode.shardOff}
+					ds := mode.ds
+					art, err := prep.New(ds)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := Config{Seed: 3, Iterations: 2}
 					plain, err := Solve(ds, set, cfg)
 					if err != nil {
 						t.Fatalf("unprepared solve: %v", err)
@@ -82,6 +86,23 @@ func TestSolvePreparedDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// largestComponent returns the dataset's largest connected component as a
+// dataset of its own.
+func largestComponent(t *testing.T, ds *data.Dataset) *data.Dataset {
+	t.Helper()
+	plan, err := shard.NewPlan(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := plan.Shards[0].Dataset
+	for _, s := range plan.Shards[1:] {
+		if s.Dataset.N() > best.N() {
+			best = s.Dataset
+		}
+	}
+	return best
 }
 
 // TestSolvePreparedMismatchedArtifactIgnored pins the safety valve: an

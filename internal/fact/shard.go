@@ -13,7 +13,6 @@ import (
 	"emp/internal/prep"
 	"emp/internal/region"
 	"emp/internal/shard"
-	"emp/internal/solvecache"
 )
 
 // shardRetryPolicy is the backoff schedule for transient shard failures
@@ -101,11 +100,7 @@ func solveSharded(ctx context.Context, ds *data.Dataset, set constraint.Set, ev 
 	}
 	res.Shards = len(plan.Shards)
 
-	pool := cfg.ShardPool
-	if pool == nil {
-		pool = solvecache.NewPool(cfg.ShardWorkers)
-	}
-	subs, failMsgs, runErr := runSubSolves(ctx, shardCtx, plan, subArts, set, cfg, pool, "component")
+	subs, failMsgs, runErr := runSubSolves(ctx, shardCtx, plan, subArts, set, cfg, "component")
 	if err := settleSubSolves(ctx, ctx, plan, subs, failMsgs, runErr, "component"); err != nil {
 		return nil, err
 	}
@@ -122,9 +117,6 @@ func solveSharded(ctx context.Context, ds *data.Dataset, set constraint.Set, ev 
 	if err != nil {
 		return nil, fmt.Errorf("fact: merging shard partitions: %w", err)
 	}
-	if cfg.KernelOff {
-		merged.SetHeteroKernel(false)
-	}
 	res.Partition = merged
 	res.HeteroAfter = merged.Heterogeneity()
 	res.P = merged.NumRegions()
@@ -140,7 +132,7 @@ func solveSharded(ctx context.Context, ds *data.Dataset, set constraint.Set, ev 
 	return res, nil
 }
 
-// runSubSolves executes one sub-solve per plan shard on the pool, shared by
+// runSubSolves executes one sub-solve per plan shard on cfg's pool, shared by
 // the component-sharded and cut-sharded pipelines. Each shard gets a seed
 // mixed from (cfg.Seed, index) and its own prepared sub-artifact when
 // available, retries transient failures (recovered panics, injected
@@ -150,7 +142,7 @@ func solveSharded(ctx context.Context, ds *data.Dataset, set constraint.Set, ev 
 // subCtx bounds the sub-solves (it may carry a tighter deadline than the
 // caller's, reserving budget for later phases); spanCtx carries the parent
 // phase span so per-shard spans nest correctly.
-func runSubSolves(subCtx, spanCtx context.Context, plan *shard.Plan, subArts []*prep.Artifact, set constraint.Set, cfg Config, pool *solvecache.Pool, noun string) (subs []*Result, failMsgs []string, runErr error) {
+func runSubSolves(subCtx, spanCtx context.Context, plan *shard.Plan, subArts []*prep.Artifact, set constraint.Set, cfg Config, noun string) (subs []*Result, failMsgs []string, runErr error) {
 	// Shard datasets renumber areas, so a shard-local assignment is
 	// meaningless as a whole-problem warm seed; suppress checkpoint offers
 	// for the entire sub-solve subtree (both contexts reach solver code).
@@ -158,12 +150,8 @@ func runSubSolves(subCtx, spanCtx context.Context, plan *shard.Plan, subArts []*
 	spanCtx = flight.WithoutAssign(spanCtx)
 	subs = make([]*Result, len(plan.Shards))
 	failMsgs = make([]string, len(plan.Shards))
-	runErr = shard.Run(subCtx, len(plan.Shards), pool, func(i int) error {
+	runErr = shard.Run(subCtx, len(plan.Shards), cfg.pool(), func(i int) error {
 		sub := cfg
-		sub.ShardPool = nil
-		sub.ShardWorkers = 0
-		sub.CutShards = 0
-		sub.CutWorkers = 0
 		// A warm-start assignment indexes the whole dataset; shard datasets
 		// renumber areas, so it must not leak into sub-solves.
 		sub.WarmStart = nil

@@ -3,6 +3,7 @@ package fact
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"emp/internal/census"
@@ -55,11 +56,11 @@ func TestShardedSequentialIdentical(t *testing.T) {
 			}
 			set := constraint.Set{constraint.AtLeast(constraint.Sum, census.AttrTotalPop, tc.lower)}
 
-			seq, err := Solve(ds, set, Config{Seed: 42, ShardWorkers: 1})
+			seq, err := Solve(ds, set, Config{Seed: 42, Pool: solvecache.NewPool(1)})
 			if err != nil {
 				t.Fatalf("sequential (1-worker) solve: %v", err)
 			}
-			par, err := Solve(ds, set, Config{Seed: 42, ShardWorkers: 4})
+			par, err := Solve(ds, set, Config{Seed: 42, Pool: solvecache.NewPool(4)})
 			if err != nil {
 				t.Fatalf("4-worker solve: %v", err)
 			}
@@ -84,68 +85,44 @@ func TestShardedSequentialIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedVsLegacyBothValid checks that the opt-out path still works and
-// that both pipelines produce valid (not necessarily identical — the legacy
-// path draws from one global RNG stream) solutions covering every component.
-func TestShardedVsLegacyBothValid(t *testing.T) {
-	ds, err := census.Generate(census.Options{Name: "legacy", Areas: 300, States: 3, Components: 3, Seed: 21})
-	if err != nil {
-		t.Fatalf("census: %v", err)
-	}
-	set := constraint.Set{constraint.AtLeast(constraint.Sum, census.AttrTotalPop, 25000)}
-
-	sharded, err := Solve(ds, set, Config{Seed: 7})
-	if err != nil {
-		t.Fatalf("sharded solve: %v", err)
-	}
-	legacy, err := Solve(ds, set, Config{Seed: 7, ShardOff: true})
-	if err != nil {
-		t.Fatalf("legacy solve: %v", err)
-	}
-	checkSolution(t, sharded, set)
-	checkSolution(t, legacy, set)
-	if sharded.Shards != 3 {
-		t.Errorf("sharded.Shards = %d, want 3", sharded.Shards)
-	}
-	if legacy.Shards != 0 {
-		t.Errorf("legacy.Shards = %d, want 0", legacy.Shards)
-	}
-	// Every component must carry at least one region under both pipelines.
-	comp, _ := ds.Graph().ComponentSlices()
-	for _, res := range []*Result{sharded, legacy} {
-		covered := make(map[int]bool)
-		for a, c := range comp {
-			if res.Partition.Assignment(a) != -1 {
-				covered[c] = true
-			}
-		}
-		if len(covered) != 3 {
-			t.Errorf("solution covers %d of 3 components", len(covered))
-		}
-	}
-}
-
-// TestShardedSharedPool runs a sharded solve through an externally supplied
-// 1-slot pool (the server wiring) and checks the output matches a private
-// pool run exactly.
+// TestShardedSharedPool runs two concurrent sharded multi-start solves
+// through one externally supplied 1-slot pool (the server wiring). Each
+// component sub-solve holds the only slot while its iterations run inline, so
+// both solves must finish without deadlock and match a private-pool run
+// exactly.
 func TestShardedSharedPool(t *testing.T) {
 	ds, err := census.Generate(census.Options{Name: "pool", Areas: 240, States: 2, Components: 2, Seed: 31})
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
 	set := constraint.Set{constraint.AtLeast(constraint.Sum, census.AttrTotalPop, 20000)}
-	shared, err := Solve(ds, set, Config{Seed: 5, ShardPool: solvecache.NewPool(1)})
-	if err != nil {
-		t.Fatalf("shared-pool solve: %v", err)
-	}
-	private, err := Solve(ds, set, Config{Seed: 5, ShardWorkers: 4})
+	cfg := Config{Seed: 5, Iterations: 2}
+	private, err := Solve(ds, set, cfg)
 	if err != nil {
 		t.Fatalf("private-pool solve: %v", err)
 	}
-	sa, pa := assignments(t, shared), assignments(t, private)
-	for a := range sa {
-		if sa[a] != pa[a] {
-			t.Fatalf("area %d differs between shared and private pool runs", a)
+	cfg.Pool = solvecache.NewPool(1)
+	shared := make([]*Result, 2)
+	errs := make([]error, len(shared))
+	var wg sync.WaitGroup
+	for i := range shared {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			shared[i], errs[i] = Solve(ds, set, cfg)
+		}(i)
+	}
+	wg.Wait()
+	pa := assignments(t, private)
+	for i, res := range shared {
+		if errs[i] != nil {
+			t.Fatalf("shared-pool solve %d: %v", i, errs[i])
+		}
+		sa := assignments(t, res)
+		for a := range sa {
+			if sa[a] != pa[a] {
+				t.Fatalf("solve %d: area %d differs between shared and private pool runs", i, a)
+			}
 		}
 	}
 }

@@ -35,6 +35,9 @@ func TestWarmStartNeverWorseThanSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ds.Components() != 1 {
+		t.Fatalf("scaled 2k has %d components; the whole-graph path needs 1", ds.Components())
+	}
 	var total float64
 	for _, v := range ds.Column(census.AttrTotalPop) {
 		total += v
@@ -43,7 +46,7 @@ func TestWarmStartNeverWorseThanSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Seed: 7, ShardOff: true}
+	cfg := Config{Seed: 7}
 	seedRes, err := Solve(ds, set, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +86,9 @@ func TestWarmStartPerturbedSetRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ds.Components() != 1 {
+		t.Fatalf("scaled 2k has %d components; the whole-graph path needs 1", ds.Components())
+	}
 	var total float64
 	for _, v := range ds.Column(census.AttrTotalPop) {
 		total += v
@@ -95,7 +101,7 @@ func TestWarmStartPerturbedSetRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Seed: 7, ShardOff: true}
+	cfg := Config{Seed: 7}
 	seedRes, err := Solve(ds, setA, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +141,9 @@ func TestWarmStartIgnoredWhenMismatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ds.Components() != 1 {
+		t.Fatalf("scaled 2k has %d components; the whole-graph path needs 1", ds.Components())
+	}
 	var total float64
 	for _, v := range ds.Column(census.AttrTotalPop) {
 		total += v
@@ -151,11 +160,11 @@ func TestWarmStartIgnoredWhenMismatched(t *testing.T) {
 		}
 	}
 	// Wrong length → ignored wholesale.
-	cold, err := Solve(ds, set, Config{Seed: 3, ShardOff: true})
+	cold, err := Solve(ds, set, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := Solve(ds, set, Config{Seed: 3, ShardOff: true, WarmStart: []int{0, 1, 2}})
+	short, err := Solve(ds, set, Config{Seed: 3, WarmStart: []int{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

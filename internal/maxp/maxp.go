@@ -122,7 +122,6 @@ func Solve(ds *data.Dataset, attr string, threshold float64, cfg Config) (*Resul
 		stats := tabu.Improve(best, tabu.Config{
 			Tenure:       cfg.TabuLength,
 			MaxNoImprove: cfg.MaxNoImprove,
-			Seed:         cfg.Seed,
 		})
 		res.LocalSearchTime = tabuSpan.End()
 		res.TabuMoves = stats.Moves

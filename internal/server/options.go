@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -22,12 +24,23 @@ type SolveOptions struct {
 	LocalSearch     string `json:"local_search,omitempty"` // "tabu" | "anneal"
 	Order           string `json:"order,omitempty"`        // "random" | "ascending" | "descending"
 	Seed            int64  `json:"seed,omitempty"`
-	Parallelism     int    `json:"parallelism,omitempty"`
-	KernelOff       bool   `json:"kernel_off,omitempty"`
-	ShardOff        bool   `json:"shard_off,omitempty"`
-	ShardWorkers    int    `json:"shard_workers,omitempty"`
 	CutShards       int    `json:"cut_shards,omitempty"`
-	CutWorkers      int    `json:"cut_workers,omitempty"`
+}
+
+// UnmarshalJSON decodes the options object strictly: a key that names no
+// option fails the request instead of being dropped, so a misspelled or
+// retired knob never silently yields a different solve than the client
+// asked for. The error names the offending key.
+func (o *SolveOptions) UnmarshalJSON(b []byte) error {
+	type plain SolveOptions // no UnmarshalJSON method, so no recursion
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var p plain
+	if err := dec.Decode(&p); err != nil {
+		return fmt.Errorf("options: %w", err)
+	}
+	*o = SolveOptions(p)
+	return nil
 }
 
 // Config converts the wire options to the solver config, validating the
@@ -41,18 +54,10 @@ func (o SolveOptions) Config() (fact.Config, error) {
 		MaxNoImprove:    o.MaxNoImprove,
 		SkipLocalSearch: o.SkipLocalSearch,
 		Seed:            o.Seed,
-		Parallelism:     o.Parallelism,
-		KernelOff:       o.KernelOff,
-		ShardOff:        o.ShardOff,
-		ShardWorkers:    o.ShardWorkers,
 		CutShards:       o.CutShards,
-		CutWorkers:      o.CutWorkers,
 	}
 	if o.CutShards < 0 || o.CutShards == 1 {
 		return fact.Config{}, fmt.Errorf("cut_shards must be 0 (off) or >= 2, got %d", o.CutShards)
-	}
-	if o.CutWorkers < 0 {
-		return fact.Config{}, fmt.Errorf("cut_workers must be >= 0, got %d", o.CutWorkers)
 	}
 	switch canonicalLocalSearch(o.LocalSearch) {
 	case "tabu":
@@ -76,9 +81,9 @@ func (o SolveOptions) Config() (fact.Config, error) {
 }
 
 // OptionsFromConfig is the inverse of Config for the wire-representable
-// knobs. Config fields without a wire form (Objective, ShardPool, Prepared —
-// in-process values a remote client cannot supply) are dropped; the
-// round-trip test lists them explicitly as exemptions.
+// knobs. Config fields without a wire form (Objective, Pool, Prepared,
+// WarmStart — in-process values a remote client cannot supply) are dropped;
+// the round-trip test lists them explicitly as exemptions.
 func OptionsFromConfig(cfg fact.Config) SolveOptions {
 	return SolveOptions{
 		Iterations:      cfg.Iterations,
@@ -89,12 +94,7 @@ func OptionsFromConfig(cfg fact.Config) SolveOptions {
 		LocalSearch:     cfg.LocalSearch.String(),
 		Order:           cfg.Order.String(),
 		Seed:            cfg.Seed,
-		Parallelism:     cfg.Parallelism,
-		KernelOff:       cfg.KernelOff,
-		ShardOff:        cfg.ShardOff,
-		ShardWorkers:    cfg.ShardWorkers,
 		CutShards:       cfg.CutShards,
-		CutWorkers:      cfg.CutWorkers,
 	}
 }
 
@@ -108,15 +108,11 @@ func canonicalOrder(order string) string {
 }
 
 // fingerprintParts returns the option fields that go into the solve
-// fingerprint: every knob that can change the result. Four knobs are
-// deliberately excluded because results are proven identical across their
-// values (each pinned by a differential/regression test in internal/fact):
-// Parallelism (construction multi-start determinism), ShardWorkers (merge
-// order is component order, not completion order), CutWorkers (cut-shard
-// merge and repair run in shard order, not completion order) and KernelOff
-// (the kernel computes the same objective). Requests differing only in those
-// share one cache entry. CutShards IS fingerprinted: the cut changes the
-// search trajectory, so different shard counts produce different results.
+// fingerprint: every wire knob, since each can change the result. The worker
+// budget (fact.Config.Pool) has no wire form: results are identical for any
+// pool size, so requests never split the cache on it. CutShards IS
+// fingerprinted: the cut changes the search trajectory, so different shard
+// counts produce different results.
 func (o *SolveOptions) fingerprintParts() []string {
 	return []string{
 		strconv.Itoa(o.Iterations),
@@ -126,7 +122,6 @@ func (o *SolveOptions) fingerprintParts() []string {
 		strconv.FormatBool(o.SkipLocalSearch),
 		canonicalLocalSearch(o.LocalSearch),
 		canonicalOrder(o.Order),
-		strconv.FormatBool(o.ShardOff),
 		strconv.FormatInt(o.Seed, 10),
 		strconv.Itoa(o.CutShards),
 	}

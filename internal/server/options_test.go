@@ -21,7 +21,7 @@ func mustSet(t *testing.T, s string) constraint.Set {
 // form: in-process values a remote client cannot (or must not) supply.
 var optionExempt = map[string]bool{
 	"Objective": true, // function value: custom objectives are library-only
-	"ShardPool": true, // process-wide worker pool injected by the service
+	"Pool":      true, // process-wide worker pool injected by the service
 	"Prepared":  true, // prepared-dataset artifact attached by the service; result-neutral
 	"WarmStart": true, // prior-partition seed injected by the async jobs layer, never client-supplied
 }
@@ -42,12 +42,7 @@ func TestOptionsConfigRoundTrip(t *testing.T) {
 		Order:           fact.OrderDescending,
 		Seed:            99,
 		LocalSearch:     fact.LocalSearchAnneal,
-		Parallelism:     3,
-		KernelOff:       true,
-		ShardOff:        true,
-		ShardWorkers:    2,
 		CutShards:       4,
-		CutWorkers:      2,
 	}
 	v := reflect.ValueOf(cfg)
 	for i := 0; i < v.NumField(); i++ {
@@ -91,18 +86,15 @@ func TestOptionsConfigValidation(t *testing.T) {
 	if _, err := (SolveOptions{CutShards: -3}).Config(); err == nil {
 		t.Error("negative cut_shards accepted")
 	}
-	if _, err := (SolveOptions{CutWorkers: -1}).Config(); err == nil {
-		t.Error("negative cut_workers accepted")
-	}
-	for _, o := range []SolveOptions{{}, {LocalSearch: "tabu", Order: "random"}, {LocalSearch: "anneal", Order: "descending"}, {CutShards: 4, CutWorkers: 2}} {
+	for _, o := range []SolveOptions{{}, {LocalSearch: "tabu", Order: "random"}, {LocalSearch: "anneal", Order: "descending"}, {CutShards: 4}} {
 		if _, err := o.Config(); err != nil {
 			t.Errorf("valid options %+v rejected: %v", o, err)
 		}
 	}
 }
 
-// TestFingerprintKnobs checks the fingerprint policy: result-affecting knobs
-// split the cache key, proven-deterministic ones share it.
+// TestFingerprintKnobs checks the fingerprint policy: every wire knob splits
+// the cache key, while the two spellings of a default share it.
 func TestFingerprintKnobs(t *testing.T) {
 	base := SolveOptions{Seed: 1}
 	fp := func(o SolveOptions) string {
@@ -110,24 +102,14 @@ func TestFingerprintKnobs(t *testing.T) {
 		set := mustSet(t, "SUM(TOTALPOP) >= 1")
 		return solveFingerprint(req, set)
 	}
-	// Deterministic knobs: same key.
-	for name, o := range map[string]SolveOptions{
-		"parallelism":   {Seed: 1, Parallelism: 8},
-		"shard_workers": {Seed: 1, ShardWorkers: 8},
-		"kernel_off":    {Seed: 1, KernelOff: true},
-		"cut_workers":   {Seed: 1, CutWorkers: 8},
-		"spelling":      {Seed: 1, LocalSearch: "tabu", Order: "random"},
-	} {
-		if fp(o) != fp(base) {
-			t.Errorf("%s changed the fingerprint but is proven result-neutral", name)
-		}
+	if fp(SolveOptions{Seed: 1, LocalSearch: "tabu", Order: "random"}) != fp(base) {
+		t.Error("spelling out the default local_search and order changed the fingerprint")
 	}
 	// Result-affecting knobs: distinct keys.
 	for name, o := range map[string]SolveOptions{
 		"seed":         {Seed: 2},
 		"iterations":   {Seed: 1, Iterations: 4},
 		"order":        {Seed: 1, Order: "ascending"},
-		"shard_off":    {Seed: 1, ShardOff: true},
 		"local_search": {Seed: 1, LocalSearch: "anneal"},
 		"skip_search":  {Seed: 1, SkipLocalSearch: true},
 		"cut_shards":   {Seed: 1, CutShards: 4},

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"emp/internal/census"
 	"emp/internal/durable"
 	"emp/internal/fault"
 	"emp/internal/obs"
@@ -289,6 +290,52 @@ func TestRecoveryCorruptStateBootsClean(t *testing.T) {
 	}
 }
 
+// TestRecoveryRemovedOptionDropped: a journaled body carrying an option key
+// the server no longer accepts fails re-validation on boot. The record is
+// counted as corrupt and its job retired, and boot still reaches ready and
+// serves.
+func TestRecoveryRemovedOptionDropped(t *testing.T) {
+	dir := t.TempDir()
+	const id = "eeeeeeeeeeeeeeee"
+	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":5,"shard_off":true}}`
+	j, _, err := durable.Open(filepath.Join(dir, "jobs.journal"), durable.Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(durable.Record{
+		Kind: durable.RecordSubmit, JobID: id, Fingerprint: "stale",
+		DatasetKey: "1k", Dataset: "1k", Body: json.RawMessage(body),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sv, h, reg := newRecoveryService(t, dir)
+	waitRecovered(t, sv)
+	if got := counterValue(reg, "emp_durable_corrupt_records_total"); got != 1 {
+		t.Errorf("corrupt_records_total = %d, want 1", got)
+	}
+	if code, _ := getJob(t, h, id); code != http.StatusNotFound {
+		t.Errorf("GET dropped job = %d, want 404", code)
+	}
+	if rec := postSolve(h, jobBody, "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("solve after dropping the journaled job = %d: %s", rec.Code, rec.Body.String())
+	}
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The retirement was journaled: the next boot replays nothing.
+	_, replay, err := durable.Open(filepath.Join(dir, "jobs.journal"), durable.Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pend := durable.Pending(replay.Records); len(pend) != 0 {
+		t.Fatalf("journal still pending after the drop: %+v", pend)
+	}
+}
+
 // TestReadyzRecoveringWindow: while boot recovery runs, /readyz answers 503
 // {"status":"recovering"}; once it finishes, 200. A delay rule on the
 // recover site holds the window open long enough to observe.
@@ -451,12 +498,16 @@ func TestRecoveryKill9(t *testing.T) {
 		}
 	}()
 
-	// Submit a deliberately slow job. Sharding is off so the epoch delay
-	// stretches the top-level tabu loop (sub-solves would hit the same site
-	// during the construction phase, before any checkpoint exists).
-	// The dataset stays small (construction must finish promptly even under
-	// the race detector); the per-epoch delay alone provides the kill window.
-	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","timeout_ms":240000,"options":{"seed":7,"iterations":4000,"max_no_improve":4000,"shard_off":true}}`
+	// Submit a deliberately slow job. The dataset is one component, so the
+	// solve runs whole-graph and the epoch delay stretches the top-level tabu
+	// loop (shard sub-solves would hit the same site during the construction
+	// phase, before any checkpoint exists). The dataset stays small
+	// (construction must finish promptly even under the race detector); the
+	// per-epoch delay alone provides the kill window.
+	if ds, err := census.Scaled("1k", 0.1, 7); err != nil || ds.Components() != 1 {
+		t.Fatalf("scaled 1k must be one component (err %v)", err)
+	}
+	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","timeout_ms":240000,"options":{"seed":7,"iterations":4000,"max_no_improve":4000}}`
 	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

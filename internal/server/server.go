@@ -153,7 +153,7 @@ type service struct {
 	flights   solvecache.Group
 	dsFlights solvecache.Group
 	sched     *solvecache.Scheduler
-	shardPool *solvecache.Pool
+	pool      *solvecache.Pool
 	dedups    *obs.Counter
 	cancels   *obs.Counter
 
@@ -405,7 +405,7 @@ func New(cfg Config) *Service {
 		Rejected:  reg.Counter("emp_solve_queue_rejected_total", "Solves shed with 429 because the queue was full or the wait budget elapsed."),
 		Abandoned: reg.Counter("emp_solve_queue_abandoned_total", "Queued solves whose context was cancelled before a slot freed."),
 	})
-	s.shardPool = solvecache.NewPool(s.sched.Workers())
+	s.pool = solvecache.NewPool(s.sched.Workers())
 	s.fstore = flight.NewStore(cfg.FlightRecorderBytes, cfg.FlightRecorderTraces)
 	s.jobs = jobs.NewStore(jobs.Config{
 		TTL:          cfg.JobTTL,
@@ -577,7 +577,7 @@ func (s *service) handleDatasets(w http.ResponseWriter, r *http.Request) {
 // shared front door of POST /solve and POST /v1/jobs. It normalizes the seed
 // and timeout (so fingerprints computed from the returned request are
 // canonical), parses the constraint set, maps the options onto a solver
-// config and attaches the service-wide shard pool. On any error it writes the
+// config and attaches the service-wide worker pool. On any error it writes the
 // enveloped response itself and reports ok=false.
 func (s *service) decodeSolveRequest(w http.ResponseWriter, r *http.Request) (req *SolveRequest, set constraint.Set, cfg fact.Config, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
@@ -645,10 +645,10 @@ func (s *service) parseSolveRequest(body []byte) (req *SolveRequest, set constra
 	if err != nil {
 		return nil, nil, cfg, err.Error()
 	}
-	// Sub-solve fan-out of sharded solves draws from the service-wide pool
-	// so the aggregate parallelism respects one worker budget no matter how
-	// many sharded solves run concurrently.
-	cfg.ShardPool = s.shardPool
+	// Every fan-out of the solve (shard sub-solves, multi-start iterations)
+	// draws from the service-wide pool so the aggregate parallelism respects
+	// one worker budget no matter how many solves run concurrently.
+	cfg.Pool = s.pool
 	return req, set, cfg, ""
 }
 

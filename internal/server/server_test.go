@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"emp/internal/census"
+	"emp/internal/fact"
+	"emp/internal/solvecache"
 )
 
 func doJSON(t *testing.T, h http.Handler, method, path, body string) (*httptest.ResponseRecorder, map[string]json.RawMessage) {
@@ -125,26 +127,47 @@ func TestSolveAnnealOption(t *testing.T) {
 	}
 }
 
+// TestSolveParallelIterations: multi-start iterations fan out on the
+// service's worker pool, and the answer must equal a one-slot library solve.
 func TestSolveParallelIterations(t *testing.T) {
 	body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000",
-	  "options":{"seed":1,"iterations":3,"parallelism":3,"skip_local_search":true}}`
+	  "options":{"seed":1,"iterations":3,"skip_local_search":true}}`
 	rec, _ := doJSON(t, Handler(), http.MethodPost, "/solve", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	// Must match the sequential run exactly.
-	seq := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000",
-	  "options":{"seed":1,"iterations":3,"skip_local_search":true}}`
-	rec2, _ := doJSON(t, Handler(), http.MethodPost, "/solve", seq)
-	var a, b SolveResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &a); err != nil {
+	var got SolveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(rec2.Body.Bytes(), &b); err != nil {
+	ds, err := census.Scaled("1k", 0.08, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.P != b.P || a.HeteroAfter != b.HeteroAfter {
-		t.Errorf("parallel result differs: %d/%g vs %d/%g", a.P, a.HeteroAfter, b.P, b.HeteroAfter)
+	seq, err := fact.Solve(ds, mustSet(t, "SUM(TOTALPOP) >= 25000"),
+		fact.Config{Seed: 1, Iterations: 3, SkipLocalSearch: true, Pool: solvecache.NewPool(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.P != seq.P || got.HeteroAfter != seq.HeteroAfter {
+		t.Errorf("pooled result differs from the one-slot solve: %d/%g vs %d/%g", got.P, got.HeteroAfter, seq.P, seq.HeteroAfter)
+	}
+}
+
+// TestSolveRejectsUnknownOptions: a key inside "options" that names no
+// option (a typo, or a retired worker knob) is a 400 whose message names the
+// key, never a silently different solve.
+func TestSolveRejectsUnknownOptions(t *testing.T) {
+	for _, key := range []string{"cut_shard", "shard_off", "parallelism", "kernel_off", "shard_workers", "cut_workers"} {
+		body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000","options":{"seed":1,"` + key + `":1}}`
+		rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400: %s", key, rec.Code, rec.Body.String())
+			continue
+		}
+		if detail := decodeError(t, rec); !strings.Contains(detail.Message, `"`+key+`"`) {
+			t.Errorf("%s: message %q does not name the key", key, detail.Message)
+		}
 	}
 }
 

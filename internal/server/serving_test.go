@@ -257,8 +257,16 @@ func TestSolveClientCancelMidSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() { done <- postSolve(h, body, "", ctx) }()
-	// Cancel once the solve is actually executing (its dataset generated).
-	waitForCounter(t, reg, "emp_dataset_cache_misses_total", 1)
+	// Cancel once the solve is actually executing: its dataset is generated,
+	// prepared and cached. (The miss counter moves before generation starts,
+	// too early on a slow run such as one under -race.)
+	deadline := time.Now().Add(30 * time.Second)
+	for reg.Gauge("emp_dataset_cache_bytes", "").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("dataset artifact never reached the cache")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	cancel()
 	var rec *httptest.ResponseRecorder
 	select {

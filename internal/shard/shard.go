@@ -113,15 +113,17 @@ func (p *Plan) MergeRegions(perShard [][][]int) [][]int {
 // waits for every started call to return. The first error by lowest index
 // wins (deterministic regardless of completion order); a context cancelled
 // while waiting for a slot stops admitting new work and returns ctx.Err()
-// unless an fn error outranks it.
+// unless an fn error outranks it. A nil pool runs the calls in index order on
+// the calling goroutine, for callers that already hold a slot of the pool
+// (nested acquisition could deadlock it) or have nothing to overlap.
 func Run(ctx context.Context, n int, pool *solvecache.Pool, fn func(i int) error) error {
-	if pool == nil {
-		pool = solvecache.NewPool(0)
-	}
 	errs := make([]error, n)
 	var ctxErr error
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && pool == nil; i++ {
+		errs[i] = fn(i)
+	}
+	for i := 0; i < n && pool != nil; i++ {
 		release, err := pool.Acquire(ctx)
 		if err != nil {
 			ctxErr = err

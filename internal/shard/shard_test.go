@@ -209,12 +209,19 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
+// TestRunNilPool: a nil pool runs every call in index order on the calling
+// goroutine (the unsynchronized append would race under -race otherwise).
 func TestRunNilPool(t *testing.T) {
-	var n atomic.Int32
-	if err := Run(context.Background(), 5, nil, func(int) error { n.Add(1); return nil }); err != nil {
+	var order []int
+	if err := Run(context.Background(), 5, nil, func(i int) error { order = append(order, i); return nil }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if n.Load() != 5 {
-		t.Fatalf("ran %d, want 5", n.Load())
+	if len(order) != 5 {
+		t.Fatalf("ran %d, want 5", len(order))
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("call order %v, want 0..4", order)
+		}
 	}
 }

@@ -32,9 +32,6 @@ type Config struct {
 	// MaxNoImprove stops the search after this many consecutive moves
 	// that fail to improve the best heterogeneity found.
 	MaxNoImprove int
-	// Seed is reserved for stochastic tie-breaking; the current
-	// implementation is deterministic (best-delta, lowest key).
-	Seed int64
 	// RecordMoves captures the applied move sequence in Stats.MoveLog,
 	// for differential testing of kernel variants.
 	RecordMoves bool
