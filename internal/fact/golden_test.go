@@ -9,10 +9,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"emp/internal/census"
 	"emp/internal/constraint"
+	"emp/internal/data"
 	"emp/internal/solvecache"
 )
 
@@ -23,32 +25,74 @@ const goldenPath = "testdata/golden.json"
 // golden is one pinned solve outcome. H is stored as its IEEE-754 bits and
 // the assignment as an FNV-64a hash of WarmAssignment, so any drift in p, the
 // unassigned count, the objective or a single area's label fails the test.
+// Moves and Evals pin the local search's trajectory: the accepted moves and
+// the candidate evaluations it made to find them.
 type golden struct {
 	P          int    `json:"p"`
 	Unassigned int    `json:"unassigned"`
 	HBits      string `json:"h_bits"`
 	AssignHash string `json:"assign_hash"`
+	Moves      int    `json:"moves"`
+	Evals      int64  `json:"evals"`
 }
 
 // goldenCases covers every solve path: whole-graph (2k, and 8k, whose one
 // state block makes it single-component), component-sharded (10k and 20k),
-// cut-sharded and multi-start. Datasets are scaled so the sweep stays fast
-// under -race.
+// cut-sharded and multi-start; the enriched constraint families (MIN, MAX,
+// AVG, COUNT and a two-sided SUM range); the descending pickup order;
+// simulated annealing; and a warm start whose seed regions all exceed the new
+// upper bound, so Step 3 sheds areas. Datasets are scaled so the sweep stays
+// fast under -race, except the paper-scale case, which -short skips.
 var goldenCases = []struct {
 	name    string
 	dataset string
 	scale   float64
-	cons    string // %d is replaced by a SUM(TOTALPOP) floor of total/25
-	cfg     Config
+	// cons is the constraint set. When it holds verbs, %[1]d is replaced by a
+	// SUM(TOTALPOP) floor T of total/25 and %[2]d by 3T.
+	cons string
+	// warm, when set, is a constraint set rendered like cons whose solve
+	// (same config) seeds cfg.WarmStart.
+	warm  string
+	cfg   Config
+	large bool // paper scale: skipped under -short
 }{
-	{"2k", "2k", 0.1, "SUM(TOTALPOP) >= %d", Config{Seed: 3}},
-	{"2k_enriched", "2k", 0.1, "SUM(TOTALPOP) >= %d; AVG(EMPLOYED) in [1000, 4000]; COUNT <= 40", Config{Seed: 5}},
-	{"8k", "8k", 0.05, "SUM(TOTALPOP) >= %d", Config{Seed: 7}},
-	{"10k", "10k", 0.06, "SUM(TOTALPOP) >= %d", Config{Seed: 9}},
-	{"20k", "20k", 0.03, "SUM(TOTALPOP) >= %d", Config{Seed: 11}},
-	{"30k1_cut4", "30k1", 0.03, "SUM(TOTALPOP) >= %d", Config{Seed: 13, CutShards: 4}},
-	{"2k_iter3", "2k", 0.1, "SUM(TOTALPOP) >= %d", Config{Seed: 17, Iterations: 3}},
-	{"20k_iter3", "20k", 0.03, "SUM(TOTALPOP) >= %d", Config{Seed: 19, Iterations: 3}},
+	{"2k", "2k", 0.1, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 3}, false},
+	{"2k_enriched", "2k", 0.1, "SUM(TOTALPOP) >= %[1]d; AVG(EMPLOYED) in [1000, 4000]; COUNT <= 40", "", Config{Seed: 5}, false},
+	{"8k", "8k", 0.05, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 7}, false},
+	{"10k", "10k", 0.06, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 9}, false},
+	{"20k", "20k", 0.03, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 11}, false},
+	{"30k1_cut4", "30k1", 0.03, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 13, CutShards: 4}, false},
+	{"2k_iter3", "2k", 0.1, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 17, Iterations: 3}, false},
+	{"20k_iter3", "20k", 0.03, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 19, Iterations: 3}, false},
+	{"8k_min_avg", "8k", 0.05, "MIN(POP16UP) <= 3000; AVG(EMPLOYED) in [1500,3500]; SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 23}, false},
+	{"20k_min_avg", "20k", 0.03, "MIN(POP16UP) <= 3000; AVG(EMPLOYED) in [1500,3500]; SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 29}, false},
+	{"8k_max_range", "8k", 0.05, "MAX(EMPLOYED) <= 5000; SUM(TOTALPOP) in [%[1]d,%[2]d]", "", Config{Seed: 31}, false},
+	{"20k_max_range", "20k", 0.03, "MAX(EMPLOYED) <= 5000; SUM(TOTALPOP) in [%[1]d,%[2]d]", "", Config{Seed: 37}, false},
+	{"8k_count", "8k", 0.05, "COUNT(*) in [5,40]; SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 41}, false},
+	{"20k_count", "20k", 0.03, "COUNT(*) in [5,40]; SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 43}, false},
+	{"8k_descending", "8k", 0.05, "SUM(TOTALPOP) >= %[1]d; AVG(EMPLOYED) in [1500,3500]", "", Config{Seed: 47, Order: OrderDescending}, false},
+	{"8k_anneal", "8k", 0.05, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 53, LocalSearch: LocalSearchAnneal}, false},
+	{"8k_warm_shed", "8k", 0.05, "SUM(TOTALPOP) in [%[1]d,%[2]d]", "SUM(TOTALPOP) >= %[2]d", Config{Seed: 59}, false},
+	// The paper-scale benchmark warm-up: 50k1 at dataset and solver seed 1.
+	{"50k1", "50k1", 1, "SUM(TOTALPOP) >= 100000", "", Config{Seed: 1}, true},
+}
+
+// goldenSet renders a golden constraint format for the dataset.
+func goldenSet(t *testing.T, ds *data.Dataset, format string) constraint.Set {
+	t.Helper()
+	cons := format
+	if strings.Contains(cons, "%") {
+		var total float64
+		for _, v := range ds.Column(census.AttrTotalPop) {
+			total += v
+		}
+		cons = fmt.Sprintf(cons, int(total/25), 3*int(total/25))
+	}
+	set, err := constraint.ParseSet(cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 func assignHash(assign []int) string {
@@ -77,21 +121,27 @@ func TestGoldenSolves(t *testing.T) {
 	}
 	got := map[string]golden{}
 	for _, tc := range goldenCases {
+		if tc.large && testing.Short() {
+			if *updateGolden {
+				t.Fatal("-update rewrites every case; run it without -short")
+			}
+			continue
+		}
 		ds, err := census.Scaled(tc.dataset, tc.scale, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var total float64
-		for _, v := range ds.Column(census.AttrTotalPop) {
-			total += v
-		}
-		set, err := constraint.ParseSet(fmt.Sprintf(tc.cons, int(total/25)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		set := goldenSet(t, ds, tc.cons)
 		for _, workers := range []int{1, 4} {
 			cfg := tc.cfg
 			cfg.Pool = solvecache.NewPool(workers)
+			if tc.warm != "" {
+				seed, err := Solve(ds, goldenSet(t, ds, tc.warm), cfg)
+				if err != nil {
+					t.Fatalf("%s/workers=%d warm seed: %v", tc.name, workers, err)
+				}
+				cfg.WarmStart = WarmAssignment(seed.Partition)
+			}
 			res, err := Solve(ds, set, cfg)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
@@ -101,6 +151,8 @@ func TestGoldenSolves(t *testing.T) {
 				Unassigned: res.Unassigned,
 				HBits:      fmt.Sprintf("%016x", math.Float64bits(res.HeteroAfter)),
 				AssignHash: assignHash(WarmAssignment(res.Partition)),
+				Moves:      res.TabuMoves,
+				Evals:      res.Search.CandidateEvals,
 			}
 			if prev, ok := got[tc.name]; ok && prev != g {
 				t.Errorf("%s: workers=4 %+v differs from workers=1 %+v", tc.name, g, prev)
