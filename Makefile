@@ -55,13 +55,15 @@ recovery:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# bench-smoke runs the telemetry-overhead benchmark once: a fast CI-grade
-# check that the tabu hot path still builds and runs in all three telemetry
-# states (absent / disabled / enabled). -benchmem keeps the per-run
-# allocation profile visible so regressions show up in the CI log. Overhead
-# numbers need bench-obs.
+# bench-smoke runs the telemetry-overhead benchmark and the construction
+# benchmark once: a fast CI-grade check that the tabu hot path still builds
+# and runs in all three telemetry states (absent / disabled / enabled), and
+# that a construction-only solve of prepared 20k still runs. -benchmem keeps
+# the per-run allocation profiles visible so regressions show up in the CI
+# log. Overhead numbers need bench-obs.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkTabuTelemetry -benchtime 1x -benchmem ./internal/tabu/
+	$(GO) test -run xxx -bench BenchmarkConstruct -benchtime 1x -benchmem ./internal/fact/
 
 # bench-tabu regenerates BENCH_tabu.json (local-search before/after).
 bench-tabu:

@@ -38,7 +38,6 @@ import (
 	"emp/internal/geojson"
 	"emp/internal/geom"
 	"emp/internal/maxp"
-	"emp/internal/region"
 	"emp/internal/render"
 	"emp/internal/report"
 	"emp/internal/shapefile"
@@ -154,24 +153,10 @@ func (s *Solution) Regions() [][]int {
 // Assignment returns a dense region index per area (0-based) or -1 for
 // unassigned areas.
 func (s *Solution) Assignment() []int {
-	p := s.res.Partition
-	if p == nil {
+	if s.res.Partition == nil {
 		return nil
 	}
-	idx := make(map[int]int)
-	for i, id := range p.RegionIDs() {
-		idx[id] = i
-	}
-	out := make([]int, p.Dataset().N())
-	for a := range out {
-		id := p.Assignment(a)
-		if id == region.Unassigned {
-			out[a] = -1
-		} else {
-			out[a] = idx[id]
-		}
-	}
-	return out
+	return s.res.Partition.DenseAssignment()
 }
 
 // UnassignedAreas returns U0, the areas not assigned to any region.

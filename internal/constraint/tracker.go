@@ -66,15 +66,19 @@ type Tracker struct {
 }
 
 // NewTracker returns an empty region tracker for the evaluator's constraints.
+// The five per-constraint arrays share two backing allocations: construction
+// creates a tracker for every seed region.
 func (ev *Evaluator) NewTracker() *Tracker {
 	m := len(ev.set)
+	vals := make([]float64, 3*m)
+	cnts := make([]int, 2*m)
 	t := &Tracker{
 		ev:     ev,
-		sum:    make([]float64, m),
-		min:    make([]float64, m),
-		max:    make([]float64, m),
-		minCnt: make([]int, m),
-		maxCnt: make([]int, m),
+		sum:    vals[:m:m],
+		min:    vals[m : 2*m : 2*m],
+		max:    vals[2*m:],
+		minCnt: cnts[:m:m],
+		maxCnt: cnts[m:],
 	}
 	for i := range t.min {
 		t.min[i] = math.Inf(1)
@@ -203,16 +207,20 @@ func (t *Tracker) Merge(o *Tracker) {
 
 // Clone returns an independent copy of the tracker.
 func (t *Tracker) Clone() *Tracker {
-	c := &Tracker{
-		ev:     t.ev,
-		n:      t.n,
-		sum:    append([]float64(nil), t.sum...),
-		min:    append([]float64(nil), t.min...),
-		max:    append([]float64(nil), t.max...),
-		minCnt: append([]int(nil), t.minCnt...),
-		maxCnt: append([]int(nil), t.maxCnt...),
-	}
+	c := t.ev.NewTracker()
+	c.CopyFrom(t)
 	return c
+}
+
+// CopyFrom overwrites t with o's state, as Clone would produce it, without
+// allocating. Both trackers must come from the same evaluator.
+func (t *Tracker) CopyFrom(o *Tracker) {
+	t.n = o.n
+	copy(t.sum, o.sum)
+	copy(t.min, o.min)
+	copy(t.max, o.max)
+	copy(t.minCnt, o.minCnt)
+	copy(t.maxCnt, o.maxCnt)
 }
 
 // Value returns the current aggregate value of constraint i. For an empty

@@ -83,7 +83,8 @@ func RemoveCheckpoint(dir, jobID string) {
 // recorder's assignment tap) into throttled checkpoint writes. Writes happen
 // on the offering goroutine — the solver's — so the throttle is what keeps
 // persistence off the hot path: an offer inside the interval, or one that
-// improves less than MinImprove, costs two comparisons.
+// improves less than MinImprove, costs two comparisons and never builds the
+// O(n) assignment.
 type Checkpointer struct {
 	Dir         string
 	JobID       string
@@ -108,10 +109,12 @@ type Checkpointer struct {
 	lastH     float64
 }
 
-// Offer considers persisting a new incumbent. assign is borrowed for the
-// duration of the call. Errors are swallowed after counting: checkpointing
-// is an optimization for the next boot, never a reason to fail this solve.
-func (c *Checkpointer) Offer(p int, h float64, moves int, assign []int) {
+// Offer considers persisting a new incumbent. assign builds its assignment
+// and is called at most once, only when the throttle admits a write; the
+// slice it returns is not retained past the call. Errors are swallowed after
+// counting: checkpointing is an optimization for the next boot, never a
+// reason to fail this solve.
+func (c *Checkpointer) Offer(p int, h float64, moves int, assign func() []int) {
 	if c == nil {
 		return
 	}
@@ -144,7 +147,7 @@ func (c *Checkpointer) Offer(p int, h float64, moves int, assign []int) {
 		P:           p,
 		H:           h,
 		Moves:       moves,
-		Assign:      append([]int(nil), assign...),
+		Assign:      assign(),
 	}
 	if WriteCheckpoint(c.Dir, ck) == nil {
 		c.Met.CheckpointsWritten.Inc()

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -323,42 +324,51 @@ func TestCheckpointerThrottle(t *testing.T) {
 		Interval: time.Second, MinImprove: 0.01, Met: met,
 		Now: func() time.Time { return now },
 	}
+	// builds counts assignment materializations: only admitted offers may
+	// build one.
+	builds := 0
+	assign := func(a ...int) func() []int {
+		return func() []int { builds++; return a }
+	}
 	// First offer always writes.
-	c.Offer(5, 100, 10, []int{0, 0, 1})
-	if met.CheckpointsWritten.Value() != 1 {
-		t.Fatalf("first offer not written")
+	c.Offer(5, 100, 10, assign(0, 0, 1))
+	if met.CheckpointsWritten.Value() != 1 || builds != 1 {
+		t.Fatalf("first offer not written (writes %d, builds %d)", met.CheckpointsWritten.Value(), builds)
 	}
 	// Better but inside the interval: throttled.
-	c.Offer(6, 90, 20, []int{0, 1, 1})
+	c.Offer(6, 90, 20, assign(0, 1, 1))
 	if met.CheckpointsWritten.Value() != 1 {
 		t.Fatalf("interval throttle failed")
 	}
 	// Interval elapsed, p improved: written.
 	now = now.Add(2 * time.Second)
-	c.Offer(6, 90, 20, []int{0, 1, 1})
+	c.Offer(6, 90, 20, assign(0, 1, 1))
 	if met.CheckpointsWritten.Value() != 2 {
 		t.Fatalf("improved offer after interval not written")
 	}
 	// Interval elapsed but H moved less than MinImprove (1% of 90): skipped.
 	now = now.Add(2 * time.Second)
-	c.Offer(6, 89.5, 30, []int{0, 1, 1})
+	c.Offer(6, 89.5, 30, assign(0, 1, 1))
 	if met.CheckpointsWritten.Value() != 2 {
 		t.Fatalf("sub-threshold improvement written")
 	}
+	if builds != 2 {
+		t.Fatalf("%d assignments built for 2 writes: declined offers must not build", builds)
+	}
 	// Real improvement after the interval: written, and the file holds it.
-	c.Offer(6, 80, 40, []int{1, 1, 0})
+	c.Offer(6, 80, 40, assign(1, 1, 0))
 	if met.CheckpointsWritten.Value() != 3 {
 		t.Fatalf("improvement after interval not written")
 	}
 	ck, ok := ReadCheckpoint(dir, "job-1", Metrics{})
-	if !ok || ck.P != 6 || ck.H != 80 || ck.Moves != 40 {
+	if !ok || ck.P != 6 || ck.H != 80 || ck.Moves != 40 || fmt.Sprint(ck.Assign) != "[1 1 0]" {
 		t.Fatalf("final checkpoint = %+v", ck)
 	}
-	// The checkpointer copies assignments; mutating the caller's slice after
-	// Offer must not corrupt what was written.
+	// The write completes inside Offer; mutating the offered slice afterwards
+	// must not corrupt what was written.
 	seed := []int{0, 1, 2}
 	now = now.Add(2 * time.Second)
-	c.Offer(7, 70, 50, seed)
+	c.Offer(7, 70, 50, func() []int { return seed })
 	seed[0] = 99
 	ck, _ = ReadCheckpoint(dir, "job-1", Metrics{})
 	if ck.Assign[0] != 0 {

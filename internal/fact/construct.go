@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 
 	"emp/internal/constraint"
 	"emp/internal/data"
@@ -31,6 +32,15 @@ type builder struct {
 	// drives region growing, or -1 when the query has none (then every
 	// value classifies as in-range).
 	avgIdx int
+
+	// Scratch reused across calls instead of per-call maps and clones.
+	// seenIDs holds the neighbor region ids tryAttach and tryMergeAbsorb
+	// already tried (an area has few distinct neighbor regions, so a linear
+	// scan beats hashing); mergeTrial is mergedPlusAreaSafe's union tracker,
+	// created on first use; swaps holds pullAreas' candidate pairs.
+	seenIDs    []int
+	mergeTrial *constraint.Tracker
+	swaps      []uint64
 }
 
 // construct runs one full construction iteration (Steps 1-3) and returns
@@ -301,13 +311,13 @@ func (b *builder) assignEnclavesRound1() {
 func (b *builder) tryAttach(a int) bool {
 	bestID := -1
 	bestAvgDist := math.Inf(1)
-	seen := make(map[int]bool, 4)
+	b.seenIDs = b.seenIDs[:0]
 	for _, nb := range b.g.Neighbors(a) {
 		id := b.p.Assignment(int(nb))
-		if id == region.Unassigned || seen[id] {
+		if id == region.Unassigned || slices.Contains(b.seenIDs, id) {
 			continue
 		}
-		seen[id] = true
+		b.seenIDs = append(b.seenIDs, id)
 		r := b.p.Region(id)
 		if !r.Tracker.UpperSafeAfterAdd(a) {
 			continue
@@ -368,13 +378,13 @@ func (b *builder) assignEnclavesRound2() {
 // tryMergeAbsorb attempts the round-2 merge for one area.
 func (b *builder) tryMergeAbsorb(a int) bool {
 	trials := 0
-	seen := make(map[int]bool, 4)
+	b.seenIDs = b.seenIDs[:0]
 	for _, nb := range b.g.Neighbors(a) {
 		id := b.p.Assignment(int(nb))
-		if id == region.Unassigned || seen[id] {
+		if id == region.Unassigned || slices.Contains(b.seenIDs, id) {
 			continue
 		}
-		seen[id] = true
+		b.seenIDs = append(b.seenIDs, id)
 		r := b.p.Region(id)
 		for _, nbID := range b.p.NeighborRegions(id) {
 			if trials >= b.cfg.MergeLimit {
@@ -397,7 +407,11 @@ func (b *builder) tryMergeAbsorb(a int) bool {
 // satisfies the AVG range, all extrema ranges, and the counting upper
 // bounds.
 func (b *builder) mergedPlusAreaSafe(r1, r2 *region.Region, a int) bool {
-	tmp := r1.Tracker.Clone()
+	if b.mergeTrial == nil {
+		b.mergeTrial = b.ev.NewTracker()
+	}
+	tmp := b.mergeTrial
+	tmp.CopyFrom(r1.Tracker)
 	tmp.Merge(r2.Tracker)
 	if !tmp.UpperSafeAfterAdd(a) {
 		return false
@@ -491,7 +505,7 @@ func (b *builder) adjustCounting() {
 	if len(countIdx) == 0 {
 		return
 	}
-	swapped := make(map[int]bool) // each area is swapped at most once
+	swapped := make([]bool, b.ds.N()) // each area is swapped at most once
 	for !b.stopped() {
 		changed := false
 		for _, id := range b.p.RegionIDs() {
@@ -536,8 +550,11 @@ func (b *builder) countingViolation(r *region.Region, countIdx []int) (below, ab
 
 // pullAreas swaps border areas from neighbor regions into r until the
 // counting lower bounds hold or no valid swap remains. Donors must remain
-// contiguous and fully valid; each area moves at most once overall.
-func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped map[int]bool) bool {
+// contiguous and fully valid; each area moves at most once overall. Each
+// round takes the first valid swap in ascending (donor id, area) order. The
+// constraint predicates are pure, so they run first; the donor contiguity
+// check, the only one that traverses a region, runs last.
+func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped []bool) bool {
 	moved := false
 	for !b.stopped() {
 		below, _ := b.countingViolation(r, countIdx)
@@ -545,38 +562,50 @@ func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped map[int]bo
 			return moved
 		}
 		swappedOne := false
-		for _, nbID := range b.p.NeighborRegions(r.ID) {
-			nb := b.p.Region(nbID)
-			for _, a := range b.p.BorderAreasBetween(nbID, r.ID) {
-				if swapped[a] {
-					continue
-				}
-				if !b.g.ConnectedSubsetExcluding(nb.Members, a) {
-					continue
-				}
-				if !nb.Tracker.SatisfiedAllAfterRemove(a, nb.Members) {
-					continue
-				}
-				if !r.Tracker.UpperSafeAfterAdd(a) {
-					continue
-				}
-				if b.avgIdx >= 0 && !b.avgInRange(r.Tracker.ValueAfterAdd(b.avgIdx, a)) {
-					continue
-				}
-				b.p.MoveArea(a, r.ID)
-				swapped[a] = true
-				moved, swappedOne = true, true
-				break
+		for _, pair := range b.swapCandidates(r) {
+			donor, a := int(pair>>32), int(uint32(pair))
+			if swapped[a] {
+				continue
 			}
-			if swappedOne {
-				break
+			nb := b.p.Region(donor)
+			if !nb.Tracker.SatisfiedAllAfterRemove(a, nb.Members) || !r.Tracker.UpperSafeAfterAdd(a) {
+				continue
 			}
+			if b.avgIdx >= 0 && !b.avgInRange(r.Tracker.ValueAfterAdd(b.avgIdx, a)) {
+				continue
+			}
+			if !b.p.CanRemove(a) {
+				continue
+			}
+			b.p.MoveArea(a, r.ID)
+			swapped[a] = true
+			moved, swappedOne = true, true
+			break
 		}
 		if !swappedOne {
 			return moved
 		}
 	}
 	return moved
+}
+
+// swapCandidates lists every (donor region, area) pair where the area sits
+// in another region and borders r, packed as donor<<32 | area and sorted, so
+// ascending by donor id, then by area. It reads only the neighbors of r's
+// members, never the donors' member lists. The slice is builder scratch,
+// valid until the next call.
+func (b *builder) swapCandidates(r *region.Region) []uint64 {
+	b.swaps = b.swaps[:0]
+	for _, m := range r.Members {
+		for _, nb := range b.g.Neighbors(m) {
+			if id := b.p.Assignment(int(nb)); id != region.Unassigned && id != r.ID {
+				b.swaps = append(b.swaps, uint64(id)<<32|uint64(nb))
+			}
+		}
+	}
+	slices.Sort(b.swaps)
+	b.swaps = slices.Compact(b.swaps) // an area bordering several members
+	return b.swaps
 }
 
 // mergeForLowerBound merges r with a neighbor region when the union
@@ -613,10 +642,7 @@ func (b *builder) shedAreas(r *region.Region, countIdx []int) bool {
 			if len(r.Members) <= 1 {
 				break
 			}
-			if !b.g.ConnectedSubsetExcluding(r.Members, a) {
-				continue
-			}
-			if !b.removalKeepsNonCounting(r, a) {
+			if !b.removalKeepsNonCounting(r, a) || !b.p.CanRemove(a) {
 				continue
 			}
 			b.p.RemoveArea(a)

@@ -4,10 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"emp/internal/census"
 	"emp/internal/constraint"
 	"emp/internal/data"
 	"emp/internal/geom"
+	"emp/internal/prep"
 	"emp/internal/region"
+	"emp/internal/solvecache"
 )
 
 // newBuilder prepares a builder over the dataset for white-box tests of the
@@ -351,5 +354,65 @@ func TestMergedPlusAreaSafe(t *testing.T) {
 	// Merge {0} + {1} + area 3 => avg 28/3 = 9.3 out of range, sum 28 > 15.
 	if b.mergedPlusAreaSafe(r1, r2, 3) {
 		t.Error("unsafe merge accepted")
+	}
+}
+
+// preparedConstruction returns a prepared census dataset and a
+// construction-only config over it.
+func preparedConstruction(tb testing.TB, name string) (*data.Dataset, Config) {
+	tb.Helper()
+	ds, err := census.Named(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	art, err := prep.New(ds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds, Config{Seed: 1, SkipLocalSearch: true, Prepared: art, Pool: solvecache.NewPool(1)}
+}
+
+// TestConstructionAllocs guards the allocation rate of the construction
+// phase on prepared 8k: Step 2 and Step 3 run on reused scratch (no per-call
+// maps, no per-trial tracker clones, no per-candidate BFS maps), so what is
+// left is mostly the region objects themselves, one per seed. It measures
+// 6.9 (SUM) and 4.6 (AVG + SUM) allocations per area; per-call maps or
+// clones in any step push it well past the bound (18 and 24 with them).
+func TestConstructionAllocs(t *testing.T) {
+	const maxPerArea = 8
+	ds, cfg := preparedConstruction(t, "8k")
+	for _, cons := range []string{
+		"SUM(TOTALPOP) >= 20000",
+		"AVG(EMPLOYED) in [2000,4000]; SUM(TOTALPOP) >= 20000",
+	} {
+		set, err := constraint.ParseSet(cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var solveErr error
+		allocs := testing.AllocsPerRun(2, func() { _, solveErr = Solve(ds, set, cfg) })
+		if solveErr != nil {
+			t.Fatalf("%s: %v", cons, solveErr)
+		}
+		if perArea := allocs / float64(ds.N()); perArea > maxPerArea {
+			t.Errorf("%s: construction makes %.2f allocations per area, want <= %d", cons, perArea, maxPerArea)
+		}
+	}
+}
+
+// BenchmarkConstruct times one construction-only solve of prepared 20k (three
+// components, solved one after another on a one-slot pool), the phase the
+// paper's Steps 1-3 cover. Run with -benchmem to see its allocations.
+func BenchmarkConstruct(b *testing.B) {
+	ds, cfg := preparedConstruction(b, "20k")
+	set, err := constraint.ParseSet("SUM(TOTALPOP) >= 20000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(ds, set, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -449,7 +449,7 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 	// assignment — a crash during a long search resumes from at least here.
 	rec.Improve(best.NumRegions(), res.HeteroBefore, 0)
 	if rec.AssignWanted() && flight.AssignAllowed(ctx) {
-		rec.OfferAssign(best.NumRegions(), res.HeteroBefore, 0, best.DenseAssignment())
+		rec.OfferAssign(best.NumRegions(), res.HeteroBefore, 0, best.DenseAssignment)
 	}
 	if consCtx != ctx && consCtx.Err() != nil && ctx.Err() == nil &&
 		!deadlineHit && res.Iterations < cfg.Iterations {

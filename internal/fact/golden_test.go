@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -105,67 +106,70 @@ func assignHash(assign []int) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestGoldenSolves pins p, unassigned, H(P) bits and the full assignment of
-// every golden case against testdata/golden.json, at worker budgets 1 and 4.
-// Run with -update to rewrite the fixtures after a deliberate result change.
+// TestGoldenSolves pins p, unassigned, H(P) bits, the full assignment and
+// the search trajectory of every golden case against testdata/golden.json,
+// at worker budgets 1 and 4. Each case is a subtest, so one can be run (or
+// profiled) alone: -run 'TestGoldenSolves/^50k1$'. Run with -update to
+// rewrite the fixtures after a deliberate result change; cases that do not
+// run (filtered out, or skipped by -short) keep their pinned entries.
 func TestGoldenSolves(t *testing.T) {
 	want := map[string]golden{}
-	if !*updateGolden {
-		raw, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("reading fixtures (run with -update to create them): %v", err)
-		}
+	raw, err := os.ReadFile(goldenPath)
+	switch {
+	case err == nil:
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatal(err)
 		}
+	case !*updateGolden:
+		t.Fatalf("reading fixtures (run with -update to create them): %v", err)
 	}
 	got := map[string]golden{}
 	for _, tc := range goldenCases {
-		if tc.large && testing.Short() {
-			if *updateGolden {
-				t.Fatal("-update rewrites every case; run it without -short")
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.large && testing.Short() {
+				t.Skip("paper-scale case; skipped under -short")
 			}
-			continue
-		}
-		ds, err := census.Scaled(tc.dataset, tc.scale, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set := goldenSet(t, ds, tc.cons)
-		for _, workers := range []int{1, 4} {
-			cfg := tc.cfg
-			cfg.Pool = solvecache.NewPool(workers)
-			if tc.warm != "" {
-				seed, err := Solve(ds, goldenSet(t, ds, tc.warm), cfg)
-				if err != nil {
-					t.Fatalf("%s/workers=%d warm seed: %v", tc.name, workers, err)
-				}
-				cfg.WarmStart = WarmAssignment(seed.Partition)
-			}
-			res, err := Solve(ds, set, cfg)
+			ds, err := census.Scaled(tc.dataset, tc.scale, 1)
 			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
+				t.Fatal(err)
 			}
-			g := golden{
-				P:          res.P,
-				Unassigned: res.Unassigned,
-				HBits:      fmt.Sprintf("%016x", math.Float64bits(res.HeteroAfter)),
-				AssignHash: assignHash(WarmAssignment(res.Partition)),
-				Moves:      res.TabuMoves,
-				Evals:      res.Search.CandidateEvals,
+			set := goldenSet(t, ds, tc.cons)
+			for _, workers := range []int{1, 4} {
+				cfg := tc.cfg
+				cfg.Pool = solvecache.NewPool(workers)
+				if tc.warm != "" {
+					seed, err := Solve(ds, goldenSet(t, ds, tc.warm), cfg)
+					if err != nil {
+						t.Fatalf("workers=%d warm seed: %v", workers, err)
+					}
+					cfg.WarmStart = WarmAssignment(seed.Partition)
+				}
+				res, err := Solve(ds, set, cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				g := golden{
+					P:          res.P,
+					Unassigned: res.Unassigned,
+					HBits:      fmt.Sprintf("%016x", math.Float64bits(res.HeteroAfter)),
+					AssignHash: assignHash(WarmAssignment(res.Partition)),
+					Moves:      res.TabuMoves,
+					Evals:      res.Search.CandidateEvals,
+				}
+				if prev, ok := got[tc.name]; ok && prev != g {
+					t.Errorf("workers=4 %+v differs from workers=1 %+v", g, prev)
+				}
+				got[tc.name] = g
+				if !*updateGolden && want[tc.name] != g {
+					t.Errorf("workers=%d (components=%d, areas=%d): got %+v, want %+v",
+						workers, ds.Components(), ds.N(), g, want[tc.name])
+				}
 			}
-			if prev, ok := got[tc.name]; ok && prev != g {
-				t.Errorf("%s: workers=4 %+v differs from workers=1 %+v", tc.name, g, prev)
-			}
-			got[tc.name] = g
-			if !*updateGolden && want[tc.name] != g {
-				t.Errorf("%s/workers=%d (components=%d, areas=%d): got %+v, want %+v",
-					tc.name, workers, ds.Components(), ds.N(), g, want[tc.name])
-			}
-		}
+		})
 	}
 	if *updateGolden {
-		raw, err := json.MarshalIndent(got, "", "  ")
+		maps.Copy(want, got)
+		raw, err := json.MarshalIndent(want, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,17 +7,21 @@ import (
 
 // Assignment tap: a second, heavier channel next to SetTap. Samples on the
 // convergence curve are 32 bytes; an assignment snapshot is O(n) ints, so
-// the solver only materializes one when a consumer asked for it
-// (AssignWanted) and the context allows it (AssignAllowed). The durable
-// layer installs the tap to checkpoint a running job's incumbent.
+// the solver offers one only when a consumer asked for it (AssignWanted) and
+// the context allows it (AssignAllowed), and even then hands over a builder
+// rather than the snapshot: the tap builds the assignment only for the
+// offers it keeps. The durable layer installs the tap to checkpoint a
+// running job's incumbent.
 
-// SetAssignTap installs a callback invoked with each offered incumbent
-// assignment (area index → dense region label, -1 unassigned — the exact
-// shape fact.Config.WarmStart consumes). Like SetTap it must be installed
-// before the solve starts and runs outside the recorder mutex, on the
-// solver's goroutine: the tap's own throttling is what keeps checkpoint I/O
-// off the hot path. The slice is borrowed — the tap must copy what it keeps.
-func (r *Recorder) SetAssignTap(fn func(s Sample, assign []int)) {
+// SetAssignTap installs a callback invoked with each offered incumbent.
+// assign builds the incumbent's assignment (area index → dense region label,
+// -1 unassigned — the exact shape fact.Config.WarmStart consumes) in O(n);
+// the tap calls it only for offers it acts on, and only before returning,
+// while the solver still sits at that incumbent. Like SetTap it must be
+// installed before the solve starts and runs outside the recorder mutex, on
+// the solver's goroutine: the tap's own throttling is what keeps checkpoint
+// I/O off the hot path.
+func (r *Recorder) SetAssignTap(fn func(s Sample, assign func() []int)) {
 	if r == nil {
 		return
 	}
@@ -37,9 +41,10 @@ func (r *Recorder) AssignWanted() bool {
 	return r.assignTap != nil
 }
 
-// OfferAssign hands the current incumbent's assignment to the tap, stamped
-// like an Improve sample. assign is borrowed for the duration of the call.
-func (r *Recorder) OfferAssign(p int, h float64, moves int, assign []int) {
+// OfferAssign offers the current incumbent to the tap, stamped like an
+// Improve sample. assign builds the incumbent's assignment; it is valid only
+// for the duration of the call.
+func (r *Recorder) OfferAssign(p int, h float64, moves int, assign func() []int) {
 	if r == nil {
 		return
 	}

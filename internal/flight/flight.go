@@ -81,7 +81,7 @@ type Recorder struct {
 	doneNs    int64 // elapsed at Finish, 0 while in flight
 	finished  bool
 	tap       func(Sample)
-	assignTap func(Sample, []int)
+	assignTap func(Sample, func() []int)
 }
 
 // SetTap installs a callback invoked with every sample the recorder

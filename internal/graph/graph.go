@@ -257,9 +257,10 @@ func (g *Graph) ConnectedSubset(members []int) bool {
 }
 
 // ConnectedSubsetExcluding reports whether the subset stays connected after
-// removing one member. It is the donor-region validity check used by swap
-// moves: region members minus the removed area must remain a single
-// connected component.
+// removing one member: region members minus the removed area must remain a
+// single connected component. It builds two maps per call; solver code uses
+// ConnectedSubsetExcludingScratch (through region.Partition.CanRemove), and
+// this version remains the reference the scratch tests compare against.
 func (g *Graph) ConnectedSubsetExcluding(members []int, removed int) bool {
 	in := make(map[int]bool, len(members))
 	start := -1

@@ -63,6 +63,18 @@ type Partition struct {
 	// order with no sort and no allocation.
 	regs       []*Region
 	numRegions int
+	// live lists the ids of the current regions in ascending order while
+	// liveOK holds. insertRegion and deleteRegion clear liveOK and liveIDs
+	// rebuilds the list on its next read, so readers between structural
+	// changes — the whole local search, whose moves keep p — walk p entries
+	// instead of every id ever issued.
+	live   []int
+	liveOK bool
+	// regMark/markGen dedupe region ids in NeighborRegions without a map:
+	// regMark[id] == markGen marks an id already collected by the current
+	// call. regMark grows with the region table.
+	regMark []int
+	markGen int
 	// freeRegs recycles deleted Region shells (member capacity + tracker
 	// arrays) for subsequent NewRegion calls. The shells keep no identity:
 	// ids are still issued fresh from nextID.
@@ -193,14 +205,27 @@ func (p *Partition) Region(id int) *Region {
 // reused.
 func (p *Partition) RegionIDBound() int { return p.nextID }
 
+// liveIDs returns the ascending ids of the current regions, rebuilding the
+// list after a structural change. The slice is internal: callers must not
+// keep or modify it.
+func (p *Partition) liveIDs() []int {
+	if !p.liveOK {
+		p.live = p.live[:0]
+		for id, r := range p.regs {
+			if r != nil {
+				p.live = append(p.live, id)
+			}
+		}
+		p.liveOK = true
+	}
+	return p.live
+}
+
 // RegionIDs returns all region ids in ascending order.
 func (p *Partition) RegionIDs() []int {
-	ids := make([]int, 0, p.numRegions)
-	for id, r := range p.regs {
-		if r != nil {
-			ids = append(ids, id)
-		}
-	}
+	live := p.liveIDs()
+	ids := make([]int, len(live))
+	copy(ids, live)
 	return ids
 }
 
@@ -209,20 +234,13 @@ func (p *Partition) RegionIDs() []int {
 // warm starts and checkpoints use, independent of the sparse ids this
 // partition happened to issue.
 func (p *Partition) DenseAssignment() []int {
-	idx := make(map[int]int, p.numRegions)
-	n := 0
-	for id, r := range p.regs {
-		if r != nil {
-			idx[id] = n
-			n++
-		}
-	}
 	out := make([]int, len(p.assign))
-	for a, id := range p.assign {
-		if id == Unassigned {
-			out[a] = -1
-		} else {
-			out[a] = idx[id]
+	for a := range out {
+		out[a] = -1
+	}
+	for i, id := range p.liveIDs() {
+		for _, a := range p.regs[id].Members {
+			out[a] = i
 		}
 	}
 	return out
@@ -257,6 +275,7 @@ func (p *Partition) insertRegion(r *Region) {
 	}
 	p.regs[r.ID] = r
 	p.numRegions++
+	p.liveOK = false
 }
 
 // deleteRegion removes the region from the table and parks its shell on the
@@ -264,6 +283,7 @@ func (p *Partition) insertRegion(r *Region) {
 func (p *Partition) deleteRegion(r *Region) {
 	p.regs[r.ID] = nil
 	p.numRegions--
+	p.liveOK = false
 	p.freeRegs = append(p.freeRegs, r)
 }
 
@@ -427,15 +447,13 @@ func (p *Partition) PairDissimilarity(a, b int) float64 {
 }
 
 // Heterogeneity returns H(P): the sum of internal heterogeneity over all
-// regions (Equation 1 of the paper). The region table is id-ordered, so the
-// float result is identical run-to-run for the same partition with no sort
-// and no allocation.
+// regions (Equation 1 of the paper). It sums in ascending-id order, so the
+// float result is identical run-to-run for the same partition, and it costs
+// O(p) with no allocation once the live-id list is current.
 func (p *Partition) Heterogeneity() float64 {
 	var h float64
-	for _, r := range p.regs {
-		if r != nil {
-			h += r.Hetero
-		}
+	for _, id := range p.liveIDs() {
+		h += p.regs[id].Hetero
 	}
 	return h
 }
@@ -544,18 +562,19 @@ func (p *Partition) NeighborRegions(regionID int) []int {
 	if r == nil {
 		return nil
 	}
-	seen := make(map[int]bool)
+	if n := len(p.regs); len(p.regMark) < n {
+		p.regMark = append(p.regMark, make([]int, n-len(p.regMark))...)
+	}
+	p.markGen++
+	out := make([]int, 0, 8)
 	for _, a := range r.Members {
 		for _, nb := range p.g.Neighbors(a) {
 			id := p.assign[nb]
-			if id != Unassigned && id != regionID && !seen[id] {
-				seen[id] = true
+			if id != Unassigned && id != regionID && p.regMark[id] != p.markGen {
+				p.regMark[id] = p.markGen
+				out = append(out, id)
 			}
 		}
-	}
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
 	}
 	sort.Ints(out)
 	return out

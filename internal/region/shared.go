@@ -122,6 +122,6 @@ func (p *Partition) Recycle() {
 		p.shared.scratches.Put(p.scratch)
 		p.scratch = nil
 	}
-	p.regs, p.freeRegs, p.assign = nil, nil, nil
-	p.numRegions = 0
+	p.regs, p.freeRegs, p.assign, p.live = nil, nil, nil, nil
+	p.numRegions, p.liveOK = 0, false
 }

@@ -173,7 +173,7 @@ func (s *service) runJob(j *jobs.Job, req *SolveRequest, set constraint.Set, cfg
 	// the recorder hands the solver's current assignment to the checkpointer,
 	// which throttles and persists it so a crash resumes from near the front.
 	if ck := s.newCheckpointer(j, fp); ck != nil {
-		rec.SetAssignTap(func(sm flight.Sample, assign []int) {
+		rec.SetAssignTap(func(sm flight.Sample, assign func() []int) {
 			ck.Offer(sm.P, sm.H, sm.Moves, assign)
 		})
 	}

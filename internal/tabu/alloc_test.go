@@ -1,6 +1,12 @@
 package tabu
 
-import "testing"
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"emp/internal/flight"
+)
 
 // TestMoveLoopAllocs guards the steady-state allocation rate of the Tabu
 // move loop: once the searcher's buffers (candidate free list, heap, stamp
@@ -29,5 +35,36 @@ func TestMoveLoopAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg > 0.5 {
 		t.Errorf("steady-state move loop allocates %.2f objects per cycle, want 0", avg)
+	}
+}
+
+// TestDecliningAssignTapBuildsNothing: offering an incumbent to the
+// assignment tap hands over a builder, not an O(n) snapshot. With a tap that
+// declines every offer, the search allocates less than one assignment's
+// worth more than with no tap at all, however many improvements it offers.
+func TestDecliningAssignTapBuildsNothing(t *testing.T) {
+	base := eightKPartition(t)
+	run := func(tap bool) (offers int, bytes uint64) {
+		rec := flight.NewRecorder(0)
+		if tap {
+			rec.SetAssignTap(func(flight.Sample, func() []int) { offers++ })
+		}
+		ctx := flight.NewContext(context.Background(), rec)
+		p := base.Clone()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Improve(p, Config{Tenure: 10, MaxNoImprove: 200, Ctx: ctx})
+		runtime.ReadMemStats(&after)
+		return offers, after.TotalAlloc - before.TotalAlloc
+	}
+	_, plain := run(false)
+	offers, tapped := run(true)
+	if offers < 10 {
+		t.Fatalf("only %d offers; the test needs a search with many improvements", offers)
+	}
+	snapshot := uint64(8 * base.Dataset().N())
+	if tapped > plain+snapshot {
+		t.Errorf("declining tap: search allocated %d bytes, %d without a tap (%d offers; one assignment is %d bytes)",
+			tapped, plain, offers, snapshot)
 	}
 }

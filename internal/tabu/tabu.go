@@ -235,6 +235,9 @@ func Improve(p *region.Partition, cfg Config) Stats {
 	// installed (shard sub-solves additionally suppress offers by context —
 	// their renumbered assignments are meaningless as whole-problem seeds).
 	offerAssign := rec.AssignWanted() && flight.AssignAllowed(cfg.Ctx)
+	// The assignment builder is bound once: a method value taken per
+	// improvement would allocate each time.
+	dense := p.DenseAssignment
 	obj := cfg.Objective
 	if obj == nil {
 		obj = Heterogeneity{}
@@ -285,11 +288,12 @@ func Improve(p *region.Partition, cfg Config) Stats {
 			// New incumbent: one flight-recorder sample (H is the objective
 			// score — exact heterogeneity under the default objective). The
 			// partition sits exactly at the new best here (undo just
-			// cleared), so this is also the one safe point to snapshot the
-			// assignment for checkpointing.
+			// cleared), so this is also the one safe point to offer the
+			// assignment for checkpointing; the tap builds it only if it
+			// writes.
 			rec.Improve(p.NumRegions(), best, stats.Moves)
 			if offerAssign {
-				rec.OfferAssign(p.NumRegions(), best, stats.Moves, p.DenseAssignment())
+				rec.OfferAssign(p.NumRegions(), best, stats.Moves, dense)
 			}
 		} else {
 			noImprove++
