@@ -26,15 +26,22 @@ const goldenPath = "testdata/golden.json"
 // golden is one pinned solve outcome. H is stored as its IEEE-754 bits and
 // the assignment as an FNV-64a hash of WarmAssignment, so any drift in p, the
 // unassigned count, the objective or a single area's label fails the test.
-// Moves and Evals pin the local search's trajectory: the accepted moves and
-// the candidate evaluations it made to find them.
+// Moves, Evals and the rest of the search profile pin the local search's
+// trajectory: the accepted moves, the new-best events, and the hot-path work
+// (candidate evaluations, heap churn, tabu rejections, removability passes)
+// it did to find them.
 type golden struct {
-	P          int    `json:"p"`
-	Unassigned int    `json:"unassigned"`
-	HBits      string `json:"h_bits"`
-	AssignHash string `json:"assign_hash"`
-	Moves      int    `json:"moves"`
-	Evals      int64  `json:"evals"`
+	P            int    `json:"p"`
+	Unassigned   int    `json:"unassigned"`
+	HBits        string `json:"h_bits"`
+	AssignHash   string `json:"assign_hash"`
+	Moves        int    `json:"moves"`
+	Evals        int64  `json:"evals"`
+	Improvements int    `json:"improvements"`
+	HeapPushes   int64  `json:"heap_pushes"`
+	HeapPops     int64  `json:"heap_pops"`
+	TabuRejects  int64  `json:"tabu_rejections"`
+	Removability int64  `json:"removability_passes"`
 }
 
 // goldenCases covers every solve path: whole-graph (2k, and 8k, whose one
@@ -149,12 +156,17 @@ func TestGoldenSolves(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				g := golden{
-					P:          res.P,
-					Unassigned: res.Unassigned,
-					HBits:      fmt.Sprintf("%016x", math.Float64bits(res.HeteroAfter)),
-					AssignHash: assignHash(WarmAssignment(res.Partition)),
-					Moves:      res.TabuMoves,
-					Evals:      res.Search.CandidateEvals,
+					P:            res.P,
+					Unassigned:   res.Unassigned,
+					HBits:        fmt.Sprintf("%016x", math.Float64bits(res.HeteroAfter)),
+					AssignHash:   assignHash(WarmAssignment(res.Partition)),
+					Moves:        res.TabuMoves,
+					Evals:        res.Search.CandidateEvals,
+					Improvements: res.Improvements,
+					HeapPushes:   res.Search.HeapPushes,
+					HeapPops:     res.Search.HeapPops,
+					TabuRejects:  res.Search.TabuRejections,
+					Removability: res.Search.RemovabilityPasses,
 				}
 				if prev, ok := got[tc.name]; ok && prev != g {
 					t.Errorf("workers=4 %+v differs from workers=1 %+v", g, prev)
