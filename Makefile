@@ -55,14 +55,16 @@ recovery:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# bench-smoke runs the telemetry-overhead benchmark and the construction
-# benchmark once: a fast CI-grade check that the tabu hot path still builds
-# and runs in all three telemetry states (absent / disabled / enabled), and
-# that a construction-only solve of prepared 20k still runs. -benchmem keeps
-# the per-run allocation profiles visible so regressions show up in the CI
-# log. Overhead numbers need bench-obs.
+# bench-smoke runs the telemetry-overhead benchmark, a converged search and
+# the construction benchmark once: a fast CI-grade check that the tabu hot
+# path still builds and runs in all three telemetry states (absent / disabled
+# / enabled), that a search to the solver's stopping rule still fast-forwards
+# its final cycle (replayed-moves/op > 0), and that a construction-only solve
+# of prepared 20k still runs. -benchmem keeps the per-run allocation profiles
+# visible so regressions show up in the CI log. Overhead numbers need
+# bench-obs.
 bench-smoke:
-	$(GO) test -run xxx -bench BenchmarkTabuTelemetry -benchtime 1x -benchmem ./internal/tabu/
+	$(GO) test -run xxx -bench 'BenchmarkTabuTelemetry|BenchmarkImproveConverge' -benchtime 1x -benchmem ./internal/tabu/
 	$(GO) test -run xxx -bench BenchmarkConstruct -benchtime 1x -benchmem ./internal/fact/
 
 # bench-tabu regenerates BENCH_tabu.json (local-search before/after).

@@ -223,6 +223,20 @@ func (t *Tracker) CopyFrom(o *Tracker) {
 	copy(t.maxCnt, o.maxCnt)
 }
 
+// AppendState appends the tracker's exact aggregate state to dst — the
+// count, then per constraint the sum, minimum and maximum as IEEE-754 bits
+// and the two extreme multiplicities — and returns the extended slice. Two
+// trackers of one evaluator append equal words exactly when every later
+// query and update would behave identically on them.
+func (t *Tracker) AppendState(dst []uint64) []uint64 {
+	dst = append(dst, uint64(t.n))
+	for i := range t.sum {
+		dst = append(dst, math.Float64bits(t.sum[i]), math.Float64bits(t.min[i]),
+			math.Float64bits(t.max[i]), uint64(t.minCnt[i]), uint64(t.maxCnt[i]))
+	}
+	return dst
+}
+
 // Value returns the current aggregate value of constraint i. For an empty
 // region SUM and COUNT are 0, AVG is NaN, MIN is +Inf and MAX is -Inf.
 func (t *Tracker) Value(i int) float64 {

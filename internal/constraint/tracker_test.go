@@ -3,6 +3,7 @@ package constraint
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -310,5 +311,44 @@ func TestEvaluatorAccessors(t *testing.T) {
 	}
 	if ev.AreaValue(1, 0) != 1 {
 		t.Error("AreaValue for COUNT should be 1")
+	}
+}
+
+// TestTrackerAppendState: equal aggregates append equal words whatever the
+// order the areas arrived in or a detour through another member, and any
+// aggregate change shows.
+func TestTrackerAppendState(t *testing.T) {
+	a := []float64{5, 1, 3, 1, 9}
+	b := []float64{2, 8, 8, 4, 6}
+	set := Set{
+		AtLeast(Sum, "A", 0), AtLeast(Min, "A", 0), AtMost(Max, "B", 100),
+		New(Avg, "B", 0, 100), AtLeast(Count, "", 0),
+	}
+	ev := testColumns(t, set, a, b)
+	t1, t2 := ev.NewTracker(), ev.NewTracker()
+	for _, area := range []int{0, 1, 2} {
+		t1.Add(area)
+	}
+	for _, area := range []int{2, 0, 1} {
+		t2.Add(area)
+	}
+	s1 := t1.AppendState(nil)
+	if s2 := t2.AppendState(nil); !slices.Equal(s1, s2) {
+		t.Fatalf("same members in another order: %v vs %v", s2, s1)
+	}
+	t2.Add(3) // a second copy of the minimum of A
+	if slices.Equal(t2.AppendState(nil), s1) {
+		t.Fatal("an added area left the state unchanged")
+	}
+	t2.Remove(3, []int{2, 0, 1})
+	if s2 := t2.AppendState(nil); !slices.Equal(s1, s2) {
+		t.Fatalf("after adding and removing area 3: %v, want %v", s2, s1)
+	}
+	t2.Remove(1, []int{2, 0}) // the last copy of the minimum leaves
+	if slices.Equal(t2.AppendState(nil), s1) {
+		t.Fatal("a removed area left the state unchanged")
+	}
+	if prefix := []uint64{7}; !slices.Equal(t1.AppendState(prefix)[1:], s1) {
+		t.Error("AppendState does not append after the given words")
 	}
 }

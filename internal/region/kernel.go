@@ -195,6 +195,21 @@ func (k *heteroKernel) remove(f *regionFen, area int) {
 	}
 }
 
+// appendState appends the tree's size and, per attribute, its value total
+// and the (count, sum) of every cell on the update paths of the given areas.
+func (k *heteroKernel) appendState(dst []uint64, f *regionFen, paths []int) []uint64 {
+	dst = append(dst, uint64(f.size))
+	for ai, t := range f.tree {
+		dst = append(dst, math.Float64bits(f.tot[ai]))
+		for _, a := range paths {
+			for i := int(k.rank[ai][a]) + 1; i < len(t); i += i & (-i) {
+				dst = append(dst, uint64(t[i].cnt), math.Float64bits(t[i].sum))
+			}
+		}
+	}
+	return dst
+}
+
 // query returns Σ_m Σ_attr |d_attr(area) − d_attr(m)| over the registered
 // members m in O(attrs · log n). The area itself may or may not be
 // registered; its self-term is zero either way.

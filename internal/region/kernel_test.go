@@ -3,6 +3,7 @@ package region
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emp/internal/constraint"
@@ -260,6 +261,45 @@ func TestHeterogeneityDeterministicOrder(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if got := p.Heterogeneity(); got != h {
 			t.Fatalf("Heterogeneity not reproducible: %g != %g", got, h)
+		}
+	}
+}
+
+// TestAppendRegionState: a region's appended state survives a member leaving
+// and returning to its old place (the last slot), with or without a Fenwick
+// index, and shows the departure itself and a reordering of the members.
+func TestAppendRegionState(t *testing.T) {
+	n := 48
+	dis := make([]float64, n)
+	for i := range dis {
+		dis[i] = float64((i * 7) % 11)
+	}
+	for _, kernel := range []bool{true, false} {
+		p := gridPartition(t, 8, 6, dis, true)
+		p.SetHeteroKernel(kernel)
+		order := p.Graph().BFSOrder(0, nil)
+		r1, r2 := p.NewRegion(order[:30]...), p.NewRegion(order[30:]...)
+		if (r1.fen != nil) != kernel {
+			t.Fatalf("kernel=%v: region has index %v", kernel, r1.fen != nil)
+		}
+		first, last := r1.Members[0], r1.Members[len(r1.Members)-1]
+		paths := []int{first, last}
+		s0 := p.AppendRegionState(nil, r1.ID, paths)
+		if kernel && len(s0) <= len(p.AppendRegionState(nil, r1.ID, nil)) {
+			t.Error("the index's path cells are not appended")
+		}
+		p.MoveArea(last, r2.ID)
+		if slices.Equal(p.AppendRegionState(nil, r1.ID, paths), s0) {
+			t.Errorf("kernel=%v: a departure left the state unchanged", kernel)
+		}
+		p.MoveArea(last, r1.ID)
+		if s := p.AppendRegionState(nil, r1.ID, paths); !slices.Equal(s, s0) {
+			t.Errorf("kernel=%v: the last member left and returned, state %v, want %v", kernel, s, s0)
+		}
+		p.MoveArea(first, r2.ID)
+		p.MoveArea(first, r1.ID)
+		if slices.Equal(p.AppendRegionState(nil, r1.ID, paths), s0) {
+			t.Errorf("kernel=%v: reordered members left the state unchanged", kernel)
 		}
 	}
 }

@@ -446,6 +446,29 @@ func (p *Partition) PairDissimilarity(a, b int) float64 {
 	return p.krn.pairDiff(a, b)
 }
 
+// AppendRegionState appends the exact mutable state of region id to dst —
+// member count and order, Hetero bits, the tracker aggregates and, when the
+// region has a Fenwick index, the index's size and totals plus the cells on
+// the update paths of the given areas — and returns the extended slice. The
+// mutation version is left out, so two appends taken any number of moves
+// apart are equal exactly when the region is bit for bit back in the same
+// state, provided every area added to or removed from it in between is among
+// paths (no other Fenwick cell can have changed). The local search uses it
+// to prove that a move sequence returned a region to an earlier state.
+func (p *Partition) AppendRegionState(dst []uint64, id int, paths []int) []uint64 {
+	r := p.regs[id]
+	dst = append(dst, uint64(len(r.Members)))
+	for _, a := range r.Members {
+		dst = append(dst, uint64(a))
+	}
+	dst = append(dst, math.Float64bits(r.Hetero))
+	dst = r.Tracker.AppendState(dst)
+	if r.fen == nil {
+		return append(dst, 0)
+	}
+	return p.krn.appendState(append(dst, 1), r.fen, paths)
+}
+
 // Heterogeneity returns H(P): the sum of internal heterogeneity over all
 // regions (Equation 1 of the paper). It sums in ascending-id order, so the
 // float result is identical run-to-run for the same partition, and it costs

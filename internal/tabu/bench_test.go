@@ -214,3 +214,25 @@ func BenchmarkCandidateRefresh(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkImproveConverge searches the 8k partition to the solver's own
+// stopping rule (MaxNoImprove = n, the default tenure), the run shape where
+// the final non-improving stretch dominates and the cycle fast-forward
+// engages. replayed-moves/op is the part of moves/op that repeated a proven
+// cycle without being executed.
+func BenchmarkImproveConverge(b *testing.B) {
+	base := eightKPartition(b)
+	cfg := Config{Tenure: 10, MaxNoImprove: base.Dataset().N()}
+	var moves, replayed int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := base.Clone()
+		b.StartTimer()
+		st := Improve(p, cfg)
+		moves += st.Moves
+		replayed += st.ReplayedMoves
+	}
+	b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
+	b.ReportMetric(float64(replayed)/float64(b.N), "replayed-moves/op")
+}

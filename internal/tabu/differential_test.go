@@ -3,6 +3,7 @@ package tabu
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emp/internal/constraint"
@@ -56,9 +57,11 @@ func randomGridPartition(t *testing.T, rng *rand.Rand) *region.Partition {
 // TestImproveKernelDifferential is the acceptance differential: Tabu search
 // with the incremental kernel must replay the exact move sequence of the
 // naive fallback and land on the same solution, across >= 20 random
-// instances and seeds.
+// instances and seeds. The fallback executes every move, so on the instances
+// where the kernel searcher fast-forwards a proven cycle this also checks
+// that the skipped periods are exactly the moves a full run makes.
 func TestImproveKernelDifferential(t *testing.T) {
-	instances := 0
+	instances, forwarded := 0, 0
 	for seed := int64(0); instances < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomGridPartition(t, rng)
@@ -86,6 +89,16 @@ func TestImproveKernelDifferential(t *testing.T) {
 		fs := Improve(fast, cfg)
 		ss := Improve(slow, cfg)
 		os := Improve(old, oldCfg)
+		if os.ReplayedMoves != 0 {
+			t.Fatalf("seed %d: the fallback replayed %d moves; it must execute every move", seed, os.ReplayedMoves)
+		}
+		if fs.ReplayedMoves > 0 {
+			forwarded++
+		}
+		if fs.Moves != len(fs.MoveLog) || fs.Moves != os.Moves || fs.Improvements != os.Improvements {
+			t.Fatalf("seed %d: kernel %d moves (log %d), %d improvements; fallback %d moves, %d improvements",
+				seed, fs.Moves, len(fs.MoveLog), fs.Improvements, os.Moves, os.Improvements)
+		}
 
 		if len(fs.MoveLog) != len(ss.MoveLog) || len(fs.MoveLog) != len(os.MoveLog) {
 			t.Fatalf("seed %d: kernel made %d moves, naive %d, fallback %d",
@@ -103,6 +116,18 @@ func TestImproveKernelDifferential(t *testing.T) {
 		}
 		if err := old.Validate(); err != nil {
 			t.Fatalf("seed %d: fallback partition invalid: %v", seed, err)
+		}
+		// Both searchers revert the same move sequence, so every region ends
+		// with the same member order, and on the same (naive) heterogeneity
+		// path with the same bits.
+		for _, id := range old.RegionIDs() {
+			if !slices.Equal(fast.Region(id).Members, old.Region(id).Members) {
+				t.Fatalf("seed %d: region %d members %v (kernel) vs %v (fallback)",
+					seed, id, fast.Region(id).Members, old.Region(id).Members)
+			}
+			if hs, ho := slow.Region(id).Hetero, old.Region(id).Hetero; math.Float64bits(hs) != math.Float64bits(ho) {
+				t.Fatalf("seed %d: region %d heterogeneity %v (naive) vs %v (fallback)", seed, id, hs, ho)
+			}
 		}
 		hf, hs := fast.Heterogeneity(), slow.Heterogeneity()
 		if math.Abs(hf-hs) > 1e-6*(1+math.Abs(hs)) {
@@ -133,6 +158,10 @@ func TestImproveKernelDifferential(t *testing.T) {
 			}
 		}
 	}
+	if forwarded == 0 {
+		t.Error("no instance fast-forwarded a cycle; the differential no longer covers the skipped periods")
+	}
+	t.Logf("%d of %d instances fast-forwarded a cycle", forwarded, instances)
 }
 
 // referenceImprove is a deliberately slow re-implementation of the search

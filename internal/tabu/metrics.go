@@ -41,11 +41,22 @@ func (c *Counters) Add(o Counters) {
 	c.RemovabilityPasses += o.RemovabilityPasses
 }
 
+// addPeriods adds q times the growth from base to now to c: the work of q
+// more periods that each repeat a proven search cycle (cycle.go).
+func (c *Counters) addPeriods(now, base Counters, q int64) {
+	c.CandidateEvals += q * (now.CandidateEvals - base.CandidateEvals)
+	c.HeapPushes += q * (now.HeapPushes - base.HeapPushes)
+	c.HeapPops += q * (now.HeapPops - base.HeapPops)
+	c.TabuRejections += q * (now.TabuRejections - base.TabuRejections)
+	c.RemovabilityPasses += q * (now.RemovabilityPasses - base.RemovabilityPasses)
+}
+
 // pkgMetrics holds the registry-bound counters; nil until SetMetrics binds
 // a registry (obs counters are nil-receiver safe).
 type pkgMetrics struct {
 	runs, fallbackRuns *obs.Counter
 	moves              *obs.Counter
+	replayedMoves      *obs.Counter
 	improvements       *obs.Counter
 	candidateEvals     *obs.Counter
 	heapPushes         *obs.Counter
@@ -70,7 +81,9 @@ func SetMetrics(r *obs.Registry) {
 		fallbackRuns: r.Counter("emp_tabu_runs_total{impl=\"fallback\"}",
 			"Tabu Improve invocations by searcher implementation."),
 		moves: r.Counter("emp_tabu_moves_total",
-			"Accepted local-search moves (including later-reverted ones)."),
+			"Accepted local-search moves (including later-reverted and replayed ones)."),
+		replayedMoves: r.Counter("emp_tabu_replayed_moves_total",
+			"Local-search moves that repeated a proven cycle and were accounted for without being executed."),
 		improvements: r.Counter("emp_tabu_improvements_total",
 			"New-best events during local search."),
 		candidateEvals: r.Counter("emp_tabu_candidate_evals_total",
@@ -98,6 +111,7 @@ func flushRun(st *Stats, fallback bool, p *region.Partition) {
 		m.runs.Inc()
 	}
 	m.moves.Add(int64(st.Moves))
+	m.replayedMoves.Add(int64(st.ReplayedMoves))
 	m.improvements.Add(int64(st.Improvements))
 	m.candidateEvals.Add(st.Counters.CandidateEvals)
 	m.heapPushes.Add(st.Counters.HeapPushes)

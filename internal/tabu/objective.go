@@ -12,7 +12,12 @@ import (
 // that extension point.
 //
 // Implementations must be consistent: DeltaMove(area, to) must equal the
-// change of Total after performing the move. Lower totals are better.
+// change of Total after performing the move. Lower totals are better. Both
+// must be pure functions of the partition (its assignment, member orders and
+// aggregates), with no state of their own: the searcher skips the repeats of
+// a search cycle once the partition and its own state are proven to have
+// returned exactly, and that proof cannot see state hidden in an objective.
+// Heterogeneity, Compactness and Weighted over them all qualify.
 type Objective interface {
 	// Total evaluates the partition.
 	Total(p *region.Partition) float64

@@ -7,8 +7,11 @@
 // min-heap keyed by (delta, area, target), the current objective value is
 // maintained by applied deltas instead of per-iteration recomputation, and
 // donor-side removability is derived once per region mutation epoch from a
-// single articulation-point pass rather than one BFS per candidate. See
-// docs/ALGORITHM.md ("Complexity of the incremental kernels").
+// single articulation-point pass rather than one BFS per candidate. Once a
+// non-improving stretch is proven to repeat an exact cycle, its remaining
+// full periods are accounted for without being executed (cycle.go). See
+// docs/ALGORITHM.md ("Complexity of the incremental kernels", "Cycle
+// fast-forward").
 package tabu
 
 import (
@@ -30,7 +33,8 @@ type Config struct {
 	// allowed anyway when the move yields a new global best).
 	Tenure int
 	// MaxNoImprove stops the search after this many consecutive moves
-	// that fail to improve the best heterogeneity found.
+	// that fail to improve the best heterogeneity found. Moves that repeat
+	// a proven cycle count towards it without being executed.
 	MaxNoImprove int
 	// RecordMoves captures the applied move sequence in Stats.MoveLog,
 	// for differential testing of kernel variants.
@@ -44,9 +48,9 @@ type Config struct {
 	Restrict []bool
 	// Fallback routes the search through the pre-kernel reference
 	// implementation (full candidate scans, per-iteration objective
-	// recompute, one BFS per donor check). It picks the same moves as the
-	// incremental searcher; use it for differential testing and as the
-	// "before" leg of benchmarks.
+	// recompute, one BFS per donor check, every move executed). It picks
+	// the same moves as the incremental searcher; use it for differential
+	// testing and as the "before" leg of benchmarks.
 	Fallback bool
 	// Ctx, when non-nil, is polled once per iteration: on cancellation the
 	// search stops admitting moves and returns through the normal path, so
@@ -58,8 +62,13 @@ type Config struct {
 
 // Stats reports what the search did.
 type Stats struct {
-	// Moves is the number of accepted moves (including reverted ones).
+	// Moves is the number of accepted moves (including reverted ones and
+	// ReplayedMoves).
 	Moves int
+	// ReplayedMoves is the part of Moves that repeated a proven cycle and
+	// was accounted for without being executed (see cycle.go). A full run
+	// would have made exactly these moves, with the same outcome.
+	ReplayedMoves int
 	// Improvements is the number of new-best events.
 	Improvements int
 	// BestScore is the objective value of the returned partition.
@@ -248,6 +257,7 @@ func Improve(p *region.Partition, cfg Config) Stats {
 	best := s.cur
 	stats := Stats{BestScore: best}
 	var undo []appliedMove
+	var cyc cycles
 	noImprove := 0
 	for iter := 1; noImprove < cfg.MaxNoImprove; iter++ {
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
@@ -268,6 +278,7 @@ func Improve(p *region.Partition, cfg Config) Stats {
 			stats.MoveLog = append(stats.MoveLog, Move{Area: it.key.area, From: from, To: it.key.to})
 		}
 		undo = append(undo, appliedMove{area: it.key.area, from: from, to: it.key.to})
+		cyc.hash ^= zobrist(it.key.area, from) ^ zobrist(it.key.area, it.key.to)
 		s.setTabu(it.key.area, from, iter+cfg.Tenure)
 		s.refreshAround(it.key.area, from, it.key.to)
 
@@ -285,6 +296,7 @@ func Improve(p *region.Partition, cfg Config) Stats {
 			stats.Improvements++
 			noImprove = 0
 			undo = undo[:0] // commit: current state is the new best
+			cyc.restart()
 			// New incumbent: one flight-recorder sample (H is the objective
 			// score — exact heterogeneity under the default objective). The
 			// partition sits exactly at the new best here (undo just
@@ -297,21 +309,38 @@ func Improve(p *region.Partition, cfg Config) Stats {
 			}
 		} else {
 			noImprove++
+			// A proven cycle: account for its remaining full periods at
+			// once, as a full run would have made them.
+			if skip := s.skipCycles(&cyc, undo, iter, cfg.Tenure, cfg.MaxNoImprove-noImprove); skip > 0 {
+				stats.Moves += skip
+				stats.ReplayedMoves += skip
+				noImprove += skip
+				if cfg.RecordMoves {
+					period := stats.MoveLog[len(stats.MoveLog)-cyc.period:]
+					for k := 0; k < cyc.q; k++ {
+						stats.MoveLog = append(stats.MoveLog, period...)
+					}
+				}
+			}
 		}
 	}
 	// Revert any moves made after the last improvement so the partition
 	// ends at the best state found.
-	for i := len(undo) - 1; i >= 0; i-- {
-		m := undo[i]
-		p.MoveArea(m.area, m.from)
-	}
+	cyc.revert(p, undo)
 	stats.BestScore = s.obj.Total(p)
-	stats.Counters = s.cnt
-	stats.Counters.HeapPushes = s.heap.pushes
-	stats.Counters.HeapPops = s.heap.pops
+	stats.Counters = s.counters()
+	stats.Counters.Add(cyc.skipped)
 	sp.End()
 	flushRun(&stats, false, p)
 	return stats
+}
+
+// counters returns the run's hot-path counters so far, heap traffic
+// included.
+func (s *searcher) counters() Counters {
+	c := s.cnt
+	c.HeapPushes, c.HeapPops = s.heap.pushes, s.heap.pops
+	return c
 }
 
 // tieEps is the tolerance under which two deltas count as tied and the
