@@ -71,13 +71,14 @@ func (c *cycles) restart() {
 }
 
 // propose observes the hash after the stretch's len(undo)-th move and
-// returns a period worth proving, or 0. Brent's checkpoints at power-of-two
-// positions find an eventually periodic sequence with prefix μ and period λ
-// within O(μ+λ) positions, with no map and no allocation per move. Equal
-// hashes propose a period only when the last tenure moves also equal the
-// tenure moves before the checkpoint (both ends carry the same tabu list),
-// which costs O(tenure) on hash matches alone. No period is proposed while
-// a proof is pending, and at most one per checkpoint window.
+// returns a period worth proving, or 0. Equal hashes propose a period only
+// when the last tenure moves also equal the tenure moves before the
+// checkpoint (both ends carry the same tabu list), which costs O(tenure) on
+// hash matches alone. Brent's checkpoints at power-of-two positions then
+// find an eventually periodic stretch with prefix μ and period λ within
+// O(μ+λ+tenure) positions, with no map and no allocation per move. No
+// period is proposed while a proof is pending, and at most one per
+// checkpoint window.
 func (c *cycles) propose(undo []appliedMove, tenure int) int {
 	pos := len(undo)
 	period := 0

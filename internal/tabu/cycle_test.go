@@ -33,8 +33,8 @@ func feed(c *cycles, undo []appliedMove, x, tenure int) ([]appliedMove, int) {
 
 // TestProposeFindsEventualPeriod: on an eventually periodic hash stream with
 // prefix μ and period λ, the first proposal is the period itself, made
-// within O(μ+λ) positions (Brent's bound, shifted by the tenure window the
-// proposal also compares).
+// within 3(μ+λ+tenure) positions: Brent's O(μ+λ) bound, shifted by the
+// tenure window the proposal also compares.
 func TestProposeFindsEventualPeriod(t *testing.T) {
 	for _, tc := range []struct{ mu, lambda, tenure int }{
 		{0, 1, 1}, {0, 20, 10}, {5, 3, 2}, {17, 20, 10}, {100, 7, 10},
