@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke bench-tabu bench-obs bench-serve bench-fault bench-prep bench-jobs bench-recovery
+.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -57,56 +57,14 @@ bench:
 
 # bench-smoke runs the telemetry-overhead benchmark, a converged search and
 # the construction benchmark once: a fast CI-grade check that the tabu hot
-# path still builds and runs in all three telemetry states (absent / disabled
-# / enabled), that a search to the solver's stopping rule still fast-forwards
-# its final cycle (replayed-moves/op > 0), and that a construction-only solve
-# of prepared 20k still runs. -benchmem keeps the per-run allocation profiles
-# visible so regressions show up in the CI log. Overhead numbers need
-# bench-obs.
+# path still builds and runs in all four telemetry states (absent / disabled
+# / enabled / recorded under a request-shaped trace context), that a search
+# to the solver's stopping rule still fast-forwards its final cycle
+# (replayed-moves/op > 0), and that a construction-only solve of prepared
+# 20k still runs. -benchmem keeps the per-run allocation profiles visible so
+# regressions show up in the CI log. One iteration is too noisy for overhead
+# numbers: rerun BenchmarkTabuTelemetry with -benchtime 5x -count 5 and
+# compare the legs.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkTabuTelemetry|BenchmarkImproveConverge' -benchtime 1x -benchmem ./internal/tabu/
 	$(GO) test -run xxx -bench BenchmarkConstruct -benchtime 1x -benchmem ./internal/fact/
-
-# bench-tabu regenerates BENCH_tabu.json (local-search before/after).
-bench-tabu:
-	$(GO) run ./cmd/empbench -benchtabu -scale 1
-
-# bench-obs regenerates BENCH_obs.json (tabu throughput with telemetry
-# off / on / full flight-recorder+tracing) and captures the full leg's span
-# events as TRACE_obs.jsonl.
-bench-obs:
-	$(GO) run ./cmd/empbench -benchobs -scale 1
-
-# bench-serve regenerates BENCH_serve.json (cold / hot-cache / deduped
-# POST /solve throughput through the serving subsystem). The default scale
-# keeps it CI-grade; see docs/SERVING.md for what the legs mean.
-bench-serve:
-	$(GO) run ./cmd/empbench -benchserve
-
-# bench-fault regenerates BENCH_fault.json (graceful degradation under
-# shrinking deadlines, shard-panic survival, transient-failure retries). The
-# default scale keeps it CI-grade; see docs/ROBUSTNESS.md for the legs.
-bench-fault:
-	$(GO) run ./cmd/empbench -benchfault
-
-# bench-jobs regenerates BENCH_jobs.json (async job API: sync vs async wall
-# time, submit latency, time-to-first-incumbent vs convergence from the event
-# stream, and the warm-start resubmit win in tabu moves). The default scale
-# keeps it CI-grade; see docs/JOBS.md for what the legs mean.
-bench-jobs:
-	$(GO) run ./cmd/empbench -benchjobs
-
-# bench-recovery regenerates BENCH_recovery.json (durable state: restored-boot
-# snapshot hit rate and serve speedup, warm seeds surviving a restart, and the
-# checkpoint-resume leg — tabu moves saved versus a cold re-solve with the
-# never-worse incumbent check). The default scale keeps it CI-grade; see
-# docs/ROBUSTNESS.md for what the legs mean.
-bench-recovery:
-	$(GO) run ./cmd/empbench -benchrecovery
-
-# bench-prep regenerates BENCH_prep.json (prepared-dataset artifact: solve
-# latency prepared vs unprepared, cold-request throughput, result identity,
-# allocations per tabu move). The default scale keeps it CI-grade; see
-# docs/PERFORMANCE.md for what the legs mean.
-bench-prep:
-	$(GO) run ./cmd/empbench -benchprep

@@ -15,10 +15,10 @@
 //
 // The trace subcommand renders a solve's span tree and convergence summary,
 // either live from a running empserve or offline from a captured JSONL
-// stream:
+// stream (`empbench -trace t.jsonl` writes one):
 //
 //	empquery trace -addr http://localhost:8080 <trace_id>
-//	empquery trace TRACE_obs.jsonl
+//	empquery trace t.jsonl
 //
 // The jobs subcommand drives a running empserve's async job API
 // (docs/JOBS.md): submit a solve without holding the connection, poll or

@@ -17,12 +17,11 @@ import (
 // solve's span tree with per-phase durations as an ASCII tree, plus its
 // convergence curve.
 //
-//	empquery trace TRACE_obs.jsonl          # offline: a captured JSONL stream
+//	empquery trace t.jsonl                  # offline: a captured JSONL stream
 //	empquery trace -addr http://host:8080 4bf92f3577b34da6a3ce929d0e0e4736
 //
 // A file argument is parsed as an obs JSONL event stream (as written by
-// `empbench -trace` or `empbench -benchobs`) and every trace in it is
-// rendered. Anything else is treated as a trace id and fetched from a live
+// `empbench -trace t.jsonl`) and every trace in it is rendered. Anything else is treated as a trace id and fetched from a live
 // server's /v1/debug/trace/{id} endpoint.
 func runTrace(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)

@@ -18,12 +18,9 @@
 // solve execution. Every solve runs under a deadline: the request's
 // timeout_ms clamped to -max-timeout (docs/ROBUSTNESS.md).
 //
-// Endpoints (the canonical surface lives under the /v1 prefix; the bare
-// spellings of the pre-versioning routes remain mounted as DEPRECATED
-// aliases — same handlers, caches and metrics, but alias responses carry
-// `Deprecation: true` and a successor-version Link header and are counted in
-// emp_deprecated_requests_total{path}. All errors on every route arrive as
-// one JSON envelope {"error":{"code","message",...}} — see docs/SERVING.md):
+// Endpoints (the whole surface lives under the /v1 prefix; bare paths get
+// 404. All errors on every route arrive as one JSON envelope
+// {"error":{"code","message",...}} — see docs/SERVING.md):
 //
 //	GET  /v1/healthz   liveness probe (200 while the process serves HTTP)
 //	GET  /v1/readyz    readiness probe (503 while draining or queue-saturated;
@@ -34,7 +31,7 @@
 //	GET  /v1/debug/trace/{id}   span tree + convergence curve of a solve
 //	GET  /v1/debug/cache        cache + flight-recorder + job-store occupancy
 //
-// Async jobs (see docs/JOBS.md; /v1-only — the surface postdates versioning):
+// Async jobs (see docs/JOBS.md):
 //
 //	POST   /v1/jobs              submit a solve (same body as /v1/solve);
 //	                             202 + job id, Location header, status body
@@ -57,7 +54,7 @@
 // just issued. Recent solves are retained in a byte-budgeted flight
 // recorder sized by -flight-recorder-mb / -flight-recorder-traces.
 //
-//	POST /solve     run an EMP query; body:
+//	POST /v1/solve  run an EMP query; body:
 //	                {"named":"2k","scale":0.25,
 //	                 "constraints":"MIN(POP16UP) <= 3000; SUM(TOTALPOP) >= 20k",
 //	                 "timeout_ms":60000,
@@ -79,7 +76,7 @@
 // jobs after a crash (even kill -9) under their original ids, running jobs
 // checkpoint their incumbent every -checkpoint-interval so resumed solves
 // warm-start instead of restarting, and the result cache + warm-seed index
-// snapshot every -snapshot-interval and on shutdown. /readyz answers 503
+// snapshot every -snapshot-interval and on shutdown. /v1/readyz answers 503
 // {"status":"recovering"} while boot recovery runs. Torn or corrupt state
 // files are truncated/skipped and counted in
 // emp_durable_corrupt_records_total — they never fail boot. The flags are
@@ -89,8 +86,8 @@
 // /debug/pprof/ and the expvar JSON (including an "emp" metrics snapshot)
 // under /debug/vars. Keep it on a loopback or otherwise private address.
 //
-// The server shuts down gracefully on SIGINT/SIGTERM: /readyz flips to 503
-// immediately so load balancers drain the instance (new job submits are
+// The server shuts down gracefully on SIGINT/SIGTERM: /v1/readyz flips to
+// 503 immediately so load balancers drain the instance (new job submits are
 // refused the same moment), then after -drain-grace in-flight requests AND
 // in-flight async jobs get up to 15 seconds to finish before the listener is
 // torn down. Nonsensical flag values (negative -workers, -queue-depth below
@@ -124,13 +121,13 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		debugAddr  = flag.String("debug-addr", "", "optional debug listen address for pprof + expvar (e.g. 127.0.0.1:8081)")
-		maxBody    = flag.Int64("max-body", server.DefaultMaxBodyBytes, "POST /solve body size limit in bytes")
+		maxBody    = flag.Int64("max-body", server.DefaultMaxBodyBytes, "POST /v1/solve and /v1/jobs body size limit in bytes")
 		quiet      = flag.Bool("quiet", false, "disable the per-request access log")
 		workers    = flag.Int("workers", 0, "max concurrently executing solves (0 = GOMAXPROCS)")
 		queueDep   = flag.Int("queue-depth", 0, "solves allowed to wait for a worker (0 = 4x workers, -1 = no queue)")
 		queueWait  = flag.Duration("queue-wait", server.DefaultQueueWait, "max time a solve may wait queued before a 429")
 		maxTimeout = flag.Duration("max-timeout", server.DefaultMaxSolveTimeout, "per-solve deadline ceiling; request timeout_ms is clamped to it")
-		drainGrace = flag.Duration("drain-grace", 15*time.Second, "pause between flipping /readyz to 503 and closing the listener, so load balancers observe the drain")
+		drainGrace = flag.Duration("drain-grace", 15*time.Second, "pause between flipping /v1/readyz to 503 and closing the listener, so load balancers observe the drain")
 		dsCacheMB  = flag.Int64("dataset-cache-mb", server.DefaultDatasetCacheBytes>>20, "dataset artifact cache budget in MiB (negative disables)")
 		resCacheMB = flag.Int64("result-cache-mb", server.DefaultResultCacheBytes>>20, "solve result cache budget in MiB (negative disables)")
 		flightMB   = flag.Int64("flight-recorder-mb", server.DefaultFlightRecorderBytes>>20, "flight-recorder trace retention budget in MiB")
@@ -159,7 +156,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Wire the solver packages into the process-wide registry so /metrics
+	// Wire the solver packages into the process-wide registry so /v1/metrics
 	// reflects every solve served by this process.
 	reg := obs.Default()
 	reg.SetEnabled(true)
@@ -238,7 +235,7 @@ func main() {
 		// serving in-flight (and newly arriving) requests through the drain
 		// grace, then tear the listener down.
 		svc.SetDraining(true)
-		log.Printf("draining: /readyz now 503, waiting %s before closing the listener", *drainGrace)
+		log.Printf("draining: /v1/readyz now 503, waiting %s before closing the listener", *drainGrace)
 		select {
 		case <-time.After(*drainGrace):
 		case err := <-errc:

@@ -91,8 +91,10 @@ func appendHex(dst, src []byte) []byte {
 }
 
 // ParseTraceparent decodes a W3C traceparent header value. It accepts only
-// version 00 and rejects all-zero ids; flags are ignored (this process
-// records every solve it runs regardless of upstream sampling).
+// version 00 whose trace id, parent id and flags are lowercase hex (the
+// spec's HEXDIGLC; any other header is invalid and must be ignored), and
+// rejects all-zero ids. The flags' value is ignored (this process records
+// every solve it runs regardless of upstream sampling).
 func ParseTraceparent(h string) (SpanContext, error) {
 	var sc SpanContext
 	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
@@ -103,6 +105,9 @@ func ParseTraceparent(h string) (SpanContext, error) {
 	}
 	if len(h) != 55 {
 		return sc, errors.New("obs: malformed traceparent") // version 00 is exactly 55 chars
+	}
+	if !lowerHex(h[3:35]) || !lowerHex(h[36:52]) || !lowerHex(h[53:]) {
+		return sc, errors.New("obs: traceparent fields must be lowercase hex")
 	}
 	t, err := ParseTraceID(h[3:35])
 	if err != nil {
@@ -116,6 +121,16 @@ func ParseTraceparent(h string) (SpanContext, error) {
 		return sc, errors.New("obs: all-zero parent id")
 	}
 	return SpanContext{Trace: t, Span: sp}, nil
+}
+
+// lowerHex reports whether s consists of lowercase hex digits only.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // idGen is a lock-free unique-id source: a process-random base perturbed by

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -22,22 +23,58 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceparents are headers W3C Trace Context calls invalid.
+var malformedTraceparents = []string{
+	"",
+	"00-short",
+	"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // unknown version
+	"00-00000000000000000000000000000000-00f067aa0ba902b7-01",      // zero trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",      // zero span id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-tail", // wrong length
+	"00-ZZf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // non-hex
+	"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // bad separator
+	"00-4bf92f3577b34da6a3ce929d0e0e4736 00f067aa0ba902b7-01",      // bad separator
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz",      // non-hex flags
+	"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",      // uppercase trace id
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",      // uppercase parent id
+}
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	for _, h := range []string{
-		"",
-		"00-short",
-		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // unknown version
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",      // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",      // zero span id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-tail", // wrong length
-		"00-ZZf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // non-hex
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // bad separator
-		"00-4bf92f3577b34da6a3ce929d0e0e4736 00f067aa0ba902b7-01",      // bad separator
-	} {
+	for _, h := range malformedTraceparents {
 		if _, err := ParseTraceparent(h); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted a malformed header", h)
 		}
 	}
+}
+
+// validTraceparent is the version-00 grammar with lowercase hex fields;
+// ParseTraceparent additionally rejects all-zero ids.
+var validTraceparent = regexp.MustCompile(`^00-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}$`)
+
+// FuzzParseTraceparent: the parser never panics, accepts only valid
+// headers, and what it accepts renders back to the same version, trace id
+// and parent id (the first 53 bytes; Traceparent always writes flags 01).
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	f.Add(SpanContext{Trace: NewTraceID(), Span: NewSpanID()}.Traceparent())
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, err := ParseTraceparent(h)
+		if err != nil {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceparent(%q) failed but returned %+v", h, sc)
+			}
+			return
+		}
+		if !validTraceparent.MatchString(h) || !sc.IsValid() {
+			t.Fatalf("ParseTraceparent accepted invalid header %q as %+v", h, sc)
+		}
+		if got := sc.Traceparent(); got[:53] != h[:53] {
+			t.Fatalf("ParseTraceparent(%q) renders back as %q", h, got)
+		}
+	})
 }
 
 func TestIDUniqueness(t *testing.T) {

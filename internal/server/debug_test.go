@@ -17,7 +17,7 @@ import (
 	"emp/internal/obswire"
 )
 
-// inlineMultiComponentBody builds a POST /solve body embedding a generated
+// inlineMultiComponentBody builds a POST /v1/solve body embedding a generated
 // 3-component dataset, so the solve takes the sharded path.
 func inlineMultiComponentBody(t *testing.T) string {
 	t.Helper()
@@ -118,7 +118,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	// The request-latency histogram is exposed as well-formed Prometheus
 	// series for the route.
 	metRec := httptest.NewRecorder()
-	h.ServeHTTP(metRec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	h.ServeHTTP(metRec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
 	m := parseMetrics(t, metRec.Body.String())
 	if m[`emp_request_duration_seconds_bucket{path="/solve",le="+Inf"}`] < 1 {
 		t.Error("missing +Inf bucket for /solve request latency")
@@ -144,7 +144,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	h := NewHandler(Config{Registry: obs.New()})
 	const incoming = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
 	req.Header.Set("traceparent", incoming)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -159,7 +159,7 @@ func TestTraceparentPropagation(t *testing.T) {
 		t.Error("span id not re-derived for the server span")
 	}
 
-	req = httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req = httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
 	req.Header.Set("traceparent", "00-garbage")
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)

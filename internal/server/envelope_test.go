@@ -26,16 +26,13 @@ func TestErrorEnvelopeMatrix(t *testing.T) {
 		code         string
 		allow        string // non-empty: the 405 must carry this Allow header
 	}{
-		// Method guards, versioned and bare.
+		// Method guards.
 		{"solve-get", http.MethodGet, "/v1/solve", "", http.StatusMethodNotAllowed, "method_not_allowed", ""},
 		{"solve-delete", http.MethodDelete, "/v1/solve", "", http.StatusMethodNotAllowed, "method_not_allowed", ""},
-		{"solve-bare-get", http.MethodGet, "/solve", "", http.StatusMethodNotAllowed, "method_not_allowed", ""},
 		{"datasets-post", http.MethodPost, "/v1/datasets", "", http.StatusMethodNotAllowed, "method_not_allowed", ""},
 		{"healthz-post", http.MethodPost, "/v1/healthz", "", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
 		{"readyz-post", http.MethodPost, "/v1/readyz", "", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
-		{"readyz-bare-post", http.MethodPost, "/readyz", "", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
 		{"metrics-post", http.MethodPost, "/v1/metrics", "", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
-		{"metrics-bare-post", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
 		{"jobs-put", http.MethodPut, "/v1/jobs", "", http.StatusMethodNotAllowed, "method_not_allowed", "GET, POST"},
 		{"job-post", http.MethodPost, "/v1/jobs/deadbeef00000000", "", http.StatusNotFound, "not_found", ""},
 		{"debug-solves-post", http.MethodPost, "/v1/debug/solves", "", http.StatusMethodNotAllowed, "method_not_allowed", ""},
@@ -51,6 +48,13 @@ func TestErrorEnvelopeMatrix(t *testing.T) {
 		{"unknown-root", http.MethodGet, "/nope", "", http.StatusNotFound, "not_found", ""},
 		{"unknown-v1", http.MethodGet, "/v1/nope", "", http.StatusNotFound, "not_found", ""},
 		{"v1-root", http.MethodGet, "/v1", "", http.StatusNotFound, "not_found", ""},
+		// Bare (unversioned) spellings of the routes are unknown paths too.
+		{"solve-bare-get", http.MethodGet, "/solve", "", http.StatusNotFound, "not_found", ""},
+		{"solve-bare-post", http.MethodPost, "/solve", `{"named":"1k","constraints":"SUM(TOTALPOP) >= 1"}`, http.StatusNotFound, "not_found", ""},
+		{"datasets-bare-get", http.MethodGet, "/datasets", "", http.StatusNotFound, "not_found", ""},
+		{"healthz-bare-get", http.MethodGet, "/healthz", "", http.StatusNotFound, "not_found", ""},
+		{"readyz-bare-post", http.MethodPost, "/readyz", "", http.StatusNotFound, "not_found", ""},
+		{"metrics-bare-post", http.MethodPost, "/metrics", "", http.StatusNotFound, "not_found", ""},
 		{"jobs-bare-alias", http.MethodGet, "/jobs", "", http.StatusNotFound, "not_found", ""},
 		{"job-unknown", http.MethodGet, "/v1/jobs/deadbeef00000000", "", http.StatusNotFound, "not_found", ""},
 		{"job-unknown-delete", http.MethodDelete, "/v1/jobs/deadbeef00000000", "", http.StatusNotFound, "not_found", ""},
@@ -82,40 +86,5 @@ func TestErrorEnvelopeMatrix(t *testing.T) {
 				t.Errorf("%s %s Allow = %q, want %q", tc.method, tc.path, rec.Header().Get("Allow"), tc.allow)
 			}
 		})
-	}
-}
-
-// TestDeprecatedAliasHeaders: responses on the bare (unversioned) paths
-// carry the RFC 8594 deprecation headers pointing at the /v1 successor and
-// are counted per path; the /v1 spellings carry neither header.
-func TestDeprecatedAliasHeaders(t *testing.T) {
-	reg := obs.New()
-	h := NewHandler(Config{Registry: reg})
-	for _, path := range []string{"/healthz", "/readyz", "/datasets", "/metrics"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Header().Get("Deprecation") != "true" {
-			t.Errorf("GET %s missing Deprecation header", path)
-		}
-		if want := "</v1" + path + `>; rel="successor-version"`; rec.Header().Get("Link") != want {
-			t.Errorf("GET %s Link = %q, want %q", path, rec.Header().Get("Link"), want)
-		}
-		if v := reg.Counter(`emp_deprecated_requests_total{path="`+path+`"}`, "").Value(); v != 1 {
-			t.Errorf("deprecated counter for %s = %d, want 1", path, v)
-		}
-	}
-	// POST /solve: the deprecation headers ride on error responses too.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(`{`)))
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("POST /solve error response missing Deprecation header")
-	}
-	// The versioned surface is not deprecated.
-	for _, path := range []string{"/v1/healthz", "/v1/datasets", "/v1/metrics", "/v1/jobs"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Header().Get("Deprecation") != "" || rec.Header().Get("Link") != "" {
-			t.Errorf("GET %s carries deprecation headers on the canonical surface", path)
-		}
 	}
 }

@@ -75,9 +75,9 @@ func (s *service) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobSubmit admits one async solve. The body is the same SolveRequest
-// as POST /solve; the response is the job's status (202 for a fresh job, 200
-// when the submit attached to an active duplicate or hit the result cache)
-// with a Location header pointing at the status endpoint.
+// as POST /v1/solve; the response is the job's status (202 for a fresh job,
+// 200 when the submit attached to an active duplicate or hit the result
+// cache) with a Location header pointing at the status endpoint.
 func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		// An async job outlives its submit request: accepting one while
@@ -207,10 +207,10 @@ func (s *service) runJob(j *jobs.Job, req *SolveRequest, set constraint.Set, cfg
 	oc := s.executeSolve(ctx, req, set, cfg)
 	if oc.resp != nil {
 		if len(cfg.WarmStart) == 0 {
-			// Cold results are exactly what POST /solve would have produced:
-			// share them through the result cache. Warm-started results
-			// depend on the seed partition's trajectory and must not be
-			// served to cold requests under the same fingerprint.
+			// Cold results are exactly what POST /v1/solve would have
+			// produced: share them through the result cache. Warm-started
+			// results depend on the seed partition's trajectory and must not
+			// be served to cold requests under the same fingerprint.
 			s.resCache.Add(fp, oc.resp, responseCost(oc.resp))
 		}
 		seed := append([]int(nil), oc.resp.Assignment...)

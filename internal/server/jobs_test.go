@@ -394,7 +394,7 @@ func TestJobDoneOnArrival(t *testing.T) {
 // perturbed constraint set on the same dataset warm-starts from its
 // partition (warm_from set, warm counter bumped) and still converges to a
 // valid done state. The warm result must NOT be shared through the result
-// cache: a later sync POST /solve with the same body runs cold.
+// cache: a later sync POST /v1/solve with the same body runs cold.
 func TestJobWarmStartResubmit(t *testing.T) {
 	h, reg := newServingHandler(t, Config{})
 	rec, first := postJob(t, h, jobBody)
@@ -502,7 +502,7 @@ func TestJobSubmitLimits(t *testing.T) {
 }
 
 // TestDrainJobsWaitsForRunners: DrainJobs blocks until the in-flight job's
-// runner returns, and /readyz surfaces the count while draining.
+// runner returns, and /v1/readyz surfaces the count while draining.
 func TestDrainJobsWaitsForRunners(t *testing.T) {
 	sv := New(Config{Registry: obs.New()})
 	h := sv.Handler()

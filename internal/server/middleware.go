@@ -74,23 +74,23 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 }
 
 // routeLabel maps the request path onto the fixed route set so metric label
-// cardinality stays bounded no matter what clients probe. The /v1 alias of
-// a route shares its bare label: the version prefix is routing surface, not
-// a distinct endpoint.
+// cardinality stays bounded no matter what clients probe. Labels name the
+// route without its /v1 prefix (`/v1/solve` counts as "/solve"); every path
+// outside /v1, bare spellings included, is "other".
 func routeLabel(path string) string {
-	path = strings.TrimPrefix(path, "/v1")
-	switch path {
-	case "/solve", "/datasets", "/healthz", "/readyz", "/metrics", "/jobs":
+	path, ok := strings.CutPrefix(path, "/v1")
+	switch {
+	case !ok:
+		return "other"
+	case path == "/solve", path == "/datasets", path == "/healthz", path == "/readyz", path == "/metrics", path == "/jobs":
 		return path
+	case strings.HasPrefix(path, "/debug/"):
+		return "/debug"
+	case strings.HasPrefix(path, "/jobs/"):
+		// /jobs/{id} and /jobs/{id}/events share the /jobs label: the id is
+		// data, not route surface.
+		return "/jobs"
 	default:
-		if strings.HasPrefix(path, "/debug/") {
-			return "/debug"
-		}
-		if strings.HasPrefix(path, "/jobs/") {
-			// /jobs/{id} and /jobs/{id}/events share the /jobs label: the id
-			// is data, not route surface.
-			return "/jobs"
-		}
 		return "other"
 	}
 }

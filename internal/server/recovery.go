@@ -38,7 +38,7 @@ func (s *service) ckptDir() string      { return filepath.Join(s.stateDir, ckptS
 
 // initDurable opens the journal and kicks off background recovery. Called at
 // the tail of New; with no StateDir it only registers the (inert) metrics so
-// the /metrics surface is stable either way.
+// the /v1/metrics surface is stable either way.
 func (s *service) initDurable(cfg Config) {
 	s.durMet = durable.Metrics{
 		CorruptRecords:     s.reg.Counter("emp_durable_corrupt_records_total", "Journal/snapshot/checkpoint records dropped as torn, corrupt or stale during recovery."),
@@ -105,8 +105,8 @@ func (s *service) initDurable(cfg Config) {
 }
 
 // recoverState is the background half of boot recovery: restore the cache
-// snapshot, then re-admit journaled jobs. /readyz answers 503 "recovering"
-// until it finishes.
+// snapshot, then re-admit journaled jobs. /v1/readyz answers 503
+// "recovering" until it finishes.
 func (s *service) recoverState(pending []durable.PendingJob) {
 	defer s.recovering.Store(false)
 	// Chaos hook: a delay rule here holds the recovering window open so

@@ -347,13 +347,13 @@ func TestReadyzRecoveringWindow(t *testing.T) {
 
 	sv, h, _ := newRecoveryService(t, t.TempDir())
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/readyz", nil))
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "recovering") {
 		t.Fatalf("readyz during recovery = %d %s, want 503 recovering", rec.Code, rec.Body.String())
 	}
 	waitRecovered(t, sv)
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/readyz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("readyz after recovery = %d %s, want 200", rec.Code, rec.Body.String())
 	}

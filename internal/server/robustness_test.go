@@ -32,30 +32,26 @@ func TestReadinessDrainFlip(t *testing.T) {
 	svc := New(Config{Registry: obs.New()})
 	h := svc.Handler()
 
-	for _, path := range []string{"/readyz", "/v1/readyz"} {
-		if code, body := getStatus(t, h, path); code != http.StatusOK || body["status"] != "ready" {
-			t.Fatalf("GET %s before drain = %d %v, want 200 ready", path, code, body)
-		}
+	if code, body := getStatus(t, h, "/v1/readyz"); code != http.StatusOK || body["status"] != "ready" {
+		t.Fatalf("GET /v1/readyz before drain = %d %v, want 200 ready", code, body)
 	}
 
 	svc.SetDraining(true)
 	if !svc.Draining() {
 		t.Fatal("Draining() = false after SetDraining(true)")
 	}
-	for _, path := range []string{"/readyz", "/v1/readyz"} {
-		if code, body := getStatus(t, h, path); code != http.StatusServiceUnavailable || body["status"] != "draining" {
-			t.Errorf("GET %s mid-drain = %d %v, want 503 draining", path, code, body)
-		}
+	if code, body := getStatus(t, h, "/v1/readyz"); code != http.StatusServiceUnavailable || body["status"] != "draining" {
+		t.Errorf("GET /v1/readyz mid-drain = %d %v, want 503 draining", code, body)
 	}
 	// Liveness is unaffected: restarting a draining instance would defeat
 	// the drain.
-	if code, body := getStatus(t, h, "/healthz"); code != http.StatusOK || body["status"] != "ok" {
-		t.Errorf("GET /healthz mid-drain = %d %v, want 200 ok", code, body)
+	if code, body := getStatus(t, h, "/v1/healthz"); code != http.StatusOK || body["status"] != "ok" {
+		t.Errorf("GET /v1/healthz mid-drain = %d %v, want 200 ok", code, body)
 	}
 
 	svc.SetDraining(false)
-	if code, _ := getStatus(t, h, "/readyz"); code != http.StatusOK {
-		t.Errorf("GET /readyz after drain cleared = %d, want 200", code)
+	if code, _ := getStatus(t, h, "/v1/readyz"); code != http.StatusOK {
+		t.Errorf("GET /v1/readyz after drain cleared = %d, want 200", code)
 	}
 }
 

@@ -2,7 +2,7 @@
 // service: POST a dataset (inline or by synthetic name) plus a constraint
 // query, get back the regions, the feasibility report, solver timings and
 // the solver's hot-path telemetry. The handler also serves the process
-// metrics registry as Prometheus text on GET /metrics, tags every request
+// metrics registry as Prometheus text on GET /v1/metrics, tags every request
 // with an X-Request-ID, and can write an access log. Useful for hosting the
 // solver behind data-analysis frontends.
 package server
@@ -35,7 +35,7 @@ import (
 
 // Config tunes the HTTP service.
 type Config struct {
-	// Registry receives the HTTP metrics and backs GET /metrics; nil means
+	// Registry receives the HTTP metrics and backs GET /v1/metrics; nil means
 	// obs.Default(). NewHandler enables it — serving implies measuring.
 	// Solver-internal metrics land in the same registry only when the
 	// caller also wires the solver packages (see internal/obswire), which
@@ -43,7 +43,8 @@ type Config struct {
 	Registry *obs.Registry
 	// AccessLog receives one line per request; nil disables access logging.
 	AccessLog io.Writer
-	// MaxBodyBytes bounds POST /solve request bodies; 0 means 64 MiB.
+	// MaxBodyBytes bounds POST /v1/solve and /v1/jobs request bodies; 0
+	// means 64 MiB.
 	MaxBodyBytes int64
 	// DatasetCacheBytes bounds the LRU of generated named/scaled datasets
 	// shared read-only across requests; 0 means DefaultDatasetCacheBytes,
@@ -99,9 +100,9 @@ type Config struct {
 	CheckpointInterval time.Duration
 }
 
-// DefaultMaxBodyBytes is the POST /solve body limit when Config.MaxBodyBytes
-// is zero: large enough for a full inline 50k-area dataset document, small
-// enough to keep one request from exhausting memory.
+// DefaultMaxBodyBytes is the POST /v1/solve body limit when
+// Config.MaxBodyBytes is zero: large enough for a full inline 50k-area
+// dataset document, small enough to keep one request from exhausting memory.
 const DefaultMaxBodyBytes = 64 << 20
 
 // Serving-layer defaults (see docs/SERVING.md for sizing rationale).
@@ -168,16 +169,15 @@ type service struct {
 	jobsWG sync.WaitGroup
 
 	// emp_jobs_* metrics.
-	jobsSubmitted  *obs.Counter
-	jobsDeduped    *obs.Counter
-	jobsWarm       *obs.Counter
-	jobsDone       *obs.Counter
-	jobsFailed     *obs.Counter
-	jobsCanceled   *obs.Counter
-	jobsActive     *obs.Gauge
-	jobEventsSent  *obs.Counter
-	jobWatchers    *obs.Gauge
-	deprecatedHits func(path string) // bumps emp_deprecated_requests_total{path}
+	jobsSubmitted *obs.Counter
+	jobsDeduped   *obs.Counter
+	jobsWarm      *obs.Counter
+	jobsDone      *obs.Counter
+	jobsFailed    *obs.Counter
+	jobsCanceled  *obs.Counter
+	jobsActive    *obs.Gauge
+	jobEventsSent *obs.Counter
+	jobWatchers   *obs.Gauge
 
 	// Durable state subsystem (Config.StateDir): nil journal means
 	// persistence is disabled and every hook below is a no-op.
@@ -186,12 +186,12 @@ type service struct {
 	durMet       durable.Metrics
 	ckptInterval time.Duration
 	snapInterval time.Duration
-	recovering   atomic.Bool   // /readyz answers 503 "recovering" while set
+	recovering   atomic.Bool   // /v1/readyz answers 503 "recovering" while set
 	stopSnap     chan struct{} // stops the periodic snapshot goroutine
 	closeOnce    sync.Once
 }
 
-// SolveRequest is the POST /solve body.
+// SolveRequest is the POST /v1/solve body.
 type SolveRequest struct {
 	// Dataset embeds a full dataset document (same schema as the JSON
 	// files written by the library). Mutually exclusive with Named.
@@ -226,7 +226,7 @@ type SolverStats struct {
 	RemovabilityPasses int64   `json:"removability_passes"`
 }
 
-// SolveResponse is the POST /solve result.
+// SolveResponse is the POST /v1/solve result.
 type SolveResponse struct {
 	RequestID          string   `json:"request_id,omitempty"`
 	P                  int      `json:"p"`
@@ -305,10 +305,10 @@ type Service struct {
 // Handler returns the service's HTTP handler.
 func (sv *Service) Handler() http.Handler { return sv.handler }
 
-// SetDraining flips the /readyz readiness probe: draining instances answer
-// 503 so load balancers stop routing new work, while /healthz liveness and
-// in-flight requests keep succeeding. Call with true when shutdown begins,
-// before http.Server.Shutdown.
+// SetDraining flips the /v1/readyz readiness probe: draining instances
+// answer 503 so load balancers stop routing new work, while /v1/healthz
+// liveness and in-flight requests keep succeeding. Call with true when
+// shutdown begins, before http.Server.Shutdown.
 func (sv *Service) SetDraining(d bool) { sv.s.draining.Store(d) }
 
 // Draining reports whether the service is refusing readiness.
@@ -422,48 +422,24 @@ func New(cfg Config) *Service {
 	s.jobsActive = reg.Gauge("emp_jobs_active", "Async jobs currently queued or running.")
 	s.jobEventsSent = reg.Counter("emp_jobs_events_streamed_total", "Events written to /v1/jobs/{id}/events watchers (SSE and NDJSON).")
 	s.jobWatchers = reg.Gauge("emp_jobs_watchers", "Clients currently streaming /v1/jobs/{id}/events.")
-	s.deprecatedHits = func(path string) {
-		reg.Counter(
-			fmt.Sprintf("emp_deprecated_requests_total{path=%q}", path),
-			"Requests served on deprecated unversioned path aliases; migrate to /v1.",
-		).Inc()
-	}
 	// The flight store listens on the registry sink alongside whatever sink is
 	// already wired (obswire's JSONL stream, a test capture, or none): span
 	// events flow to both, so recorded traces match what external consumers
 	// see. Fanout drops nil arms, so an unwired registry just gets the store.
 	reg.SetSink(obswire.NewFanout(reg.Sink(), s.fstore))
 	mux := http.NewServeMux()
-	// The canonical surface lives under /v1/; the bare paths stay mounted as
-	// DEPRECATED aliases for pre-versioning clients: same handlers (success
-	// responses stay byte-identical, the route metric label is shared —
-	// routeLabel strips the version prefix), but alias responses carry
-	// Deprecation/Link successor headers and bump
-	// emp_deprecated_requests_total{path}.
-	// GET /metrics is wrapped in a method guard at this layer so its 405s
-	// speak the JSON envelope like every other route (the obs handler's own
-	// plain-text 405 is library behavior the server does not re-export).
-	metricsH := s.allowMethods(reg.MetricsHandler(), http.MethodGet, http.MethodHead)
-	for _, rt := range []struct {
-		path string
-		h    http.Handler
-	}{
-		{"/healthz", s.allowMethods(http.HandlerFunc(s.handleHealth), http.MethodGet, http.MethodHead)},
-		{"/readyz", s.allowMethods(http.HandlerFunc(s.handleReady), http.MethodGet, http.MethodHead)},
-		{"/datasets", http.HandlerFunc(s.handleDatasets)},
-		{"/solve", http.HandlerFunc(s.handleSolve)},
-		{"/metrics", metricsH},
-	} {
-		mux.Handle("/v1"+rt.path, rt.h)
-		mux.Handle(rt.path, s.deprecated(rt.path, rt.h))
-	}
-	// The async job surface is /v1-only: it postdates versioning, so no
-	// pre-versioning client exists to need a bare alias.
+	// The whole surface lives under /v1/; bare paths fall through to the
+	// catch-all 404. GET /v1/metrics is wrapped in a method guard at this
+	// layer so its 405s speak the JSON envelope like every other route (the
+	// obs handler's own plain-text 405 is library behavior the server does
+	// not re-export).
+	mux.Handle("/v1/healthz", s.allowMethods(http.HandlerFunc(s.handleHealth), http.MethodGet, http.MethodHead))
+	mux.Handle("/v1/readyz", s.allowMethods(http.HandlerFunc(s.handleReady), http.MethodGet, http.MethodHead))
+	mux.HandleFunc("/v1/datasets", s.handleDatasets)
+	mux.HandleFunc("/v1/solve", s.handleSolve)
+	mux.Handle("/v1/metrics", s.allowMethods(reg.MetricsHandler(), http.MethodGet, http.MethodHead))
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	// Introspection mounts only under the versioned prefix: the bare /debug/
-	// namespace traditionally belongs to pprof (cmd/empserve serves it on a
-	// separate listener), so aliasing there would invite collisions.
 	mux.HandleFunc("/v1/debug/solves", s.handleDebugSolves)
 	mux.HandleFunc("/v1/debug/trace/", s.handleDebugTrace)
 	mux.HandleFunc("/v1/debug/cache", s.handleDebugCache)
@@ -476,19 +452,6 @@ func New(cfg Config) *Service {
 	s.initDurable(cfg)
 	// Request-id first so the instrument layer (access log) sees the id.
 	return &Service{s: s, handler: withRequestID(s.instrument(mux))}
-}
-
-// deprecated wraps a bare-path alias handler: the response carries
-// `Deprecation: true` plus an RFC 8594 successor-version Link pointing at
-// the /v1 spelling, and the hit is counted per path so operators can find
-// clients still on the unversioned surface before removing it.
-func (s *service) deprecated(path string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path))
-		s.deprecatedHits(path)
-		next.ServeHTTP(w, r)
-	})
 }
 
 // allowMethods guards a handler to the listed methods, answering everything
@@ -574,11 +537,11 @@ func (s *service) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeSolveRequest decodes and validates a solve submission body — the
-// shared front door of POST /solve and POST /v1/jobs. It normalizes the seed
-// and timeout (so fingerprints computed from the returned request are
+// shared front door of POST /v1/solve and POST /v1/jobs. It normalizes the
+// seed and timeout (so fingerprints computed from the returned request are
 // canonical), parses the constraint set, maps the options onto a solver
-// config and attaches the service-wide worker pool. On any error it writes the
-// enveloped response itself and reports ok=false.
+// config and attaches the service-wide worker pool. On any error it writes
+// the enveloped response itself and reports ok=false.
 func (s *service) decodeSolveRequest(w http.ResponseWriter, r *http.Request) (req *SolveRequest, set constraint.Set, cfg fact.Config, ok bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {

@@ -41,7 +41,7 @@ func decodeError(t *testing.T, rec *httptest.ResponseRecorder) errorDetail {
 }
 
 func TestHealth(t *testing.T) {
-	rec, out := doJSON(t, Handler(), http.MethodGet, "/healthz", "")
+	rec, out := doJSON(t, Handler(), http.MethodGet, "/v1/healthz", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -51,7 +51,7 @@ func TestHealth(t *testing.T) {
 }
 
 func TestDatasets(t *testing.T) {
-	rec, _ := doJSON(t, Handler(), http.MethodGet, "/datasets", "")
+	rec, _ := doJSON(t, Handler(), http.MethodGet, "/v1/datasets", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -62,15 +62,15 @@ func TestDatasets(t *testing.T) {
 	if len(entries) != 12 {
 		t.Errorf("got %d datasets", len(entries))
 	}
-	rec, _ = doJSON(t, Handler(), http.MethodPost, "/datasets", "")
+	rec, _ = doJSON(t, Handler(), http.MethodPost, "/v1/datasets", "")
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("POST /datasets status = %d", rec.Code)
+		t.Errorf("POST /v1/datasets status = %d", rec.Code)
 	}
 }
 
 func TestSolveNamed(t *testing.T) {
 	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":1,"skip_local_search":true}}`
-	rec, _ := doJSON(t, Handler(), http.MethodPost, "/solve", body)
+	rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -106,7 +106,7 @@ func TestSolveInlineDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := doJSON(t, Handler(), http.MethodPost, "/solve", string(reqBody))
+	rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", string(reqBody))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -121,7 +121,7 @@ func TestSolveInlineDataset(t *testing.T) {
 
 func TestSolveAnnealOption(t *testing.T) {
 	body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000","options":{"seed":1,"local_search":"anneal"}}`
-	rec, _ := doJSON(t, Handler(), http.MethodPost, "/solve", body)
+	rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -132,7 +132,7 @@ func TestSolveAnnealOption(t *testing.T) {
 func TestSolveParallelIterations(t *testing.T) {
 	body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000",
 	  "options":{"seed":1,"iterations":3,"skip_local_search":true}}`
-	rec, _ := doJSON(t, Handler(), http.MethodPost, "/solve", body)
+	rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -173,7 +173,7 @@ func TestSolveRejectsUnknownOptions(t *testing.T) {
 
 func TestSolveInfeasible(t *testing.T) {
 	body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 1000000000"}`
-	rec, _ := doJSON(t, Handler(), http.MethodPost, "/solve", body)
+	rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -201,7 +201,7 @@ func TestSolveBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec, _ := doJSON(t, Handler(), http.MethodPost, "/solve", tc.body)
+			rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", tc.body)
 			if rec.Code != http.StatusBadRequest {
 				t.Errorf("status = %d: %s", rec.Code, rec.Body.String())
 			}
@@ -210,8 +210,8 @@ func TestSolveBadRequests(t *testing.T) {
 			}
 		})
 	}
-	rec, _ := doJSON(t, Handler(), http.MethodGet, "/solve", "")
+	rec, _ := doJSON(t, Handler(), http.MethodGet, "/v1/solve", "")
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /solve status = %d", rec.Code)
+		t.Errorf("GET /v1/solve status = %d", rec.Code)
 	}
 }

@@ -22,10 +22,10 @@ func newServingHandler(t *testing.T, cfg Config) (http.Handler, *obs.Registry) {
 	return NewHandler(cfg), cfg.Registry
 }
 
-// postSolve fires one POST /solve through the handler, optionally pinning
+// postSolve fires one POST /v1/solve through the handler, optionally pinning
 // the request id and context.
 func postSolve(h http.Handler, body, requestID string, ctx context.Context) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body))
 	if requestID != "" {
 		req.Header.Set("X-Request-ID", requestID)
 	}

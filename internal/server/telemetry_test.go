@@ -16,7 +16,7 @@ func TestSolveBodyTooLarge(t *testing.T) {
 	h := NewHandler(Config{Registry: obs.New(), MaxBodyBytes: 256})
 	body := `{"named":"1k","constraints":"SUM(TOTALPOP) >= 1","junk":"` +
 		strings.Repeat("x", 1024) + `"}`
-	rec, _ := doJSON(t, h, http.MethodPost, "/solve", body)
+	rec, _ := doJSON(t, h, http.MethodPost, "/v1/solve", body)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413: %s", rec.Code, rec.Body.String())
 	}
@@ -32,7 +32,7 @@ func TestSolveBodyTooLarge(t *testing.T) {
 func TestMethodNotAllowedHeaders(t *testing.T) {
 	h := NewHandler(Config{Registry: obs.New()})
 	cases := []struct {
-		method, path, allow string
+		method, route, allow string
 	}{
 		{http.MethodGet, "/solve", "POST"},
 		{http.MethodDelete, "/solve", "POST"},
@@ -40,15 +40,15 @@ func TestMethodNotAllowedHeaders(t *testing.T) {
 		{http.MethodPost, "/metrics", "GET"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
-			rec, _ := doJSON(t, h, tc.method, tc.path, "")
+		t.Run(tc.method+" "+tc.route, func(t *testing.T) {
+			rec, _ := doJSON(t, h, tc.method, "/v1"+tc.route, "")
 			if rec.Code != http.StatusMethodNotAllowed {
 				t.Fatalf("status = %d, want 405", rec.Code)
 			}
 			if allow := rec.Header().Get("Allow"); !strings.Contains(allow, tc.allow) {
 				t.Errorf("Allow = %q, want %q", allow, tc.allow)
 			}
-			if tc.path != "/metrics" { // /metrics serves text, not the JSON error envelope
+			if tc.route != "/metrics" { // /metrics serves text, not the JSON error envelope
 				detail := decodeError(t, rec)
 				if detail.Code != "method_not_allowed" {
 					t.Errorf("error code = %q, want method_not_allowed", detail.Code)
@@ -63,7 +63,7 @@ func TestMethodNotAllowedHeaders(t *testing.T) {
 
 func TestRequestIDPropagation(t *testing.T) {
 	h := NewHandler(Config{Registry: obs.New()})
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
 	req.Header.Set("X-Request-ID", "client-supplied-42")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -72,12 +72,12 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 	// Generated when absent.
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
 	if rec.Header().Get("X-Request-ID") == "" {
 		t.Error("no X-Request-ID generated")
 	}
 	// Error bodies carry the id too.
-	req = httptest.NewRequest(http.MethodGet, "/solve", nil)
+	req = httptest.NewRequest(http.MethodGet, "/v1/solve", nil)
 	req.Header.Set("X-Request-ID", "err-77")
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -89,11 +89,11 @@ func TestRequestIDPropagation(t *testing.T) {
 func TestAccessLog(t *testing.T) {
 	var logBuf bytes.Buffer
 	h := NewHandler(Config{Registry: obs.New(), AccessLog: &logBuf})
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
 	req.Header.Set("X-Request-ID", "log-me")
 	h.ServeHTTP(httptest.NewRecorder(), req)
 	line := logBuf.String()
-	for _, want := range []string{"GET", "/healthz", " 200 ", "rid=log-me"} {
+	for _, want := range []string{"GET", "/v1/healthz", " 200 ", "rid=log-me"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("access log %q missing %q", line, want)
 		}
@@ -138,7 +138,7 @@ func TestMetricsAfterSolve(t *testing.T) {
 	h := NewHandler(Config{Registry: reg})
 
 	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":1}}`
-	rec, _ := doJSON(t, h, http.MethodPost, "/solve", body)
+	rec, _ := doJSON(t, h, http.MethodPost, "/v1/solve", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("solve status = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -154,7 +154,7 @@ func TestMetricsAfterSolve(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics status = %d", rec.Code)
 	}
@@ -199,7 +199,7 @@ func TestSolveEventSink(t *testing.T) {
 	h := NewHandler(Config{Registry: reg})
 
 	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":1,"skip_local_search":true}}`
-	rec, _ := doJSON(t, h, http.MethodPost, "/solve", body)
+	rec, _ := doJSON(t, h, http.MethodPost, "/v1/solve", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("solve status = %d: %s", rec.Code, rec.Body.String())
 	}

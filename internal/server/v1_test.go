@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,8 +9,7 @@ import (
 	"emp/internal/obs"
 )
 
-// doV1 issues a request with a pinned X-Request-ID so responses are
-// comparable byte for byte across paths.
+// doV1 issues a request with a pinned X-Request-ID.
 func doV1(h http.Handler, method, path, body, rid string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	req.Header.Set("X-Request-ID", rid)
@@ -20,26 +18,10 @@ func doV1(h http.Handler, method, path, body, rid string) *httptest.ResponseReco
 	return rec
 }
 
-// TestV1SolveByteIdentical: the versioned and bare solve endpoints are the
-// same handler, so with a pinned request id the success responses must be
-// byte-identical.
-func TestV1SolveByteIdentical(t *testing.T) {
-	h := NewHandler(Config{Registry: obs.New()})
-	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":1,"skip_local_search":true}}`
-	legacy := doV1(h, http.MethodPost, "/solve", body, "pin-1")
-	v1 := doV1(h, http.MethodPost, "/v1/solve", body, "pin-1")
-	if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-		t.Fatalf("status = %d / %d: %s", legacy.Code, v1.Code, v1.Body.String())
-	}
-	if !bytes.Equal(legacy.Body.Bytes(), v1.Body.Bytes()) {
-		t.Errorf("/solve and /v1/solve responses differ:\n%s\n%s", legacy.Body.String(), v1.Body.String())
-	}
-}
-
-// TestV1Routes: every endpoint answers under both prefixes.
+// TestV1Routes: every GET endpoint answers under the /v1 prefix.
 func TestV1Routes(t *testing.T) {
 	h := NewHandler(Config{Registry: obs.New()})
-	for _, path := range []string{"/healthz", "/v1/healthz", "/datasets", "/v1/datasets", "/metrics", "/v1/metrics"} {
+	for _, path := range []string{"/v1/healthz", "/v1/readyz", "/v1/datasets", "/v1/metrics", "/v1/jobs"} {
 		rec := doV1(h, http.MethodGet, path, "", "r")
 		if rec.Code != http.StatusOK {
 			t.Errorf("GET %s = %d", path, rec.Code)
@@ -79,21 +61,32 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestV1RouteMetricsShared: /v1/solve and /solve count into the same route
-// label so the version prefix does not double metric cardinality.
+// TestV1RouteMetricsShared: /v1 routes count under their unprefixed label,
+// and bare spellings, which 404, count as "other" so they never inflate a
+// real route's series.
 func TestV1RouteMetricsShared(t *testing.T) {
 	for _, tc := range []struct{ path, want string }{
-		{"/solve", "/solve"},
 		{"/v1/solve", "/solve"},
 		{"/v1/metrics", "/metrics"},
 		{"/v1/healthz", "/healthz"},
+		{"/v1/readyz", "/readyz"},
 		{"/v1/datasets", "/datasets"},
 		{"/v1/jobs", "/jobs"},
 		{"/v1/jobs/0a1b2c3d4e5f6071", "/jobs"},
 		{"/v1/jobs/0a1b2c3d4e5f6071/events", "/jobs"},
+		{"/v1/debug/solves", "/debug"},
 		{"/v1/unknown", "other"},
 		{"/v1", "other"},
+		{"/v1solve", "other"},
 		{"/other", "other"},
+		{"/solve", "other"},
+		{"/datasets", "other"},
+		{"/healthz", "other"},
+		{"/readyz", "other"},
+		{"/metrics", "other"},
+		{"/jobs", "other"},
+		{"/jobs/0a1b2c3d4e5f6071", "other"},
+		{"/debug/solves", "other"},
 	} {
 		if got := routeLabel(tc.path); got != tc.want {
 			t.Errorf("routeLabel(%q) = %q, want %q", tc.path, got, tc.want)
@@ -101,14 +94,13 @@ func TestV1RouteMetricsShared(t *testing.T) {
 	}
 }
 
-// TestV1SolveSharedCache: a solve served on the bare path is a cache hit on
-// the v1 path (same fingerprint), proving the alias shares all serving
-// machinery.
+// TestV1SolveSharedCache: a repeat of a solve under another request id is a
+// result-cache hit (the id is not part of the fingerprint).
 func TestV1SolveSharedCache(t *testing.T) {
 	reg := obs.New()
 	h := NewHandler(Config{Registry: reg})
 	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":3,"skip_local_search":true}}`
-	if rec := doV1(h, http.MethodPost, "/solve", body, "a"); rec.Code != http.StatusOK {
+	if rec := doV1(h, http.MethodPost, "/v1/solve", body, "a"); rec.Code != http.StatusOK {
 		t.Fatalf("first solve = %d", rec.Code)
 	}
 	if rec := doV1(h, http.MethodPost, "/v1/solve", body, "b"); rec.Code != http.StatusOK {
@@ -117,6 +109,6 @@ func TestV1SolveSharedCache(t *testing.T) {
 	rec := doV1(h, http.MethodGet, "/v1/metrics", "", "m")
 	m := parseMetrics(t, rec.Body.String())
 	if m["emp_result_cache_hits_total"] < 1 {
-		t.Errorf("result cache hits = %v, want >= 1 (v1 alias must share the cache)", m["emp_result_cache_hits_total"])
+		t.Errorf("result cache hits = %v, want >= 1 (the request id must not split the cache)", m["emp_result_cache_hits_total"])
 	}
 }

@@ -1,11 +1,14 @@
 package tabu
 
 import (
+	"context"
+	"io"
 	"sync"
 	"testing"
 
 	"emp/internal/census"
 	"emp/internal/constraint"
+	"emp/internal/flight"
 	"emp/internal/obs"
 	"emp/internal/region"
 )
@@ -111,30 +114,30 @@ func growRegions(p *region.Partition, k int) {
 }
 
 // BenchmarkTabuImprove8k is the acceptance benchmark: one full Improve run
-// on the 8k dataset. "kernel" is this PR's hot path; "naive" is the
-// pre-kernel fallback (naive deltas, full candidate scans, per-candidate
-// BFS); "kerneloff" isolates the Fenwick kernel's share by running the
-// incremental searcher with naive deltas.
+// on the 8k dataset. "kernel" is the production hot path; "naive" is the
+// pre-kernel reference searcher of fallback_test.go (naive deltas, full
+// candidate scans, per-candidate BFS); "kerneloff" isolates the Fenwick
+// kernel's share by running the incremental searcher with naive deltas.
 func BenchmarkTabuImprove8k(b *testing.B) {
 	base := eightKPartition(b)
 	for _, mode := range []struct {
-		name     string
-		kernel   bool
-		fallback bool
+		name    string
+		kernel  bool
+		improve func(*region.Partition, Config) Stats
 	}{
-		{"kernel", true, false},
-		{"naive", false, true},
-		{"kerneloff", false, false},
+		{"kernel", true, Improve},
+		{"naive", false, improveFallback},
+		{"kerneloff", false, Improve},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := Config{Tenure: 10, MaxNoImprove: 30, Fallback: mode.fallback}
+			cfg := Config{Tenure: 10, MaxNoImprove: 30}
 			var moves int
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				p := base.Clone()
 				p.SetHeteroKernel(mode.kernel)
 				b.StartTimer()
-				st := Improve(p, cfg)
+				st := mode.improve(p, cfg)
 				moves += st.Moves
 			}
 			b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
@@ -144,28 +147,47 @@ func BenchmarkTabuImprove8k(b *testing.B) {
 
 // BenchmarkTabuTelemetry is the telemetry-overhead acceptance benchmark: the
 // same kernel Improve run with the package metrics absent (unbound, the
-// library default), bound to a disabled registry, and bound to an enabled
-// one. The acceptance bar is <= 3% slowdown enabled and noise-level when
-// disabled; the hot loops only bump plain struct ints either way, so the
-// difference is confined to the per-run flush. Only tabu and region are
-// bound here (not via obswire — that package imports this one).
+// library default), bound to a disabled registry, bound to an enabled one,
+// and "recorded": enabled plus the request-shaped context an empserve solve
+// runs under (a trace-rooting histogram span, a flight recorder sampling
+// incumbent improvements, and span events streamed to a JSONL sink). The
+// acceptance bar is <= 3% slowdown enabled and noise-level when disabled;
+// the hot loops only bump plain struct ints either way, so the difference
+// is confined to the per-run flush and the per-improvement samples. Only
+// tabu and region are bound here (not via obswire — that package imports
+// this one).
 func BenchmarkTabuTelemetry(b *testing.B) {
 	base := eightKPartition(b)
+	var solveHist *obs.Histogram
 	modes := []struct {
 		name string
 		bind func()
+		// request, when set, opens a request-shaped context for one run
+		// and returns it with the function that closes the request.
+		request func() (context.Context, func())
 	}{
-		{"absent", func() { SetMetrics(nil); region.SetMetrics(nil) }},
+		{"absent", func() { SetMetrics(nil); region.SetMetrics(nil) }, nil},
 		{"disabled", func() {
 			r := obs.New()
 			SetMetrics(r)
 			region.SetMetrics(r)
-		}},
+		}, nil},
 		{"enabled", func() {
 			r := obs.New()
 			r.SetEnabled(true)
 			SetMetrics(r)
 			region.SetMetrics(r)
+		}, nil},
+		{"recorded", func() {
+			r := obs.New()
+			r.SetEnabled(true)
+			r.SetSink(obs.NewJSONLSink(io.Discard))
+			SetMetrics(r)
+			region.SetMetrics(r)
+			solveHist = r.Histogram("emp_solve_duration", "Solve wall-time distribution.", nil)
+		}, func() (context.Context, func()) {
+			span, ctx := solveHist.StartCtx(context.Background())
+			return flight.NewContext(ctx, flight.NewRecorder(0)), func() { span.End() }
 		}},
 	}
 	defer func() { SetMetrics(nil); region.SetMetrics(nil) }()
@@ -178,7 +200,12 @@ func BenchmarkTabuTelemetry(b *testing.B) {
 				b.StopTimer()
 				p := base.Clone()
 				b.StartTimer()
+				end := func() {}
+				if mode.request != nil {
+					cfg.Ctx, end = mode.request()
+				}
 				st := Improve(p, cfg)
+				end()
 				moves += st.Moves
 			}
 			b.ReportMetric(float64(moves)/float64(b.N), "moves/op")

@@ -83,12 +83,10 @@ func TestImproveKernelDifferential(t *testing.T) {
 		}
 		old := p.Clone()
 		old.SetHeteroKernel(false)
-		oldCfg := cfg
-		oldCfg.Fallback = true
 
 		fs := Improve(fast, cfg)
 		ss := Improve(slow, cfg)
-		os := Improve(old, oldCfg)
+		os := improveFallback(old, cfg)
 		if os.ReplayedMoves != 0 {
 			t.Fatalf("seed %d: the fallback replayed %d moves; it must execute every move", seed, os.ReplayedMoves)
 		}

@@ -8,11 +8,12 @@ import (
 )
 
 // fallbackSearcher is the pre-kernel implementation of the search, kept
-// verbatim (plus the tolerance tie-break fix) behind Config.Fallback as the
-// differential-testing and benchmarking baseline. Its per-iteration costs
-// are the ones the incremental searcher eliminates: a full objective
-// recompute per pick, a linear scan over the whole candidate map, one BFS
-// per donor-contiguity check, and a candidate-map sweep per refresh.
+// verbatim (plus the tolerance tie-break fix) as an independent reference
+// for the differential test and the "naive" leg of BenchmarkTabuImprove8k.
+// Its per-iteration costs are the ones the incremental searcher eliminates:
+// a full objective recompute per pick, a linear scan over the whole
+// candidate map, one BFS per donor-contiguity check, and a candidate-map
+// sweep per refresh. It executes every move (no cycle fast-forward).
 type fallbackSearcher struct {
 	p        *region.Partition
 	obj      Objective

@@ -11,22 +11,21 @@ import (
 // call, so the per-candidate cost of telemetry is an ordinary integer
 // increment regardless of whether a registry is bound.
 //
-// The kernel and fallback searchers count the same quantities but do
-// different amounts of work by design (that asymmetry is the point of the
-// kernel), so the values are comparable within one implementation only.
+// The naive reference searcher in the package tests counts the same
+// quantities but does different amounts of work by design (that asymmetry
+// is the point of the kernel), so the values are comparable within one
+// implementation only.
 type Counters struct {
 	// CandidateEvals counts objective DeltaMove evaluations.
 	CandidateEvals int64
 	// HeapPushes and HeapPops count candidate-heap operations, including
-	// the pick loop's pop/re-push churn and removals (always 0 for the
-	// fallback searcher, which has no heap).
+	// the pick loop's pop/re-push churn and removals.
 	HeapPushes, HeapPops int64
 	// TabuRejections counts candidates skipped because they were tabu
 	// without meeting the aspiration criterion.
 	TabuRejections int64
-	// RemovabilityPasses counts donor-side contiguity computations: whole-
-	// region articulation passes for the kernel searcher, per-candidate
-	// BFS checks for the fallback.
+	// RemovabilityPasses counts donor-side contiguity computations (whole-
+	// region articulation passes).
 	RemovabilityPasses int64
 }
 
@@ -54,16 +53,16 @@ func (c *Counters) addPeriods(now, base Counters, q int64) {
 // pkgMetrics holds the registry-bound counters; nil until SetMetrics binds
 // a registry (obs counters are nil-receiver safe).
 type pkgMetrics struct {
-	runs, fallbackRuns *obs.Counter
-	moves              *obs.Counter
-	replayedMoves      *obs.Counter
-	improvements       *obs.Counter
-	candidateEvals     *obs.Counter
-	heapPushes         *obs.Counter
-	heapPops           *obs.Counter
-	tabuRejections     *obs.Counter
-	removability       *obs.Counter
-	span               *obs.Timer
+	runs           *obs.Counter
+	moves          *obs.Counter
+	replayedMoves  *obs.Counter
+	improvements   *obs.Counter
+	candidateEvals *obs.Counter
+	heapPushes     *obs.Counter
+	heapPops       *obs.Counter
+	tabuRejections *obs.Counter
+	removability   *obs.Counter
+	span           *obs.Timer
 }
 
 var met pkgMetrics
@@ -77,8 +76,6 @@ func SetMetrics(r *obs.Registry) {
 	}
 	met = pkgMetrics{
 		runs: r.Counter("emp_tabu_runs_total{impl=\"kernel\"}",
-			"Tabu Improve invocations by searcher implementation."),
-		fallbackRuns: r.Counter("emp_tabu_runs_total{impl=\"fallback\"}",
 			"Tabu Improve invocations by searcher implementation."),
 		moves: r.Counter("emp_tabu_moves_total",
 			"Accepted local-search moves (including later-reverted and replayed ones)."),
@@ -95,7 +92,7 @@ func SetMetrics(r *obs.Registry) {
 		tabuRejections: r.Counter("emp_tabu_rejections_total",
 			"Candidates skipped as tabu without aspiration."),
 		removability: r.Counter("emp_tabu_removability_passes_total",
-			"Donor-side contiguity computations (articulation passes or BFS checks)."),
+			"Donor-side contiguity computations (articulation passes)."),
 		span: r.Timer("emp_tabu_improve_duration",
 			"Wall time of tabu.Improve runs."),
 	}
@@ -103,13 +100,9 @@ func SetMetrics(r *obs.Registry) {
 
 // flushRun records one finished Improve run into the bound registry and
 // folds the partition's region-level counters along with it.
-func flushRun(st *Stats, fallback bool, p *region.Partition) {
+func flushRun(st *Stats, p *region.Partition) {
 	m := met
-	if fallback {
-		m.fallbackRuns.Inc()
-	} else {
-		m.runs.Inc()
-	}
+	m.runs.Inc()
 	m.moves.Add(int64(st.Moves))
 	m.replayedMoves.Add(int64(st.ReplayedMoves))
 	m.improvements.Add(int64(st.Improvements))
