@@ -183,7 +183,7 @@ func improve(p *region.Partition, cfg Config) Stats {
 				stats.Improvements++
 				undo = undo[:0]
 				// New incumbent: one flight-recorder sample.
-				rec.Improve(p.NumRegions(), best, stats.Accepted)
+				rec.Improve(p.NumRegions(), best, stats.Accepted, nil)
 			}
 		}
 	}

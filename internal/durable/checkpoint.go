@@ -79,12 +79,13 @@ func RemoveCheckpoint(dir, jobID string) {
 	os.Remove(CheckpointPath(dir, jobID))
 }
 
-// Checkpointer turns a stream of incumbent offers (from the flight
-// recorder's assignment tap) into throttled checkpoint writes. Writes happen
-// on the offering goroutine — the solver's — so the throttle is what keeps
-// persistence off the hot path: an offer inside the interval, or one that
-// improves less than MinImprove, costs two comparisons and never builds the
-// O(n) assignment.
+// Checkpointer turns a stream of incumbent offers (the flight recorder's
+// samples that carry an assignment builder) into throttled checkpoint
+// writes. Only whole-problem incumbents arrive: shard sub-solves record
+// nothing. Writes happen on the offering goroutine — the solver's — so the
+// throttle is what keeps persistence off the hot path: an offer inside the
+// interval, or one that improves less than MinImprove, costs two
+// comparisons and never builds the O(n) assignment.
 type Checkpointer struct {
 	Dir         string
 	JobID       string

@@ -296,21 +296,18 @@ func SolveCtx(ctx context.Context, ds *data.Dataset, set constraint.Set, cfg Con
 }
 
 // solveWhole runs the three FaCT phases on the dataset as one instance.
-// asShard marks a sub-solve of one component: those are accounted by the
-// shard counters (emp_shard_solves_total, emp_shard_solve_duration) and the
+// asShard marks a sub-solve of one shard: those are accounted by the shard
+// counters (emp_shard_solves_total, emp_shard_solve_duration) and the
 // merged result's single solve event, so they skip the top-level
-// emp_solve_total bump and event emission — one request, one solve count.
+// emp_solve_total bump and event emission — one request, one solve count —
+// and run their iterations on the slot they already hold. The flight
+// recorder needs no such flag: the shard runner hands sub-solves a context
+// without one, so every sample recorded here describes the whole problem.
 func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator, cfg Config, asShard bool) (*Result, error) {
 	cfg = cfg.withDefaults(ds.N())
 
-	// The flight recorder rides the context; sub-solves of a sharded run
-	// share the parent's recorder but leave its phase at "shards" (phase
-	// transitions describe the top-level solve, samples carry per-component
-	// incumbents).
 	rec := flight.FromContext(ctx)
-	if !asShard {
-		rec.SetPhase(flight.PhaseFeasibility)
-	}
+	rec.SetPhase(flight.PhaseFeasibility)
 	feasSpan, _ := met.spanFeas.StartCtx(ctx)
 	feas, err := Analyze(ds, ev)
 	feasTime := feasSpan.End()
@@ -332,9 +329,7 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 	// iteration runs under the caller's full deadline (it produces the
 	// incumbent everything degrades to); re-roll iterations run under the
 	// construction budget slice so a deadline leaves room for the search.
-	if !asShard {
-		rec.SetPhase(flight.PhaseConstruction)
-	}
+	rec.SetPhase(flight.PhaseConstruction)
 	consSpan, _ := met.spanCons.StartCtx(ctx)
 	candidates := make([]*region.Partition, cfg.Iterations)
 	panicMsgs := make([]string, cfg.Iterations)
@@ -447,10 +442,7 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 	// The construction incumbent is the first curve point: everything the
 	// search does improves on it. It is also the first checkpointable
 	// assignment — a crash during a long search resumes from at least here.
-	rec.Improve(best.NumRegions(), res.HeteroBefore, 0)
-	if rec.AssignWanted() && flight.AssignAllowed(ctx) {
-		rec.OfferAssign(best.NumRegions(), res.HeteroBefore, 0, best.DenseAssignment)
-	}
+	rec.Improve(best.NumRegions(), res.HeteroBefore, 0, best.DenseAssignment)
 	if consCtx != ctx && consCtx.Err() != nil && ctx.Err() == nil &&
 		!deadlineHit && res.Iterations < cfg.Iterations {
 		// The construction budget slice ran out with the overall deadline
@@ -471,9 +463,7 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 			"deadline exceeded during construction; returning the construction-phase incumbent without local search")
 	}
 	if !skipSearch {
-		if !asShard {
-			rec.SetPhase(flight.PhaseSearch)
-		}
+		rec.SetPhase(flight.PhaseSearch)
 		// searchCtx carries the phase span's identity, so the tabu/anneal
 		// span nests under it; cancellation semantics are untouched (the
 		// derived context shares ctx's Done channel).
@@ -524,9 +514,9 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 		}
 		met.solves.Inc()
 		emitSolveEvent(res, cfg.LocalSearch.String())
-		// Final curve point: the (p, H) the caller's response reports.
-		rec.Finish(res.P, res.HeteroAfter)
 	}
+	// Final curve point: the (p, H) the caller's response reports.
+	rec.Finish(res.P, res.HeteroAfter)
 	return res, nil
 }
 

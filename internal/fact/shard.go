@@ -143,11 +143,12 @@ func solveSharded(ctx context.Context, ds *data.Dataset, set constraint.Set, ev 
 // caller's, reserving budget for later phases); spanCtx carries the parent
 // phase span so per-shard spans nest correctly.
 func runSubSolves(subCtx, spanCtx context.Context, plan *shard.Plan, subArts []*prep.Artifact, set constraint.Set, cfg Config, noun string) (subs []*Result, failMsgs []string, runErr error) {
-	// Shard datasets renumber areas, so a shard-local assignment is
-	// meaningless as a whole-problem warm seed; suppress checkpoint offers
-	// for the entire sub-solve subtree (both contexts reach solver code).
-	subCtx = flight.WithoutAssign(subCtx)
-	spanCtx = flight.WithoutAssign(spanCtx)
+	// A sub-solve's p, H and assignment describe its shard, not the problem
+	// the caller's recorder tracks (shard datasets renumber areas), so the
+	// whole sub-solve subtree runs without a recorder. The parent records
+	// the phases and the final (p, H).
+	subCtx = flight.NewContext(subCtx, nil)
+	spanCtx = flight.NewContext(spanCtx, nil)
 	subs = make([]*Result, len(plan.Shards))
 	failMsgs = make([]string, len(plan.Shards))
 	runErr = shard.Run(subCtx, len(plan.Shards), cfg.pool(), func(i int) error {

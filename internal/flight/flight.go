@@ -10,6 +10,12 @@
 // in a preallocated ring under a mutex — sampling happens at improvement
 // granularity (tens to hundreds per solve), never per candidate move, so the
 // lock is uncontended and the hot path stays allocation-free.
+//
+// Every sample describes the whole problem: shard sub-solves run under a
+// context whose recorder is nil, so they record nothing, and the parent
+// records the phases, the seam-repair incumbents of a cut solve and the
+// final (p, H). One tap (SetTap) receives every sample, together with a
+// builder for the incumbent's assignment when the sample carries one.
 package flight
 
 import (
@@ -70,27 +76,32 @@ const DefaultSamples = 256
 // overwrites its oldest samples on overflow (the recent tail is what the
 // anytime curve needs); Dropped reports how many were lost.
 type Recorder struct {
-	mu        sync.Mutex
-	t0        time.Time
-	buf       []sample
-	head      int // index of oldest sample once the ring is full
-	total     int // samples ever recorded
-	phase     Phase
-	lastP     int32
-	lastH     float64
-	doneNs    int64 // elapsed at Finish, 0 while in flight
-	finished  bool
-	tap       func(Sample)
-	assignTap func(Sample, func() []int)
+	mu       sync.Mutex
+	t0       time.Time
+	buf      []sample
+	head     int // index of oldest sample once the ring is full
+	total    int // samples ever recorded
+	phase    Phase
+	lastP    int32
+	lastH    float64
+	doneNs   int64 // elapsed at Finish, 0 while in flight
+	finished bool
+	tap      func(Sample, func() []int)
 }
 
 // SetTap installs a callback invoked with every sample the recorder
-// captures, after it lands in the ring. The tap runs outside the recorder
-// mutex (a slow consumer delays the recording goroutine, never a concurrent
-// reader) and must be installed before the solve starts — it is not
-// synchronized against in-flight recording. The async jobs layer uses it to
-// stream incumbent improvements to watchers as they happen.
-func (r *Recorder) SetTap(fn func(Sample)) {
+// captures, after it lands in the ring. assign is the builder Improve was
+// given (nil for phase transitions, Finish, and incumbents that offer none):
+// it returns the incumbent's assignment (area index → dense region label, -1
+// unassigned — the exact shape fact.Config.WarmStart consumes) in O(n), so
+// the tap calls it only for samples it acts on, and only before returning,
+// while the solver still sits at that incumbent. The tap runs outside the
+// recorder mutex, on the recording goroutine (a slow consumer delays the
+// solve, never a concurrent reader), and must be installed before the solve
+// starts — it is not synchronized against in-flight recording. The async
+// jobs layer uses it to stream samples to watchers and to checkpoint
+// incumbents.
+func (r *Recorder) SetTap(fn func(s Sample, assign func() []int)) {
 	if r == nil {
 		return
 	}
@@ -143,13 +154,15 @@ func (r *Recorder) SetPhase(p Phase) {
 	tap := r.tap
 	r.mu.Unlock()
 	if tap != nil {
-		tap(export(s))
+		tap(export(s), nil)
 	}
 }
 
 // Improve records a new incumbent: current region count p, heterogeneity h
-// and the cumulative move count of the search so far.
-func (r *Recorder) Improve(p int, h float64, moves int) {
+// and the cumulative move count of the search so far. assign, when non-nil,
+// builds the incumbent's assignment for the tap; it is valid only for the
+// duration of the call.
+func (r *Recorder) Improve(p int, h float64, moves int, assign func() []int) {
 	if r == nil {
 		return
 	}
@@ -160,7 +173,7 @@ func (r *Recorder) Improve(p int, h float64, moves int) {
 	tap := r.tap
 	r.mu.Unlock()
 	if tap != nil {
-		tap(export(s))
+		tap(export(s), assign)
 	}
 }
 
@@ -181,7 +194,7 @@ func (r *Recorder) Finish(p int, h float64) {
 	tap := r.tap
 	r.mu.Unlock()
 	if tap != nil {
-		tap(export(s))
+		tap(export(s), nil)
 	}
 }
 
@@ -240,7 +253,9 @@ func (r *Recorder) cost() int64 {
 // ctxKey keys the recorder in a context.
 type ctxKey struct{}
 
-// NewContext returns ctx carrying the recorder.
+// NewContext returns ctx carrying the recorder. A nil recorder masks any
+// recorder ctx already carries: everything run under the result records
+// nothing.
 func NewContext(ctx context.Context, r *Recorder) context.Context {
 	return context.WithValue(ctx, ctxKey{}, r)
 }

@@ -16,9 +16,9 @@ func TestRecorderCurve(t *testing.T) {
 	r.SetPhase(PhaseFeasibility)
 	r.SetPhase(PhaseFeasibility) // repeat transitions record nothing
 	r.SetPhase(PhaseConstruction)
-	r.Improve(40, 900.5, 0)
+	r.Improve(40, 900.5, 0, nil)
 	r.SetPhase(PhaseSearch)
-	r.Improve(40, 850.25, 10)
+	r.Improve(40, 850.25, 10, nil)
 	r.Finish(40, 850.25)
 
 	curve := r.Curve()
@@ -53,7 +53,7 @@ func TestRecorderCurve(t *testing.T) {
 func TestRecorderRingOverflow(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Improve(50-i, float64(1000-i), i)
+		r.Improve(50-i, float64(1000-i), i, nil)
 	}
 	curve := r.Curve()
 	if len(curve) != 4 {
@@ -68,10 +68,29 @@ func TestRecorderRingOverflow(t *testing.T) {
 	}
 }
 
+// TestRecorderTap: the tap sees every sample, in order, and receives a
+// builder only with the incumbents that offered one.
+func TestRecorderTap(t *testing.T) {
+	r := NewRecorder(0)
+	var got []string
+	r.SetTap(func(s Sample, assign func() []int) {
+		got = append(got, fmt.Sprintf("%s/%d/%v", s.Phase, s.P, assign != nil))
+	})
+	r.SetPhase(PhaseConstruction)
+	r.Improve(7, 10, 0, func() []int { return []int{0} })
+	r.SetPhase(PhaseSearch)
+	r.Improve(7, 9, 3, nil)
+	r.Finish(7, 9)
+	want := "[construction/0/false construction/7/true search/7/false search/7/false done/7/false]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("tap saw %v, want %s", got, want)
+	}
+}
+
 func TestNilRecorderAndContext(t *testing.T) {
 	var r *Recorder
 	r.SetPhase(PhaseSearch)
-	r.Improve(1, 2, 3)
+	r.Improve(1, 2, 3, nil)
 	r.Finish(1, 2)
 	if got := r.Curve(); got != nil {
 		t.Fatalf("nil recorder curve = %v", got)
@@ -86,6 +105,9 @@ func TestNilRecorderAndContext(t *testing.T) {
 	ctx := NewContext(context.Background(), rec)
 	if FromContext(ctx) != rec {
 		t.Fatal("context round trip lost the recorder")
+	}
+	if FromContext(NewContext(ctx, nil)) != nil {
+		t.Fatal("a nil recorder did not mask the parent's")
 	}
 }
 
@@ -103,7 +125,7 @@ func TestStoreLifecycle(t *testing.T) {
 	trace := obs.NewTraceID()
 	rec := st.Begin(trace, "3comp")
 	rec.SetPhase(PhaseSearch)
-	rec.Improve(12, 500, 4)
+	rec.Improve(12, 500, 4, nil)
 
 	if rows := st.Inflight(); len(rows) != 1 ||
 		rows[0].TraceID != trace.String() || rows[0].Dataset != "3comp" ||

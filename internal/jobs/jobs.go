@@ -7,9 +7,10 @@
 // The store owns job identity and lifecycle (queued → running → one of
 // done/failed/canceled); the HTTP layer owns execution (scheduler slots,
 // the solve itself) and calls the transition methods. Events arrive through
-// Job.AppendSample, wired as the flight recorder's tap, so the event stream
-// is exactly the convergence ring the /v1/debug introspection already
-// exposes — one sample source, two consumers.
+// Job.AppendSample, called from the flight recorder's one tap, so the event
+// stream and the /v1/debug convergence curve come from one sample source.
+// They keep different parts of it: the recorder's ring keeps the newest
+// samples, the event log the first maxEventsPerJob plus the terminal event.
 package jobs
 
 import (
@@ -65,8 +66,8 @@ type Event struct {
 
 // maxEventsPerJob bounds one job's event log. A long search records an
 // improvement every few hundred moves; 4096 only trips on runaway emitters,
-// which the cap converts into a DroppedEvents count instead of memory growth.
-// The terminal event is always appended.
+// whose overflow the cap discards instead of growing memory. The terminal
+// event is always appended.
 const maxEventsPerJob = 4096
 
 // Errors the store reports to the submission path.
@@ -246,7 +247,6 @@ type Job struct {
 	// Event log, guarded by evMu.
 	evMu      sync.Mutex
 	events    []Event
-	dropped   int
 	closed    bool // terminal event appended; no more samples accepted
 	lastP     int
 	lastH     float64
@@ -629,8 +629,8 @@ func (j *Job) Snapshot() Snapshot {
 
 // ---- Event log ----
 
-// AppendSample feeds one flight-recorder sample into the event log. It is
-// the recorder tap: called on the solve goroutine at improvement/phase
+// AppendSample feeds one flight-recorder sample into the event log. The
+// recorder's tap calls it on the solve goroutine at improvement/phase
 // granularity. Samples that change the incumbent (p, H) become "incumbent"
 // events, others "phase" events; samples after the terminal event (a cancel
 // racing the solve's last improvements) are dropped.
@@ -667,7 +667,6 @@ func (j *Job) AppendSample(s flight.Sample) {
 // Caller holds evMu.
 func (j *Job) appendLocked(ev Event) {
 	if len(j.events) >= maxEventsPerJob && ev.Type != "done" {
-		j.dropped++
 		return
 	}
 	ev.Seq = len(j.events)
@@ -734,11 +733,4 @@ func (j *Job) EventsSince(since int) (evs []Event, next <-chan struct{}, sealed 
 		evs = append(evs, j.events[since:]...)
 	}
 	return evs, j.notify, j.closed
-}
-
-// DroppedEvents returns how many samples the cap discarded.
-func (j *Job) DroppedEvents() int {
-	j.evMu.Lock()
-	defer j.evMu.Unlock()
-	return j.dropped
 }

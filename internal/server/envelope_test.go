@@ -18,6 +18,7 @@ import (
 func TestErrorEnvelopeMatrix(t *testing.T) {
 	h := NewHandler(Config{Registry: obs.New(), MaxBodyBytes: 256})
 	huge := `{"named":"1k","constraints":"` + strings.Repeat("x", 512) + `"}`
+	negIter := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 1","options":{"iterations":-1}}`
 	cases := []struct {
 		name         string
 		method, path string
@@ -44,6 +45,8 @@ func TestErrorEnvelopeMatrix(t *testing.T) {
 		{"jobs-bad-json", http.MethodPost, "/v1/jobs", `{`, http.StatusBadRequest, "bad_request", ""},
 		{"jobs-too-large", http.MethodPost, "/v1/jobs", huge, http.StatusRequestEntityTooLarge, "payload_too_large", ""},
 		{"jobs-no-source", http.MethodPost, "/v1/jobs", `{"constraints":"SUM(TOTALPOP) >= 1"}`, http.StatusBadRequest, "bad_request", ""},
+		{"solve-negative-iterations", http.MethodPost, "/v1/solve", negIter, http.StatusBadRequest, "bad_request", ""},
+		{"jobs-negative-iterations", http.MethodPost, "/v1/jobs", negIter, http.StatusBadRequest, "bad_request", ""},
 		// Unknown paths and ids: the catch-all and the id lookups envelope too.
 		{"unknown-root", http.MethodGet, "/nope", "", http.StatusNotFound, "not_found", ""},
 		{"unknown-v1", http.MethodGet, "/v1/nope", "", http.StatusNotFound, "not_found", ""},

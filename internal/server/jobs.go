@@ -165,18 +165,19 @@ func (s *service) runJob(j *jobs.Job, req *SolveRequest, set constraint.Set, cfg
 	rec := s.fstore.Begin(sc.Trace, j.Dataset())
 	defer s.fstore.Finish(sc.Trace)
 	s.jobs.SetTrace(j, sc.Trace.String())
-	// The recorder tap is the event source: every phase transition and
-	// incumbent improvement the solver records lands in the job's event log,
-	// so the SSE stream and the debug curve are one and the same data.
-	rec.SetTap(j.AppendSample)
-	// With a state dir, improvements also feed the job's incumbent checkpoint:
-	// the recorder hands the solver's current assignment to the checkpointer,
-	// which throttles and persists it so a crash resumes from near the front.
-	if ck := s.newCheckpointer(j, fp); ck != nil {
-		rec.SetAssignTap(func(sm flight.Sample, assign func() []int) {
+	// The recorder tap is the job's one incumbent feed: every phase
+	// transition and incumbent the solver records lands in the job's event
+	// log, and with a state dir each incumbent that offers its assignment
+	// also goes to the checkpointer, which throttles and persists it so a
+	// crash resumes from near the front (ck is nil without one, and Offer
+	// accepts a nil receiver).
+	ck := s.newCheckpointer(j, fp)
+	rec.SetTap(func(sm flight.Sample, assign func() []int) {
+		j.AppendSample(sm)
+		if assign != nil {
 			ck.Offer(sm.P, sm.H, sm.Moves, assign)
-		})
-	}
+		}
+	})
 	s.jobs.SetRecorder(j, rec)
 	ctx = flight.NewContext(ctx, rec)
 	// Unlike the sync path, a queued job is not shed on queue pressure: it

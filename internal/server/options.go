@@ -44,9 +44,22 @@ func (o *SolveOptions) UnmarshalJSON(b []byte) error {
 }
 
 // Config converts the wire options to the solver config, validating the
-// enum spellings. It is the only mapping between the two representations;
-// handler code must not translate knobs field-by-field.
+// counts and the enum spellings. It is the only mapping between the two
+// representations; handler code must not translate knobs field-by-field.
 func (o SolveOptions) Config() (fact.Config, error) {
+	for _, c := range []struct {
+		key string
+		v   int
+	}{
+		{"iterations", o.Iterations},
+		{"merge_limit", o.MergeLimit},
+		{"tabu_length", o.TabuLength},
+		{"max_no_improve", o.MaxNoImprove},
+	} {
+		if c.v < 0 {
+			return fact.Config{}, fmt.Errorf("%s must be >= 0 (0 means the default), got %d", c.key, c.v)
+		}
+	}
 	cfg := fact.Config{
 		Iterations:      o.Iterations,
 		MergeLimit:      o.MergeLimit,

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"emp/internal/constraint"
@@ -72,25 +74,81 @@ func TestOptionsConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOptionsConfigValidation rejects unknown enum spellings.
+// optionsValidation lists wire options Config must reject or accept; err
+// is a substring the rejection must contain (the offending key), "" for
+// options it must accept. FuzzSolveOptions seeds its corpus from it.
+var optionsValidation = []struct {
+	opts SolveOptions
+	err  string
+}{
+	{SolveOptions{LocalSearch: "genetic"}, "local_search"},
+	{SolveOptions{Order: "sideways"}, "order"},
+	{SolveOptions{CutShards: 1}, "cut_shards"},
+	{SolveOptions{CutShards: -3}, "cut_shards"},
+	{SolveOptions{Iterations: -1}, "iterations"},
+	{SolveOptions{MergeLimit: -1}, "merge_limit"},
+	{SolveOptions{TabuLength: -3}, "tabu_length"},
+	{SolveOptions{MaxNoImprove: -5}, "max_no_improve"},
+	{SolveOptions{}, ""},
+	{SolveOptions{LocalSearch: "tabu", Order: "random"}, ""},
+	{SolveOptions{LocalSearch: "anneal", Order: "descending"}, ""},
+	{SolveOptions{CutShards: 4}, ""},
+	{SolveOptions{Iterations: 3, MergeLimit: 2, TabuLength: 7, MaxNoImprove: 50}, ""},
+}
+
+// TestOptionsConfigValidation rejects unknown enum spellings, negative
+// counts and a one-way cut, naming the offending key.
 func TestOptionsConfigValidation(t *testing.T) {
-	if _, err := (SolveOptions{LocalSearch: "genetic"}).Config(); err == nil {
-		t.Error("unknown local_search accepted")
-	}
-	if _, err := (SolveOptions{Order: "sideways"}).Config(); err == nil {
-		t.Error("unknown order accepted")
-	}
-	if _, err := (SolveOptions{CutShards: 1}).Config(); err == nil {
-		t.Error("cut_shards=1 accepted (must be 0 or >= 2)")
-	}
-	if _, err := (SolveOptions{CutShards: -3}).Config(); err == nil {
-		t.Error("negative cut_shards accepted")
-	}
-	for _, o := range []SolveOptions{{}, {LocalSearch: "tabu", Order: "random"}, {LocalSearch: "anneal", Order: "descending"}, {CutShards: 4}} {
-		if _, err := o.Config(); err != nil {
-			t.Errorf("valid options %+v rejected: %v", o, err)
+	for _, tc := range optionsValidation {
+		_, err := tc.opts.Config()
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("valid options %+v rejected: %v", tc.opts, err)
+		case tc.err != "" && err == nil:
+			t.Errorf("options %+v accepted, want a %s error", tc.opts, tc.err)
+		case tc.err != "" && !strings.Contains(err.Error(), tc.err):
+			t.Errorf("options %+v: error %q does not name %s", tc.opts, err, tc.err)
 		}
 	}
+}
+
+// FuzzSolveOptions decodes arbitrary bytes as the wire options object. No
+// input may panic, and any options Config accepts must carry non-negative
+// counts and a cut_shards of 0 or at least 2, and must round-trip unchanged
+// through OptionsFromConfig.
+func FuzzSolveOptions(f *testing.F) {
+	for _, tc := range optionsValidation {
+		b, err := json.Marshal(tc.opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"iterations":-1}`))
+	f.Add([]byte(`{"seed":5,"shard_off":true}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var o SolveOptions
+		if json.Unmarshal(b, &o) != nil {
+			return
+		}
+		cfg, err := o.Config()
+		if err != nil {
+			return
+		}
+		if cfg.Iterations < 0 || cfg.MergeLimit < 0 || cfg.TabuLength < 0 || cfg.MaxNoImprove < 0 {
+			t.Fatalf("%s: accepted a negative count: %+v", b, cfg)
+		}
+		if cfg.CutShards < 0 || cfg.CutShards == 1 {
+			t.Fatalf("%s: accepted cut_shards %d", b, cfg.CutShards)
+		}
+		back, err := OptionsFromConfig(cfg).Config()
+		if err != nil {
+			t.Fatalf("%s: round trip rejected: %v", b, err)
+		}
+		if !reflect.DeepEqual(back, cfg) {
+			t.Fatalf("%s: round trip changed the config: %+v -> %+v", b, cfg, back)
+		}
+	})
 }
 
 // TestFingerprintKnobs checks the fingerprint policy: every wire knob splits

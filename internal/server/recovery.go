@@ -224,8 +224,8 @@ func (s *service) journalSubmit(j *jobs.Job, req *SolveRequest) {
 	}
 }
 
-// newCheckpointer builds the per-job checkpoint sink runJob installs as the
-// flight recorder's assignment tap; nil without a state dir.
+// newCheckpointer builds the per-job checkpoint sink runJob's recorder tap
+// offers incumbents to; nil without a state dir.
 func (s *service) newCheckpointer(j *jobs.Job, fp string) *durable.Checkpointer {
 	if s.journal == nil {
 		return nil

@@ -290,49 +290,56 @@ func TestRecoveryCorruptStateBootsClean(t *testing.T) {
 	}
 }
 
-// TestRecoveryRemovedOptionDropped: a journaled body carrying an option key
-// the server no longer accepts fails re-validation on boot. The record is
-// counted as corrupt and its job retired, and boot still reaches ready and
-// serves.
+// TestRecoveryRemovedOptionDropped: a journaled body that no longer passes
+// validation — an option key the server no longer accepts, or a value it
+// now rejects — fails re-validation on boot. The record is counted as
+// corrupt and its job retired, and boot still reaches ready and serves.
 func TestRecoveryRemovedOptionDropped(t *testing.T) {
-	dir := t.TempDir()
-	const id = "eeeeeeeeeeeeeeee"
-	body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":5,"shard_off":true}}`
-	j, _, err := durable.Open(filepath.Join(dir, "jobs.journal"), durable.Metrics{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(durable.Record{
-		Kind: durable.RecordSubmit, JobID: id, Fingerprint: "stale",
-		DatasetKey: "1k", Dataset: "1k", Body: json.RawMessage(body),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct{ name, options string }{
+		{"removed-key", `{"seed":5,"shard_off":true}`},
+		{"negative-iterations", `{"seed":5,"iterations":-1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const id = "eeeeeeeeeeeeeeee"
+			body := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":` + tc.options + `}`
+			j, _, err := durable.Open(filepath.Join(dir, "jobs.journal"), durable.Metrics{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(durable.Record{
+				Kind: durable.RecordSubmit, JobID: id, Fingerprint: "stale",
+				DatasetKey: "1k", Dataset: "1k", Body: json.RawMessage(body),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	sv, h, reg := newRecoveryService(t, dir)
-	waitRecovered(t, sv)
-	if got := counterValue(reg, "emp_durable_corrupt_records_total"); got != 1 {
-		t.Errorf("corrupt_records_total = %d, want 1", got)
-	}
-	if code, _ := getJob(t, h, id); code != http.StatusNotFound {
-		t.Errorf("GET dropped job = %d, want 404", code)
-	}
-	if rec := postSolve(h, jobBody, "", nil); rec.Code != http.StatusOK {
-		t.Fatalf("solve after dropping the journaled job = %d: %s", rec.Code, rec.Body.String())
-	}
-	if err := sv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The retirement was journaled: the next boot replays nothing.
-	_, replay, err := durable.Open(filepath.Join(dir, "jobs.journal"), durable.Metrics{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pend := durable.Pending(replay.Records); len(pend) != 0 {
-		t.Fatalf("journal still pending after the drop: %+v", pend)
+			sv, h, reg := newRecoveryService(t, dir)
+			waitRecovered(t, sv)
+			if got := counterValue(reg, "emp_durable_corrupt_records_total"); got != 1 {
+				t.Errorf("corrupt_records_total = %d, want 1", got)
+			}
+			if code, _ := getJob(t, h, id); code != http.StatusNotFound {
+				t.Errorf("GET dropped job = %d, want 404", code)
+			}
+			if rec := postSolve(h, jobBody, "", nil); rec.Code != http.StatusOK {
+				t.Fatalf("solve after dropping the journaled job = %d: %s", rec.Code, rec.Body.String())
+			}
+			if err := sv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The retirement was journaled: the next boot replays nothing.
+			_, replay, err := durable.Open(filepath.Join(dir, "jobs.journal"), durable.Metrics{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pend := durable.Pending(replay.Records); len(pend) != 0 {
+				t.Fatalf("journal still pending after the drop: %+v", pend)
+			}
+		})
 	}
 }
 

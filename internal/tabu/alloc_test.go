@@ -38,16 +38,20 @@ func TestMoveLoopAllocs(t *testing.T) {
 	}
 }
 
-// TestDecliningAssignTapBuildsNothing: offering an incumbent to the
-// assignment tap hands over a builder, not an O(n) snapshot. With a tap that
-// declines every offer, the search allocates less than one assignment's
-// worth more than with no tap at all, however many improvements it offers.
-func TestDecliningAssignTapBuildsNothing(t *testing.T) {
+// TestDecliningTapBuildsNothing: offering an incumbent to the recorder's
+// tap hands over a builder, not an O(n) snapshot. With a tap that declines
+// every offer, the search allocates less than one assignment's worth more
+// than with no tap at all, however many improvements it offers.
+func TestDecliningTapBuildsNothing(t *testing.T) {
 	base := eightKPartition(t)
 	run := func(tap bool) (offers int, bytes uint64) {
 		rec := flight.NewRecorder(0)
 		if tap {
-			rec.SetAssignTap(func(flight.Sample, func() []int) { offers++ })
+			rec.SetTap(func(_ flight.Sample, assign func() []int) {
+				if assign != nil {
+					offers++
+				}
+			})
 		}
 		ctx := flight.NewContext(context.Background(), rec)
 		p := base.Clone()

@@ -226,12 +226,6 @@ func Improve(p *region.Partition, cfg Config) Stats {
 	// reconstructed span tree; the flight recorder rides the same context.
 	sp, _ := met.span.StartCtx(cfg.Ctx)
 	rec := flight.FromContext(cfg.Ctx)
-	// Decided once up front: whether incumbent assignments should be
-	// snapshotted for the checkpoint tap. The check is hoisted out of the
-	// move loop so the steady state stays allocation-free when no tap is
-	// installed (shard sub-solves additionally suppress offers by context —
-	// their renumbered assignments are meaningless as whole-problem seeds).
-	offerAssign := rec.AssignWanted() && flight.AssignAllowed(cfg.Ctx)
 	// The assignment builder is bound once: a method value taken per
 	// improvement would allocate each time.
 	dense := p.DenseAssignment
@@ -291,10 +285,7 @@ func Improve(p *region.Partition, cfg Config) Stats {
 			// cleared), so this is also the one safe point to offer the
 			// assignment for checkpointing; the tap builds it only if it
 			// writes.
-			rec.Improve(p.NumRegions(), best, stats.Moves)
-			if offerAssign {
-				rec.OfferAssign(p.NumRegions(), best, stats.Moves, dense)
-			}
+			rec.Improve(p.NumRegions(), best, stats.Moves, dense)
 		} else {
 			noImprove++
 			// A proven cycle: account for its remaining full periods at
