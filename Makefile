@@ -33,11 +33,12 @@ check: vet staticcheck race
 
 # chaos runs the fault-injection suite under the race detector: seeded,
 # deterministic failure scenarios (deadline mid-search, shard panics,
-# transient retries, injected cancellation) against internal/fact, the fault
-# registry itself, and the server robustness surface (/readyz drain,
-# timeout_ms clamping, degraded-response caching). See docs/ROBUSTNESS.md.
+# transient retries, injected cancellation, the construction and cut-shard
+# deadline slices) against internal/fact, the fault registry itself, and the
+# server robustness surface (/readyz drain, timeout_ms clamping,
+# degraded-response caching). See docs/ROBUSTNESS.md.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestConstructionBudget|TestReadiness|TestSolveTimeout|TestSolveDeadline504|TestSolveDegraded|TestSolveDatasetGenerationRetry|TestSchedulerSaturated' \
+	$(GO) test -race -run 'TestChaos|TestConstructionBudget|TestCutBudget|TestReadiness|TestSolveTimeout|TestSolveDeadline504|TestSolveDegraded|TestSolveDatasetGenerationRetry|TestSchedulerSaturated' \
 		./internal/fact/ ./internal/server/ ./internal/solvecache/
 	$(GO) test -race ./internal/fault/ ./internal/durable/
 

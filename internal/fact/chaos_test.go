@@ -439,3 +439,34 @@ func TestConstructionBudgetLeavesSearchTime(t *testing.T) {
 		t.Errorf("no budget/deadline warning: %v", res.Warnings)
 	}
 }
+
+// TestCutBudgetLeavesSeamRepairTime pins the cut pipeline's budget split:
+// with every search move slowed down under a deadline, the cut sub-solves
+// stop at their 85% slice instead of running to the deadline, so the seam
+// repair still gets time to search and the degraded result carries seam
+// moves.
+func TestCutBudgetLeavesSeamRepairTime(t *testing.T) {
+	single, _, set, _ := chaosSetup(t)
+	fault.Enable(&fault.Plan{Rules: []fault.Rule{
+		// ~2ms per accepted move: each sub-solve's search alone would
+		// outlast the deadline.
+		{Site: "tabu.epoch", Kind: fault.KindDelay, Delay: 2 * time.Millisecond, Times: 1 << 30},
+	}})
+	defer fault.Enable(nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+	defer cancel()
+	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, CutShards: 4})
+	if err != nil {
+		t.Fatalf("budgeted cut solve must degrade, not fail: %v", err)
+	}
+	if res.CutShards < 2 {
+		t.Fatalf("CutShards = %d, want a real cut", res.CutShards)
+	}
+	if !res.Degraded {
+		t.Fatal("Degraded = false after the deadline cut the sub-solves")
+	}
+	if res.SeamMoves == 0 {
+		t.Errorf("seam repair made no moves in %v: the sub-solves spent its budget", res.SeamRepairTime)
+	}
+	t.Logf("seam repair: %d moves in %v", res.SeamMoves, res.SeamRepairTime)
+}

@@ -10,6 +10,7 @@ import (
 	"emp/internal/data"
 	"emp/internal/fault"
 	"emp/internal/graph"
+	"emp/internal/prep"
 	"emp/internal/region"
 )
 
@@ -50,18 +51,11 @@ type builder struct {
 // seeding from cfg.WarmStart (see warm.go); the repair substeps run either
 // way, so a warm seed under a perturbed constraint set is fixed up, not
 // trusted blindly.
-func construct(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator, feas *Feasibility, cfg *Config, rng *rand.Rand, warm bool) (*region.Partition, error) {
-	var p *region.Partition
-	if art := cfg.preparedFor(ds); art != nil {
-		// Prepared dataset: reuse the shared dissimilarity matrix, rank
-		// kernel and scratch pools instead of rebuilding them per iteration.
-		p = region.NewPartitionShared(art.Shared(), ev)
-	} else {
-		var err error
-		if p, err = region.NewPartition(ds, ev); err != nil {
-			return nil, err
-		}
-	}
+func construct(ctx context.Context, art *prep.Artifact, ev *constraint.Evaluator, feas *Feasibility, cfg *Config, rng *rand.Rand, warm bool) (*region.Partition, error) {
+	// The artifact's dissimilarity matrix, rank kernel and scratch pools are
+	// reused instead of rebuilt per iteration.
+	p := region.NewPartitionShared(art.Shared(), ev)
+	ds := art.Dataset()
 	b := &builder{
 		ctx:    ctx,
 		ds:     ds,

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"emp/internal/constraint"
-	"emp/internal/data"
 	"emp/internal/flight"
 	"emp/internal/prep"
 	"emp/internal/region"
@@ -15,126 +13,57 @@ import (
 	"emp/internal/tabu"
 )
 
-// cutSubSolveBudgetFrac is the share of the remaining deadline the cut-shard
-// sub-solves may spend. The tail is reserved for the seam repair: an
-// unrepaired stitch (unassigned boundary areas, un-searched seam regions)
-// costs more solution quality than slightly shorter sub-solves, so under a
-// deadline the sub-solves run on a slice and the repair runs under the
-// caller's full deadline. Without a deadline the split is a no-op.
-const cutSubSolveBudgetFrac = 0.85
-
-// cutSubSolveCtx allocates the cut-shard sub-solves' slice of the caller's
-// deadline, mirroring constructionCtx: no deadline (or one already spent)
-// returns ctx itself and a no-op cancel.
-func cutSubSolveCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		return ctx, func() {}
-	}
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
-		return ctx, func() {}
-	}
-	slice := time.Duration(cutSubSolveBudgetFrac * float64(remaining))
-	return context.WithDeadline(ctx, time.Now().Add(slice))
-}
-
 // solveCut runs the cut-sharded pipeline: slice the dataset into up to
-// cfg.CutShards balanced sub-instances along low-connectivity cuts
-// (shard.NewCutPlan), solve each as an independent FaCT instance on a
-// bounded pool, merge in shard order, then repair the stitch seams — rescue
-// boundary areas the cut stranded, and run a Tabu pass restricted to the
-// regions touching cut edges. Unlike component sharding the decomposition is
-// lossy (regions cannot span shards during the sub-solves), so the result
-// differs from the whole-graph solve; it is still a pure function of
-// (dataset, constraints, config), independent of the Pool size, because the
-// plan is deterministic, each sub-solve owns a mixed seed, and merge and
-// repair run in shard order.
-func solveCut(ctx context.Context, ds *data.Dataset, set constraint.Set, ev *constraint.Evaluator, cfg Config) (*Result, error) {
-	// Phase 1 runs globally, exactly like the component-sharded path: the
-	// per-area report is pointwise and dataset-level infeasibility
-	// short-circuits every shard at once.
-	rec := flight.FromContext(ctx)
-	rec.SetPhase(flight.PhaseFeasibility)
-	feasSpan, _ := met.spanFeas.StartCtx(ctx)
-	feas, err := Analyze(ds, ev)
-	feasTime := feasSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Feasibility: feas, FeasibilityTime: feasTime}
-	if !feas.Feasible {
-		met.solves.Inc()
-		met.infeasible.Inc()
-		return res, fmt.Errorf("%w: %v", ErrInfeasible, feas.Reasons)
-	}
-
-	rec.SetPhase(flight.PhaseShards)
+// cfg.CutShards balanced sub-instances along low-connectivity cuts (the
+// artifact's memoized shard.NewCutPlan), solve each as an independent FaCT
+// instance on a bounded pool, merge in shard order, then repair the stitch
+// seams — rescue boundary areas the cut stranded, and run a Tabu pass
+// restricted to the regions touching cut edges. Unlike component sharding
+// the decomposition is lossy (regions cannot span shards during the
+// sub-solves), so the result differs from the whole-graph solve; it is still
+// a pure function of (dataset, constraints, config), independent of the Pool
+// size, because the plan is deterministic, each sub-solve owns a mixed seed,
+// and merge and repair run in shard order.
+func solveCut(ctx context.Context, art *prep.Artifact, set constraint.Set, ev *constraint.Evaluator, cfg Config, res *Result) error {
+	flight.FromContext(ctx).SetPhase(flight.PhaseShards)
 	cutSpan, _ := met.spanCut.StartCtx(ctx)
-	art := cfg.preparedFor(ds)
-	var plan *shard.Plan
-	var subArts []*prep.Artifact
-	if art != nil {
-		plan, subArts, err = art.CutPlan(cfg.CutShards)
-	} else {
-		plan, err = shard.NewCutPlan(ds, cfg.CutShards)
-	}
+	plan, subArts, err := art.CutPlan(cfg.CutShards)
 	cutSpan.End()
 	if err != nil {
-		return nil, fmt.Errorf("fact: cut partitioning: %w", err)
+		return fmt.Errorf("fact: cut partitioning: %w", err)
 	}
 	if len(plan.Shards) < 2 {
 		// The partitioner could not produce a real split (tiny dataset);
 		// fall through to the normal pipeline rather than paying the merge
 		// and repair machinery for one shard.
-		if ds.Components() > 1 {
-			return solveSharded(ctx, ds, set, ev, cfg)
+		if art.Dataset().Components() > 1 {
+			return solveSharded(ctx, art, set, ev, cfg, res)
 		}
-		return solveWhole(ctx, ds, ev, cfg, false)
+		return solveWhole(ctx, art, ev, cfg, cfg.pool(), res)
 	}
 	res.Shards = len(plan.Shards)
 	res.CutShards = len(plan.Shards)
 	met.cutSolves.Inc()
 	met.cutShards.Add(int64(len(plan.Shards)))
 
+	// The sub-solves run under a slice of the deadline, derived from the
+	// shard span's context so one context carries both; the seam repair
+	// gets the rest.
 	shardSpan, shardCtx := met.spanShard.StartCtx(ctx)
-	subCtx, cancelSub := cutSubSolveCtx(ctx)
+	subCtx, cancelSub := budgetCtx(shardCtx, cutSubSolveBudgetFrac)
 	defer cancelSub()
-	subs, failMsgs, runErr := runSubSolves(subCtx, shardCtx, plan, subArts, set, cfg, "cut shard")
-	if err := settleSubSolves(ctx, subCtx, plan, subs, failMsgs, runErr, "cut shard"); err != nil {
-		shardSpan.End()
-		return nil, err
-	}
-
-	perShard := foldSubResults(res, plan, subs, failMsgs, "cut shard")
-	var merged *region.Partition
-	if art != nil {
-		merged, err = region.PartitionFromRegionsShared(art.Shared(), ev, plan.MergeRegions(perShard))
-	} else {
-		merged, err = region.PartitionFromRegions(ds, ev, plan.MergeRegions(perShard))
-	}
-	if err != nil {
-		shardSpan.End()
-		return nil, fmt.Errorf("fact: merging cut-shard partitions: %w", err)
-	}
+	merged, err := solveShards(ctx, subCtx, art, plan, subArts, set, ev, cfg, res, "cut shard")
 	shardSpan.End()
+	if err != nil {
+		return err
+	}
 
-	repairSeams(ctx, merged, plan, feas, cfg, res)
+	repairSeams(ctx, merged, plan, res.Feasibility, cfg, res)
 	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return nil, canceled(err)
+		return canceled(err)
 	}
-
-	res.Partition = merged
-	res.HeteroAfter = merged.Heterogeneity()
-	res.P = merged.NumRegions()
-	res.Unassigned = merged.UnassignedCount()
-	if res.Degraded {
-		met.degraded.Inc()
-	}
-	met.solves.Inc()
-	emitSolveEvent(res, cfg.LocalSearch.String())
-	rec.Finish(res.P, res.HeteroAfter)
-	return res, nil
+	res.finish(merged)
+	return nil
 }
 
 // repairSeams fixes the damage the cut did to the merged partition, in four
@@ -164,18 +93,11 @@ func repairSeams(ctx context.Context, p *region.Partition, plan *shard.Plan, fea
 	if count == 0 {
 		return
 	}
-	tenure := cfg.TabuLength
-	if tenure == 0 {
-		tenure = 10
-	}
-	maxNoImprove := cfg.MaxNoImprove
-	if maxNoImprove == 0 {
-		maxNoImprove = count
-	}
+	cfg = cfg.withDefaults(count)
 	stats := tabu.Improve(p, tabu.Config{
 		Objective:    cfg.Objective,
-		Tenure:       tenure,
-		MaxNoImprove: maxNoImprove,
+		Tenure:       cfg.TabuLength,
+		MaxNoImprove: cfg.MaxNoImprove,
 		Restrict:     mask,
 		Ctx:          spanCtx,
 	})

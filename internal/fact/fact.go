@@ -95,11 +95,13 @@ type Config struct {
 	Pool *solvecache.Pool
 	// Prepared, when non-nil and built from the same dataset the solve runs
 	// on, supplies the prepared-dataset artifact: the dissimilarity matrix,
-	// heterogeneity rank kernel, CSR graph and scratch pools are reused
-	// across every construction iteration and shard sub-solve instead of
-	// rebuilt per partition. Results are identical with or without it (a
-	// differential test pins this); an artifact prepared from a different
-	// dataset is ignored. See internal/prep.
+	// heterogeneity rank kernel, CSR graph, shard plans and scratch pools it
+	// holds are reused instead of rebuilt. Without it (or with an artifact
+	// prepared from a different dataset, which is ignored) the solve prepares
+	// a private one after phase 1, so every solve runs prepared; results are
+	// identical either way (a differential test pins this). Servers pass
+	// their cached artifact so repeated requests on a dataset share one. See
+	// internal/prep.
 	Prepared *prep.Artifact
 	// WarmStart, when its length equals the dataset size, seeds the first
 	// construction iteration from a prior assignment (area index → region
@@ -139,16 +141,6 @@ func (l LocalSearch) String() string {
 	default:
 		return fmt.Sprintf("LocalSearch(%d)", int(l))
 	}
-}
-
-// preparedFor returns the configured prepared artifact when it was built
-// from exactly this dataset (pointer identity — the artifact's structures
-// index by the dataset's area ids), nil otherwise.
-func (c *Config) preparedFor(ds *data.Dataset) *prep.Artifact {
-	if c.Prepared != nil && c.Prepared.Dataset() == ds {
-		return c.Prepared
-	}
-	return nil
 }
 
 // pool returns the configured worker pool, or a private GOMAXPROCS-slot pool.
@@ -238,6 +230,14 @@ func (r *Result) HeteroImprovement() float64 {
 	return (r.HeteroBefore - r.HeteroAfter) / r.HeteroBefore
 }
 
+// finish records the final partition and the headline numbers read off it.
+func (r *Result) finish(p *region.Partition) {
+	r.Partition = p
+	r.P = p.NumRegions()
+	r.HeteroAfter = p.Heterogeneity()
+	r.Unassigned = p.UnassignedCount()
+}
+
 // Solve runs the three FaCT phases on the dataset under the constraint set.
 // It returns ErrInfeasible (wrapped, with the report in Result) when phase 1
 // proves infeasibility.
@@ -270,6 +270,11 @@ func canceled(err error) error {
 // When the contiguity graph has more than one connected component the solve
 // is sharded: each component is an independent sub-instance (regions never
 // span components), solved concurrently and merged in component order.
+//
+// Every path shares this pipeline: phase 1, the prepared artifact
+// (cfg.Prepared or a private one), the whole, component or cut body, then
+// the solve counters, the solve event and the recorder's final sample, once
+// per call. Shard sub-solves never come back through here.
 func SolveCtx(ctx context.Context, ds *data.Dataset, set constraint.Set, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -286,42 +291,76 @@ func SolveCtx(ctx context.Context, ds *data.Dataset, set constraint.Set, cfg Con
 	// becomes a descendant through the derived context.
 	solveSpan, ctx := met.histSolve.StartCtx(ctx)
 	defer solveSpan.End()
-	if cfg.CutShards > 1 {
-		return solveCut(ctx, ds, set, ev, cfg)
+	// Phase 1 on the whole dataset: dataset-level infeasibility
+	// short-circuits every path, and every shard, at once.
+	res, err := analyze(ctx, ds, ev)
+	if errors.Is(err, ErrInfeasible) {
+		met.solves.Inc()
+		met.infeasible.Inc()
 	}
-	if ds.Components() > 1 {
-		return solveSharded(ctx, ds, set, ev, cfg)
+	if err != nil {
+		return res, err
 	}
-	return solveWhole(ctx, ds, ev, cfg, false)
-}
-
-// solveWhole runs the three FaCT phases on the dataset as one instance.
-// asShard marks a sub-solve of one shard: those are accounted by the shard
-// counters (emp_shard_solves_total, emp_shard_solve_duration) and the
-// merged result's single solve event, so they skip the top-level
-// emp_solve_total bump and event emission — one request, one solve count —
-// and run their iterations on the slot they already hold. The flight
-// recorder needs no such flag: the shard runner hands sub-solves a context
-// without one, so every sample recorded here describes the whole problem.
-func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator, cfg Config, asShard bool) (*Result, error) {
-	cfg = cfg.withDefaults(ds.N())
-
-	rec := flight.FromContext(ctx)
-	rec.SetPhase(flight.PhaseFeasibility)
-	feasSpan, _ := met.spanFeas.StartCtx(ctx)
-	feas, err := Analyze(ds, ev)
-	feasTime := feasSpan.End()
+	// The artifact's structures index by the dataset's area ids, so only
+	// one prepared from this very dataset (pointer identity) is usable.
+	art := cfg.Prepared
+	if art == nil || art.Dataset() != ds {
+		if art, err = prep.New(ds); err != nil {
+			return nil, err
+		}
+	}
+	switch {
+	case cfg.CutShards > 1:
+		err = solveCut(ctx, art, set, ev, cfg, res)
+	case ds.Components() > 1:
+		err = solveSharded(ctx, art, set, ev, cfg, res)
+	default:
+		err = solveWhole(ctx, art, ev, cfg, cfg.pool(), res)
+	}
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Feasibility: feas, FeasibilityTime: feasTime}
+	if res.Degraded {
+		met.degraded.Inc()
+	}
+	met.solves.Inc()
+	emitSolveEvent(res, cfg.LocalSearch.String())
+	// Final curve point: the (p, H) the caller's response reports.
+	flight.FromContext(ctx).Finish(res.P, res.HeteroAfter)
+	return res, nil
+}
+
+// analyze runs phase 1 under its span and returns the Result every path
+// fills in, holding the feasibility report and its wall time. An infeasible
+// instance also returns an error wrapping ErrInfeasible; any other error
+// comes with a nil Result.
+func analyze(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator) (*Result, error) {
+	flight.FromContext(ctx).SetPhase(flight.PhaseFeasibility)
+	span, _ := met.spanFeas.StartCtx(ctx)
+	feas, err := Analyze(ds, ev)
+	d := span.End()
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Feasibility: feas, FeasibilityTime: d}
 	if !feas.Feasible {
-		if !asShard {
-			met.solves.Inc()
-			met.infeasible.Inc()
-		}
 		return res, fmt.Errorf("%w: %v", ErrInfeasible, feas.Reasons)
 	}
+	return res, nil
+}
+
+// solveWhole runs phases 2 and 3 on the artifact's dataset as one instance
+// and fills res, which already holds the phase-1 report. pool runs the
+// multi-start iterations; nil runs them on this goroutine, as does a single
+// iteration, which has nothing to overlap. Shard sub-solves pass nil: they
+// already hold a pool slot, and acquiring another could deadlock a shared
+// pool. The flight recorder needs no such care: the shard runner hands
+// sub-solves a context without one, so every sample recorded here describes
+// the whole problem.
+func solveWhole(ctx context.Context, art *prep.Artifact, ev *constraint.Evaluator, cfg Config, pool *solvecache.Pool, res *Result) error {
+	ds := art.Dataset()
+	cfg = cfg.withDefaults(ds.N())
+	rec := flight.FromContext(ctx)
 
 	// Phase 2: construction, keeping the partition with the highest p
 	// (ties broken by lower heterogeneity, then by iteration index so
@@ -333,7 +372,7 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 	consSpan, _ := met.spanCons.StartCtx(ctx)
 	candidates := make([]*region.Partition, cfg.Iterations)
 	panicMsgs := make([]string, cfg.Iterations)
-	consCtx, consCancel := constructionCtx(ctx)
+	consCtx, consCancel := budgetCtx(ctx, constructionBudgetFrac)
 	defer consCancel()
 	iterCtx := func(it int) context.Context {
 		if it == 0 {
@@ -346,12 +385,8 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 	// re-rolls keep their cold multi-start diversity. A WarmStart of the
 	// wrong length is ignored wholesale — it indexes a different dataset.
 	warmOK := len(cfg.WarmStart) == ds.N()
-	// Iterations fan out on the pool. Shard sub-solves already hold a pool
-	// slot (acquiring another could deadlock a shared pool) and a single
-	// iteration has nothing to overlap, so both run on this goroutine.
-	var pool *solvecache.Pool
-	if !asShard && cfg.Iterations > 1 {
-		pool = cfg.pool()
+	if cfg.Iterations == 1 {
+		pool = nil
 	}
 	errs := make([]error, cfg.Iterations)
 	// stop ends admission after an iteration fails for a reason other than
@@ -364,7 +399,7 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 			return nil
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(it)))
-		candidates[it], errs[it] = safeConstruct(ic, ds, ev, feas, &cfg, rng, warmOK && it == 0)
+		candidates[it], errs[it] = safeConstruct(ic, art, ev, res.Feasibility, &cfg, rng, warmOK && it == 0)
 		if errs[it] != nil && !errors.Is(errs[it], errConstructPanic) {
 			stop.Store(true)
 		}
@@ -394,11 +429,11 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 		}
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		// Explicit cancellation: the caller walked away, nothing is served.
-		return nil, canceled(err)
+		return canceled(err)
 	}
 	for _, msg := range panicMsgs {
 		if msg != "" {
@@ -418,8 +453,7 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 	}
 	res.ConstructionTime = consSpan.End()
 	// Multi-start losers return their pooled state (Fenwick trees, graph
-	// scratch) to the shared artifact before being dropped; a no-op for
-	// partitions built without one.
+	// scratch) to the artifact before being dropped.
 	for _, p := range candidates {
 		if p != nil && p != best {
 			p.Recycle()
@@ -429,15 +463,14 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 		// Nothing constructed: a spent deadline (real or injected) before
 		// the first incumbent, or every iteration panicked.
 		if err := ctx.Err(); err != nil {
-			return nil, canceled(err)
+			return canceled(err)
 		}
 		if deadlineHit {
-			return nil, canceled(context.DeadlineExceeded)
+			return canceled(context.DeadlineExceeded)
 		}
-		return nil, fmt.Errorf("fact: construction produced no partition (every iteration failed): %s",
+		return fmt.Errorf("fact: construction produced no partition (every iteration failed): %s",
 			firstNonEmpty(panicMsgs))
 	}
-	res.Partition = best
 	res.HeteroBefore = best.Heterogeneity()
 	// The construction incumbent is the first curve point: everything the
 	// search does improves on it. It is also the first checkpointable
@@ -495,7 +528,7 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 			if !errors.Is(err, context.DeadlineExceeded) {
 				// The search stopped early at a consistent state, but a
 				// cancelled solve must not be mistaken for a completed one.
-				return nil, canceled(err)
+				return canceled(err)
 			}
 			// Deadline mid-search: both algorithms end at the best state
 			// visited (revert-to-best epilogue), so the partition is valid
@@ -505,19 +538,8 @@ func solveWhole(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator,
 				"deadline exceeded during local search; returning the best partition found so far")
 		}
 	}
-	res.HeteroAfter = best.Heterogeneity()
-	res.P = best.NumRegions()
-	res.Unassigned = best.UnassignedCount()
-	if !asShard {
-		if res.Degraded {
-			met.degraded.Inc()
-		}
-		met.solves.Inc()
-		emitSolveEvent(res, cfg.LocalSearch.String())
-	}
-	// Final curve point: the (p, H) the caller's response reports.
-	rec.Finish(res.P, res.HeteroAfter)
-	return res, nil
+	res.finish(best)
+	return nil
 }
 
 // errConstructPanic marks a construction iteration that died to a recovered
@@ -527,14 +549,14 @@ var errConstructPanic = errors.New("fact: construction iteration panicked")
 // safeConstruct runs one construction iteration under recover, converting a
 // panic (injected or organic) into an error wrapping errConstructPanic so a
 // single poisoned multi-start iteration cannot crash the process.
-func safeConstruct(ctx context.Context, ds *data.Dataset, ev *constraint.Evaluator, feas *Feasibility, cfg *Config, rng *rand.Rand, warm bool) (p *region.Partition, err error) {
+func safeConstruct(ctx context.Context, art *prep.Artifact, ev *constraint.Evaluator, feas *Feasibility, cfg *Config, rng *rand.Rand, warm bool) (p *region.Partition, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			met.panicsRecovered.Inc()
 			p, err = nil, fmt.Errorf("%w: %v", errConstructPanic, v)
 		}
 	}()
-	return construct(ctx, ds, ev, feas, cfg, rng, warm)
+	return construct(ctx, art, ev, feas, cfg, rng, warm)
 }
 
 // firstNonEmpty returns the first non-empty string, for error detail.

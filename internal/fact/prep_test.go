@@ -25,12 +25,15 @@ func preparedSet(t *testing.T, dsTotal float64) constraint.Set {
 // TestSolvePreparedDifferential pins the prep.Artifact result-neutrality
 // contract on every census dataset: a solve with Config.Prepared set
 // produces a bit-identical result — same p, same H(P), same assignment of
-// every area — to the unprepared solve, on both the component-sharded path
-// and the whole-dataset path (the largest component solved on its own, so
-// every preset exercises it). Datasets are scaled down so
-// the sweep (which also runs under -race in CI) stays fast; the larger
-// names keep multiple components, so the sharded path is genuinely
-// exercised with prepared sub-artifacts.
+// every area — to a solve without one (which prepares a private artifact),
+// on both the component-sharded path and the whole-dataset path (the
+// largest component solved on its own, so every preset exercises it). A
+// third solve reuses the caller's artifact, as a server does on every
+// dataset-cache hit: it draws the Fenwick trees and scratch the previous
+// solve recycled, and must still match. Datasets are scaled down so the
+// sweep (which also runs under -race in CI) stays fast; the larger names
+// keep multiple components, so the sharded path is genuinely exercised with
+// prepared sub-artifacts.
 func TestSolvePreparedDifferential(t *testing.T) {
 	names := census.SizeNames()
 	if testing.Short() {
@@ -60,27 +63,29 @@ func TestSolvePreparedDifferential(t *testing.T) {
 					cfg := Config{Seed: 3, Iterations: 2}
 					plain, err := Solve(ds, set, cfg)
 					if err != nil {
-						t.Fatalf("unprepared solve: %v", err)
+						t.Fatalf("private solve: %v", err)
 					}
 					cfg.Prepared = art
-					prepped, err := Solve(ds, set, cfg)
-					if err != nil {
-						t.Fatalf("prepared solve: %v", err)
-					}
-					if plain.P != prepped.P {
-						t.Fatalf("p diverged: unprepared %d, prepared %d", plain.P, prepped.P)
-					}
-					if plain.HeteroAfter != prepped.HeteroAfter {
-						t.Fatalf("H(P) diverged: unprepared %v, prepared %v", plain.HeteroAfter, prepped.HeteroAfter)
-					}
-					for a := 0; a < ds.N(); a++ {
-						if plain.Partition.Assignment(a) != prepped.Partition.Assignment(a) {
-							t.Fatalf("assignment diverged at area %d: unprepared %d, prepared %d",
-								a, plain.Partition.Assignment(a), prepped.Partition.Assignment(a))
+					for _, run := range []string{"prepared", "reused"} {
+						prepped, err := Solve(ds, set, cfg)
+						if err != nil {
+							t.Fatalf("%s solve: %v", run, err)
 						}
-					}
-					if plain.TabuMoves != prepped.TabuMoves {
-						t.Errorf("move count diverged: unprepared %d, prepared %d", plain.TabuMoves, prepped.TabuMoves)
+						if plain.P != prepped.P {
+							t.Fatalf("p diverged: private %d, %s %d", plain.P, run, prepped.P)
+						}
+						if plain.HeteroAfter != prepped.HeteroAfter {
+							t.Fatalf("H(P) diverged: private %v, %s %v", plain.HeteroAfter, run, prepped.HeteroAfter)
+						}
+						for a := 0; a < ds.N(); a++ {
+							if plain.Partition.Assignment(a) != prepped.Partition.Assignment(a) {
+								t.Fatalf("assignment diverged at area %d: private %d, %s %d",
+									a, plain.Partition.Assignment(a), run, prepped.Partition.Assignment(a))
+							}
+						}
+						if plain.TabuMoves != prepped.TabuMoves {
+							t.Errorf("move count diverged: private %d, %s %d", plain.TabuMoves, run, prepped.TabuMoves)
+						}
 					}
 				})
 			}
@@ -106,9 +111,9 @@ func largestComponent(t *testing.T, ds *data.Dataset) *data.Dataset {
 }
 
 // TestSolvePreparedMismatchedArtifactIgnored pins the safety valve: an
-// artifact prepared from a different dataset is ignored (the solve rebuilds
-// its own state) rather than applied, and the result still matches the
-// unprepared solve.
+// artifact prepared from a different dataset is ignored (the solve prepares
+// its own) rather than applied, and the result still matches the solve
+// without an artifact.
 func TestSolvePreparedMismatchedArtifactIgnored(t *testing.T) {
 	ds, err := census.Scaled("2k", 0.1, 1)
 	if err != nil {

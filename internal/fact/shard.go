@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"emp/internal/constraint"
-	"emp/internal/data"
 	"emp/internal/fault"
 	"emp/internal/flight"
 	"emp/internal/prep"
@@ -21,11 +20,12 @@ import (
 // schedules stay reproducible per configuration.
 var shardRetryPolicy = fault.RetryPolicy{Attempts: 3, Base: 25 * time.Millisecond, Max: 500 * time.Millisecond}
 
-// solveShardAttempt runs one attempt at a component sub-solve under recover:
-// a panic (injected or organic) becomes a Transient error so the caller's
-// retry loop treats it like any other transient failure instead of letting it
-// take down the process.
-func solveShardAttempt(ctx context.Context, idx int, ds *data.Dataset, ev *constraint.Evaluator, cfg Config) (r *Result, err error) {
+// solveShardAttempt runs one attempt at a shard sub-solve — phase 1 on the
+// shard, then solveWhole on its sub-artifact — under recover: a panic
+// (injected or organic) becomes a Transient error so the caller's retry loop
+// treats it like any other transient failure instead of letting it take down
+// the process. A shard proven infeasible returns its Result with the error.
+func solveShardAttempt(ctx context.Context, idx int, art *prep.Artifact, ev *constraint.Evaluator, cfg Config) (r *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			met.panicsRecovered.Inc()
@@ -35,7 +35,15 @@ func solveShardAttempt(ctx context.Context, idx int, ds *data.Dataset, ev *const
 	if err := fault.InjectIdx("shard.solve", idx); err != nil {
 		return nil, err
 	}
-	return solveWhole(ctx, ds, ev, cfg, true)
+	res, err := analyze(ctx, art.Dataset(), ev)
+	if err != nil {
+		return res, err
+	}
+	// A sub-solve runs its iterations on the pool slot it already holds.
+	if err := solveWhole(ctx, art, ev, cfg, nil, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // shardSeed derives the sub-solve seed for shard i from the global seed with
@@ -59,126 +67,83 @@ func shardSeed(seed int64, i int) int64 {
 // below a lower bound the full dataset clears) contributes no regions; its
 // areas stay unassigned and a warning records why — mirroring how the
 // whole-dataset path leaves areas unassigned when no feasible region covers
-// them.
-func solveSharded(ctx context.Context, ds *data.Dataset, set constraint.Set, ev *constraint.Evaluator, cfg Config) (*Result, error) {
-	// Phase 1 runs globally: Invalid and Seed are pointwise per-area
-	// properties, so the global report equals the union of per-shard
-	// reports, and dataset-level hard infeasibility short-circuits all
-	// shards at once.
-	rec := flight.FromContext(ctx)
-	rec.SetPhase(flight.PhaseFeasibility)
-	feasSpan, _ := met.spanFeas.StartCtx(ctx)
-	feas, err := Analyze(ds, ev)
-	feasTime := feasSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Feasibility: feas, FeasibilityTime: feasTime}
-	if !feas.Feasible {
-		met.solves.Inc()
-		met.infeasible.Inc()
-		return res, fmt.Errorf("%w: %v", ErrInfeasible, feas.Reasons)
-	}
-
-	rec.SetPhase(flight.PhaseShards)
+// them. The artifact carries the component plan and one prepared
+// sub-artifact per component, so repeated solves on a dataset share one
+// decomposition.
+func solveSharded(ctx context.Context, art *prep.Artifact, set constraint.Set, ev *constraint.Evaluator, cfg Config, res *Result) error {
+	flight.FromContext(ctx).SetPhase(flight.PhaseShards)
 	// shardCtx carries the shard-phase span identity so each component's
 	// sub-solve span — and everything under it — nests correctly.
 	shardSpan, shardCtx := met.spanShard.StartCtx(ctx)
-	// A prepared artifact carries the component plan and one prepared
-	// sub-artifact per component, so sub-solves run fully prepared and
-	// repeated solves on the same dataset share one decomposition.
-	art := cfg.preparedFor(ds)
-	var plan *shard.Plan
-	var subArts []*prep.Artifact
-	if art != nil {
-		plan, subArts, err = art.Plan()
-	} else {
-		plan, err = shard.NewPlan(ds)
-	}
+	defer shardSpan.End()
+	plan, subArts, err := art.Plan()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.Shards = len(plan.Shards)
-
-	subs, failMsgs, runErr := runSubSolves(ctx, shardCtx, plan, subArts, set, cfg, "component")
-	if err := settleSubSolves(ctx, ctx, plan, subs, failMsgs, runErr, "component"); err != nil {
-		return nil, err
-	}
-
-	// Merge in component order (deterministic: the plan depends only on the
-	// adjacency, each sub-result only on its shard and seed).
-	perShard := foldSubResults(res, plan, subs, failMsgs, "component")
-	var merged *region.Partition
-	if art != nil {
-		merged, err = region.PartitionFromRegionsShared(art.Shared(), ev, plan.MergeRegions(perShard))
-	} else {
-		merged, err = region.PartitionFromRegions(ds, ev, plan.MergeRegions(perShard))
-	}
+	merged, err := solveShards(ctx, shardCtx, art, plan, subArts, set, ev, cfg, res, "component")
 	if err != nil {
-		return nil, fmt.Errorf("fact: merging shard partitions: %w", err)
+		return err
 	}
-	res.Partition = merged
-	res.HeteroAfter = merged.Heterogeneity()
-	res.P = merged.NumRegions()
-	res.Unassigned = merged.UnassignedCount()
-	shardSpan.End()
-	if res.Degraded {
-		met.degraded.Inc()
-	}
-	met.solves.Inc()
-	emitSolveEvent(res, cfg.LocalSearch.String())
-	// Final curve point: the merged (p, H) the caller's response reports.
-	rec.Finish(res.P, res.HeteroAfter)
-	return res, nil
+	res.finish(merged)
+	return nil
 }
 
-// runSubSolves executes one sub-solve per plan shard on cfg's pool, shared by
-// the component-sharded and cut-sharded pipelines. Each shard gets a seed
-// mixed from (cfg.Seed, index) and its own prepared sub-artifact when
-// available, retries transient failures (recovered panics, injected
+// solveShards is the body the component- and cut-sharded pipelines share:
+// run one sub-solve per plan shard under subCtx (which carries the shard
+// phase span, and may carry a tighter deadline than ctx), settle their
+// errors, fold their telemetry into res and merge their regions into one
+// partition of the whole dataset in shard order (deterministic: the plan
+// depends only on the dataset, each sub-result only on its shard and seed).
+// noun names the shard kind in warnings.
+func solveShards(ctx, subCtx context.Context, art *prep.Artifact, plan *shard.Plan, subArts []*prep.Artifact, set constraint.Set, ev *constraint.Evaluator, cfg Config, res *Result, noun string) (*region.Partition, error) {
+	subs, failMsgs, runErr := runSubSolves(subCtx, plan, subArts, set, cfg, noun)
+	if err := settleSubSolves(ctx, subCtx, plan, subs, failMsgs, runErr, noun); err != nil {
+		return nil, err
+	}
+	perShard := foldSubResults(res, plan, subs, failMsgs, noun)
+	merged, err := region.PartitionFromRegionsShared(art.Shared(), ev, plan.MergeRegions(perShard))
+	if err != nil {
+		return nil, fmt.Errorf("fact: merging %s partitions: %w", noun, err)
+	}
+	return merged, nil
+}
+
+// runSubSolves executes one sub-solve per plan shard on cfg's pool, each on
+// its prepared sub-artifact. Each shard gets a seed mixed from (cfg.Seed,
+// index), retries transient failures (recovered panics, injected
 // transients) with capped jittered backoff, and records a drop message in
 // failMsgs when it exhausts them — the shard is lost, not the solve. noun
-// names the shard kind ("component" or "cut shard") in those messages.
-// subCtx bounds the sub-solves (it may carry a tighter deadline than the
-// caller's, reserving budget for later phases); spanCtx carries the parent
-// phase span so per-shard spans nest correctly.
-func runSubSolves(subCtx, spanCtx context.Context, plan *shard.Plan, subArts []*prep.Artifact, set constraint.Set, cfg Config, noun string) (subs []*Result, failMsgs []string, runErr error) {
+// names the shard kind ("component" or "cut shard") in those messages. ctx
+// bounds the sub-solves and carries the parent phase span, so per-shard
+// spans nest under it.
+func runSubSolves(ctx context.Context, plan *shard.Plan, subArts []*prep.Artifact, set constraint.Set, cfg Config, noun string) (subs []*Result, failMsgs []string, runErr error) {
 	// A sub-solve's p, H and assignment describe its shard, not the problem
 	// the caller's recorder tracks (shard datasets renumber areas), so the
 	// whole sub-solve subtree runs without a recorder. The parent records
 	// the phases and the final (p, H).
-	subCtx = flight.NewContext(subCtx, nil)
-	spanCtx = flight.NewContext(spanCtx, nil)
+	ctx = flight.NewContext(ctx, nil)
 	subs = make([]*Result, len(plan.Shards))
 	failMsgs = make([]string, len(plan.Shards))
-	runErr = shard.Run(subCtx, len(plan.Shards), cfg.pool(), func(i int) error {
+	runErr = shard.Run(ctx, len(plan.Shards), cfg.pool(), func(i int) error {
 		sub := cfg
 		// A warm-start assignment indexes the whole dataset; shard datasets
 		// renumber areas, so it must not leak into sub-solves.
 		sub.WarmStart = nil
 		sub.Seed = shardSeed(cfg.Seed, i)
-		// The parent artifact indexes by global area ids; hand each shard
-		// its own sub-artifact (or nothing).
-		sub.Prepared = nil
-		if subArts != nil {
-			sub.Prepared = subArts[i]
-		}
 		subEv, err := constraint.NewEvaluator(set, plan.Shards[i].Dataset.Column)
 		if err != nil {
 			return err
 		}
-		// Sub-solves go straight to solveWhole (no recursion) with asShard
-		// set: the shard counters account for them, the merged result emits
-		// the one solve event.
 		policy := shardRetryPolicy
 		policy.Seed = shardSeed(cfg.Seed, i)
 		attempt := 0
-		err = fault.Retry(subCtx, policy, func() error {
+		err = fault.Retry(ctx, policy, func() error {
 			if attempt++; attempt > 1 {
 				met.shardRetries.Inc()
 			}
-			span, attemptCtx := met.spanShardSolve.StartCtx(spanCtx)
-			r, err := solveShardAttempt(attemptCtx, i, plan.Shards[i].Dataset, subEv, sub)
+			span, attemptCtx := met.spanShardSolve.StartCtx(ctx)
+			r, err := solveShardAttempt(attemptCtx, i, subArts[i], subEv, sub)
 			d := span.End()
 			met.histShard.Observe(d)
 			met.shardSolves.Inc()

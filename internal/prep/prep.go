@@ -1,18 +1,17 @@
 // Package prep builds prepared-dataset artifacts: the immutable,
 // shareable per-dataset solver state that every solve on a dataset would
 // otherwise recompute — the scaled dissimilarity matrix, the heterogeneity
-// kernel's sorted rank arrays, the CSR contiguity graph, and the shared
-// pools of mutable scratch (graph traversal state, Fenwick trees) that
-// partitions draw from and return to.
+// kernel's sorted rank arrays, the CSR contiguity graph, the component and
+// cut shard plans, and the shared pools of mutable scratch (graph traversal
+// state, Fenwick trees) that partitions draw from and return to.
 //
-// An Artifact is built once per dataset (typically at cache-admission time
-// in a server, or at the top of a benchmark) and handed to the solver via
-// fact.Config.Prepared. Multi-start construction iterations, shard
-// sub-solves and repeated requests on the same dataset then share one copy
-// of the derived structures instead of rebuilding them per partition. The
-// artifact is content-fingerprinted so callers can key caches by what the
-// solver actually consumes (adjacency + dissimilarity configuration) rather
-// than by how the dataset was obtained.
+// Every solve runs on an artifact. A caller that solves a dataset more than
+// once builds it with New (typically at cache-admission time in a server, or
+// at the top of a benchmark) and hands it to the solver via
+// fact.Config.Prepared; a solve without one prepares its own. Multi-start
+// construction iterations, shard sub-solves and repeated requests on the
+// same dataset then share one copy of the derived structures instead of
+// rebuilding them per partition.
 //
 // Everything reachable from an Artifact is either immutable or internally
 // synchronized; an Artifact is safe for concurrent use by any number of
@@ -20,10 +19,6 @@
 package prep
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
 	"sync"
 
 	"emp/internal/data"
@@ -36,7 +31,6 @@ import (
 type Artifact struct {
 	ds     *data.Dataset
 	shared *region.Shared
-	fp     string
 	cost   int64
 
 	// The component decomposition (and one sub-artifact per component) is
@@ -62,24 +56,15 @@ type cutEntry struct {
 }
 
 // New prepares the dataset: it builds the shared solver state (dissimilarity
-// matrix, rank kernel, CSR graph, scratch pools) and the content
-// fingerprint. The dataset must be fully constructed and is treated as
+// matrix, rank kernel, CSR graph, scratch pools). The shard plans are built
+// on first use. The dataset must be fully constructed and is treated as
 // immutable from here on (see data.Dataset.Graph).
 func New(ds *data.Dataset) (*Artifact, error) {
 	sh, err := region.NewShared(ds)
 	if err != nil {
 		return nil, err
 	}
-	dis, err := ds.DissimilarityMatrix()
-	if err != nil {
-		return nil, err
-	}
-	return &Artifact{
-		ds:     ds,
-		shared: sh,
-		fp:     fingerprint(ds, dis),
-		cost:   cost(ds, dis),
-	}, nil
+	return &Artifact{ds: ds, shared: sh, cost: cost(ds, sh.Attrs())}, nil
 }
 
 // Dataset returns the dataset the artifact was prepared from.
@@ -88,14 +73,6 @@ func (a *Artifact) Dataset() *data.Dataset { return a.ds }
 // Shared returns the shared solver state for region.NewPartitionShared and
 // friends.
 func (a *Artifact) Shared() *region.Shared { return a.shared }
-
-// Fingerprint returns a hex digest of everything the solver consumes from
-// the dataset: area count, adjacency structure, and the derived
-// dissimilarity matrix (which folds in the attribute selection and scaling
-// policy). Two datasets with equal fingerprints are interchangeable for
-// solving — names, polygons and unused attribute columns deliberately do
-// not participate.
-func (a *Artifact) Fingerprint() string { return a.fp }
 
 // Cost approximates the resident bytes of the artifact (dataset included),
 // for byte-budgeted caches.
@@ -157,39 +134,11 @@ func (a *Artifact) CutPlan(k int) (*shard.Plan, []*Artifact, error) {
 	return e.plan, e.subs, e.err
 }
 
-// fingerprint hashes the solver-visible dataset content. The encoding is
-// length-prefixed, so (adjacency, matrix) boundaries are unambiguous.
-func fingerprint(ds *data.Dataset, dis [][]float64) string {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	writeFloat := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	writeInt(ds.N())
-	for _, nbs := range ds.Adjacency {
-		writeInt(len(nbs))
-		for _, v := range nbs {
-			writeInt(v)
-		}
-	}
-	writeInt(len(dis))
-	for _, col := range dis {
-		for _, v := range col {
-			writeFloat(v)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // cost approximates resident bytes: the dataset (polygons, adjacency,
-// columns) plus the prepared structures (matrix + transposed copy at 8
-// bytes/value, rank arrays at 4, CSR arena at ~4/edge).
-func cost(ds *data.Dataset, dis [][]float64) int64 {
+// columns) plus the prepared structures for attrs dissimilarity attributes
+// (matrix + transposed copy at 8 bytes/value, rank arrays at 4, CSR arena at
+// ~4/edge).
+func cost(ds *data.Dataset, attrs int) int64 {
 	c := int64(1024)
 	for i := range ds.Polygons {
 		c += 24 + int64(len(ds.Polygons[i].Outer))*16
@@ -200,7 +149,7 @@ func cost(ds *data.Dataset, dis [][]float64) int64 {
 		c += 24 + int64(len(adj))*8
 	}
 	c += int64(len(ds.Cols)) * (int64(ds.N())*8 + 24)
-	c += int64(len(dis)) * int64(ds.N()) * (8 + 8 + 4) // vals + valsT + ranks
-	c += int64(ds.N())*8 + int64(edges)*4              // CSR offsets + arena
+	c += int64(attrs) * int64(ds.N()) * (8 + 8 + 4) // vals + valsT + ranks
+	c += int64(ds.N())*8 + int64(edges)*4           // CSR offsets + arena
 	return c
 }

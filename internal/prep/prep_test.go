@@ -25,52 +25,6 @@ func grid(t *testing.T, name string, vals []float64) *data.Dataset {
 	return ds
 }
 
-// TestFingerprintPolicy pins what participates in the fingerprint: the
-// adjacency structure and the derived dissimilarity matrix do; the name and
-// solver-invisible attribute columns do not.
-func TestFingerprintPolicy(t *testing.T) {
-	base := grid(t, "a", []float64{1, 2, 3, 4})
-	a, err := New(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same content, different name and an extra unused column: equal.
-	same := grid(t, "renamed", []float64{1, 2, 3, 4})
-	if err := same.AddColumn("UNUSED", []float64{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(same)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Errorf("fingerprint depends on name or unused columns: %s vs %s", a.Fingerprint(), b.Fingerprint())
-	}
-
-	// Different dissimilarity values: differ.
-	vals := grid(t, "a", []float64{1, 2, 3, 5})
-	c, err := New(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("fingerprint ignores dissimilarity values")
-	}
-
-	// Different adjacency (extra edge 0-2): differ.
-	edge := grid(t, "a", []float64{1, 2, 3, 4})
-	edge.Adjacency[0] = append(edge.Adjacency[0], 2)
-	edge.Adjacency[2] = append([]int{0}, edge.Adjacency[2]...)
-	d, err := New(edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint() == d.Fingerprint() {
-		t.Error("fingerprint ignores adjacency")
-	}
-}
-
 // TestNewRejectsUnsolvableDataset pins that preparation surfaces the same
 // configuration errors a solve would hit (no dissimilarity attribute).
 func TestNewRejectsUnsolvableDataset(t *testing.T) {

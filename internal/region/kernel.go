@@ -130,12 +130,10 @@ func (p *Partition) acquireFen() *regionFen {
 		p.stats.FenwickPoolReuse++
 		return f
 	}
-	if p.shared != nil {
-		if f, _ := p.shared.fens.Get().(*regionFen); f != nil {
-			f.reset()
-			p.stats.FenwickPoolReuse++
-			return f
-		}
+	if f, _ := p.shared.fens.Get().(*regionFen); f != nil {
+		f.reset()
+		p.stats.FenwickPoolReuse++
+		return f
 	}
 	k := p.krn
 	f := &regionFen{

@@ -87,9 +87,9 @@ type Partition struct {
 	krn      *heteroKernel
 	kernelOn bool
 	fenPool  []*regionFen
-	// shared, when non-nil, is the cross-partition pool state this
-	// partition draws scratch and Fenwick trees from; see Shared and
-	// Recycle.
+	// shared is the per-dataset state the partition was built on; its
+	// scratch and Fenwick trees come from shared's pools (see Shared and
+	// Recycle).
 	shared *Shared
 	// scratch backs allocation-free contiguity and articulation queries.
 	// It makes Partition methods non-reentrant; a Partition was already
@@ -101,29 +101,16 @@ type Partition struct {
 }
 
 // NewPartition creates an empty partition (all areas unassigned) for the
-// dataset under the evaluator's constraint set. The dataset's dissimilarity
-// column drives heterogeneity; it must be configured.
+// dataset under the evaluator's constraint set, on a private Shared built
+// for it. The dataset's dissimilarity column drives heterogeneity; it must
+// be configured. Callers that build many partitions of one dataset should
+// build the Shared once and use NewPartitionShared.
 func NewPartition(ds *data.Dataset, ev *constraint.Evaluator) (*Partition, error) {
-	dis, err := ds.DissimilarityMatrix()
+	sh, err := NewShared(ds)
 	if err != nil {
 		return nil, err
 	}
-	assign := make([]int, ds.N())
-	for i := range assign {
-		assign[i] = Unassigned
-	}
-	g := ds.Graph()
-	return &Partition{
-		ds:       ds,
-		g:        g,
-		ev:       ev,
-		dis:      dis,
-		assign:   assign,
-		nextID:   1,
-		krn:      newHeteroKernel(dis),
-		kernelOn: true,
-		scratch:  g.NewScratch(),
-	}, nil
+	return NewPartitionShared(sh, ev), nil
 }
 
 // SetHeteroKernel enables or disables the O(log n) incremental
@@ -681,7 +668,7 @@ func (p *Partition) AllSatisfied() bool {
 }
 
 // Clone returns a deep copy of the partition sharing the immutable dataset,
-// graph, evaluator and (when present) the Shared pool state.
+// graph, evaluator and the Shared pool state.
 func (p *Partition) Clone() *Partition {
 	c := &Partition{
 		ds:         p.ds,
@@ -695,11 +682,7 @@ func (p *Partition) Clone() *Partition {
 		krn:        p.krn,
 		kernelOn:   p.kernelOn,
 		shared:     p.shared,
-	}
-	if p.shared != nil {
-		c.scratch = p.shared.getScratch()
-	} else {
-		c.scratch = p.g.NewScratch()
+		scratch:    p.shared.getScratch(),
 	}
 	for id, r := range p.regs {
 		if r == nil {
@@ -788,18 +771,16 @@ func (p *Partition) Validate() error {
 // PartitionFromRegions builds a partition from explicit region member lists,
 // assigning region ids 1..len(regions) in list order. Areas absent from every
 // list stay unassigned. Unlike NewRegion it validates instead of panicking:
-// out-of-range and doubly-assigned areas return an error. It is the merge
-// primitive of the sharded solve pipeline, where per-component solutions are
-// folded back into one global partition in a deterministic order.
+// out-of-range and doubly-assigned areas return an error. It builds a
+// private Shared for the dataset; the sharded solve pipeline, which folds
+// per-shard solutions back into one global partition in a deterministic
+// order, merges with PartitionFromRegionsShared on its artifact instead.
 func PartitionFromRegions(ds *data.Dataset, ev *constraint.Evaluator, regions [][]int) (*Partition, error) {
-	p, err := NewPartition(ds, ev)
+	sh, err := NewShared(ds)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.fillRegions(regions); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return PartitionFromRegionsShared(sh, ev, regions)
 }
 
 // fillRegions seeds the empty partition with the given member lists,

@@ -11,10 +11,11 @@ import (
 // Shared bundles the immutable per-dataset solver state — dissimilarity
 // matrix, heterogeneity rank kernel, contiguity graph — together with
 // concurrency-safe pools of the mutable scratch that partitions burn
-// through (graph traversal scratch, Fenwick trees). Building it once per
-// dataset and handing it to every partition removes the dominant setup cost
-// of multi-start and sharded solves: NewPartition recomputes the matrix and
-// re-sorts the kernel ranks on every call, Shared does both exactly once.
+// through (graph traversal scratch, Fenwick trees). Every partition is
+// built on one. Building it once per dataset and handing it to every
+// partition removes the dominant setup cost of multi-start and sharded
+// solves: NewPartition builds a private Shared on every call, so it
+// recomputes the matrix and re-sorts the kernel ranks each time.
 //
 // A Shared is safe for concurrent use by partitions on different
 // goroutines; the immutable parts are read-only and the pools are
@@ -54,6 +55,9 @@ func (sh *Shared) Dataset() *data.Dataset { return sh.ds }
 // Graph returns the contiguity graph.
 func (sh *Shared) Graph() *graph.Graph { return sh.g }
 
+// Attrs returns the number of dissimilarity attributes (matrix rows).
+func (sh *Shared) Attrs() int { return len(sh.dis) }
+
 // getScratch takes a traversal scratch from the pool, making a fresh one
 // when the pool is empty.
 func (sh *Shared) getScratch() *graph.Scratch {
@@ -66,8 +70,7 @@ func (sh *Shared) getScratch() *graph.Scratch {
 // NewPartitionShared creates an empty partition backed by the shared state:
 // the dissimilarity matrix and rank kernel are reused instead of rebuilt,
 // and scratch/Fenwick state is drawn from (and returnable to) the shared
-// pools. The partition behaves identically to one from NewPartition on the
-// same dataset.
+// pools.
 func NewPartitionShared(sh *Shared, ev *constraint.Evaluator) *Partition {
 	assign := make([]int, sh.ds.N())
 	for i := range assign {
@@ -101,13 +104,10 @@ func PartitionFromRegionsShared(sh *Shared, ev *constraint.Evaluator, regions []
 
 // Recycle returns the partition's poolable state — Fenwick trees and graph
 // scratch — to the Shared pools and invalidates the partition. Call it on
-// partitions that lost a best-of selection or served as intermediates; it
-// is a no-op for partitions created without shared state. The partition
+// partitions that lost a best-of selection or served as intermediates, so
+// the next partition on the same Shared reuses their trees. The partition
 // must not be used afterwards.
 func (p *Partition) Recycle() {
-	if p.shared == nil {
-		return
-	}
 	for _, r := range p.regs {
 		if r != nil && r.fen != nil {
 			p.shared.fens.Put(r.fen)
