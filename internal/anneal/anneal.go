@@ -25,11 +25,6 @@ import (
 type Config struct {
 	// Objective is the optimization target; nil means heterogeneity.
 	Objective tabu.Objective
-	// InitialTemp is the starting temperature; 0 picks one automatically
-	// from the magnitude of early move deltas.
-	InitialTemp float64
-	// Cooling is the geometric cooling factor per step; 0 means 0.995.
-	Cooling float64
 	// Steps is the number of proposal steps; 0 means 20x the number of
 	// assigned areas.
 	Steps int
@@ -46,6 +41,10 @@ type Config struct {
 // polling Ctx.Err — which takes a mutex — every step would be measurable;
 // every 32nd step bounds the cancellation latency well under a millisecond.
 const ctxCheckEvery = 32
+
+// cooling is the geometric cooling factor per step. The start temperature is
+// calibrated from the first scored proposal.
+const cooling = 0.995
 
 // Stats reports what the annealer did.
 type Stats struct {
@@ -65,7 +64,7 @@ type pkgMetrics struct {
 	runs     *obs.Counter
 	proposed *obs.Counter
 	accepted *obs.Counter
-	span     *obs.Timer
+	span     *obs.Histogram
 }
 
 var met pkgMetrics
@@ -81,7 +80,7 @@ func SetMetrics(r *obs.Registry) {
 		runs:     r.Counter("emp_anneal_runs_total", "Annealer Improve invocations."),
 		proposed: r.Counter("emp_anneal_proposed_total", "Annealer move proposals."),
 		accepted: r.Counter("emp_anneal_accepted_total", "Annealer accepted moves."),
-		span:     r.Timer("emp_anneal_improve_duration", "Wall time of anneal.Improve runs."),
+		span:     r.Histogram("emp_anneal_improve_duration", "Wall time of anneal.Improve runs.", nil),
 	}
 }
 
@@ -115,10 +114,6 @@ func improve(p *region.Partition, cfg Config) Stats {
 	if obj == nil {
 		obj = tabu.Heterogeneity{}
 	}
-	cooling := cfg.Cooling
-	if cooling <= 0 || cooling >= 1 {
-		cooling = 0.995
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Candidate areas: every assigned area with an out-of-region neighbor
@@ -133,7 +128,7 @@ func improve(p *region.Partition, cfg Config) Stats {
 	}
 
 	rec := flight.FromContext(cfg.Ctx)
-	temp := cfg.InitialTemp
+	var temp float64
 	cur := obj.Total(p)
 	best := cur
 	var undo []appliedMove

@@ -132,7 +132,7 @@ func TestImproveProperty(t *testing.T) {
 		p := gradientPartition(t, 4+rng.Intn(3), 4+rng.Intn(3), set)
 		before := p.Heterogeneity()
 		pBefore := p.NumRegions()
-		Improve(p, Config{Seed: seed, Steps: 200 + rng.Intn(800), Cooling: 0.9 + rng.Float64()*0.099})
+		Improve(p, Config{Seed: seed, Steps: 200 + rng.Intn(800)})
 		if p.Heterogeneity() > before+1e-9 {
 			return false
 		}

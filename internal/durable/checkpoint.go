@@ -84,7 +84,7 @@ func RemoveCheckpoint(dir, jobID string) {
 // writes. Only whole-problem incumbents arrive: shard sub-solves record
 // nothing. Writes happen on the offering goroutine — the solver's — so the
 // throttle is what keeps persistence off the hot path: an offer inside the
-// interval, or one that improves less than MinImprove, costs two
+// interval, or one that does not improve on the last write, costs two
 // comparisons and never builds the O(n) assignment.
 type Checkpointer struct {
 	Dir         string
@@ -93,13 +93,10 @@ type Checkpointer struct {
 	DatasetKey  string
 	// Interval is the minimum time between writes (except the first, which
 	// always writes: a job with any checkpoint at all resumes much better
-	// than one with none).
+	// than one with none). After it, any gain in p, or in H at equal p,
+	// qualifies.
 	Interval time.Duration
-	// MinImprove is the relative H improvement required at equal p before a
-	// new write is worth it; any p gain always qualifies. Zero means any
-	// improvement.
-	MinImprove float64
-	Met        Metrics
+	Met      Metrics
 	// Now is stubbed by tests.
 	Now func() time.Time
 
@@ -125,11 +122,7 @@ func (c *Checkpointer) Offer(p int, h float64, moves int, assign func() []int) {
 	}
 	c.mu.Lock()
 	if c.wrote {
-		better := p > c.lastP
-		if !better && p == c.lastP {
-			min := c.MinImprove * maxAbs(c.lastH)
-			better = c.lastH-h > min
-		}
+		better := p > c.lastP || (p == c.lastP && h < c.lastH)
 		if !better || now().Sub(c.lastWrite) < c.Interval {
 			c.mu.Unlock()
 			return
@@ -153,14 +146,4 @@ func (c *Checkpointer) Offer(p int, h float64, moves int, assign func() []int) {
 	if WriteCheckpoint(c.Dir, ck) == nil {
 		c.Met.CheckpointsWritten.Inc()
 	}
-}
-
-func maxAbs(h float64) float64 {
-	if h < 0 {
-		h = -h
-	}
-	if h < 1 {
-		return 1
-	}
-	return h
 }

@@ -12,7 +12,7 @@
 //     truncated with a warning, never a boot failure.
 //   - checkpoints/<job-id>.ckpt — the latest incumbent of a running job
 //     (assignment + p/H + moves), rewritten via temp-file + atomic rename
-//     and throttled by interval and minimum improvement. A recovered job
+//     and throttled by interval and improvement. A recovered job
 //     warm-starts from it instead of solving from scratch.
 //   - cache.snapshot — the result cache and warm-start seeds, written on
 //     drain and periodically best-effort, restored on boot with per-entry

@@ -321,7 +321,7 @@ func TestCheckpointerThrottle(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := &Checkpointer{
 		Dir: dir, JobID: "job-1", Fingerprint: "fp", DatasetKey: "dk",
-		Interval: time.Second, MinImprove: 0.01, Met: met,
+		Interval: time.Second, Met: met,
 		Now: func() time.Time { return now },
 	}
 	// builds counts assignment materializations: only admitted offers may
@@ -346,16 +346,11 @@ func TestCheckpointerThrottle(t *testing.T) {
 	if met.CheckpointsWritten.Value() != 2 {
 		t.Fatalf("improved offer after interval not written")
 	}
-	// Interval elapsed but H moved less than MinImprove (1% of 90): skipped.
-	now = now.Add(2 * time.Second)
-	c.Offer(6, 89.5, 30, assign(0, 1, 1))
-	if met.CheckpointsWritten.Value() != 2 {
-		t.Fatalf("sub-threshold improvement written")
-	}
 	if builds != 2 {
 		t.Fatalf("%d assignments built for 2 writes: declined offers must not build", builds)
 	}
 	// Real improvement after the interval: written, and the file holds it.
+	now = now.Add(2 * time.Second)
 	c.Offer(6, 80, 40, assign(1, 1, 0))
 	if met.CheckpointsWritten.Value() != 3 {
 		t.Fatalf("improvement after interval not written")

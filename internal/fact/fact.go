@@ -289,7 +289,7 @@ func SolveCtx(ctx context.Context, ds *data.Dataset, set constraint.Set, cfg Con
 	// Root solve span: one per SolveCtx call. It feeds the emp_solve_duration
 	// histogram and anchors the trace — every phase/shard/search span below
 	// becomes a descendant through the derived context.
-	solveSpan, ctx := met.histSolve.StartCtx(ctx)
+	solveSpan, ctx := met.spanSolve.StartCtx(ctx)
 	defer solveSpan.End()
 	// Phase 1 on the whole dataset: dataset-level infeasibility
 	// short-circuits every path, and every shard, at once.

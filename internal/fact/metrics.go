@@ -3,7 +3,7 @@ package fact
 import "emp/internal/obs"
 
 // pkgMetrics holds the registry-bound telemetry of the FaCT driver: the
-// solve counters and one span timer per phase. All fields are nil until
+// solve counters and one span histogram per phase. All fields are nil until
 // SetMetrics binds a registry; obs types are nil-receiver safe, so Solve
 // pays one branch per phase when telemetry is absent.
 type pkgMetrics struct {
@@ -14,25 +14,19 @@ type pkgMetrics struct {
 	shardRetries    *obs.Counter
 	panicsRecovered *obs.Counter
 	warmStarts      *obs.Counter
-	spanFeas        *obs.Timer
-	spanCons        *obs.Timer
-	spanSearch      *obs.Timer
-	spanShard       *obs.Timer
-	spanShardSolve  *obs.Timer
-	spanCut         *obs.Timer
-	spanSeam        *obs.Timer
+	spanSolve       *obs.Histogram
+	spanFeas        *obs.Histogram
+	spanCons        *obs.Histogram
+	spanSearch      *obs.Histogram
+	spanShard       *obs.Histogram
+	spanShardSolve  *obs.Histogram
+	spanCut         *obs.Histogram
+	spanSeam        *obs.Histogram
 	shardSolves     *obs.Counter
 	shardInfeasible *obs.Counter
 	cutSolves       *obs.Counter
 	cutShards       *obs.Counter
 	seamMoves       *obs.Counter
-	// histSolve and histShard are the end-to-end latency distributions: the
-	// root solve span (one per SolveCtx call, whole or sharded) and the
-	// per-component sub-solve span. Their StartCtx spans also carry the
-	// request's trace identity into the solver, so the histograms and the
-	// span tree come from the same instrumentation points.
-	histSolve *obs.Histogram
-	histShard *obs.Histogram
 }
 
 var met pkgMetrics
@@ -59,31 +53,29 @@ func SetMetrics(r *obs.Registry) {
 			"Panics recovered at shard and multi-start isolation boundaries."),
 		warmStarts: r.Counter("emp_solve_warmstart_total",
 			"Construction iterations seeded from a prior partition (Config.WarmStart)."),
-		spanFeas:   r.Timer(`emp_solve_phase_duration{phase="feasibility"}`, phaseHelp),
-		spanCons:   r.Timer(`emp_solve_phase_duration{phase="construction"}`, phaseHelp),
-		spanSearch: r.Timer(`emp_solve_phase_duration{phase="local_search"}`, phaseHelp),
-		spanShard: r.Timer(`emp_solve_phase_duration{phase="shard"}`,
-			"Wall time of the sharded pipeline: decomposition, sub-solves and merge."),
-		spanShardSolve: r.Timer("emp_shard_solve_duration",
-			"Wall time of individual connected-component sub-solves."),
+		spanSolve: r.Histogram("emp_solve_duration",
+			"End-to-end fact.Solve latency distribution (root solve span).", nil),
+		spanFeas:   r.Histogram(`emp_solve_phase_duration{phase="feasibility"}`, phaseHelp, nil),
+		spanCons:   r.Histogram(`emp_solve_phase_duration{phase="construction"}`, phaseHelp, nil),
+		spanSearch: r.Histogram(`emp_solve_phase_duration{phase="local_search"}`, phaseHelp, nil),
+		spanShard: r.Histogram(`emp_solve_phase_duration{phase="shard"}`,
+			"Wall time of the sharded pipeline: decomposition, sub-solves and merge.", nil),
+		spanShardSolve: r.Histogram("emp_shard_solve_duration",
+			"Wall time of individual connected-component sub-solves.", nil),
 		shardSolves: r.Counter("emp_shard_solves_total",
 			"Connected-component sub-solves executed by the sharded pipeline."),
 		shardInfeasible: r.Counter("emp_shard_infeasible_total",
 			"Sub-solves whose component was individually infeasible (areas left unassigned)."),
-		spanCut: r.Timer(`emp_solve_phase_duration{phase="cut"}`,
-			"Wall time of the multilevel cut partitioner (cut-sharded solves)."),
-		spanSeam: r.Timer(`emp_solve_phase_duration{phase="seam_repair"}`,
-			"Wall time of the boundary-repair pass that stitches cut-shard seams."),
+		spanCut: r.Histogram(`emp_solve_phase_duration{phase="cut"}`,
+			"Wall time of the multilevel cut partitioner (cut-sharded solves).", nil),
+		spanSeam: r.Histogram(`emp_solve_phase_duration{phase="seam_repair"}`,
+			"Wall time of the boundary-repair pass that stitches cut-shard seams.", nil),
 		cutSolves: r.Counter("emp_cut_solves_total",
 			"Solves that ran the cut-sharded pipeline (CutShards >= 2 and the partitioner produced a real split)."),
 		cutShards: r.Counter("emp_cut_shards_total",
 			"Cut-partition sub-instances solved across all cut-sharded solves."),
 		seamMoves: r.Counter("emp_seam_moves_total",
 			"Accepted moves of the seam-repair Tabu pass (cut-sharded solves)."),
-		histSolve: r.Histogram("emp_solve_duration",
-			"End-to-end fact.Solve latency distribution (root solve span).", nil),
-		histShard: r.Histogram("emp_shard_duration",
-			"Connected-component sub-solve latency distribution.", nil),
 	}
 }
 

@@ -144,8 +144,7 @@ func runSubSolves(ctx context.Context, plan *shard.Plan, subArts []*prep.Artifac
 			}
 			span, attemptCtx := met.spanShardSolve.StartCtx(ctx)
 			r, err := solveShardAttempt(attemptCtx, i, subArts[i], subEv, sub)
-			d := span.End()
-			met.histShard.Observe(d)
+			span.End()
 			met.shardSolves.Inc()
 			if errors.Is(err, ErrInfeasible) {
 				// Shard-level infeasibility is not fatal: the areas stay

@@ -240,7 +240,7 @@ func TestParseJSONLRoundTrip(t *testing.T) {
 	reg.SetSink(obs.NewJSONLSink(&buf))
 
 	root, ctx := reg.Histogram("emp_root", "h", nil).StartCtx(context.Background())
-	child, _ := reg.Timer("emp_child_duration", "h").StartCtx(ctx)
+	child, _ := reg.Histogram("emp_child_duration", "h", nil).StartCtx(ctx)
 	time.Sleep(time.Millisecond)
 	child.End()
 	root.End()

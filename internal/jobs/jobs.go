@@ -297,6 +297,14 @@ func (s *Store) SubmitDone(fingerprint, datasetKey, dataset string, result any, 
 	defer s.mu.Unlock()
 	s.sweepLocked()
 	j := s.newJobLocked(fingerprint, datasetKey, dataset)
+	s.retireBornDoneLocked(j, result, cost, warmSeed, p, h)
+	return j
+}
+
+// retireBornDoneLocked seals a job that is terminal on arrival — never
+// queued, never active — with its result, warm seed and single "done"
+// event, and moves it to the finished FIFO. Caller holds s.mu.
+func (s *Store) retireBornDoneLocked(j *Job, result any, cost int64, warmSeed []int, p int, h float64) {
 	j.state = StateDone
 	j.started = j.created
 	j.finished = j.created
@@ -305,15 +313,21 @@ func (s *Store) SubmitDone(fingerprint, datasetKey, dataset string, result any, 
 	j.setWarmSeedLocked(warmSeed)
 	j.closeEvents(StateDone, p, h, 0)
 	s.retireLocked(j)
-	return j
 }
 
-// newJobLocked allocates and indexes a job. Caller holds s.mu.
+// newJobLocked allocates and indexes a job under a fresh id. Caller holds
+// s.mu.
 func (s *Store) newJobLocked(fingerprint, datasetKey, dataset string) *Job {
 	id := s.newID()
 	for s.byID[id] != nil { // vanishing collision odds, but ids must be unique
 		id = s.newID()
 	}
+	return s.addJobLocked(id, fingerprint, datasetKey, dataset)
+}
+
+// addJobLocked allocates a job under id and indexes it by id; it is the only
+// place a Job is built. Caller holds s.mu.
+func (s *Store) addJobLocked(id, fingerprint, datasetKey, dataset string) *Job {
 	j := &Job{
 		id:          id,
 		fingerprint: fingerprint,

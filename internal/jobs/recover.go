@@ -1,11 +1,16 @@
 package jobs
 
-import "errors"
+import (
+	"errors"
+
+	"emp/internal/durable"
+)
 
 // Recovery-facing store APIs: re-admitting journaled jobs under their
 // original ids after a crash, and exporting/importing the warm-seed index
-// for cache snapshots. The durable layer (via internal/server) is the only
-// caller; normal traffic uses Submit/SubmitDone.
+// as the snapshot's own durable.WarmSeedEntry records. The durable layer
+// (via internal/server) is the only caller; normal traffic uses
+// Submit/SubmitDone.
 
 // ErrJobExists rejects a recovered re-admission whose id or fingerprint is
 // already live — a client resubmitted the same request before recovery got
@@ -26,42 +31,23 @@ func (s *Store) SubmitRecovered(id, fingerprint, datasetKey, dataset string) (*J
 	if _, ok := s.byFP[fingerprint]; ok {
 		return nil, ErrJobExists
 	}
-	j := &Job{
-		id:          id,
-		fingerprint: fingerprint,
-		datasetKey:  datasetKey,
-		dataset:     dataset,
-		created:     s.now(),
-		store:       s,
-		notify:      make(chan struct{}),
-	}
+	j := s.addJobLocked(id, fingerprint, datasetKey, dataset)
 	j.state = StateQueued
-	s.byID[id] = j
 	s.byFP[fingerprint] = j
 	s.active++
 	return j, nil
 }
 
-// WarmSeedExport is one entry of the warm-seed index in snapshot form.
-type WarmSeedExport struct {
-	DatasetKey  string
-	JobID       string
-	Fingerprint string
-	Seed        []int
-	P           int
-	H           float64
-}
-
 // WarmSeeds exports the warm-seed index for snapshotting: per dataset key,
 // the newest finished job's final assignment plus the (p, H) of its sealed
 // terminal event. Seeds are shared read-only with the store.
-func (s *Store) WarmSeeds() []WarmSeedExport {
+func (s *Store) WarmSeeds() []durable.WarmSeedEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]WarmSeedExport, 0, len(s.warmByKey))
+	out := make([]durable.WarmSeedEntry, 0, len(s.warmByKey))
 	for key, j := range s.warmByKey {
 		p, h := j.finalIncumbent()
-		out = append(out, WarmSeedExport{
+		out = append(out, durable.WarmSeedEntry{
 			DatasetKey:  key,
 			JobID:       j.id,
 			Fingerprint: j.fingerprint,
@@ -78,7 +64,7 @@ func (s *Store) WarmSeeds() []WarmSeedExport {
 // stays stable across restarts) carrying only the seed. First writer wins —
 // a live job that already took the id or produced a fresher seed for the key
 // is never displaced.
-func (s *Store) RestoreWarmSeed(e WarmSeedExport) bool {
+func (s *Store) RestoreWarmSeed(e durable.WarmSeedEntry) bool {
 	if len(e.Seed) == 0 || e.DatasetKey == "" {
 		return false
 	}
@@ -87,28 +73,8 @@ func (s *Store) RestoreWarmSeed(e WarmSeedExport) bool {
 	if s.byID[e.JobID] != nil || s.warmByKey[e.DatasetKey] != nil {
 		return false
 	}
-	j := &Job{
-		id:          e.JobID,
-		fingerprint: e.Fingerprint,
-		datasetKey:  e.DatasetKey,
-		dataset:     e.DatasetKey,
-		created:     s.now(),
-		store:       s,
-		notify:      make(chan struct{}),
-	}
-	j.state = StateDone
-	j.started = j.created
-	j.finished = j.created
-	s.byID[j.id] = j
-	j.setWarmSeedLocked(e.Seed)
-	j.closeEvents(StateDone, e.P, e.H, 0)
-	// Straight to the finished FIFO: it was never active.
-	j.cancel = nil
-	s.done = append(s.done, j)
-	s.doneBytes += j.retainedCost()
-	for len(s.done) > 0 && s.doneBytes > s.retain {
-		s.evictLocked(s.done[0])
-	}
+	j := s.addJobLocked(e.JobID, e.Fingerprint, e.DatasetKey, e.DatasetKey)
+	s.retireBornDoneLocked(j, nil, 0, e.Seed, e.P, e.H)
 	return true
 }
 

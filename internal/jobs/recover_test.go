@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"emp/internal/durable"
 )
 
 func TestSubmitRecoveredPreservesID(t *testing.T) {
@@ -72,7 +74,7 @@ func TestOnTransitionHookObservesLifecycle(t *testing.T) {
 	}
 }
 
-func TestWarmSeedExportRestoreRoundTrip(t *testing.T) {
+func TestWarmSeedsRestoreRoundTrip(t *testing.T) {
 	s, _ := newTestStore(t, Config{})
 	j, _, _ := s.Submit("fp", "dk", "grid")
 	s.Start(j)
@@ -106,7 +108,7 @@ func TestWarmSeedExportRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("re-export = %+v", exp2)
 	}
 	// First wins: a second restore for the same key is a no-op.
-	if s2.RestoreWarmSeed(WarmSeedExport{DatasetKey: "dk", JobID: "zz", Fingerprint: "z", Seed: []int{9}}) {
+	if s2.RestoreWarmSeed(durable.WarmSeedEntry{DatasetKey: "dk", JobID: "zz", Fingerprint: "z", Seed: []int{9}}) {
 		t.Fatal("duplicate-key restore accepted")
 	}
 }

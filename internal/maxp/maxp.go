@@ -24,8 +24,8 @@ import (
 // pkgMetrics holds the registry-bound telemetry; nil until SetMetrics.
 type pkgMetrics struct {
 	solves   *obs.Counter
-	spanCons *obs.Timer
-	spanTabu *obs.Timer
+	spanCons *obs.Histogram
+	spanTabu *obs.Histogram
 }
 
 var met pkgMetrics
@@ -40,8 +40,8 @@ func SetMetrics(r *obs.Registry) {
 	const phaseHelp = "Wall time of maxp.Solve phases."
 	met = pkgMetrics{
 		solves:   r.Counter("emp_maxp_solves_total", "Completed maxp.Solve runs."),
-		spanCons: r.Timer(`emp_maxp_phase_duration{phase="construction"}`, phaseHelp),
-		spanTabu: r.Timer(`emp_maxp_phase_duration{phase="local_search"}`, phaseHelp),
+		spanCons: r.Histogram(`emp_maxp_phase_duration{phase="construction"}`, phaseHelp, nil),
+		spanTabu: r.Histogram(`emp_maxp_phase_duration{phase="local_search"}`, phaseHelp, nil),
 	}
 }
 

@@ -14,16 +14,16 @@ var DefBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 60,
 }
 
-// Histogram is a fixed-bucket, lock-free latency histogram rendered in the
-// Prometheus text format as cumulative `_seconds_bucket{le=...}` series plus
-// `_seconds_sum` and `_seconds_count`. Bucket bounds are fixed at
-// registration; Observe is wait-free (one linear bound scan, two atomic
-// adds). Nil-receiver safe like the other metric kinds.
+// Histogram is the one duration instrument: a fixed-bucket, lock-free
+// latency histogram with a running max, rendered in the Prometheus text
+// format as cumulative `_seconds_bucket{le=...}` series plus `_seconds_sum`
+// and `_seconds_count`, and a `_seconds_max` gauge. Bucket bounds are fixed
+// at registration; Observe is lock-free (one linear bound scan, three atomic
+// adds and a max update). Nil-receiver safe like the other metric kinds.
 //
-// Unlike Timer.Observe, Histogram.Observe never emits a span event: callers
-// that want both the distribution and the event stream open a span with
-// Histogram.StartCtx / Start, which records into the histogram and emits
-// exactly one event at End.
+// Observe only records. Callers that want the event stream as well open a
+// span with Start / StartCtx, whose End records into the histogram and
+// emits exactly one event.
 type Histogram struct {
 	name    string
 	reg     *Registry
@@ -31,13 +31,15 @@ type Histogram struct {
 	buckets []atomic.Int64
 	count   atomic.Int64
 	sumNs   atomic.Int64
+	maxNs   atomic.Int64
 }
 
 // Histogram returns the registered histogram, creating it on first use with
 // the given finite bucket bounds (ascending seconds; nil means DefBuckets).
-// Like Timer, name it without a unit suffix; the rendering appends
-// `_seconds_bucket`/`_seconds_sum`/`_seconds_count`. Bounds are fixed on
-// first registration; later calls with different bounds get the original.
+// Name it without a unit suffix (`emp_solve_phase_duration{phase="x"}`);
+// the rendering appends `_seconds_bucket`/`_seconds_sum`/`_seconds_count`
+// and `_seconds_max`. Bounds are fixed on first registration; later calls
+// with different bounds get the original.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -58,7 +60,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
-// Observe records one duration.
+// Observe records one duration; it emits no event.
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil || !h.reg.enabled.Load() {
 		return
@@ -72,6 +74,12 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sumNs.Add(ns)
+	for {
+		cur := h.maxNs.Load()
+		if ns <= cur || h.maxNs.CompareAndSwap(cur, ns) {
+			return
+		}
+	}
 }
 
 // Count returns the number of observations.
@@ -90,18 +98,10 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sumNs.Load())
 }
 
-// Bounds returns the finite bucket bounds (shared slice; do not mutate).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
-// Cumulative returns the cumulative bucket counts aligned with Bounds() plus
-// a final +Inf entry equal to Count(). The snapshot is not atomic across
-// buckets, but each bucket is monotone so the result is always a valid
-// (possibly slightly stale) histogram.
+// Cumulative returns the cumulative bucket counts aligned with the finite
+// bounds plus a final +Inf entry equal to Count(). The snapshot is not
+// atomic across buckets, but each bucket is monotone so the result is always
+// a valid (possibly slightly stale) histogram.
 func (h *Histogram) Cumulative() []int64 {
 	if h == nil {
 		return nil
@@ -115,33 +115,18 @@ func (h *Histogram) Cumulative() []int64 {
 	return out
 }
 
-// Merge adds o's observations into h. Bucket layouts must match (same
-// length; bounds are assumed identical — merging registries built from the
-// same registration code). Safe under concurrent Observe on either side.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil || len(h.buckets) != len(o.buckets) {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sumNs.Add(o.sumNs.Load())
-}
-
 // Start opens an identity-free span on the histogram (for callers without a
-// context). End records the duration but emits no event.
+// context). The start time carries Go's monotonic clock reading, so suspends
+// and wall-clock adjustments cannot produce negative or inflated durations.
 func (h *Histogram) Start() Span { return Span{h: h, t0: time.Now()} }
 
 // StartCtx opens a span carrying trace identity derived from ctx: the span
 // becomes a child of the context's current span (or the root of a fresh
 // trace) and the returned context carries the new identity for nested spans.
 // End records the duration into the histogram and emits one "span" event
-// with trace_id/span_id/parent_id. On a nil receiver (telemetry absent) it
-// returns a no-op span and the context unchanged, keeping the absent cost at
-// one branch.
+// stamped with trace_id/span_id/parent_id. On a nil receiver (telemetry
+// absent) or a disabled registry it returns a no-op span and the context
+// unchanged, keeping the absent cost at one branch.
 func (h *Histogram) StartCtx(ctx context.Context) (Span, context.Context) {
 	if h == nil || !h.reg.enabled.Load() {
 		return Span{t0: time.Now()}, ctx

@@ -1,11 +1,12 @@
 // Package obs is the solver's zero-dependency telemetry layer: atomic
-// counters and gauges, monotonic phase timers/spans, a process-wide registry
-// rendered as Prometheus text, and a pluggable Sink receiving a structured
-// JSONL event stream (see docs/OBSERVABILITY.md for the catalogue).
+// counters and gauges, latency histograms timed by spans, a process-wide
+// registry rendered as Prometheus text, and a pluggable Sink receiving a
+// structured JSONL event stream (see docs/OBSERVABILITY.md for the
+// catalogue).
 //
 // The design is allocation-conscious and safe to leave wired into hot paths:
 //
-//   - Counter/Gauge/Timer methods are nil-receiver safe, so packages keep
+//   - Counter/Gauge/Histogram methods are nil-receiver safe, so packages keep
 //     plain `*obs.Counter` fields that stay nil until telemetry is bound;
 //     the "absent" cost is one predictable branch.
 //   - Every mutation is guarded by the owning registry's enabled flag (one
@@ -18,7 +19,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +34,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 	help       map[string]string // metric family -> help text
 	names      []string          // registration order, for stable iteration
@@ -49,7 +48,6 @@ func New() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		timers:     make(map[string]*Timer),
 		histograms: make(map[string]*Histogram),
 		help:       make(map[string]string),
 	}
@@ -143,22 +141,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Timer returns the registered timer, creating it on first use. Name the
-// timer without a unit suffix (`emp_solve_phase_duration{phase="x"}`): the
-// Prometheus rendering appends `_seconds_sum`, `_seconds_count` and
-// `_seconds_max` series.
-func (r *Registry) Timer(name, help string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t, ok := r.timers[name]; ok {
-		return t
-	}
-	t := &Timer{name: name, reg: r}
-	r.timers[name] = t
-	r.register(familyOf(name)+"_seconds", name, help)
-	return t
-}
-
 // register records help text and registration order under r.mu.
 func (r *Registry) register(family, name, help string) {
 	if r.help[family] == "" && help != "" {
@@ -234,131 +216,39 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Timer aggregates durations: count, sum and max, rendered as a Prometheus
-// summary (plus a max gauge). Durations are measured with the monotonic
-// clock via Span.
-type Timer struct {
-	name  string
-	reg   *Registry
-	count atomic.Int64
-	sumNs atomic.Int64
-	maxNs atomic.Int64
-}
-
-// Observe records one duration and streams a span event to the sink.
-func (t *Timer) Observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if !t.record(ns) {
-		return
-	}
-	t.reg.Emit(Event{Kind: "span", Name: t.name, DurationNs: ns})
-}
-
-// record updates the aggregate (count/sum/max) without emitting an event and
-// reports whether the observation was recorded.
-func (t *Timer) record(ns int64) bool {
-	if t == nil || !t.reg.enabled.Load() {
-		return false
-	}
-	t.count.Add(1)
-	t.sumNs.Add(ns)
-	for {
-		cur := t.maxNs.Load()
-		if ns <= cur || t.maxNs.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-	return true
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// Sum returns the total observed duration.
-func (t *Timer) Sum() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.sumNs.Load())
-}
-
-// Span is an in-flight phase measurement. It is a value type: starting an
-// identity-free span allocates nothing; StartCtx spans additionally carry
-// the trace/span/parent identity threaded through the context.
+// Span is an in-flight measurement on one histogram. It is a value type:
+// starting an identity-free span allocates nothing; StartCtx spans
+// additionally carry the trace/span/parent identity threaded through the
+// context.
 type Span struct {
-	t      *Timer
 	h      *Histogram
 	t0     time.Time
 	sc     SpanContext
 	parent SpanID
 }
 
-// StartSpan opens a span against the timer (which may be nil). The start
-// time carries Go's monotonic clock reading, so suspends and wall-clock
-// adjustments cannot produce negative or inflated phase times.
-func StartSpan(t *Timer) Span { return Span{t: t, t0: time.Now()} }
-
-// Start opens a span on the timer; nil-receiver safe.
-func (t *Timer) Start() Span { return StartSpan(t) }
-
-// StartCtx opens a span that is a child of ctx's current span (or the root
-// of a fresh trace when ctx carries none) and returns a context carrying the
-// new identity for nested spans. End emits one "span" event stamped with
-// trace_id/span_id/parent_id. On a nil receiver or a disabled registry the
-// span is identity-free and the context is returned unchanged.
-func (t *Timer) StartCtx(ctx context.Context) (Span, context.Context) {
-	if t == nil || !t.reg.enabled.Load() {
-		return Span{t0: time.Now()}, ctx
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sc, parent := childSpan(ctx)
-	return Span{t: t, t0: time.Now(), sc: sc, parent: parent}, ContextWithSpan(ctx, sc)
-}
-
 // Context returns the span's identity (zero for identity-free spans).
 func (s Span) Context() SpanContext { return s.sc }
 
-// End closes the span, records it into its timer or histogram (when bound
-// and enabled) and returns the measured duration either way, so callers can
-// use one code path for both timing needs. Identity-carrying spans emit one
-// event with trace correlation; plain timer spans keep the legacy
-// identity-free event.
+// End closes the span and returns the measured duration, so callers can use
+// one code path for both timing needs. When the histogram is bound and
+// enabled, End records the duration and emits one "span" event, stamped with
+// trace_id/span_id/parent_id when the span has them.
 func (s Span) End() time.Duration {
 	d := time.Since(s.t0)
-	if !s.sc.IsValid() {
-		s.t.Observe(d)
-		s.h.Observe(d)
+	h := s.h
+	if h == nil || !h.reg.enabled.Load() {
 		return d
 	}
-	ns := d.Nanoseconds()
-	var reg *Registry
-	var name string
-	switch {
-	case s.t != nil:
-		if s.t.record(ns) {
-			reg, name = s.t.reg, s.t.name
-		}
-	case s.h != nil:
-		s.h.Observe(d)
-		if s.h.reg.enabled.Load() {
-			reg, name = s.h.reg, s.h.name
-		}
-	}
-	if reg != nil {
-		e := Event{Kind: "span", Name: name, DurationNs: ns,
-			TraceID: s.sc.Trace.String(), SpanID: s.sc.Span.String()}
+	h.Observe(d)
+	e := Event{Kind: "span", Name: h.name, DurationNs: d.Nanoseconds()}
+	if s.sc.IsValid() {
+		e.TraceID, e.SpanID = s.sc.Trace.String(), s.sc.Span.String()
 		if s.parent.IsValid() {
 			e.ParentID = s.parent.String()
 		}
-		reg.Emit(e)
 	}
+	h.reg.Emit(e)
 	return d
 }
 

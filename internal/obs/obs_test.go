@@ -40,11 +40,11 @@ func TestNilCounterIsSafe(t *testing.T) {
 	var g *Gauge
 	g.Add(1)
 	g.Set(2)
-	var tm *Timer
-	tm.Observe(time.Second)
-	sp := tm.Start()
+	var h *Histogram
+	h.Observe(time.Second)
+	sp := h.Start()
 	if d := sp.End(); d < 0 {
-		t.Fatalf("nil-timer span duration negative: %v", d)
+		t.Fatalf("nil-histogram span duration negative: %v", d)
 	}
 }
 
@@ -57,24 +57,24 @@ func TestCounterIdentity(t *testing.T) {
 	}
 }
 
-func TestTimerAggregates(t *testing.T) {
+func TestHistogramAggregates(t *testing.T) {
 	r := New()
 	r.SetEnabled(true)
-	tm := r.Timer("emp_test_duration", "test timer")
-	tm.Observe(2 * time.Millisecond)
-	tm.Observe(3 * time.Millisecond)
-	if got := tm.Count(); got != 2 {
+	h := r.Histogram("emp_test_duration", "test histogram", nil)
+	h.Observe(2 * time.Millisecond)
+	h.Observe(3 * time.Millisecond)
+	if got := h.Count(); got != 2 {
 		t.Fatalf("count = %d, want 2", got)
 	}
-	if got := tm.Sum(); got != 5*time.Millisecond {
+	if got := h.Sum(); got != 5*time.Millisecond {
 		t.Fatalf("sum = %v, want 5ms", got)
 	}
-	sp := StartSpan(tm)
+	sp := h.Start()
 	time.Sleep(time.Millisecond)
 	if d := sp.End(); d < time.Millisecond {
 		t.Fatalf("span measured %v, want >= 1ms", d)
 	}
-	if got := tm.Count(); got != 3 {
+	if got := h.Count(); got != 3 {
 		t.Fatalf("count after span = %d, want 3", got)
 	}
 }
@@ -85,7 +85,7 @@ func TestPrometheusRendering(t *testing.T) {
 	r.Counter("emp_solve_total", "Completed solves.").Add(7)
 	r.Gauge("emp_http_in_flight", "In-flight requests.").Set(2)
 	r.Counter(`emp_http_requests_total{path="/solve",code="200"}`, "Requests.").Inc()
-	r.Timer(`emp_solve_phase_duration{phase="construction"}`, "Phase wall time.").Observe(1500 * time.Millisecond)
+	r.Histogram(`emp_solve_phase_duration{phase="construction"}`, "Phase wall time.", nil).Observe(1500 * time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -98,9 +98,12 @@ func TestPrometheusRendering(t *testing.T) {
 		"# TYPE emp_http_in_flight gauge",
 		"emp_http_in_flight 2",
 		`emp_http_requests_total{path="/solve",code="200"} 1`,
-		"# TYPE emp_solve_phase_duration_seconds summary",
+		"# TYPE emp_solve_phase_duration_seconds histogram",
+		`emp_solve_phase_duration_seconds_bucket{phase="construction",le="2.5"} 1`,
 		`emp_solve_phase_duration_seconds_sum{phase="construction"} 1.500000000`,
 		`emp_solve_phase_duration_seconds_count{phase="construction"} 1`,
+		"# HELP emp_solve_phase_duration_seconds_max Phase wall time.",
+		"# TYPE emp_solve_phase_duration_seconds_max gauge",
 		`emp_solve_phase_duration_seconds_max{phase="construction"} 1.500000000`,
 	} {
 		if !strings.Contains(text, want) {
@@ -143,8 +146,7 @@ func TestJSONLSink(t *testing.T) {
 		t.Fatal("HasSink = false after SetSink")
 	}
 	r.Emit(Event{Kind: "solve", Name: "fact", Fields: map[string]float64{"p": 12}})
-	tm := r.Timer("emp_test_duration", "h")
-	tm.Observe(time.Millisecond)
+	r.Emit(Event{Kind: "span", Name: "emp_test_duration", DurationNs: time.Millisecond.Nanoseconds()})
 
 	sc := bufio.NewScanner(&buf)
 	var events []Event
@@ -184,7 +186,9 @@ func TestSnapshot(t *testing.T) {
 	r.SetEnabled(true)
 	r.Counter("emp_solve_total", "h").Add(3)
 	r.Gauge("emp_http_in_flight", "h").Set(1)
-	r.Timer("emp_t_duration", "h").Observe(time.Second)
+	h := r.Histogram("emp_t_duration", "h", nil)
+	h.Observe(time.Second)
+	h.Observe(250 * time.Millisecond)
 	snap := r.Snapshot()
 	if snap["emp_solve_total"] != 3 {
 		t.Fatalf("snapshot counter = %v", snap["emp_solve_total"])
@@ -192,11 +196,14 @@ func TestSnapshot(t *testing.T) {
 	if snap["emp_http_in_flight"] != 1 {
 		t.Fatalf("snapshot gauge = %v", snap["emp_http_in_flight"])
 	}
-	if snap["emp_t_duration_seconds_sum"] != 1 {
-		t.Fatalf("snapshot timer sum = %v", snap["emp_t_duration_seconds_sum"])
+	if snap["emp_t_duration_seconds_sum"] != 1.25 {
+		t.Fatalf("snapshot histogram sum = %v", snap["emp_t_duration_seconds_sum"])
 	}
-	if snap["emp_t_duration_seconds_count"] != 1 {
-		t.Fatalf("snapshot timer count = %v", snap["emp_t_duration_seconds_count"])
+	if snap["emp_t_duration_seconds_count"] != 2 {
+		t.Fatalf("snapshot histogram count = %v", snap["emp_t_duration_seconds_count"])
+	}
+	if snap["emp_t_duration_seconds_max"] != 1 {
+		t.Fatalf("snapshot histogram max = %v", snap["emp_t_duration_seconds_max"])
 	}
 }
 

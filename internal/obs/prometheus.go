@@ -15,7 +15,7 @@ import (
 // lexical name sorting would scramble ("+Inf" sorts before "0.001").
 type series struct {
 	family string // base name grouping HELP/TYPE lines
-	typ    string // counter | gauge | summary | histogram
+	typ    string // counter | gauge | histogram
 	sub    string // intra-family group (histogram label set), "" otherwise
 	seq    int    // intra-group order (bucket index), 0 otherwise
 	name   string
@@ -23,16 +23,15 @@ type series struct {
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (v0.0.4): counters and gauges one sample each, timers as a
-// summary-without-quantiles (`_seconds_sum` + `_seconds_count`) plus a
-// `_seconds_max` gauge, histograms as cumulative `_seconds_bucket{le=...}`
-// series with `_seconds_sum`/`_seconds_count`. Output is sorted by family,
+// format (v0.0.4): counters and gauges one sample each, histograms as
+// cumulative `_seconds_bucket{le=...}` series with `_seconds_sum` and
+// `_seconds_count`, plus a `_seconds_max` gauge. Output is sorted by family,
 // label set and bucket order, so the rendering is deterministic and
 // diff-friendly.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	rows := make([]series, 0,
-		len(r.counters)+len(r.gauges)+3*len(r.timers)+(len(DefBuckets)+3)*len(r.histograms))
+		len(r.counters)+len(r.gauges)+(len(DefBuckets)+4)*len(r.histograms))
 	for name, c := range r.counters {
 		rows = append(rows, series{
 			family: familyOf(name), typ: "counter",
@@ -44,21 +43,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			family: familyOf(name), typ: "gauge",
 			name: name, value: fmt.Sprintf("%d", g.Value()),
 		})
-	}
-	for name, t := range r.timers {
-		base, labels := splitLabels(name)
-		fam := base + "_seconds"
-		rows = append(rows,
-			series{family: fam, typ: "summary",
-				name:  fam + "_sum" + labels,
-				value: formatSeconds(t.sumNs.Load())},
-			series{family: fam, typ: "summary",
-				name:  fam + "_count" + labels,
-				value: fmt.Sprintf("%d", t.count.Load())},
-			series{family: fam + "_max", typ: "gauge",
-				name:  fam + "_max" + labels,
-				value: formatSeconds(t.maxNs.Load())},
-		)
 	}
 	for name, h := range r.histograms {
 		base, labels := splitLabels(name)
@@ -83,6 +67,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				sub: labels, seq: len(cum) + 2,
 				name:  fam + "_count" + labels,
 				value: fmt.Sprintf("%d", h.count.Load())},
+			series{family: fam + "_max", typ: "gauge",
+				name:  fam + "_max" + labels,
+				value: formatSeconds(h.maxNs.Load())},
 		)
 	}
 	help := make(map[string]string, len(r.help))
@@ -107,7 +94,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, s := range rows {
 		if s.family != prev {
 			prev = s.family
-			// Timer families registered as "<base>_seconds" share the
+			// Histogram families registered as "<base>_seconds" share the
 			// "<base>_seconds_max" gauge's help text.
 			h := help[s.family]
 			if h == "" {
@@ -142,29 +129,25 @@ func (r *Registry) MetricsHandler() http.Handler {
 	})
 }
 
-// Snapshot returns every sample as a flat name -> value map (timers expanded
-// into `_seconds_sum`/`_seconds_count`/`_seconds_max`). It backs the expvar
-// export and keeps tests independent of the text rendering.
+// Snapshot returns every sample as a flat name -> value map (histograms
+// expanded into `_seconds_sum`/`_seconds_count`/`_seconds_max`, without
+// buckets). It backs the expvar export and keeps tests independent of the
+// text rendering.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+3*len(r.timers))
+	out := make(map[string]float64, len(r.counters)+len(r.gauges)+3*len(r.histograms))
 	for name, c := range r.counters {
 		out[name] = float64(c.Value())
 	}
 	for name, g := range r.gauges {
 		out[name] = float64(g.Value())
 	}
-	for name, t := range r.timers {
-		base, labels := splitLabels(name)
-		out[base+"_seconds_sum"+labels] = float64(t.sumNs.Load()) / 1e9
-		out[base+"_seconds_count"+labels] = float64(t.count.Load())
-		out[base+"_seconds_max"+labels] = float64(t.maxNs.Load()) / 1e9
-	}
 	for name, h := range r.histograms {
 		base, labels := splitLabels(name)
 		out[base+"_seconds_sum"+labels] = float64(h.sumNs.Load()) / 1e9
 		out[base+"_seconds_count"+labels] = float64(h.count.Load())
+		out[base+"_seconds_max"+labels] = float64(h.maxNs.Load()) / 1e9
 	}
 	return out
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Event is one structured telemetry record. Spans emit Kind "span" with the
-// timer's name and duration; solvers emit domain events ("solve", "trace")
+// histogram's name and duration; solvers emit domain events ("solve", "trace")
 // with numeric Fields and string Labels. The JSONL schema is documented in
 // docs/OBSERVABILITY.md and consumed by `empbench -trace`.
 type Event struct {

@@ -13,7 +13,7 @@ import (
 // logical operation (an HTTP request, a benchmark solve); SpanIDs name the
 // nested phases inside it. Identity travels in a context.Context value, so
 // the solver packages stay free of any tracing dependency: they call
-// Timer.StartCtx and the identity threads itself.
+// Histogram.StartCtx and the identity threads itself.
 //
 // The wire format at HTTP boundaries is W3C traceparent
 // (https://www.w3.org/TR/trace-context/):

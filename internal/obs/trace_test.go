@@ -106,7 +106,7 @@ func TestStartCtxDerivesChildSpans(t *testing.T) {
 	if !root.IsValid() {
 		t.Fatal("root span has no identity on an enabled registry")
 	}
-	childSpan, cctx := r.Timer("emp_phase_duration", "h").StartCtx(ctx)
+	childSpan, cctx := r.Histogram("emp_phase_duration", "h", nil).StartCtx(ctx)
 	child := childSpan.Context()
 	if child.Trace != root.Trace {
 		t.Fatalf("child trace %s != root trace %s", child.Trace, root.Trace)
@@ -114,7 +114,7 @@ func TestStartCtxDerivesChildSpans(t *testing.T) {
 	if child.Span == root.Span {
 		t.Fatal("child span id equals the root span id")
 	}
-	grandSpan, _ := r.Timer("emp_leaf_duration", "h").StartCtx(cctx)
+	grandSpan, _ := r.Histogram("emp_leaf_duration", "h", nil).StartCtx(cctx)
 	grandSpan.End()
 	childSpan.End()
 	rootSpan.End()
@@ -144,6 +144,50 @@ func TestStartCtxDerivesChildSpans(t *testing.T) {
 	}
 }
 
+// TestSpanEndEmitsOneEvent: Span.End has one path. Each End records one
+// observation and emits exactly one "span" event, stamped with trace, span
+// and parent ids when the span has them and bare otherwise; Observe records
+// without emitting.
+func TestSpanEndEmitsOneEvent(t *testing.T) {
+	r := New()
+	r.SetEnabled(true)
+	sink := &MemorySink{}
+	r.SetSink(sink)
+	h := r.Histogram("emp_one_duration", "h", nil)
+
+	h.Observe(time.Millisecond)
+	if n := len(sink.Events()); n != 0 {
+		t.Fatalf("Observe emitted %d events, want 0", n)
+	}
+
+	h.Start().End()
+	evs := sink.Events()
+	if len(evs) != 1 {
+		t.Fatalf("identity-free End emitted %d events, want 1: %+v", len(evs), evs)
+	}
+	if e := evs[0]; e.Kind != "span" || e.Name != "emp_one_duration" ||
+		e.TraceID != "" || e.SpanID != "" || e.ParentID != "" {
+		t.Fatalf("identity-free span event = %+v, want a bare span event", e)
+	}
+
+	parent := SpanContext{Trace: NewTraceID(), Span: NewSpanID()}
+	sp, _ := h.StartCtx(ContextWithSpan(context.Background(), parent))
+	sp.End()
+	evs = sink.Events()
+	if len(evs) != 2 {
+		t.Fatalf("identified End emitted %d events, want 1: %+v", len(evs)-1, evs[1:])
+	}
+	if e := evs[1]; e.Kind != "span" || e.Name != "emp_one_duration" ||
+		e.TraceID != parent.Trace.String() || e.SpanID != sp.Context().Span.String() ||
+		e.ParentID != parent.Span.String() {
+		t.Fatalf("identified span event = %+v, want trace %s, span %s, parent %s",
+			e, parent.Trace, sp.Context().Span, parent.Span)
+	}
+	if got := h.Count(); got != 3 {
+		t.Fatalf("count = %d, want 3 (one Observe, two span ends)", got)
+	}
+}
+
 // TestStartCtxDisabledIsFree: with telemetry disabled, StartCtx must return
 // the context unchanged (no allocation, no identity) and End must not emit.
 func TestStartCtxDisabledIsFree(t *testing.T) {
@@ -151,7 +195,7 @@ func TestStartCtxDisabledIsFree(t *testing.T) {
 	sink := &MemorySink{}
 	r.SetSink(sink)
 	ctx := context.Background()
-	span, got := r.Timer("emp_x_duration", "h").StartCtx(ctx)
+	span, got := r.Histogram("emp_x_duration", "h", nil).StartCtx(ctx)
 	if got != ctx {
 		t.Fatal("disabled StartCtx wrapped the context")
 	}
@@ -198,31 +242,6 @@ func TestHistogramObserveAndCumulative(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	r := New()
-	r.SetEnabled(true)
-	a := r.Histogram("emp_a", "h", []float64{0.1, 1})
-	b := r.Histogram("emp_b", "h", []float64{0.1, 1})
-	a.Observe(50 * time.Millisecond)
-	b.Observe(500 * time.Millisecond)
-	b.Observe(5 * time.Second)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d, want 3", a.Count())
-	}
-	cum := a.Cumulative()
-	if cum[0] != 1 || cum[1] != 2 || cum[2] != 3 {
-		t.Fatalf("merged cumulative = %v, want [1 2 3]", cum)
-	}
-	// Mismatched bucket layouts are a silent no-op, not a corruption.
-	c := r.Histogram("emp_c", "h", []float64{0.5})
-	c.Observe(time.Millisecond)
-	a.Merge(c)
-	if a.Count() != 3 {
-		t.Fatalf("mismatched merge changed count to %d", a.Count())
-	}
-}
-
 func TestHistogramPrometheusRendering(t *testing.T) {
 	r := New()
 	r.SetEnabled(true)
@@ -243,6 +262,8 @@ func TestHistogramPrometheusRendering(t *testing.T) {
 		`emp_request_duration_seconds_bucket{path="/solve",le="+Inf"} 3`,
 		`emp_request_duration_seconds_count{path="/solve"} 3`,
 		`emp_request_duration_seconds_sum{path="/solve"} 11.001000000`,
+		"# TYPE emp_request_duration_seconds_max gauge",
+		`emp_request_duration_seconds_max{path="/solve"} 10.000000000`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n---\n%s", want, text)
@@ -256,15 +277,13 @@ func TestHistogramPrometheusRendering(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent hammers Observe, Merge and Cumulative from many
-// goroutines; correctness here is "the race detector stays quiet and the
-// final count adds up".
+// TestHistogramConcurrent hammers Observe and Cumulative from many
+// goroutines; correctness here is "the race detector stays quiet, the final
+// count adds up and the max is the largest observation".
 func TestHistogramConcurrent(t *testing.T) {
 	r := New()
 	r.SetEnabled(true)
 	h := r.Histogram("emp_conc", "h", nil)
-	src := r.Histogram("emp_conc_src", "h", nil)
-	src.Observe(time.Millisecond)
 
 	const workers, perWorker = 8, 200
 	done := make(chan struct{})
@@ -275,7 +294,6 @@ func TestHistogramConcurrent(t *testing.T) {
 				h.Observe(time.Duration(i%7) * time.Millisecond)
 				if i%50 == 0 {
 					_ = h.Cumulative()
-					h.Merge(src)
 				}
 			}
 		}()
@@ -283,8 +301,10 @@ func TestHistogramConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	want := int64(workers*perWorker) + int64(workers*(perWorker/50))
-	if got := h.Count(); got != want {
+	if got, want := h.Count(), int64(workers*perWorker); got != want {
 		t.Fatalf("count = %d, want %d", got, want)
+	}
+	if got := r.Snapshot()["emp_conc_seconds_max"]; got != 0.006 {
+		t.Fatalf("max = %v, want 0.006", got)
 	}
 }

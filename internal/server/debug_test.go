@@ -132,7 +132,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if m["emp_solve_duration_seconds_count"] < 1 {
 		t.Error("missing solve duration histogram")
 	}
-	if m["emp_shard_duration_seconds_count"] < 3 {
+	if m["emp_shard_solve_duration_seconds_count"] < 3 {
 		t.Error("missing shard duration histogram observations")
 	}
 }

@@ -96,11 +96,11 @@ func routeLabel(path string) string {
 }
 
 // instrument wraps the handler with the in-flight gauge, per-route request
-// counters, duration timers and latency histograms, the optional access log,
-// and W3C trace-context propagation: a valid incoming `traceparent` header
-// makes the request span a child of the caller's span (same trace id);
-// otherwise the request starts a fresh trace. Either way the response echoes
-// the request span's identity in `traceparent`, so clients can fetch
+// counters and latency histograms, the optional access log, and W3C
+// trace-context propagation: a valid incoming `traceparent` header makes the
+// request span a child of the caller's span (same trace id); otherwise the
+// request starts a fresh trace. Either way the response echoes the request
+// span's identity in `traceparent`, so clients can fetch
 // `/v1/debug/trace/{trace_id}` for the solve they just ran.
 func (s *service) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -114,8 +114,9 @@ func (s *service) instrument(next http.Handler) http.Handler {
 			}
 		}
 		// The request span is the trace root (or the caller's child): it
-		// feeds the per-route emp_request_duration histogram and hands its
-		// identity down to the solve via the request context.
+		// feeds the per-route emp_request_duration histogram and the access
+		// log, and hands its identity down to the solve via the request
+		// context.
 		reqSpan, ctx := s.reg.Histogram(
 			fmt.Sprintf("emp_request_duration{path=%q}", route),
 			"HTTP request latency distribution by route.", nil,
@@ -123,14 +124,9 @@ func (s *service) instrument(next http.Handler) http.Handler {
 		if sc := reqSpan.Context(); sc.IsValid() {
 			w.Header().Set("traceparent", sc.Traceparent())
 		}
-		span := s.reg.Timer(
-			fmt.Sprintf("emp_http_request_duration{path=%q}", route),
-			"Wall time of HTTP requests by route.",
-		).Start()
 		rec := &statusRecorder{ResponseWriter: w}
 		next.ServeHTTP(rec, r.WithContext(ctx))
-		dur := span.End()
-		reqSpan.End()
+		dur := reqSpan.End()
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}

@@ -258,16 +258,7 @@ func (s *service) saveSnapshot() {
 		}
 		data.Results = append(data.Results, durable.ResultEntry{Fingerprint: e.Key, Body: body})
 	}
-	for _, ws := range s.jobs.WarmSeeds() {
-		data.WarmSeeds = append(data.WarmSeeds, durable.WarmSeedEntry{
-			DatasetKey:  ws.DatasetKey,
-			JobID:       ws.JobID,
-			Fingerprint: ws.Fingerprint,
-			Seed:        ws.Seed,
-			P:           ws.P,
-			H:           ws.H,
-		})
-	}
+	data.WarmSeeds = s.jobs.WarmSeeds()
 	if err := durable.WriteSnapshot(s.snapshotPath(), data); err != nil {
 		log.Printf("durable: snapshot write failed (previous snapshot kept): %v", err)
 		return
@@ -293,14 +284,7 @@ func (s *service) loadSnapshot() {
 	}
 	seeds := 0
 	for _, ws := range data.WarmSeeds {
-		if s.jobs.RestoreWarmSeed(jobs.WarmSeedExport{
-			DatasetKey:  ws.DatasetKey,
-			JobID:       ws.JobID,
-			Fingerprint: ws.Fingerprint,
-			Seed:        ws.Seed,
-			P:           ws.P,
-			H:           ws.H,
-		}) {
+		if s.jobs.RestoreWarmSeed(ws) {
 			seeds++
 		}
 	}

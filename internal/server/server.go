@@ -29,7 +29,6 @@ import (
 	"emp/internal/jobs"
 	"emp/internal/obs"
 	"emp/internal/obswire"
-	"emp/internal/region"
 	"emp/internal/solvecache"
 )
 
@@ -400,8 +399,7 @@ func New(cfg Config) *Service {
 	})
 	s.sched = solvecache.NewScheduler(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, solvecache.SchedulerMetrics{
 		Depth:     reg.Gauge("emp_solve_queue_depth", "Solves currently waiting for a worker slot."),
-		Wait:      reg.Timer("emp_solve_queue_wait_duration", "Time solves spend queued for a worker slot."),
-		WaitHist:  reg.Histogram("emp_solve_queue_wait", "Queue-wait latency distribution.", nil),
+		Wait:      reg.Histogram("emp_solve_queue_wait_duration", "Time solves spend queued for a worker slot.", nil),
 		Rejected:  reg.Counter("emp_solve_queue_rejected_total", "Solves shed with 429 because the queue was full or the wait budget elapsed."),
 		Abandoned: reg.Counter("emp_solve_queue_abandoned_total", "Queued solves whose context was cancelled before a slot freed."),
 	})
@@ -662,20 +660,6 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func buildResponse(res *fact.Result) SolveResponse {
-	p := res.Partition
-	idx := make(map[int]int)
-	for i, id := range p.RegionIDs() {
-		idx[id] = i
-	}
-	assign := make([]int, p.Dataset().N())
-	for a := range assign {
-		id := p.Assignment(a)
-		if id == region.Unassigned {
-			assign[a] = -1
-		} else {
-			assign[a] = idx[id]
-		}
-	}
 	// Feasibility warnings and solve-level warnings (degraded phases,
 	// dropped components) both reach the client. Previously only the
 	// feasibility ones did; the merged slice stays nil when both are empty
@@ -690,7 +674,7 @@ func buildResponse(res *fact.Result) SolveResponse {
 		HeteroBefore:       res.HeteroBefore,
 		HeteroAfter:        res.HeteroAfter,
 		HeteroImprovement:  res.HeteroImprovement(),
-		Assignment:         assign,
+		Assignment:         res.Partition.DenseAssignment(),
 		ConstructionMillis: float64(res.ConstructionTime.Microseconds()) / 1000,
 		LocalSearchMillis:  float64(res.LocalSearchTime.Microseconds()) / 1000,
 		TabuMoves:          res.TabuMoves,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -151,6 +152,55 @@ func TestSolveParallelIterations(t *testing.T) {
 	}
 	if got.P != seq.P || got.HeteroAfter != seq.HeteroAfter {
 		t.Errorf("pooled result differs from the one-slot solve: %d/%g vs %d/%g", got.P, got.HeteroAfter, seq.P, seq.HeteroAfter)
+	}
+}
+
+// TestSolveAssignmentMatchesLibrary pins the wire assignment against the
+// library: for a component-sharded solve (the 3-component 20k) and a 4-way
+// cut solve, the response's "assignment" equals fact.WarmAssignment of an
+// in-process fact.Solve on the same dataset and config.
+func TestSolveAssignmentMatchesLibrary(t *testing.T) {
+	const constraints = "SUM(TOTALPOP) >= 25000"
+	for _, c := range []struct {
+		named string
+		scale float64
+		opts  SolveOptions
+	}{
+		{"20k", 0.1, SolveOptions{Seed: 3}},
+		{"2k", 0.5, SolveOptions{Seed: 3, CutShards: 4}},
+	} {
+		body, err := json.Marshal(map[string]any{
+			"named": c.named, "scale": c.scale, "constraints": constraints, "options": c.opts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", string(body))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", c.named, rec.Code, rec.Body.String())
+		}
+		var got SolveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := census.Scaled(c.named, c.scale, c.opts.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := c.opts.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fact.Solve(ds, mustSet(t, constraints), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Shards < 2 && want.CutShards < 2 {
+			t.Fatalf("%s: library solve ran unsharded (shards %d, cut shards %d)", c.named, want.Shards, want.CutShards)
+		}
+		if !reflect.DeepEqual(got.Assignment, fact.WarmAssignment(want.Partition)) {
+			t.Errorf("%s: wire assignment differs from the library's (p %d vs %d)", c.named, got.P, want.P)
+		}
 	}
 }
 

@@ -188,6 +188,81 @@ func TestMetricsAfterSolve(t *testing.T) {
 	}
 }
 
+// TestMetricsOneLatencyInstrument: every latency on /v1/metrics is one
+// histogram family with buckets, sum, count and max, and no latency is
+// recorded twice. It drives a 3-component sync solve, a cut solve and a job
+// on an obswire-enabled registry, then scrapes the page.
+func TestMetricsOneLatencyInstrument(t *testing.T) {
+	reg := obs.New()
+	obswire.Enable(reg)
+	defer obswire.Enable(nil)
+	h := NewHandler(Config{Registry: reg})
+
+	for _, body := range []string{
+		inlineMultiComponentBody(t),
+		`{"named":"2k","scale":0.5,"constraints":"SUM(TOTALPOP) >= 25000","options":{"seed":3,"cut_shards":4}}`,
+	} {
+		if rec, _ := doJSON(t, h, http.MethodPost, "/v1/solve", body); rec.Code != http.StatusOK {
+			t.Fatalf("solve status = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	rec, st := postJob(t, h, jobBody)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("job submit status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if st = waitJobTerminal(t, h, st.ID); st.State != "done" {
+		t.Fatalf("job ended %q: %s", st.State, st.Error)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	text := rec.Body.String()
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") && strings.HasSuffix(line, " summary") {
+			t.Errorf("summary family rendered: %q", line)
+		}
+	}
+	m := parseMetrics(t, text)
+	for name := range m {
+		for _, dropped := range []string{"emp_http_request_duration_", "emp_shard_duration_", "emp_solve_queue_wait_seconds"} {
+			if strings.HasPrefix(name, dropped) {
+				t.Errorf("duplicate latency still rendered: %s", name)
+			}
+		}
+	}
+
+	kept := []string{`emp_request_duration{path="/solve"}`, "emp_shard_solve_duration",
+		"emp_tabu_improve_duration", "emp_solve_queue_wait_duration"}
+	for _, phase := range []string{"feasibility", "construction", "local_search", "shard", "cut", "seam_repair"} {
+		kept = append(kept, `emp_solve_phase_duration{phase="`+phase+`"}`)
+	}
+	for _, name := range kept {
+		base, labels := name, ""
+		inf := `{le="+Inf"}`
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			base, labels = name[:i], name[i:]
+			inf = labels[:len(labels)-1] + `,le="+Inf"}`
+		}
+		for _, series := range []string{
+			base + "_seconds_bucket" + inf,
+			base + "_seconds_sum" + labels,
+			base + "_seconds_count" + labels,
+			base + "_seconds_max" + labels,
+		} {
+			if _, ok := m[series]; !ok {
+				t.Errorf("missing series %s", series)
+			}
+		}
+	}
+	if m["emp_cut_solves_total"] < 1 {
+		t.Errorf("emp_cut_solves_total = %v, want >= 1", m["emp_cut_solves_total"])
+	}
+	got, want := m["emp_shard_solve_duration_seconds_count"], m["emp_shard_solves_total"]
+	if got != want || want < 3 {
+		t.Errorf("emp_shard_solve_duration_seconds_count = %v, emp_shard_solves_total = %v: want equal and >= 3", got, want)
+	}
+}
+
 // TestSolveEventSink checks the JSONL trace path end to end: a registry with
 // a memory sink attached records one "solve" event per successful solve.
 func TestSolveEventSink(t *testing.T) {

@@ -21,10 +21,7 @@ type SchedulerMetrics struct {
 	// Depth tracks the number of callers currently queued for a worker.
 	Depth *obs.Gauge
 	// Wait times how long admitted and rejected callers sat in the queue.
-	Wait *obs.Timer
-	// WaitHist is the queue-wait latency distribution (same observations as
-	// Wait, rendered as Prometheus histogram buckets).
-	WaitHist *obs.Histogram
+	Wait *obs.Histogram
 	// Rejected counts ErrOverloaded outcomes (queue full or budget spent).
 	Rejected *obs.Counter
 	// Abandoned counts callers whose context ended while queued.
@@ -117,18 +114,16 @@ func (s *Scheduler) Acquire(ctx context.Context) (release func(), err error) {
 		s.waiting.Add(-1)
 	}()
 	span := s.met.Wait.Start()
+	defer span.End()
 	timer := time.NewTimer(s.wait)
 	defer timer.Stop()
 	select {
 	case s.slots <- struct{}{}:
-		s.met.WaitHist.Observe(span.End())
 		return s.release, nil
 	case <-timer.C:
-		s.met.WaitHist.Observe(span.End())
 		s.met.Rejected.Inc()
 		return nil, ErrOverloaded
 	case <-ctx.Done():
-		s.met.WaitHist.Observe(span.End())
 		s.met.Abandoned.Inc()
 		return nil, ctx.Err()
 	}

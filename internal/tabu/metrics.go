@@ -62,7 +62,7 @@ type pkgMetrics struct {
 	heapPops       *obs.Counter
 	tabuRejections *obs.Counter
 	removability   *obs.Counter
-	span           *obs.Timer
+	span           *obs.Histogram
 }
 
 var met pkgMetrics
@@ -93,8 +93,8 @@ func SetMetrics(r *obs.Registry) {
 			"Candidates skipped as tabu without aspiration."),
 		removability: r.Counter("emp_tabu_removability_passes_total",
 			"Donor-side contiguity computations (articulation passes)."),
-		span: r.Timer("emp_tabu_improve_duration",
-			"Wall time of tabu.Improve runs."),
+		span: r.Histogram("emp_tabu_improve_duration",
+			"Wall time of tabu.Improve runs.", nil),
 	}
 }
 
