@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke
+.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -69,3 +69,19 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkTabuTelemetry|BenchmarkImproveConverge' -benchtime 1x -benchmem ./internal/tabu/
 	$(GO) test -run xxx -bench BenchmarkConstruct -benchtime 1x -benchmem ./internal/fact/
+
+# fuzz-smoke runs every native fuzz target for 10 s beyond its seed corpus,
+# which plain `go test` only replays: the constraint DSL, the shapefile
+# readers, the traceparent header, the wire options, and the two decoders
+# that build a dataset from outside bytes (dataset JSON and GeoJSON). go test
+# fuzzes one target per run, hence one line per target. A failing input is
+# written under the package's testdata/fuzz/ for replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/constraint/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/constraint/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSHP$$' -fuzztime 10s ./internal/shapefile/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDBF$$' -fuzztime 10s ./internal/shapefile/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveOptions$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/data/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/geojson/

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"emp/internal/census"
+	"emp/internal/data"
 	"emp/internal/experiments"
 	"emp/internal/fact"
 	"emp/internal/geom"
@@ -154,22 +155,13 @@ func BenchmarkAblationTabu(b *testing.B) {
 // BenchmarkAblationContiguity compares rook vs queen adjacency.
 func BenchmarkAblationContiguity(b *testing.B) {
 	ds := benchDataset(b)
-	// Rebuild rather than copy *ds: Dataset memoizes its contiguity graph
-	// behind an atomic pointer, so value copies are copylocks violations and
-	// would share the rook graph.
-	queen := Dataset{
-		Name:               ds.Name + "-queen",
-		Polygons:           ds.Polygons,
-		Adjacency:          geom.Adjacency(ds.Polygons, geom.Queen),
-		AttrNames:          ds.AttrNames,
-		Cols:               ds.Cols,
-		Dissimilarity:      ds.Dissimilarity,
-		DissimilarityAttrs: ds.DissimilarityAttrs,
-	}
+	queen := data.FromPolygons(ds.Name+"-queen", ds.Polygons, geom.Queen)
+	queen.AttrNames, queen.Cols = ds.AttrNames, ds.Cols
+	queen.Dissimilarity, queen.DissimilarityAttrs = ds.Dissimilarity, ds.DissimilarityAttrs
 	for _, v := range []struct {
 		name string
 		ds   *Dataset
-	}{{"rook", ds}, {"queen", &queen}} {
+	}{{"rook", ds}, {"queen", queen}} {
 		b.Run(v.name, func(b *testing.B) {
 			var lastP int
 			for i := 0; i < b.N; i++ {

@@ -53,7 +53,7 @@ func main() {
 	}
 
 	problems := verify(ds, set, assign)
-	coherence := stats.JoinCountSameRegion(assign, ds.Adjacency)
+	coherence := stats.JoinCountSameRegion(assign, ds.Graph())
 	p := 0
 	seen := map[int]bool{}
 	unassigned := 0
@@ -127,6 +127,9 @@ func readAssignment(path string, n int) ([]int, error) {
 	}
 	assign := make([]int, n)
 	for i, rec := range records[1:] {
+		if len(rec) != 2 {
+			return nil, fmt.Errorf("row %d: %d field(s), want 2 (area,region)", i+1, len(rec))
+		}
 		area, err := strconv.Atoi(rec[0])
 		if err != nil || area != i {
 			return nil, fmt.Errorf("row %d: area id %q, want %d", i+1, rec[0], i)

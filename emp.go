@@ -46,7 +46,7 @@ import (
 )
 
 // Dataset is a regionalization instance: areas with polygon boundaries,
-// contiguity lists, and named attribute columns.
+// a contiguity graph (read through Graph), and named attribute columns.
 type Dataset = data.Dataset
 
 // Constraint is one user-defined constraint (f, s, l, u).

@@ -90,7 +90,7 @@ func TestSolveErrors(t *testing.T) {
 	if _, err := Solve(ds, ds.N()+1, Config{}); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := Solve(data.New("e", 0), 1, Config{}); err == nil {
+	if _, err := Solve(&data.Dataset{Name: "e"}, 1, Config{}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	// Multi-component: k below component count rejected, k == comps ok.

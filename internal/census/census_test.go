@@ -119,9 +119,9 @@ func TestGenerateStructure(t *testing.T) {
 				t.Errorf("Components = %d, want %d", got, tc.components)
 			}
 			// Planar rook lattices never exceed 4 neighbors.
-			for i, nbs := range d.Adjacency {
-				if len(nbs) > 4 {
-					t.Errorf("area %d has %d neighbors", i, len(nbs))
+			for i := 0; i < d.N(); i++ {
+				if deg := d.Graph().Degree(i); deg > 4 {
+					t.Errorf("area %d has %d neighbors", i, deg)
 				}
 			}
 		})
@@ -279,9 +279,9 @@ func TestSpatialAutocorrelation(t *testing.T) {
 	}
 	emp := d.Column(AttrEmployed)
 	var nbDiff, nbCount float64
-	for i, nbs := range d.Adjacency {
-		for _, j := range nbs {
-			if j > i {
+	for i := 0; i < d.N(); i++ {
+		for _, j := range d.Graph().Neighbors(i) {
+			if int(j) > i {
 				nbDiff += math.Abs(emp[i] - emp[j])
 				nbCount++
 			}
@@ -302,7 +302,7 @@ func TestSpatialAutocorrelation(t *testing.T) {
 	}
 	// Moran's I must be clearly positive (real census tracts typically
 	// score 0.3-0.7 on socio-economic attributes).
-	if i := stats.MoranI(emp, d.Adjacency); i < 0.1 {
+	if i := stats.MoranI(emp, d.Graph()); i < 0.1 {
 		t.Errorf("Moran's I = %.3f, want clearly positive", i)
 	}
 }

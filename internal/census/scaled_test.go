@@ -22,7 +22,7 @@ func TestScaledDeterministicPerSeed(t *testing.T) {
 	if a.N() != b.N() {
 		t.Fatalf("same seed, different N: %d vs %d", a.N(), b.N())
 	}
-	if !reflect.DeepEqual(a.Adjacency, b.Adjacency) {
+	if !reflect.DeepEqual(a.Graph(), b.Graph()) {
 		t.Error("same seed produced different adjacency")
 	}
 	for _, attr := range []string{AttrTotalPop, AttrPop16Up} {

@@ -12,23 +12,22 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"emp/internal/geom"
 	"emp/internal/graph"
 )
 
-// Dataset is a regionalization instance: n areas, their contiguity, and
-// attribute columns. Polygons are optional — when present they are the
-// source of truth for adjacency; when absent the adjacency lists stand
-// alone (as when loading a pre-built contiguity file).
+// Dataset is a regionalization instance: n areas, their contiguity graph,
+// and attribute columns. Polygons are optional — when present they are the
+// source of truth for contiguity; when absent the graph stands alone (as
+// when decoding a dataset JSON with adjacency lists only). The graph is
+// built once by the constructor (New, FromPolygons, ReadJSON, Subset) and
+// read through Graph; the zero value is an empty dataset.
 type Dataset struct {
 	// Name identifies the dataset in reports (e.g. "2k").
 	Name string
 	// Polygons holds one boundary polygon per area; may be nil.
 	Polygons []geom.Polygon
-	// Adjacency holds sorted neighbor lists per area.
-	Adjacency [][]int
 	// AttrNames lists attribute columns in a stable order.
 	AttrNames []string
 	// Cols holds one value per area for each attribute, parallel to
@@ -45,33 +44,37 @@ type Dataset struct {
 	// (which is used unscaled for exact comparability).
 	DissimilarityAttrs []string
 
-	// gmemo caches the contiguity graph built from Adjacency; see Graph.
-	// The atomic pointer makes Dataset non-copyable by value (go vet
-	// copylocks) — treat *Dataset as the unit of sharing.
-	gmemo atomic.Pointer[graph.Graph]
+	// g is the contiguity graph over the areas.
+	g graph.Graph
 }
 
-// New creates an empty dataset with n areas and no attributes.
-func New(name string, n int) *Dataset {
-	adj := make([][]int, n)
-	for i := range adj {
-		adj[i] = []int{}
+// New creates a dataset with one area per adjacency list and no
+// attributes. It fails when a list names an area outside [0, len(adj));
+// symmetry is checked by Validate.
+func New(name string, adj [][]int) (*Dataset, error) {
+	g, err := graph.FromAdjacency(adj)
+	if err != nil {
+		return nil, fmt.Errorf("data: dataset %q: %w", name, err)
 	}
-	return &Dataset{Name: name, Adjacency: adj}
+	return &Dataset{Name: name, g: *g}, nil
 }
 
-// FromPolygons builds a dataset whose adjacency is derived from the polygon
+// FromPolygons builds a dataset whose contiguity is derived from the polygon
 // geometry under the given contiguity rule.
 func FromPolygons(name string, polys []geom.Polygon, rule geom.Contiguity) *Dataset {
-	return &Dataset{
-		Name:      name,
-		Polygons:  polys,
-		Adjacency: geom.Adjacency(polys, rule),
+	d, err := New(name, geom.Adjacency(polys, rule))
+	if err != nil {
+		// geom.Adjacency lists only ids in [0, len(polys)), and a neighbor
+		// total past the int32 offset space would exhaust memory in its
+		// pairwise expansion before reaching New.
+		panic(err)
 	}
+	d.Polygons = polys
+	return d
 }
 
 // N returns the number of areas.
-func (d *Dataset) N() int { return len(d.Adjacency) }
+func (d *Dataset) N() int { return d.g.N() }
 
 // AddColumn appends an attribute column. The column length must equal N.
 func (d *Dataset) AddColumn(name string, col []float64) error {
@@ -152,25 +155,10 @@ func (d *Dataset) DissimilarityMatrix() ([][]float64, error) {
 	return out, nil
 }
 
-// Graph wraps the adjacency lists as a contiguity graph. The graph (with
-// its CSR arena) is built on first call and memoized, so repeated callers —
-// partition construction, per-solve validation, shard planning — share one
-// immutable structure instead of re-densifying the adjacency lists each
-// time. Safe for concurrent use.
-//
-// The memo snapshots Adjacency at first call: datasets are treated as
-// immutable once handed to solvers. Mutate Adjacency only before the first
-// Graph call (as construction-time builders do).
-func (d *Dataset) Graph() *graph.Graph {
-	if g := d.gmemo.Load(); g != nil {
-		return g
-	}
-	g := graph.FromAdjacency(d.Adjacency)
-	if !d.gmemo.CompareAndSwap(nil, g) {
-		return d.gmemo.Load()
-	}
-	return g
-}
+// Graph returns the contiguity graph. It is immutable, so every caller —
+// partition construction, per-solve validation, shard planning — shares
+// it, concurrently if need be.
+func (d *Dataset) Graph() *graph.Graph { return &d.g }
 
 // Components returns the number of connected components of the contiguity
 // graph. EMP (unlike MP-regions) supports multi-component datasets.
@@ -179,8 +167,8 @@ func (d *Dataset) Components() int {
 	return count
 }
 
-// Validate checks structural consistency: symmetric in-range adjacency,
-// column lengths, polygon count, finite attribute values, and that the
+// Validate checks structural consistency: symmetric contiguity, column
+// lengths, polygon count, finite attribute values, and that the
 // dissimilarity attribute (when set) exists.
 func (d *Dataset) Validate() error {
 	if err := d.Graph().Validate(); err != nil {
@@ -214,10 +202,10 @@ func (d *Dataset) Validate() error {
 }
 
 // Subset returns a new dataset restricted to the given area ids (in the
-// given order), remapping adjacency to the new dense ids and dropping edges
-// to excluded areas. Used by the feasibility phase to discard invalid areas
-// while keeping the original ids available via the returned mapping
-// (new id -> old id is simply the input slice).
+// given order), remapping contiguity to the new dense ids (neighbors sorted
+// ascending) and dropping edges to excluded areas. Used by the feasibility
+// phase to discard invalid areas while keeping the original ids available
+// via the returned mapping (new id -> old id is simply the input slice).
 func (d *Dataset) Subset(ids []int) (*Dataset, error) {
 	remap := make(map[int]int, len(ids))
 	for newID, oldID := range ids {
@@ -229,23 +217,22 @@ func (d *Dataset) Subset(ids []int) (*Dataset, error) {
 		}
 		remap[oldID] = newID
 	}
-	out := &Dataset{
-		Name:               d.Name,
-		Dissimilarity:      d.Dissimilarity,
-		DissimilarityAttrs: append([]string(nil), d.DissimilarityAttrs...),
-		AttrNames:          append([]string(nil), d.AttrNames...),
-	}
-	out.Adjacency = make([][]int, len(ids))
+	adj := make([][]int, len(ids))
 	for newID, oldID := range ids {
-		nbs := []int{}
-		for _, oldNb := range d.Adjacency[oldID] {
-			if newNb, ok := remap[oldNb]; ok {
-				nbs = append(nbs, newNb)
+		for _, oldNb := range d.g.Neighbors(oldID) {
+			if newNb, ok := remap[int(oldNb)]; ok {
+				adj[newID] = append(adj[newID], newNb)
 			}
 		}
-		sort.Ints(nbs)
-		out.Adjacency[newID] = nbs
+		sort.Ints(adj[newID])
 	}
+	out, err := New(d.Name, adj)
+	if err != nil {
+		return nil, err
+	}
+	out.Dissimilarity = d.Dissimilarity
+	out.DissimilarityAttrs = append([]string(nil), d.DissimilarityAttrs...)
+	out.AttrNames = append([]string(nil), d.AttrNames...)
 	if d.Polygons != nil {
 		out.Polygons = make([]geom.Polygon, len(ids))
 		for newID, oldID := range ids {

@@ -4,11 +4,34 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"emp/internal/geom"
 )
+
+// lists returns the dataset's neighbor lists, read from its graph.
+func lists(d *Dataset) [][]int {
+	adj := make([][]int, d.N())
+	for u := range adj {
+		adj[u] = []int{}
+		for _, v := range d.Graph().Neighbors(u) {
+			adj[u] = append(adj[u], int(v))
+		}
+	}
+	return adj
+}
+
+// mustNew is New for lists the test knows to be in range.
+func mustNew(t *testing.T, name string, adj [][]int) *Dataset {
+	t.Helper()
+	d, err := New(name, adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // grid3x2 builds a 3x2 lattice dataset with one attribute.
 func grid3x2(t *testing.T) *Dataset {
@@ -27,11 +50,8 @@ func TestFromPolygonsAdjacency(t *testing.T) {
 	if d.N() != 6 {
 		t.Fatalf("N = %d", d.N())
 	}
-	want := geom.GridNeighbors(3, 2, 0)
-	for i := range want {
-		if len(d.Adjacency[i]) != len(want[i]) {
-			t.Errorf("area %d adjacency = %v, want %v", i, d.Adjacency[i], want[i])
-		}
+	if got, want := lists(d), geom.GridNeighbors(3, 2, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("adjacency = %v, want %v", got, want)
 	}
 	if err := d.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -42,7 +62,7 @@ func TestFromPolygonsAdjacency(t *testing.T) {
 }
 
 func TestAddColumnErrors(t *testing.T) {
-	d := New("x", 3)
+	d := mustNew(t, "x", make([][]int, 3))
 	if err := d.AddColumn("A", []float64{1, 2}); err == nil {
 		t.Error("wrong-length column accepted")
 	}
@@ -76,13 +96,14 @@ func TestDissimilarityColumn(t *testing.T) {
 func TestValidateCatchesProblems(t *testing.T) {
 	base := func() *Dataset { return grid3x2(t) }
 
-	d := base()
-	d.Adjacency[0] = []int{99}
-	if err := d.Validate(); err == nil {
+	if _, err := New("x", [][]int{{99}, {0}}); err == nil {
 		t.Error("out-of-range adjacency accepted")
 	}
+	if err := mustNew(t, "x", [][]int{{1}, {}}).Validate(); err == nil {
+		t.Error("asymmetric adjacency accepted")
+	}
 
-	d = base()
+	d := base()
 	d.Cols[0][2] = math.NaN()
 	if err := d.Validate(); err == nil {
 		t.Error("NaN attribute accepted")
@@ -124,11 +145,8 @@ func TestSubset(t *testing.T) {
 		t.Fatalf("subset N = %d", sub.N())
 	}
 	// New ids: 0->0, 1->1, 4->2. Edges: 0-1 (was 0-1), 1-2 (was 1-4).
-	if len(sub.Adjacency[0]) != 1 || sub.Adjacency[0][0] != 1 {
-		t.Errorf("sub adjacency[0] = %v", sub.Adjacency[0])
-	}
-	if len(sub.Adjacency[1]) != 2 {
-		t.Errorf("sub adjacency[1] = %v", sub.Adjacency[1])
+	if got, want := lists(sub), [][]int{{1}, {0, 2}, {1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("sub adjacency = %v, want %v", got, want)
 	}
 	if got := sub.Column("POP"); got[2] != 50 {
 		t.Errorf("subset column remap wrong: %v", got)
@@ -194,17 +212,13 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.Polygons[3].Area() != d.Polygons[3].Area() {
 		t.Error("polygon geometry changed")
 	}
-	for i := range d.Adjacency {
-		if len(got.Adjacency[i]) != len(d.Adjacency[i]) {
-			t.Errorf("adjacency mismatch at %d", i)
-		}
+	if !reflect.DeepEqual(lists(got), lists(d)) {
+		t.Errorf("adjacency mismatch: %v vs %v", lists(got), lists(d))
 	}
 }
 
 func TestJSONRoundTripNoPolygons(t *testing.T) {
-	d := New("bare", 2)
-	d.Adjacency[0] = []int{1}
-	d.Adjacency[1] = []int{0}
+	d := mustNew(t, "bare", [][]int{{1}, {0}})
 	if err := d.AddColumn("X", []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +248,32 @@ func TestReadJSONErrors(t *testing.T) {
 		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("ReadJSON(%q) succeeded, want error", in)
 		}
+	}
+}
+
+// TestReadJSONRejectsWrappedID pins the range check ahead of the int32
+// conversion (see wrappedIDDocument).
+func TestReadJSONRejectsWrappedID(t *testing.T) {
+	_, err := ReadJSON(strings.NewReader(wrappedIDDocument))
+	if err == nil || !strings.Contains(err.Error(), "out-of-range neighbor 4294967296") {
+		t.Errorf("ReadJSON err = %v, want an out-of-range neighbor error", err)
+	}
+}
+
+// TestWriteJSONIsolatedArea pins the encoding of an area without
+// neighbors: the empty list, never null.
+func TestWriteJSONIsolatedArea(t *testing.T) {
+	d := mustNew(t, "iso", [][]int{{1}, {0}, nil})
+	if err := d.AddColumn("POP", []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"name":"iso","n":3,"adjacency":[[1],[0],[]],"attributes":{"POP":[1,2,3]},"attr_order":["POP"]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteJSON = %s, want %s", got, want)
 	}
 }
 
@@ -291,11 +331,7 @@ func TestReadAttributesCSVErrors(t *testing.T) {
 }
 
 func TestMultiComponentDataset(t *testing.T) {
-	d := New("twoparts", 4)
-	d.Adjacency[0] = []int{1}
-	d.Adjacency[1] = []int{0}
-	d.Adjacency[2] = []int{3}
-	d.Adjacency[3] = []int{2}
+	d := mustNew(t, "twoparts", [][]int{{1}, {0}, {3}, {2}})
 	if d.Components() != 2 {
 		t.Errorf("Components = %d, want 2", d.Components())
 	}

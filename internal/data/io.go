@@ -26,10 +26,18 @@ type jsonDataset struct {
 
 // WriteJSON serializes the dataset.
 func (d *Dataset) WriteJSON(w io.Writer) error {
+	adj := make([][]int, d.N())
+	for u := range adj {
+		// Non-nil, so an isolated area writes [] rather than null.
+		adj[u] = make([]int, 0, d.g.Degree(u))
+		for _, v := range d.g.Neighbors(u) {
+			adj[u] = append(adj[u], int(v))
+		}
+	}
 	jd := jsonDataset{
 		Name:          d.Name,
 		N:             d.N(),
-		Adjacency:     d.Adjacency,
+		Adjacency:     adj,
 		Attributes:    make(map[string][]float64, len(d.AttrNames)),
 		AttrOrder:     d.AttrNames,
 		Dissimilarity: d.Dissimilarity,
@@ -61,17 +69,12 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	if len(jd.Adjacency) != jd.N {
 		return nil, fmt.Errorf("data: file declares n=%d but has %d adjacency lists", jd.N, len(jd.Adjacency))
 	}
-	d := &Dataset{
-		Name:               jd.Name,
-		Adjacency:          jd.Adjacency,
-		Dissimilarity:      jd.Dissimilarity,
-		DissimilarityAttrs: jd.DissimAttrs,
+	d, err := New(jd.Name, jd.Adjacency)
+	if err != nil {
+		return nil, err
 	}
-	for i := range d.Adjacency {
-		if d.Adjacency[i] == nil {
-			d.Adjacency[i] = []int{}
-		}
-	}
+	d.Dissimilarity = jd.Dissimilarity
+	d.DissimilarityAttrs = jd.DissimAttrs
 	order := jd.AttrOrder
 	if order == nil {
 		for name := range jd.Attributes {

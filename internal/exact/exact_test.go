@@ -113,7 +113,7 @@ func TestSolveRespectsLimit(t *testing.T) {
 	if _, err := Solve(ds, set, Options{LimitN: 5}); err == nil {
 		t.Error("custom lower limit ignored")
 	}
-	if _, err := Solve(data.New("e", 0), set, Options{}); err == nil {
+	if _, err := Solve(&data.Dataset{Name: "e"}, set, Options{}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }

@@ -21,7 +21,10 @@ import (
 // the whole-graph path without a second phase-1 pass.
 func TestOneAccountingPointPerSolve(t *testing.T) {
 	single, multi, set, reg := chaosSetup(t)
-	one := data.New("one", 1)
+	one, err := data.New("one", [][]int{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := one.AddColumn(census.AttrTotalPop, []float64{30000}); err != nil {
 		t.Fatal(err)
 	}

@@ -123,8 +123,7 @@ func TestSolveInfeasibleReturnsErr(t *testing.T) {
 }
 
 func TestSolveEmptyDataset(t *testing.T) {
-	ds := data.New("empty", 0)
-	ds.Dissimilarity = ""
+	ds := &data.Dataset{Name: "empty"}
 	if _, err := Solve(ds, constraint.Set{}, Config{}); err == nil {
 		t.Error("empty dataset accepted")
 	}

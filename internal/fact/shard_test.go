@@ -132,8 +132,10 @@ func TestShardedSharedPool(t *testing.T) {
 // reach it alone.
 func infeasibleComponentDataset(t *testing.T) (*data.Dataset, constraint.Set) {
 	t.Helper()
-	ds := data.New("partial", 6)
-	ds.Adjacency = [][]int{{1}, {0, 2}, {1}, {4}, {3, 5}, {4}}
+	ds, err := data.New("partial", [][]int{{1}, {0, 2}, {1}, {4}, {3, 5}, {4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ds.AddColumn("POP", []float64{40, 36, 38, 1, 2, 3}); err != nil {
 		t.Fatalf("AddColumn: %v", err)
 	}

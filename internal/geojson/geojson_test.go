@@ -40,9 +40,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	// Adjacency survives because coordinates round-trip through JSON
 	// numbers exactly (encoding/json preserves float64).
-	for i := range ds.Adjacency {
-		if len(back.Adjacency[i]) != len(ds.Adjacency[i]) {
-			t.Errorf("adjacency differs at %d: %v vs %v", i, back.Adjacency[i], ds.Adjacency[i])
+	for i := 0; i < ds.N(); i++ {
+		if got, want := back.Graph().Neighbors(i), ds.Graph().Neighbors(i); len(got) != len(want) {
+			t.Errorf("adjacency differs at %d: %v vs %v", i, got, want)
 		}
 	}
 	orig := ds.Column(census.AttrTotalPop)
@@ -81,7 +81,10 @@ func TestWriteErrors(t *testing.T) {
 	if err := Write(&buf, ds, []int{1, 2}); err == nil {
 		t.Error("short assignment accepted")
 	}
-	bare := data.New("bare", 1)
+	bare, err := data.New("bare", [][]int{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := Write(&buf, bare, nil); err == nil {
 		t.Error("polygon-less dataset accepted")
 	}
@@ -107,8 +110,8 @@ func TestReadMultiPolygon(t *testing.T) {
 	}
 	// The larger ring of the MultiPolygon (unit square) shares an edge
 	// with the second feature.
-	if len(ds.Adjacency[0]) != 1 || ds.Adjacency[0][0] != 1 {
-		t.Errorf("adjacency = %v", ds.Adjacency)
+	if nbs := ds.Graph().Neighbors(0); len(nbs) != 1 || nbs[0] != 1 {
+		t.Errorf("adjacency of area 0 = %v", nbs)
 	}
 	if got := ds.Column("POP"); got[0] != 7 || got[1] != 9 {
 		t.Errorf("POP = %v", got)

@@ -3,6 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -95,94 +96,44 @@ func rookAdjacency(polys []Polygon) [][]int {
 func queenAdjacency(polys []Polygon) [][]int {
 	buckets := make(map[vertexKey][]int)
 	for id, pg := range polys {
-		seen := make(map[vertexKey]bool, len(pg.Outer))
 		for _, p := range pg.Outer {
 			k := keyOf(p)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
 			buckets[k] = append(buckets[k], id)
 		}
 	}
-	out := make(map[vertexKey][]int, len(buckets))
-	for k, ids := range buckets {
-		if len(ids) > 1 {
-			out[k] = ids
-		}
-	}
-	return expandVertexBuckets(len(polys), out)
+	return expandBuckets(len(polys), buckets)
 }
 
-func expandBuckets(n int, buckets map[edgeKey][]int) [][]int {
+// expandBuckets links every pair of polygons that share a bucket (an edge
+// under rook, a vertex under queen) and returns the sorted neighbor lists.
+// Polygons are filed in id order, so a polygon that revisits a vertex or an
+// edge fills consecutive entries of its bucket; compacting them first keeps
+// the pairwise links quadratic in distinct polygons only.
+func expandBuckets[K comparable](n int, buckets map[K][]int) [][]int {
 	sets := make([]map[int]bool, n)
 	for _, ids := range buckets {
-		link(sets, ids)
-	}
-	return finishAdjacency(sets, n)
-}
-
-func expandVertexBuckets(n int, buckets map[vertexKey][]int) [][]int {
-	sets := make([]map[int]bool, n)
-	for _, ids := range buckets {
-		link(sets, ids)
-	}
-	return finishAdjacency(sets, n)
-}
-
-func link(sets []map[int]bool, ids []int) {
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			a, b := ids[i], ids[j]
-			if a == b {
-				continue
+		ids = slices.Compact(ids)
+		for i, a := range ids {
+			for _, b := range ids[i+1:] {
+				if sets[a] == nil {
+					sets[a] = make(map[int]bool)
+				}
+				if sets[b] == nil {
+					sets[b] = make(map[int]bool)
+				}
+				sets[a][b] = true
+				sets[b][a] = true
 			}
-			if sets[a] == nil {
-				sets[a] = make(map[int]bool)
-			}
-			if sets[b] == nil {
-				sets[b] = make(map[int]bool)
-			}
-			sets[a][b] = true
-			sets[b][a] = true
 		}
 	}
-}
-
-func finishAdjacency(sets []map[int]bool, n int) [][]int {
 	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		if len(sets[i]) == 0 {
-			adj[i] = []int{}
-			continue
-		}
-		nb := make([]int, 0, len(sets[i]))
-		for j := range sets[i] {
+	for i, set := range sets {
+		nb := make([]int, 0, len(set))
+		for j := range set {
 			nb = append(nb, j)
 		}
 		sort.Ints(nb)
 		adj[i] = nb
 	}
 	return adj
-}
-
-// SharedBorderLength returns the total length of edges shared between the
-// two polygons under rook contiguity. It is 0 when the polygons are not rook
-// neighbors.
-func SharedBorderLength(a, b Polygon) float64 {
-	edges := make(map[edgeKey]float64)
-	ra := a.Outer
-	for i := range ra {
-		p, q := ra.Edge(i)
-		edges[canonicalEdge(p, q)] = p.Dist(q)
-	}
-	var total float64
-	rb := b.Outer
-	for i := range rb {
-		p, q := rb.Edge(i)
-		if l, ok := edges[canonicalEdge(p, q)]; ok {
-			total += l
-		}
-	}
-	return total
 }

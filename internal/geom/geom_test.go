@@ -248,21 +248,6 @@ func TestContiguityString(t *testing.T) {
 	}
 }
 
-func TestSharedBorderLength(t *testing.T) {
-	a := unitSquare(0, 0)
-	b := unitSquare(1, 0) // shares right edge of a, length 1
-	c := unitSquare(5, 5) // disjoint
-	if got := SharedBorderLength(a, b); math.Abs(got-1) > 1e-12 {
-		t.Errorf("shared border a,b = %v, want 1", got)
-	}
-	if got := SharedBorderLength(a, c); got != 0 {
-		t.Errorf("shared border a,c = %v, want 0", got)
-	}
-	if got := SharedBorderLength(a, a); got <= 3.99 {
-		t.Errorf("self shared border = %v, want full perimeter 4", got)
-	}
-}
-
 func TestLatticeJitterPreservesAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	polys := Lattice(LatticeOptions{Cols: 7, Rows: 6, Jitter: 0.3, Rng: rng})

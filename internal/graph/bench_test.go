@@ -7,19 +7,7 @@ import (
 
 func benchGrid(b *testing.B, cols, rows int) *Graph {
 	b.Helper()
-	g := New(cols * rows)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			i := r*cols + c
-			if c+1 < cols {
-				g.AddEdge(i, i+1)
-			}
-			if r+1 < rows {
-				g.AddEdge(i, i+cols)
-			}
-		}
-	}
-	return g
+	return gridGraph(cols, rows)
 }
 
 // BenchmarkConnectedSubsetExcluding measures the donor-region validity

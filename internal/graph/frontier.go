@@ -7,7 +7,6 @@ package graph
 // function of the adjacency and the labeling — the cut-sharding pipeline
 // relies on that to make seam repair independent of solve concurrency.
 func (g *Graph) CutEdges(label []int32) [][2]int32 {
-	g.ensure()
 	var out [][2]int32
 	for u := 0; u < g.n; u++ {
 		lu := label[u]
@@ -26,7 +25,6 @@ func (g *Graph) CutEdges(label []int32) [][2]int32 {
 // because of a cut, and therefore the natural restriction set for the
 // boundary-repair pass.
 func (g *Graph) FrontierVertices(label []int32) []int32 {
-	g.ensure()
 	seen := make([]bool, g.n)
 	var out []int32
 	for u := 0; u < g.n; u++ {

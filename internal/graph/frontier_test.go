@@ -10,10 +10,10 @@ import (
 //	0 1 2
 //	3 4 5
 func frontierGraph() *Graph {
-	return FromAdjacency([][]int{
+	return builder{
 		{1, 3}, {0, 2, 4}, {1, 5},
 		{0, 4}, {1, 3, 5}, {2, 4},
-	})
+	}.graph()
 }
 
 func TestCutEdges(t *testing.T) {

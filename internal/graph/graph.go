@@ -7,115 +7,62 @@
 // connected if we remove this area" checks during swaps and local search.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Graph is an undirected graph over vertices 0..N-1 stored in CSR
 // (compressed sparse row) layout: one flat int32 neighbor arena plus per
 // vertex offsets. Neighbor lists of all vertices are contiguous in memory,
 // so the traversal-heavy hot paths (BFS connectivity, articulation passes,
 // candidate enumeration in the Tabu search) walk a single cache-friendly
-// array instead of chasing one heap object per vertex. The zero value is an
-// empty graph.
-//
-// Edge insertion is supported for builders (MST trees, tests): AddEdge
-// switches the graph into a jagged builder representation and the CSR form
-// is re-frozen lazily on the next read. Frozen neighbor order always equals
-// insertion order, so conversions never perturb traversal order (several
-// consumers rely on deterministic neighbor iteration).
+// array instead of chasing one heap object per vertex. A Graph is immutable
+// once built, so it is safe for concurrent use. The zero value is an empty
+// graph.
 type Graph struct {
 	n int
 	// off/arena are the CSR form: the neighbors of u are
-	// arena[off[u]:off[u+1]], in insertion order. Valid when dirty is false.
+	// arena[off[u]:off[u+1]], in the order FromAdjacency received them.
 	off   []int32
 	arena []int32
-	// badj holds per-vertex builder lists while dirty; nil otherwise.
-	badj  [][]int32
-	dirty bool
-}
-
-// New creates a graph with n vertices and no edges.
-func New(n int) *Graph {
-	return &Graph{n: n, off: make([]int32, n+1)}
 }
 
 // FromAdjacency builds the CSR form from adjacency lists, preserving the
-// per-vertex neighbor order. The lists must be symmetric and free of
-// self-loops, which Validate can check; they are read once and not retained.
-func FromAdjacency(adj [][]int) *Graph {
+// per-vertex neighbor order (several consumers rely on deterministic
+// neighbor iteration). It is the only constructor: every id is checked
+// against n = len(adj) before its int32 conversion, so an out-of-range id is
+// an error instead of a silently wrapped neighbor. Symmetry, self-loops and
+// duplicates are left to Validate. The lists are read once and not retained.
+func FromAdjacency(adj [][]int) (*Graph, error) {
 	n := len(adj)
-	g := &Graph{n: n, off: make([]int32, n+1)}
-	total := 0
-	for u, nbs := range adj {
-		total += len(nbs)
-		g.off[u+1] = int32(total)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d vertices exceed the int32 id space", n)
 	}
-	g.arena = make([]int32, total)
-	i := 0
+	total := 0
 	for _, nbs := range adj {
+		total += len(nbs)
+	}
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d neighbor entries exceed the int32 offset space", total)
+	}
+	g := &Graph{n: n, off: make([]int32, n+1), arena: make([]int32, total)}
+	i := 0
+	for u, nbs := range adj {
 		for _, v := range nbs {
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", u, v)
+			}
 			g.arena[i] = int32(v)
 			i++
 		}
+		g.off[u+1] = int32(i)
 	}
-	return g
-}
-
-// thaw switches to the jagged builder representation for edge insertion.
-func (g *Graph) thaw() {
-	if g.dirty {
-		return
-	}
-	g.badj = make([][]int32, g.n)
-	for u := 0; u < g.n; u++ {
-		nbs := g.arena[g.off[u]:g.off[u+1]]
-		g.badj[u] = append(make([]int32, 0, len(nbs)+1), nbs...)
-	}
-	g.dirty = true
-}
-
-// freeze rebuilds the CSR form from the builder lists.
-func (g *Graph) freeze() {
-	total := 0
-	for u, nbs := range g.badj {
-		total += len(nbs)
-		g.off[u+1] = int32(total)
-	}
-	if cap(g.arena) < total {
-		g.arena = make([]int32, total)
-	}
-	g.arena = g.arena[:total]
-	i := 0
-	for _, nbs := range g.badj {
-		i += copy(g.arena[i:], nbs)
-	}
-	g.badj = nil
-	g.dirty = false
-}
-
-// ensure re-freezes the CSR form after edge insertions; a no-op on the hot
-// path (one predictable branch).
-func (g *Graph) ensure() {
-	if g.dirty {
-		g.freeze()
-	}
+	return g, nil
 }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
-
-// AddEdge inserts the undirected edge (u, v). Duplicate edges and
-// self-loops are ignored.
-func (g *Graph) AddEdge(u, v int) {
-	if u == v || u < 0 || v < 0 || u >= g.n || v >= g.n {
-		return
-	}
-	if g.HasEdge(u, v) {
-		return
-	}
-	g.thaw()
-	g.badj[u] = append(g.badj[u], int32(v))
-	g.badj[v] = append(g.badj[v], int32(u))
-}
 
 // HasEdge reports whether (u, v) is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
@@ -131,48 +78,65 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 // Neighbors returns the neighbor list of u as a subslice of the CSR arena.
-// The caller must not modify it, and must not retain it across AddEdge.
+// The caller must not modify it.
 func (g *Graph) Neighbors(u int) []int32 {
-	if g.dirty {
-		g.freeze()
-	}
 	return g.arena[g.off[u]:g.off[u+1]]
 }
 
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u int) int {
-	if g.dirty {
-		return len(g.badj[u])
-	}
 	return int(g.off[u+1] - g.off[u])
 }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int {
-	g.ensure()
 	return len(g.arena) / 2
 }
 
-// Validate checks that adjacency lists are symmetric, in range, and free of
-// self-loops and duplicates.
+// Validate checks that the adjacency is symmetric and free of self-loops and
+// duplicates; FromAdjacency has already range-checked every id. Decoders of
+// outside input run it; builders whose lists are symmetric by construction
+// (polygon contiguity, subsets) skip it. It compares each list with the
+// transpose, so it runs in O(n + edges) even when one vertex lists most of
+// the others.
 func (g *Graph) Validate() error {
-	g.ensure()
+	// The transpose: tr[toff[v]:toff[v+1]] holds the vertices whose lists
+	// name v.
+	toff := make([]int32, g.n+1)
+	for _, v := range g.arena {
+		toff[v+1]++
+	}
+	for v := 0; v < g.n; v++ {
+		toff[v+1] += toff[v]
+	}
+	tr := make([]int32, len(g.arena))
+	fill := append([]int32(nil), toff[:g.n]...)
 	for u := 0; u < g.n; u++ {
-		nbs := g.Neighbors(u)
-		seen := make(map[int32]bool, len(nbs))
-		for _, v := range nbs {
-			if v < 0 || int(v) >= g.n {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", u, v)
-			}
+		for _, v := range g.Neighbors(u) {
+			tr[fill[v]] = int32(u)
+			fill[v]++
+		}
+	}
+	// While u is checked, mark[v] is stamp for each v that u lists, and
+	// -stamp once v is found to list u.
+	mark := make([]int32, g.n)
+	for u := 0; u < g.n; u++ {
+		stamp := int32(u) + 1
+		for _, v := range g.Neighbors(u) {
 			if int(v) == u {
 				return fmt.Errorf("graph: vertex %d has a self-loop", u)
 			}
-			if seen[v] {
-				return fmt.Errorf("graph: vertex %d lists neighbor %d twice", u, v)
-			}
-			seen[v] = true
-			if !g.HasEdge(int(v), u) {
-				return fmt.Errorf("graph: edge %d->%d is not symmetric", u, v)
+			mark[v] = stamp
+		}
+		// Every vertex that lists u must be listed by u, and list u once.
+		for _, w := range tr[toff[u]:toff[u+1]] {
+			switch mark[w] {
+			case stamp:
+				mark[w] = -stamp
+			case -stamp:
+				return fmt.Errorf("graph: vertex %d lists neighbor %d twice", w, u)
+			default:
+				return fmt.Errorf("graph: edge %d->%d is not symmetric", w, u)
 			}
 		}
 	}
@@ -183,7 +147,6 @@ func (g *Graph) Validate() error {
 // plus the number of components. Component ids are dense, assigned in
 // order of lowest-numbered member vertex.
 func (g *Graph) Components() (comp []int, count int) {
-	g.ensure()
 	n := g.n
 	comp = make([]int, n)
 	for i := range comp {
@@ -280,7 +243,6 @@ func (g *Graph) ConnectedSubsetExcluding(members []int, removed int) bool {
 // connectedWithin runs a BFS from start restricted to the `in` set and
 // reports whether all `want` vertices are reached.
 func (g *Graph) connectedWithin(start int, in map[int]bool, want int) bool {
-	g.ensure()
 	visited := make(map[int]bool, want)
 	visited[start] = true
 	queue := []int{start}
@@ -301,7 +263,6 @@ func (g *Graph) connectedWithin(start int, in map[int]bool, want int) bool {
 // removal increases the number of connected components (Tarjan lowlink).
 // The result is a boolean per vertex.
 func (g *Graph) ArticulationPoints() []bool {
-	g.ensure()
 	n := g.n
 	art := make([]bool, n)
 	disc := make([]int, n)
@@ -362,7 +323,6 @@ func (g *Graph) ArticulationPoints() []bool {
 // BFSOrder returns vertices in breadth-first order from start, restricted to
 // the subset `within` when non-nil.
 func (g *Graph) BFSOrder(start int, within map[int]bool) []int {
-	g.ensure()
 	if within != nil && !within[start] {
 		return nil
 	}

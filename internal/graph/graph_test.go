@@ -2,45 +2,67 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// builder accumulates undirected edges as neighbor lists in insertion
+// order for FromAdjacency, ignoring self-loops and repeated edges.
+type builder [][]int
+
+func newBuilder(n int) builder { return make(builder, n) }
+
+func (b builder) add(u, v int) {
+	if u == v || slices.Contains(b[u], v) {
+		return
+	}
+	b[u] = append(b[u], v)
+	b[v] = append(b[v], u)
+}
+
+func (b builder) graph() *Graph {
+	g, err := FromAdjacency(b)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
 
 // pathGraph returns 0-1-2-...-n-1.
 func pathGraph(n int) *Graph {
-	g := New(n)
+	b := newBuilder(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		b.add(i, i+1)
 	}
-	return g
+	return b.graph()
 }
 
 // gridGraph returns a cols x rows rook lattice.
 func gridGraph(cols, rows int) *Graph {
-	g := New(cols * rows)
+	b := newBuilder(cols * rows)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			i := r*cols + c
 			if c+1 < cols {
-				g.AddEdge(i, i+1)
+				b.add(i, i+1)
 			}
 			if r+1 < rows {
-				g.AddEdge(i, i+cols)
+				b.add(i, i+cols)
 			}
 		}
 	}
-	return g
+	return b.graph()
 }
 
-func TestAddEdgeBasics(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0) // duplicate, reversed
-	g.AddEdge(1, 1) // self loop ignored
-	g.AddEdge(0, 9) // out of range ignored
-	g.AddEdge(-1, 0)
-	if g.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", g.NumEdges())
+func TestFromAdjacencyBasics(t *testing.T) {
+	g, err := FromAdjacency([][]int{{1}, {0}, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 3 || g.NumEdges() != 1 {
+		t.Errorf("N = %d, NumEdges = %d, want 3 and 1", g.N(), g.NumEdges())
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Error("edge (0,1) missing")
@@ -68,13 +90,85 @@ func TestValidateCatchesBadLists(t *testing.T) {
 		{"self loop", [][]int{{0}}},
 		{"out of range", [][]int{{5}}},
 		{"duplicate", [][]int{{1, 1}, {0, 0}}},
+		// 4294967296 is 0 once truncated to int32, which would make this
+		// list the symmetric [[1],[0],[3],[2]].
+		{"wraps to zero", [][]int{{1}, {4294967296}, {3}, {2}}},
+		{"negative", [][]int{{-1}}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := FromAdjacency(tc.adj).Validate(); err == nil {
+			g, err := FromAdjacency(tc.adj)
+			if err == nil {
+				err = g.Validate()
+			}
+			if err == nil {
 				t.Error("expected validation error")
 			}
 		})
+	}
+}
+
+// validateNaive is the reference Validate: a per-vertex seen set and a
+// HasEdge scan per edge.
+func validateNaive(g *Graph) bool {
+	for u := 0; u < g.N(); u++ {
+		seen := map[int32]bool{}
+		for _, v := range g.Neighbors(u) {
+			if int(v) == u || seen[v] || !g.HasEdge(int(v), u) {
+				return false
+			}
+			seen[v] = true
+		}
+	}
+	return true
+}
+
+// Property: Validate accepts exactly the lists the reference accepts, on
+// random lists that are mostly symmetric, with stray one-way edges,
+// repeats and self-loops mixed in.
+func TestValidateMatchesNaive(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		adj := make([][]int, n)
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			adj[u] = append(adj[u], v)
+			if rng.Intn(8) != 0 {
+				adj[v] = append(adj[v], u)
+			}
+		}
+		g, err := FromAdjacency(adj)
+		if err != nil {
+			return false
+		}
+		return (g.Validate() == nil) == validateNaive(g)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestValidateHubIsLinear: one vertex listing 200,000 others made the
+// HasEdge scan quadratic (seconds per request on a decoded dataset); the
+// transpose check takes milliseconds.
+func TestValidateHubIsLinear(t *testing.T) {
+	const leaves = 200000
+	adj := make([][]int, leaves+1)
+	for v := 1; v <= leaves; v++ {
+		adj[0] = append(adj[0], v)
+		adj[v] = []int{0}
+	}
+	g, err := FromAdjacency(adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("Validate of a %d-leaf star took %v", leaves, el)
 	}
 }
 
@@ -84,16 +178,16 @@ func TestComponents(t *testing.T) {
 		build     func() *Graph
 		wantCount int
 	}{
-		{"empty", func() *Graph { return New(0) }, 0},
-		{"isolated", func() *Graph { return New(4) }, 4},
+		{"empty", func() *Graph { return newBuilder(0).graph() }, 0},
+		{"isolated", func() *Graph { return newBuilder(4).graph() }, 4},
 		{"path", func() *Graph { return pathGraph(5) }, 1},
 		{"two paths", func() *Graph {
-			g := New(6)
-			g.AddEdge(0, 1)
-			g.AddEdge(1, 2)
-			g.AddEdge(3, 4)
-			g.AddEdge(4, 5)
-			return g
+			b := newBuilder(6)
+			b.add(0, 1)
+			b.add(1, 2)
+			b.add(3, 4)
+			b.add(4, 5)
+			return b.graph()
 		}, 2},
 		{"grid", func() *Graph { return gridGraph(4, 4) }, 1},
 	}
@@ -128,9 +222,9 @@ func TestComponents(t *testing.T) {
 }
 
 func TestComponentIDsDense(t *testing.T) {
-	g := New(5)
-	g.AddEdge(3, 4)
-	comp, count := g.Components()
+	b := newBuilder(5)
+	b.add(3, 4)
+	comp, count := b.graph().Components()
 	if count != 4 {
 		t.Fatalf("count = %d, want 4", count)
 	}
@@ -200,12 +294,12 @@ func TestArticulationPointsPath(t *testing.T) {
 }
 
 func TestArticulationPointsCycleHasNone(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 0)
-	for i, a := range g.ArticulationPoints() {
+	b := newBuilder(4)
+	b.add(0, 1)
+	b.add(1, 2)
+	b.add(2, 3)
+	b.add(3, 0)
+	for i, a := range b.graph().ArticulationPoints() {
 		if a {
 			t.Errorf("cycle vertex %d flagged as articulation point", i)
 		}
@@ -214,14 +308,14 @@ func TestArticulationPointsCycleHasNone(t *testing.T) {
 
 func TestArticulationPointsBridgeVertex(t *testing.T) {
 	// Two triangles joined at vertex 2: 2 is the only articulation point.
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 2)
-	art := g.ArticulationPoints()
+	b := newBuilder(5)
+	b.add(0, 1)
+	b.add(1, 2)
+	b.add(2, 0)
+	b.add(2, 3)
+	b.add(3, 4)
+	b.add(4, 2)
+	art := b.graph().ArticulationPoints()
 	for i, a := range art {
 		want := i == 2
 		if a != want {
@@ -236,15 +330,16 @@ func TestArticulationMatchesRemovalCheck(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(8)
-		g := New(n)
+		b := newBuilder(n)
 		// random connected-ish graph: random tree plus extra edges
 		for v := 1; v < n; v++ {
-			g.AddEdge(v, rng.Intn(v))
+			b.add(v, rng.Intn(v))
 		}
 		extra := rng.Intn(n)
 		for e := 0; e < extra; e++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
+			b.add(rng.Intn(n), rng.Intn(n))
 		}
+		g := b.graph()
 		art := g.ArticulationPoints()
 		members := make([]int, n)
 		for i := range members {

@@ -83,7 +83,6 @@ func (g *Graph) ConnectedSubsetScratch(s *Scratch, members []int) bool {
 	if len(members) <= 1 {
 		return true
 	}
-	g.ensure()
 	want := s.begin(members, -1)
 	return s.bfsCount(members[0]) == want
 }
@@ -92,7 +91,6 @@ func (g *Graph) ConnectedSubsetScratch(s *Scratch, members []int) bool {
 // buffers: it reports whether the subset stays connected after removing one
 // member.
 func (g *Graph) ConnectedSubsetExcludingScratch(s *Scratch, members []int, removed int) bool {
-	g.ensure()
 	want := s.begin(members, removed)
 	if want <= 1 {
 		return true
@@ -161,7 +159,6 @@ func (g *Graph) SubsetArticulationBoundary(s *Scratch, members []int) (art []boo
 // subsetArticulation runs the iterative Tarjan articulation pass over the
 // induced subgraph, optionally collecting boundary incidences.
 func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []bool {
-	g.ensure()
 	s.artStamp++
 	if s.artStamp == math.MaxInt32 {
 		for i := range s.nodes {

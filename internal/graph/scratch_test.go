@@ -8,15 +8,15 @@ import (
 // randomGraph builds a connected-ish random graph on n vertices: a random
 // spanning path plus extra random edges.
 func randomGraph(rng *rand.Rand, n int, extra int) *Graph {
-	g := New(n)
+	b := newBuilder(n)
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
-		g.AddEdge(perm[i-1], perm[i])
+		b.add(perm[i-1], perm[i])
 	}
 	for i := 0; i < extra; i++ {
-		g.AddEdge(rng.Intn(n), rng.Intn(n))
+		b.add(rng.Intn(n), rng.Intn(n))
 	}
-	return g
+	return b.graph()
 }
 
 func randomSubset(rng *rand.Rand, n, k int) []int {
@@ -46,10 +46,7 @@ func TestScratchConnectivityMatchesMaps(t *testing.T) {
 func TestScratchReuseAcrossQueries(t *testing.T) {
 	// The same scratch must give correct answers across many different
 	// subsets (stamp reset, no residue).
-	g := New(6)
-	for i := 0; i < 5; i++ {
-		g.AddEdge(i, i+1)
-	}
+	g := pathGraph(6)
 	sc := g.NewScratch()
 	cases := []struct {
 		members []int
@@ -121,10 +118,7 @@ func inducedComponent(g *Graph, members []int, m int) []int {
 }
 
 func TestSubsetArticulationSmall(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := pathGraph(4)
 	sc := g.NewScratch()
 	// Path 0-1-2-3: interior vertices articulate.
 	art := g.SubsetArticulation(sc, []int{0, 1, 2, 3})

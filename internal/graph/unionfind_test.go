@@ -35,16 +35,16 @@ func TestUnionFindMatchesBFS(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(15)
-		g := New(n)
+		b := newBuilder(n)
 		uf := NewUnionFind(n)
 		for e := 0; e < n; e++ {
 			u, v := rng.Intn(n), rng.Intn(n)
-			g.AddEdge(u, v)
+			b.add(u, v)
 			if u != v {
 				uf.Union(u, v)
 			}
 		}
-		comp, _ := g.Components()
+		comp, _ := b.graph().Components()
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
 				if (comp[a] == comp[b]) != uf.Connected(a, b) {
@@ -62,11 +62,12 @@ func TestUnionFindMatchesBFS(t *testing.T) {
 func TestMinimumSpanningForest(t *testing.T) {
 	// Square with a diagonal-ish weight structure:
 	// edges: 0-1 (w1), 1-2 (w4), 2-3 (w1), 3-0 (w2).
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 0)
+	b := newBuilder(4)
+	b.add(0, 1)
+	b.add(1, 2)
+	b.add(2, 3)
+	b.add(3, 0)
+	g := b.graph()
 	weights := map[[2]int]float64{
 		{0, 1}: 1, {1, 2}: 4, {2, 3}: 1, {0, 3}: 2,
 	}
@@ -90,10 +91,10 @@ func TestMinimumSpanningForest(t *testing.T) {
 }
 
 func TestMinimumSpanningForestDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	mst := g.MinimumSpanningForest(func(u, v int) float64 { return 1 })
+	b := newBuilder(4)
+	b.add(0, 1)
+	b.add(2, 3)
+	mst := b.graph().MinimumSpanningForest(func(u, v int) float64 { return 1 })
 	if len(mst) != 2 {
 		t.Errorf("forest has %d edges, want 2", len(mst))
 	}
@@ -105,14 +106,14 @@ func TestSpanningForestProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(12)
-		g := New(n)
+		b := newBuilder(n)
 		for v := 1; v < n; v++ {
-			g.AddEdge(v, rng.Intn(v)) // connected by construction
+			b.add(v, rng.Intn(v)) // connected by construction
 		}
 		for e := 0; e < n; e++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
+			b.add(rng.Intn(n), rng.Intn(n))
 		}
-		mst := g.MinimumSpanningForest(func(u, v int) float64 { return rng.Float64() })
+		mst := b.graph().MinimumSpanningForest(func(u, v int) float64 { return rng.Float64() })
 		if len(mst) != n-1 {
 			return false
 		}

@@ -84,7 +84,7 @@ func TestSolveHigherThresholdFewerRegions(t *testing.T) {
 }
 
 func TestSolveErrors(t *testing.T) {
-	if _, err := Solve(data.New("e", 0), "POP", 1, Config{}); err == nil {
+	if _, err := Solve(&data.Dataset{Name: "e"}, "POP", 1, Config{}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	ds := uniformGrid(t, 2, 2, 1)

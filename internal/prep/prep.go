@@ -58,7 +58,7 @@ type cutEntry struct {
 // New prepares the dataset: it builds the shared solver state (dissimilarity
 // matrix, rank kernel, CSR graph, scratch pools). The shard plans are built
 // on first use. The dataset must be fully constructed and is treated as
-// immutable from here on (see data.Dataset.Graph).
+// immutable from here on.
 func New(ds *data.Dataset) (*Artifact, error) {
 	sh, err := region.NewShared(ds)
 	if err != nil {
@@ -134,22 +134,17 @@ func (a *Artifact) CutPlan(k int) (*shard.Plan, []*Artifact, error) {
 	return e.plan, e.subs, e.err
 }
 
-// cost approximates resident bytes: the dataset (polygons, adjacency,
-// columns) plus the prepared structures for attrs dissimilarity attributes
-// (matrix + transposed copy at 8 bytes/value, rank arrays at 4, CSR arena at
-// ~4/edge).
+// cost approximates resident bytes: the dataset (polygons, contiguity
+// graph, columns) plus the prepared structures for attrs dissimilarity
+// attributes (matrix + transposed copy at 8 bytes/value, rank arrays at 4).
+// The graph is CSR: 4 bytes per offset and per directed edge.
 func cost(ds *data.Dataset, attrs int) int64 {
 	c := int64(1024)
 	for i := range ds.Polygons {
 		c += 24 + int64(len(ds.Polygons[i].Outer))*16
 	}
-	edges := 0
-	for _, adj := range ds.Adjacency {
-		edges += len(adj)
-		c += 24 + int64(len(adj))*8
-	}
 	c += int64(len(ds.Cols)) * (int64(ds.N())*8 + 24)
-	c += int64(attrs) * int64(ds.N()) * (8 + 8 + 4) // vals + valsT + ranks
-	c += int64(ds.N())*8 + int64(edges)*4           // CSR offsets + arena
+	c += int64(attrs) * int64(ds.N()) * (8 + 8 + 4)           // vals + valsT + ranks
+	c += int64(ds.N()+1)*4 + int64(ds.Graph().NumEdges())*2*4 // CSR offsets + arena
 	return c
 }

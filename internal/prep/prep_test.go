@@ -13,10 +13,14 @@ import (
 // column.
 func grid(t *testing.T, name string, vals []float64) *data.Dataset {
 	t.Helper()
-	ds := data.New(name, len(vals))
+	adj := make([][]int, len(vals))
 	for i := 0; i < len(vals)-1; i++ {
-		ds.Adjacency[i] = append(ds.Adjacency[i], i+1)
-		ds.Adjacency[i+1] = append(ds.Adjacency[i+1], i)
+		adj[i] = append(adj[i], i+1)
+		adj[i+1] = append(adj[i+1], i)
+	}
+	ds, err := data.New(name, adj)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := ds.AddColumn("X", vals); err != nil {
 		t.Fatal(err)
@@ -28,9 +32,10 @@ func grid(t *testing.T, name string, vals []float64) *data.Dataset {
 // TestNewRejectsUnsolvableDataset pins that preparation surfaces the same
 // configuration errors a solve would hit (no dissimilarity attribute).
 func TestNewRejectsUnsolvableDataset(t *testing.T) {
-	ds := data.New("bare", 2)
-	ds.Adjacency[0] = []int{1}
-	ds.Adjacency[1] = []int{0}
+	ds, err := data.New("bare", [][]int{{1}, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := New(ds); err == nil {
 		t.Fatal("New accepted a dataset without a dissimilarity configuration")
 	}

@@ -44,9 +44,10 @@ func defaultSet() constraint.Set {
 }
 
 func TestNewPartitionRequiresDissimilarity(t *testing.T) {
-	ds := data.New("x", 2)
-	ds.Adjacency[0] = []int{1}
-	ds.Adjacency[1] = []int{0}
+	ds, err := data.New("x", [][]int{{1}, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ev, err := constraint.NewEvaluator(constraint.Set{}, ds.Column)
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,10 @@ func TestSVGErrors(t *testing.T) {
 	if err := SVG(&buf, ds, []int{0}, Options{}); err == nil {
 		t.Error("short assignment accepted")
 	}
-	bare := data.New("bare", 1)
+	bare, err := data.New("bare", [][]int{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := SVG(&buf, bare, []int{0}, Options{}); err == nil {
 		t.Error("polygon-less dataset accepted")
 	}

@@ -120,6 +120,22 @@ func TestSolveInlineDataset(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsWrappedAdjacencyID: the id 4294967296 is 0 once
+// truncated to int32, which would make this adjacency the valid
+// [[1],[0],[3],[2]] and let the solve answer 200 on a dataset nobody sent.
+func TestSolveRejectsWrappedAdjacencyID(t *testing.T) {
+	body := `{"dataset":{"name":"wrap","n":4,"adjacency":[[1],[4294967296],[3],[2]],
+	  "attributes":{"TOTALPOP":[1,2,3,4]},"attr_order":["TOTALPOP"],"dissimilarity":"TOTALPOP"},
+	  "constraints":"SUM(TOTALPOP) >= 1","options":{"seed":1}}`
+	rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if detail := decodeError(t, rec); !strings.Contains(detail.Message, "out-of-range neighbor 4294967296") {
+		t.Errorf("message = %q, want the out-of-range neighbor named", detail.Message)
+	}
+}
+
 func TestSolveAnnealOption(t *testing.T) {
 	body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000","options":{"seed":1,"local_search":"anneal"}}`
 	rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -73,6 +74,27 @@ func TestSHPRoundTripJittered(t *testing.T) {
 		if len(before[i]) != len(after[i]) {
 			t.Errorf("adjacency changed at %d: %v vs %v", i, before[i], after[i])
 		}
+	}
+}
+
+// TestReadSHPHugeContentLength: a record header may declare up to 4 GiB of
+// content; the reader must fail on the short stream without allocating
+// the declared length.
+func TestReadSHPHugeContentLength(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSHP(&buf, squares(1)); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.BigEndian.PutUint32(b[100+4:100+8], math.MaxInt32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadSHP(bytes.NewReader(b)); err == nil {
+		t.Error("accepted a record longer than the stream")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("reading a %d-byte stream allocated %d bytes", len(b), grew)
 	}
 }
 
@@ -342,8 +364,8 @@ func TestDatasetRoundTripFiles(t *testing.T) {
 	if got.N() != ds.N() {
 		t.Fatalf("N = %d, want %d", got.N(), ds.N())
 	}
-	for i := range ds.Adjacency {
-		if len(got.Adjacency[i]) != len(ds.Adjacency[i]) {
+	for i := 0; i < ds.N(); i++ {
+		if got.Graph().Degree(i) != ds.Graph().Degree(i) {
 			t.Errorf("adjacency differs at %d", i)
 		}
 	}

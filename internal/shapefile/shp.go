@@ -67,8 +67,14 @@ func ReadSHP(r io.Reader) ([]geom.Polygon, error) {
 		if contentWords < 2 {
 			return nil, fmt.Errorf("shapefile: record %d: content length %d words too small", len(polys)+1, contentWords)
 		}
-		content := make([]byte, int(contentWords)*2)
-		if _, err := io.ReadFull(r, content); err != nil {
+		// Read what the stream holds rather than allocating the declared
+		// length up front: a corrupt header can declare 4 GiB.
+		want := int64(contentWords) * 2
+		content, err := io.ReadAll(io.LimitReader(r, want))
+		if err == nil && int64(len(content)) < want {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, fmt.Errorf("shapefile: record %d content: %w", len(polys)+1, err)
 		}
 		pg, err := parsePolygonRecord(content)

@@ -69,9 +69,9 @@ func TestNewCutPlanInvariants(t *testing.T) {
 		// CutEdges: sorted unique (u,v) pairs that are real severed
 		// adjacencies, and complete — every cross-shard adjacency appears.
 		want := 0
-		for u, nbs := range ds.Adjacency {
-			for _, v := range nbs {
-				if v > u && plan.Component[u] != plan.Component[v] {
+		for u := 0; u < ds.N(); u++ {
+			for _, v := range ds.Graph().Neighbors(u) {
+				if int(v) > u && plan.Component[u] != plan.Component[v] {
 					want++
 				}
 			}
@@ -87,14 +87,7 @@ func TestNewCutPlanInvariants(t *testing.T) {
 			if plan.Component[u] == plan.Component[v] {
 				t.Errorf("k=%d: cut edge %v within shard %d", k, e, plan.Component[u])
 			}
-			adjacent := false
-			for _, w := range ds.Adjacency[u] {
-				if w == v {
-					adjacent = true
-					break
-				}
-			}
-			if !adjacent {
+			if !ds.Graph().HasEdge(u, v) {
 				t.Errorf("k=%d: cut edge %v is not an adjacency", k, e)
 			}
 			if i > 0 {

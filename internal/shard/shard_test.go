@@ -16,8 +16,10 @@ import (
 // {3,4,5} (a triangle) and one attribute column.
 func twoComponents(t *testing.T) *data.Dataset {
 	t.Helper()
-	ds := data.New("two", 6)
-	ds.Adjacency = [][]int{{1}, {0, 2}, {1}, {4, 5}, {3, 5}, {3, 4}}
+	ds, err := data.New("two", [][]int{{1}, {0, 2}, {1}, {4, 5}, {3, 5}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ds.AddColumn("POP", []float64{1, 2, 3, 40, 50, 60}); err != nil {
 		t.Fatalf("AddColumn: %v", err)
 	}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"emp/internal/data"
-	"emp/internal/graph"
 )
 
 // Result is a SKATER partition.
@@ -57,10 +56,12 @@ func Solve(ds *data.Dataset, k int) (*Result, error) {
 	forest := g.MinimumSpanningForest(func(u, v int) float64 {
 		return abs(dis[u] - dis[v])
 	})
-	// Tree adjacency.
-	tree := graph.New(n)
+	// Tree adjacency: forest edges are distinct, so appending both
+	// directions gives each vertex its tree neighbors in forest order.
+	tree := make([][]int, n)
 	for _, e := range forest {
-		tree.AddEdge(e.U, e.V)
+		tree[e.U] = append(tree[e.U], e.V)
+		tree[e.V] = append(tree[e.V], e.U)
 	}
 
 	// Greedy edge removal: cut the edge that most reduces total SSD.
@@ -116,7 +117,7 @@ func edgeKey(u, v int) [2]int {
 
 // subtreeMembers collects the vertices reachable from start in the pruned
 // tree without crossing the (start, blocked) edge.
-func subtreeMembers(tree *graph.Graph, removed map[[2]int]bool, start, blocked int) []int {
+func subtreeMembers(tree [][]int, removed map[[2]int]bool, start, blocked int) []int {
 	visited := map[int]bool{start: true}
 	stack := []int{start}
 	var out []int
@@ -124,8 +125,7 @@ func subtreeMembers(tree *graph.Graph, removed map[[2]int]bool, start, blocked i
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, u)
-		for _, v32 := range tree.Neighbors(u) {
-			v := int(v32)
+		for _, v := range tree[u] {
 			if u == start && v == blocked {
 				continue
 			}
@@ -159,7 +159,7 @@ func ssdOf(members []int, dis []float64) float64 {
 
 // cutGain computes the SSD reduction of cutting edge (u, v): SSD of the
 // joint component minus the SSDs of the two sides.
-func cutGain(tree *graph.Graph, removed map[[2]int]bool, dis []float64, u, v int) float64 {
+func cutGain(tree [][]int, removed map[[2]int]bool, dis []float64, u, v int) float64 {
 	left := subtreeMembers(tree, removed, u, v)
 	right := subtreeMembers(tree, removed, v, u)
 	joint := append(append([]int(nil), left...), right...)
@@ -168,7 +168,7 @@ func cutGain(tree *graph.Graph, removed map[[2]int]bool, dis []float64, u, v int
 
 // components labels the pruned tree's components with dense ids in order of
 // lowest member.
-func components(tree *graph.Graph, removed map[[2]int]bool, n int) []int {
+func components(tree [][]int, removed map[[2]int]bool, n int) []int {
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = -1
@@ -183,8 +183,7 @@ func components(tree *graph.Graph, removed map[[2]int]bool, n int) []int {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, v32 := range tree.Neighbors(u) {
-				v := int(v32)
+			for _, v := range tree[u] {
 				if removed[edgeKey(u, v)] || assign[v] >= 0 {
 					continue
 				}

@@ -72,7 +72,7 @@ func TestSolveErrors(t *testing.T) {
 	if _, err := Solve(ds, 3); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := Solve(data.New("e", 0), 1); err == nil {
+	if _, err := Solve(&data.Dataset{Name: "e"}, 1); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	noDis := pathDS(t, []float64{1, 2})
@@ -81,11 +81,10 @@ func TestSolveErrors(t *testing.T) {
 		t.Error("missing dissimilarity accepted")
 	}
 	// k below component count.
-	two := data.New("two", 4)
-	two.Adjacency[0] = []int{1}
-	two.Adjacency[1] = []int{0}
-	two.Adjacency[2] = []int{3}
-	two.Adjacency[3] = []int{2}
+	two, err := data.New("two", [][]int{{1}, {0}, {3}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := two.AddColumn("D", []float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}

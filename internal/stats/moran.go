@@ -1,10 +1,10 @@
 package stats
 
-import "math"
+import "emp/internal/graph"
 
 // MoranI computes Moran's I, the standard measure of spatial
-// autocorrelation, for values x under binary contiguity weights given as
-// adjacency lists:
+// autocorrelation, for values x under binary contiguity weights given by
+// the contiguity graph:
 //
 //	I = (n / W) · Σ_ij w_ij (x_i − x̄)(x_j − x̄) / Σ_i (x_i − x̄)²
 //
@@ -13,9 +13,9 @@ import "math"
 // values near the expectation E[I] = −1/(n−1) indicate randomness, negative
 // values indicate checkerboard patterns. The synthetic census substrate is
 // validated to produce positive I, matching real tract data.
-func MoranI(x []float64, adjacency [][]int) float64 {
+func MoranI(x []float64, g *graph.Graph) float64 {
 	n := len(x)
-	if n < 2 || len(adjacency) != n {
+	if n < 2 || g.N() != n {
 		return 0
 	}
 	var mean float64
@@ -26,10 +26,10 @@ func MoranI(x []float64, adjacency [][]int) float64 {
 
 	var num, den float64
 	var w float64
-	for i, nbs := range adjacency {
+	for i := 0; i < n; i++ {
 		di := x[i] - mean
 		den += di * di
-		for _, j := range nbs {
+		for _, j := range g.Neighbors(i) {
 			num += di * (x[j] - mean)
 			w++
 		}
@@ -40,61 +40,18 @@ func MoranI(x []float64, adjacency [][]int) float64 {
 	return float64(n) / w * num / den
 }
 
-// MoranExpected returns E[I] under the null hypothesis of no spatial
-// autocorrelation: −1/(n−1).
-func MoranExpected(n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	return -1 / float64(n-1)
-}
-
-// GearyC computes Geary's contiguity ratio C, the companion statistic to
-// Moran's I that is more sensitive to local differences:
-//
-//	C = ((n−1) / 2W) · Σ_ij w_ij (x_i − x_j)² / Σ_i (x_i − x̄)²
-//
-// C < 1 indicates positive spatial autocorrelation, C ≈ 1 randomness,
-// C > 1 negative autocorrelation.
-func GearyC(x []float64, adjacency [][]int) float64 {
-	n := len(x)
-	if n < 2 || len(adjacency) != n {
-		return 0
-	}
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
-
-	var num, den, w float64
-	for i, nbs := range adjacency {
-		di := x[i] - mean
-		den += di * di
-		for _, j := range nbs {
-			d := x[i] - x[j]
-			num += d * d
-			w++
-		}
-	}
-	if den == 0 || w == 0 {
-		return 0
-	}
-	return float64(n-1) / (2 * w) * num / den
-}
-
 // JoinCountSameRegion measures how spatially coherent a region assignment
 // is: the fraction of neighbor pairs assigned to the same region
 // (unassigned areas excluded). A contiguity-respecting regionalization
 // scores high; a random labeling scores about 1/p.
-func JoinCountSameRegion(assignment []int, adjacency [][]int) float64 {
+func JoinCountSameRegion(assignment []int, g *graph.Graph) float64 {
 	var same, total float64
-	for i, nbs := range adjacency {
-		if i >= len(assignment) || assignment[i] < 0 {
+	for i := 0; i < g.N() && i < len(assignment); i++ {
+		if assignment[i] < 0 {
 			continue
 		}
-		for _, j := range nbs {
-			if j >= len(assignment) || assignment[j] < 0 {
+		for _, j := range g.Neighbors(i) {
+			if int(j) >= len(assignment) || assignment[j] < 0 {
 				continue
 			}
 			total++
@@ -107,19 +64,4 @@ func JoinCountSameRegion(assignment []int, adjacency [][]int) float64 {
 		return 0
 	}
 	return same / total
-}
-
-// ZScoreApprox returns an approximate z-score of Moran's I under the
-// normality assumption, using the simplified variance 1/W·... — for quick
-// significance hints in reports, not rigorous inference.
-func ZScoreApprox(i float64, n int, totalWeights float64) float64 {
-	if n < 3 || totalWeights == 0 {
-		return 0
-	}
-	e := MoranExpected(n)
-	v := 1 / totalWeights
-	if v <= 0 {
-		return 0
-	}
-	return (i - e) / math.Sqrt(v)
 }
