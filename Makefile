@@ -56,26 +56,32 @@ recovery:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# bench-smoke runs the telemetry-overhead benchmark, a converged search and
-# the construction benchmark once: a fast CI-grade check that the tabu hot
-# path still builds and runs in all four telemetry states (absent / disabled
-# / enabled / recorded under a request-shaped trace context), that a search
-# to the solver's stopping rule still fast-forwards its final cycle
-# (replayed-moves/op > 0), and that a construction-only solve of prepared
-# 20k still runs. -benchmem keeps the per-run allocation profiles visible so
-# regressions show up in the CI log. One iteration is too noisy for overhead
-# numbers: rerun BenchmarkTabuTelemetry with -benchtime 5x -count 5 and
-# compare the legs.
+# bench-smoke runs the telemetry-overhead benchmark, a converged search, the
+# construction benchmark, contiguity extraction and cold 50k1 generation
+# once: a fast CI-grade check that the tabu hot path still builds and runs
+# in all four telemetry states (absent / disabled / enabled / recorded under
+# a request-shaped trace context), that a search to the solver's stopping
+# rule still fast-forwards its final cycle (replayed-moves/op > 0), that a
+# construction-only solve of prepared 20k still runs, and what rook and
+# queen adjacency and a cold paper-scale dataset cost. -benchmem keeps the
+# per-run allocation profiles visible so regressions show up in the CI log:
+# adjacency allocs/op stays a small constant at every size, so a count that
+# grows with n means the kernel allocates per edge or per area again. One
+# iteration is too noisy for overhead numbers: rerun BenchmarkTabuTelemetry
+# with -benchtime 5x -count 5 and compare the legs.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkTabuTelemetry|BenchmarkImproveConverge' -benchtime 1x -benchmem ./internal/tabu/
 	$(GO) test -run xxx -bench BenchmarkConstruct -benchtime 1x -benchmem ./internal/fact/
+	$(GO) test -run xxx -bench 'BenchmarkRookAdjacency|BenchmarkQueenAdjacency' -benchtime 1x -benchmem ./internal/geom/
+	$(GO) test -run xxx -bench 'BenchmarkGenerate/50k1' -benchtime 1x -benchmem ./internal/census/
 
 # fuzz-smoke runs every native fuzz target for 10 s beyond its seed corpus,
 # which plain `go test` only replays: the constraint DSL, the shapefile
-# readers, the traceparent header, the wire options, and the two decoders
-# that build a dataset from outside bytes (dataset JSON and GeoJSON). go test
-# fuzzes one target per run, hence one line per target. A failing input is
-# written under the package's testdata/fuzz/ for replay.
+# readers, the traceparent header, the wire options, the two decoders that
+# build a dataset from outside bytes (dataset JSON and GeoJSON), contiguity
+# extraction against its map-based reference, and durable journal replay.
+# go test fuzzes one target per run, hence one line per target. A failing
+# input is written under the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/constraint/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/constraint/
@@ -85,3 +91,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveOptions$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/data/
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/geojson/
+	$(GO) test -run '^$$' -fuzz '^FuzzAdjacency$$' -fuzztime 10s ./internal/geom/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/durable/

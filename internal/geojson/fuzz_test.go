@@ -10,8 +10,8 @@ import (
 
 // FuzzRead checks the GeoJSON importer behind emp.ReadGeoJSON: it never
 // panics, and every FeatureCollection it accepts, under either contiguity
-// rule, gives a valid graph over [0, n) whose dataset JSON round-trips byte
-// for byte.
+// rule, has every coordinate within ±geom.MaxCoord and gives a valid graph
+// over [0, n) whose dataset JSON round-trips byte for byte.
 func FuzzRead(f *testing.F) {
 	for _, in := range []string{
 		// The wrapped-id dataset document: not a FeatureCollection.
@@ -33,6 +33,9 @@ func FuzzRead(f *testing.F) {
 		`{"type":"FeatureCollection","features":[
 		  {"type":"Feature","geometry":{"type":"Polygon","coordinates":[[[0,0],[1,0],[1,1],[0,0]]]},"properties":{"A":1}},
 		  {"type":"Feature","geometry":{"type":"Polygon","coordinates":[[[1,0],[2,0],[2,1],[1,0]]]},"properties":{}}]}`,
+		`{"type":"FeatureCollection","features":[
+		  {"type":"Feature","geometry":{"type":"Polygon","coordinates":[[[9e9,0],[9e9,1],[8.9e9,1],[9e9,0]]]},"properties":{}},
+		  {"type":"Feature","geometry":{"type":"Polygon","coordinates":[[[1e10,0],[1e10,1],[1.1e10,1],[1e10,0]]]},"properties":{}}]}`,
 	} {
 		f.Add([]byte(in))
 	}
@@ -41,6 +44,13 @@ func FuzzRead(f *testing.F) {
 			ds, err := Read(bytes.NewReader(in), "fuzz", rule)
 			if err != nil {
 				return
+			}
+			for i, pg := range ds.Polygons {
+				for _, p := range pg.Outer {
+					if !p.InRange() {
+						t.Fatalf("%v: feature %d accepted with coordinate %v outside ±%g", rule, i, p, geom.MaxCoord)
+					}
+				}
 			}
 			g := ds.Graph()
 			if err := g.Validate(); err != nil {

@@ -149,6 +149,8 @@ func unmarshalGeometry(g geometry) (geom.Polygon, error) {
 
 // largestRing picks the largest-area ring across all polygons of the
 // feature as the contiguity boundary (same policy as the shapefile loader).
+// Every coordinate of every ring must lie within ±geom.MaxCoord, the range
+// contiguity extraction keys exactly.
 func largestRing(multi [][][][2]float64) (geom.Polygon, error) {
 	var best geom.Ring
 	bestArea := -1.0
@@ -156,7 +158,11 @@ func largestRing(multi [][][][2]float64) (geom.Polygon, error) {
 		for _, raw := range rings {
 			ring := make(geom.Ring, 0, len(raw))
 			for _, c := range raw {
-				ring = append(ring, geom.Point{X: c[0], Y: c[1]})
+				p := geom.Point{X: c[0], Y: c[1]}
+				if !p.InRange() {
+					return geom.Polygon{}, fmt.Errorf("coordinate (%g, %g) outside ±%g", p.X, p.Y, geom.MaxCoord)
+				}
+				ring = append(ring, p)
 			}
 			if len(ring) > 1 && ring[0] == ring[len(ring)-1] {
 				ring = ring[:len(ring)-1]

@@ -154,3 +154,31 @@ func TestReadSkipsIDAndRegionProps(t *testing.T) {
 		t.Error("POP column missing")
 	}
 }
+
+// TestReadRejectsOutOfRangeCoordinates: past ±geom.MaxCoord the contiguity
+// snap saturates, so two disjoint squares at x = 1e10 would come back as
+// neighbors. Read rejects such a coordinate in any ring and names its
+// feature.
+func TestReadRejectsOutOfRangeCoordinates(t *testing.T) {
+	cases := map[string]struct{ in, feature string }{
+		"disjoint squares at 1e10": {`{"type":"FeatureCollection","features":[
+		  {"type":"Feature","geometry":{"type":"Polygon","coordinates":[[[0,0],[1,0],[1,1],[0,1],[0,0]]]},"properties":{}},
+		  {"type":"Feature","geometry":{"type":"Polygon","coordinates":[[[1e10,0],[1.0000000001e10,0],[1.0000000001e10,1],[1e10,1],[1e10,0]]]},"properties":{}},
+		  {"type":"Feature","geometry":{"type":"Polygon","coordinates":[[[1.0000000005e10,0],[1.0000000006e10,0],[1.0000000006e10,1],[1.0000000005e10,1],[1.0000000005e10,0]]]},"properties":{}}]}`,
+			"feature 1"},
+		"hole below -MaxCoord": {`{"type":"FeatureCollection","features":[
+		  {"type":"Feature","geometry":{"type":"Polygon","coordinates":[
+		    [[0,0],[4,0],[4,4],[0,4],[0,0]],[[1,-9.5e9],[2,1],[2,2],[1,-9.5e9]]]},"properties":{}}]}`,
+			"feature 0"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, rule := range []geom.Contiguity{geom.Rook, geom.Queen} {
+				_, err := Read(strings.NewReader(tc.in), "x", rule)
+				if err == nil || !strings.Contains(err.Error(), tc.feature) {
+					t.Errorf("%v: err = %v, want one naming %s", rule, err, tc.feature)
+				}
+			}
+		})
+	}
+}

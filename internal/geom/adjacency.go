@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Contiguity selects how polygon adjacency is derived.
@@ -37,6 +36,18 @@ func (c Contiguity) String() string {
 // trips without merging genuinely distinct vertices.
 const quantum = 1e-9
 
+// MaxCoord bounds the coordinates Adjacency can key exactly. A coordinate
+// snaps to the int64 count of quanta nearest to it, and past ±9.22e9 (or at
+// NaN and ±Inf) that count saturates, so distinct vertices would share one
+// key and polygons that never touch would come back as neighbors.
+const MaxCoord = 9e9
+
+// InRange reports whether both coordinates of p are finite and within
+// ±MaxCoord, the range Adjacency keys exactly.
+func (p Point) InRange() bool {
+	return math.Abs(p.X) <= MaxCoord && math.Abs(p.Y) <= MaxCoord
+}
+
 func snap(v float64) int64 {
 	return int64(math.Round(v / quantum))
 }
@@ -61,79 +72,131 @@ func canonicalEdge(p, q Point) edgeKey {
 	return edgeKey{a, b}
 }
 
+// hashMul is the odd 64-bit golden-ratio constant. Keys are hashed by
+// multiplying and xoring their words into one product and taking its top
+// bits, which every input bit reaches.
+const hashMul = 0x9e3779b97f4a7c15
+
+func (k vertexKey) hash() uint64 {
+	return (uint64(k.X)*hashMul ^ uint64(k.Y)) * hashMul
+}
+
+func (k edgeKey) hash() uint64 {
+	return ((k.A.hash()^uint64(k.B.X))*hashMul ^ uint64(k.B.Y)) * hashMul
+}
+
+// tableKey is a snapped key the contiguity table files: an edge under rook,
+// a vertex under queen.
+type tableKey interface {
+	comparable
+	hash() uint64
+}
+
 // Adjacency computes the neighbor lists of the given polygons under the
-// chosen contiguity rule. The result has one sorted, duplicate-free slice
-// per polygon; adjacency is symmetric and irreflexive.
+// chosen contiguity rule; an unknown rule means Rook. The result has one
+// sorted, duplicate-free slice per polygon, all cut from one backing array;
+// adjacency is symmetric and irreflexive.
 //
-// Complexity is O(total vertices) expected: every edge (rook) or vertex
-// (queen) is hashed once and each bucket is expanded pairwise. Degenerate
-// inputs where many polygons meet at one vertex cost O(k^2) for that bucket,
-// matching the true neighbor count.
+// Every ring edge (rook) or vertex (queen) is snapped to the quantum grid
+// and filed once into an open-addressed table sized to twice the vertex
+// count. A slot holds the head of a chain of records, one per polygon that
+// has the key. Polygons are filed in id order, so a polygon that revisits
+// an edge or a vertex finds itself at the head and is not filed again.
+// Filing a polygon pairs it with every polygon already on the chain, and
+// one counting pass then lays the pairs out as the sorted lists. The cost
+// is O(total vertices) expected, plus O(k²) for a key that k polygons
+// share, which matches the neighbor pairs such a key yields.
+//
+// Coordinates must be finite and within ±MaxCoord (see Point.InRange):
+// beyond it snapping saturates and unrelated polygons share keys. The
+// shapefile and GeoJSON decoders reject such input.
 func Adjacency(polys []Polygon, rule Contiguity) [][]int {
-	switch rule {
-	case Rook:
-		return rookAdjacency(polys)
-	case Queen:
-		return queenAdjacency(polys)
-	default:
-		return rookAdjacency(polys)
+	if rule == Queen {
+		return adjacency(polys, func(r Ring, i int) vertexKey { return keyOf(r[i]) })
 	}
+	return adjacency(polys, func(r Ring, i int) edgeKey { return canonicalEdge(r.Edge(i)) })
 }
 
-func rookAdjacency(polys []Polygon) [][]int {
-	buckets := make(map[edgeKey][]int)
+// record files one polygon under one key. next is the record that headed
+// the key's chain before it. Record 0 is a sentinel, so 0 means "none"
+// both in next and in a table slot.
+type record[K tableKey] struct {
+	key  K
+	poly int32
+	next int32
+}
+
+// adjacency is the kernel behind Adjacency; keyAt returns the key of edge
+// or vertex i of a ring.
+func adjacency[K tableKey](polys []Polygon, keyAt func(Ring, int) K) [][]int {
+	n := len(polys)
+	total := 0
+	for _, pg := range polys {
+		total += len(pg.Outer)
+	}
+	if total >= math.MaxInt32 {
+		// Records are int32-indexed; the points alone would fill 32 GiB.
+		panic(fmt.Sprintf("geom: %d ring vertices exceed the int32 record space", total))
+	}
+	shift := 64
+	for 1<<(64-shift) < 2*total {
+		shift--
+	}
+	table := make([]int32, 1<<(64-shift))
+	mask := len(table) - 1
+	recs := make([]record[K], 1, total+1)
+	pairs := make([]int32, 0, 2*total) // (earlier, later) polygon id pairs
+	deg := make([]int, n)              // pairs per polygon, repeats included
 	for id, pg := range polys {
-		r := pg.Outer
-		for i := range r {
-			p, q := r.Edge(i)
-			k := canonicalEdge(p, q)
-			buckets[k] = append(buckets[k], id)
-		}
-	}
-	return expandBuckets(len(polys), buckets)
-}
-
-func queenAdjacency(polys []Polygon) [][]int {
-	buckets := make(map[vertexKey][]int)
-	for id, pg := range polys {
-		for _, p := range pg.Outer {
-			k := keyOf(p)
-			buckets[k] = append(buckets[k], id)
-		}
-	}
-	return expandBuckets(len(polys), buckets)
-}
-
-// expandBuckets links every pair of polygons that share a bucket (an edge
-// under rook, a vertex under queen) and returns the sorted neighbor lists.
-// Polygons are filed in id order, so a polygon that revisits a vertex or an
-// edge fills consecutive entries of its bucket; compacting them first keeps
-// the pairwise links quadratic in distinct polygons only.
-func expandBuckets[K comparable](n int, buckets map[K][]int) [][]int {
-	sets := make([]map[int]bool, n)
-	for _, ids := range buckets {
-		ids = slices.Compact(ids)
-		for i, a := range ids {
-			for _, b := range ids[i+1:] {
-				if sets[a] == nil {
-					sets[a] = make(map[int]bool)
-				}
-				if sets[b] == nil {
-					sets[b] = make(map[int]bool)
-				}
-				sets[a][b] = true
-				sets[b][a] = true
+		p := int32(id)
+		for i := range pg.Outer {
+			k := keyAt(pg.Outer, i)
+			s := int(k.hash() >> shift)
+			for table[s] != 0 && recs[table[s]].key != k {
+				s = (s + 1) & mask
 			}
+			head := table[s]
+			if head != 0 && recs[head].poly == p {
+				continue
+			}
+			for r := head; r != 0; r = recs[r].next {
+				q := recs[r].poly
+				pairs = append(pairs, q, p)
+				deg[q]++
+				deg[id]++
+			}
+			recs = append(recs, record[K]{key: k, poly: p, next: head})
+			table[s] = int32(len(recs) - 1)
 		}
 	}
+
+	// Turn the counts into write cursors at each list's start; once every
+	// pair is written, each cursor sits at its list's end.
+	sum := 0
+	for u, d := range deg {
+		deg[u] = sum
+		sum += d
+	}
+	arena := make([]int, sum)
+	for i := 0; i < len(pairs); i += 2 {
+		a, b := pairs[i], pairs[i+1]
+		arena[deg[a]] = int(b)
+		deg[a]++
+		arena[deg[b]] = int(a)
+		deg[b]++
+	}
+	// Polygons sharing several keys were paired once per key: sort and
+	// compact each list, packing the lists towards the arena's front.
 	adj := make([][]int, n)
-	for i, set := range sets {
-		nb := make([]int, 0, len(set))
-		for j := range set {
-			nb = append(nb, j)
-		}
-		sort.Ints(nb)
-		adj[i] = nb
+	start, w := 0, 0
+	for u, end := range deg {
+		nb := arena[start:end]
+		slices.Sort(nb)
+		nb = slices.Compact(nb)
+		start = end
+		from := w
+		w += copy(arena[w:], nb)
+		adj[u] = arena[from:w:w]
 	}
 	return adj
 }

@@ -33,6 +33,7 @@ func BenchmarkRookAdjacency(b *testing.B) {
 func BenchmarkQueenAdjacency(b *testing.B) {
 	polys := benchLattice(5000)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if adj := Adjacency(polys, Queen); len(adj) != 5000 {
 			b.Fatal("bad adjacency")

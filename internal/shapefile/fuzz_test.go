@@ -2,12 +2,14 @@ package shapefile
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"emp/internal/geom"
 )
 
-// FuzzReadSHP checks the binary .shp parser never panics on corrupt input.
+// FuzzReadSHP checks the binary .shp parser never panics on corrupt input
+// and that every point it accepts is finite and within ±geom.MaxCoord.
 func FuzzReadSHP(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteSHP(&buf, squaresForFuzz(3)); err != nil {
@@ -18,13 +20,21 @@ func FuzzReadSHP(f *testing.F) {
 	f.Add(make([]byte, 100))
 	truncated := buf.Bytes()[:buf.Len()-7]
 	f.Add(truncated)
+	for _, v := range []float64{math.NaN(), math.Inf(-1), 1e10} {
+		f.Add(withFirstX(buf.Bytes(), 1, v))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		polys, err := ReadSHP(bytes.NewReader(in))
 		if err != nil {
 			return
 		}
-		for _, pg := range polys {
+		for i, pg := range polys {
 			_ = pg.Area() // must not panic either
+			for _, p := range pg.Outer {
+				if !p.InRange() {
+					t.Fatalf("record %d accepted with point %v outside ±%g", i+1, p, geom.MaxCoord)
+				}
+			}
 		}
 	})
 }

@@ -480,3 +480,57 @@ func TestFieldNameTruncationOnWrite(t *testing.T) {
 		t.Error("truncation mangled the name")
 	}
 }
+
+// withFirstX returns a copy of a squares() stream whose record rec (from 0)
+// has v as the x of its first point. Each square record is 8 header bytes
+// plus 48 bytes of type, box, counts and part offset before its five points.
+func withFirstX(shp []byte, rec int, v float64) []byte {
+	b := bytes.Clone(shp)
+	off := headerLen + rec*(8+48+16*5) + 8 + 48
+	binary.LittleEndian.PutUint64(b[off:off+8], math.Float64bits(v))
+	return b
+}
+
+// TestReadSHPRejectsOutOfRangeCoordinates: a point's bits can decode to NaN
+// or ±Inf, and past ±geom.MaxCoord the contiguity snap saturates, so two
+// disjoint squares at x = 1e10 would come back as neighbors. ReadSHP
+// rejects each such point with an error naming its record.
+func TestReadSHPRejectsOutOfRangeCoordinates(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSHP(&buf, squares(3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e10, -9.5e9} {
+		_, err := ReadSHP(bytes.NewReader(withFirstX(buf.Bytes(), 1, v)))
+		if err == nil || !strings.Contains(err.Error(), "record 2") {
+			t.Errorf("x = %g: err = %v, want one naming record 2", v, err)
+		}
+	}
+	// The same far squares, written whole, are rejected before any
+	// contiguity is derived from them.
+	far := []geom.Polygon{squares(1)[0], squares(1)[0], squares(1)[0]}
+	for i, x := range []float64{0, 1e10, 1e10 + 5} {
+		for j := range far[i].Outer {
+			far[i].Outer[j].X += x
+		}
+	}
+	buf.Reset()
+	if err := WriteSHP(&buf, far); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSHP(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Errorf("far squares: err = %v, want one naming record 2", err)
+	}
+	// MaxCoord itself is in range.
+	edge := squares(1)
+	for j := range edge[0].Outer {
+		edge[0].Outer[j].X -= geom.MaxCoord
+	}
+	buf.Reset()
+	if err := WriteSHP(&buf, edge); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSHP(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Errorf("square at -MaxCoord rejected: %v", err)
+	}
+}

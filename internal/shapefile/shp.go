@@ -131,7 +131,11 @@ func parsePolygonRecord(content []byte) (geom.Polygon, error) {
 		}
 		ring := make(geom.Ring, 0, end-start)
 		for i := start; i < end; i++ {
-			ring = append(ring, readPoint(i))
+			pt := readPoint(i)
+			if !pt.InRange() {
+				return geom.Polygon{}, fmt.Errorf("point %d (%g, %g) is not finite or outside ±%g", i, pt.X, pt.Y, geom.MaxCoord)
+			}
+			ring = append(ring, pt)
 		}
 		// Shapefile rings repeat the first vertex at the end; our Ring
 		// closes implicitly.
