@@ -118,7 +118,9 @@ func assignHash(assign []int) string {
 // at worker budgets 1 and 4. Each case is a subtest, so one can be run (or
 // profiled) alone: -run 'TestGoldenSolves/^50k1$'. Run with -update to
 // rewrite the fixtures after a deliberate result change; cases that do not
-// run (filtered out, or skipped by -short) keep their pinned entries.
+// run (filtered out, or skipped by -short) keep their pinned entries. An
+// entry that names no case fails the test, and -update prunes it, so a pin
+// cannot outlive its case.
 func TestGoldenSolves(t *testing.T) {
 	want := map[string]golden{}
 	raw, err := os.ReadFile(goldenPath)
@@ -129,6 +131,19 @@ func TestGoldenSolves(t *testing.T) {
 		}
 	case !*updateGolden:
 		t.Fatalf("reading fixtures (run with -update to create them): %v", err)
+	}
+	known := map[string]bool{}
+	for _, tc := range goldenCases {
+		known[tc.name] = true
+	}
+	for name := range want {
+		switch {
+		case known[name]:
+		case *updateGolden:
+			delete(want, name)
+		default:
+			t.Errorf("fixture %q names no golden case (run with -update to prune it)", name)
+		}
 	}
 	got := map[string]golden{}
 	for _, tc := range goldenCases {
