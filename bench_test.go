@@ -235,27 +235,6 @@ func benchName(prefix string, v int) string {
 	return prefix + "=" + strconv.Itoa(v)
 }
 
-// BenchmarkAblationLocalSearch compares the two phase-3 algorithms.
-func BenchmarkAblationLocalSearch(b *testing.B) {
-	ds := benchDataset(b)
-	for _, v := range []struct {
-		name string
-		ls   fact.LocalSearch
-	}{{"tabu", fact.LocalSearchTabu}, {"anneal", fact.LocalSearchAnneal}} {
-		b.Run(v.name, func(b *testing.B) {
-			var improve float64
-			for i := 0; i < b.N; i++ {
-				res, err := fact.Solve(ds, defaultBenchSet(), fact.Config{Seed: 1, LocalSearch: v.ls})
-				if err != nil {
-					b.Fatal(err)
-				}
-				improve = res.HeteroImprovement() * 100
-			}
-			b.ReportMetric(improve, "improve%")
-		})
-	}
-}
-
 // BenchmarkShapefileRoundTrip measures GIS IO on a census-sized dataset.
 func BenchmarkShapefileRoundTrip(b *testing.B) {
 	ds := benchDataset(b)

@@ -58,7 +58,7 @@
 //	                {"named":"2k","scale":0.25,
 //	                 "constraints":"MIN(POP16UP) <= 3000; SUM(TOTALPOP) >= 20k",
 //	                 "timeout_ms":60000,
-//	                 "options":{"seed":1,"local_search":"tabu"}}
+//	                 "options":{"seed":1}}
 //	                or with an inline {"dataset":{...}} document in the
 //	                schema produced by empgen.
 //

@@ -304,9 +304,8 @@ type AZPOptions = azp.Config
 type AZPResult = azp.Result
 
 // SolveAZP partitions the dataset into exactly k contiguous regions with
-// the AZP family of zoning algorithms (random contiguous initialization +
-// Tabu or simulated-annealing improvement) — the greedy-aggregation
-// region-building lineage in the paper's related work.
+// AZP-Tabu (random contiguous initialization + Tabu improvement) — the
+// greedy-aggregation region-building lineage in the paper's related work.
 func SolveAZP(ds *Dataset, k int, opt AZPOptions) (*AZPResult, error) {
 	return azp.Solve(ds, k, opt)
 }

@@ -2,9 +2,9 @@
 // (Openshaw 1977; Openshaw & Rao 1995), the "greedy aggregation"
 // region-building lineage the paper's related work cites ([39]): grow a
 // random contiguous k-partition, then improve it by moving boundary areas
-// between regions. The improvement phase reuses this repository's Tabu and
-// simulated-annealing searchers (AZP-Tabu / AZP-SA in the literature),
-// optimizing the same pluggable objective as FaCT's phase 3.
+// between regions. The improvement phase reuses this repository's Tabu
+// searcher (AZP-Tabu in the literature), optimizing the same pluggable
+// objective as FaCT's phase 3.
 //
 // Like SKATER, AZP fixes k and knows nothing about EMP's enriched
 // constraints; it serves as a quality baseline and as the initialization
@@ -15,27 +15,14 @@ import (
 	"fmt"
 	"math/rand"
 
-	"emp/internal/anneal"
 	"emp/internal/constraint"
 	"emp/internal/data"
 	"emp/internal/region"
 	"emp/internal/tabu"
 )
 
-// Variant selects the improvement strategy.
-type Variant int
-
-const (
-	// Tabu is AZP-Tabu (Openshaw & Rao 1995).
-	Tabu Variant = iota
-	// Anneal is AZP-SA, simulated annealing.
-	Anneal
-)
-
 // Config tunes the solver.
 type Config struct {
-	// Variant selects the improvement strategy (default Tabu).
-	Variant Variant
 	// Objective is the optimization target (nil = heterogeneity H(P)).
 	Objective tabu.Objective
 	// Restarts is the number of random initializations; the best final
@@ -90,12 +77,7 @@ func Solve(ds *data.Dataset, k int, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch cfg.Variant {
-		case Anneal:
-			anneal.Improve(p, anneal.Config{Objective: obj, Seed: cfg.Seed + int64(r), Steps: 10 * n})
-		default:
-			tabu.Improve(p, tabu.Config{Objective: obj, Tenure: 10, MaxNoImprove: n})
-		}
+		tabu.Improve(p, tabu.Config{Objective: obj, Tenure: 10, MaxNoImprove: n})
 		score := obj.Total(p)
 		if best == nil || score < bestScore {
 			best, bestScore = p, score

@@ -58,15 +58,6 @@ func TestSolveTabu(t *testing.T) {
 	}
 }
 
-func TestSolveAnneal(t *testing.T) {
-	ds := sample(t)
-	res, err := Solve(ds, 6, Config{Variant: Anneal, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, ds, res, 6)
-}
-
 func TestSolveRestartsNeverWorse(t *testing.T) {
 	ds := sample(t)
 	one, err := Solve(ds, 6, Config{Seed: 3, Restarts: 1})
@@ -168,7 +159,7 @@ func TestSolveProperty(t *testing.T) {
 			return false
 		}
 		k := 1 + rng.Intn(ds.N()/4)
-		res, err := Solve(ds, k, Config{Seed: seed, Variant: Variant(rng.Intn(2))})
+		res, err := Solve(ds, k, Config{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -13,7 +13,7 @@ import (
 
 // Ablations runs the design-choice studies DESIGN.md calls out, beyond the
 // paper's own artifacts: merge limit, construction iterations and
-// worker count, local-search algorithm, area pickup order, and a quality
+// worker count, local-search objective, area pickup order, and a quality
 // comparison against the SKATER tree-partition baseline at the same k.
 func Ablations(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
@@ -63,19 +63,18 @@ func Ablations(cfg Config) ([]Table, error) {
 	}
 	tables = append(tables, it)
 
-	// Local-search algorithm and objective.
+	// Local-search objective.
 	ls := Table{
 		ID:     "ablation",
-		Title:  "Ablation: local-search algorithm and objective",
-		Header: []string{"algorithm", "objective", "hetero_improve", "moves", "time"},
+		Title:  "Ablation: local-search objective",
+		Header: []string{"objective", "hetero_improve", "moves", "time"},
 	}
 	variants := []struct {
-		name, objName string
-		cfg           fact.Config
+		objName string
+		cfg     fact.Config
 	}{
-		{"tabu", "heterogeneity", fact.Config{Seed: cfg.Seed}},
-		{"anneal", "heterogeneity", fact.Config{Seed: cfg.Seed, LocalSearch: fact.LocalSearchAnneal}},
-		{"tabu", "compactness", fact.Config{Seed: cfg.Seed, Objective: tabu.NewCompactness(ds.Polygons)}},
+		{"heterogeneity", fact.Config{Seed: cfg.Seed}},
+		{"compactness", fact.Config{Seed: cfg.Seed, Objective: tabu.NewCompactness(ds.Polygons)}},
 	}
 	for _, v := range variants {
 		res, err := fact.Solve(ds, defaults, v.cfg)
@@ -83,7 +82,7 @@ func Ablations(cfg Config) ([]Table, error) {
 			return nil, err
 		}
 		ls.Rows = append(ls.Rows, []string{
-			v.name, v.objName,
+			v.objName,
 			fmt.Sprintf("%.1f%%", res.HeteroImprovement()*100),
 			fmt.Sprintf("%d", res.TabuMoves),
 			secs(res.LocalSearchTime.Seconds()),

@@ -101,7 +101,6 @@ func TestSolveCtxCancelMidRun(t *testing.T) {
 		cfg  Config
 	}{
 		{"tabu", Config{Iterations: 60, Seed: 2, Pool: solvecache.NewPool(2)}},
-		{"anneal", Config{Iterations: 60, Seed: 2, LocalSearch: LocalSearchAnneal}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

@@ -107,32 +107,6 @@ func TestChaosDeadlineMidSearchDegrades(t *testing.T) {
 	}
 }
 
-// TestChaosAnnealDeadlineDegrades covers the same contract for the annealing
-// search: its revert-to-best epilogue must also hold under a deadline.
-func TestChaosAnnealDeadlineDegrades(t *testing.T) {
-	single, _, set, _ := chaosSetup(t)
-	incumbent, err := Solve(single, set, Config{Seed: 3, Iterations: 1, SkipLocalSearch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fault.Enable(&fault.Plan{Rules: []fault.Rule{
-		{Site: "anneal.epoch", Kind: fault.KindDelay, Delay: 50 * time.Millisecond, Times: 1 << 30},
-	}})
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	res, err := SolveCtx(ctx, single, set, Config{Seed: 3, Iterations: 1, LocalSearch: LocalSearchAnneal})
-	fault.Enable(nil)
-	if err != nil {
-		t.Fatalf("deadline mid-anneal must degrade, not fail: %v", err)
-	}
-	if !res.Degraded || res.Partition == nil {
-		t.Fatalf("Degraded=%v Partition=%v, want degraded best-so-far", res.Degraded, res.Partition != nil)
-	}
-	if res.HeteroAfter > incumbent.HeteroAfter {
-		t.Errorf("H = %g worse than the construction incumbent's %g", res.HeteroAfter, incumbent.HeteroAfter)
-	}
-}
-
 // TestChaosShardPanicIsolated is acceptance criterion (b): a shard that
 // panics on every attempt never crashes the process; the solve completes with
 // that component's areas unassigned, a warning naming it, and Degraded set —
@@ -382,7 +356,6 @@ func TestChaosDisabledInjectionIsIdentical(t *testing.T) {
 		{Site: "fact.construct.sweep", Kind: fault.KindPanic, After: never},
 		{Site: "shard.solve", Kind: fault.KindError, After: never},
 		{Site: "tabu.epoch", Kind: fault.KindCancel, After: never},
-		{Site: "anneal.epoch", Kind: fault.KindCancel, After: never},
 		{Site: "census.generate", Kind: fault.KindError, After: never},
 	}})
 	armed, err := Solve(multi, set, cfg)

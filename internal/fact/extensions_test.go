@@ -97,36 +97,6 @@ func TestSolveCompactnessObjective(t *testing.T) {
 	}
 }
 
-// TestSolveAnnealLocalSearch selects the simulated-annealing phase 3.
-func TestSolveAnnealLocalSearch(t *testing.T) {
-	ds, set := extensionFixture(t)
-	res, err := Solve(ds, set, Config{Seed: 4, LocalSearch: LocalSearchAnneal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HeteroAfter > res.HeteroBefore+1e-9 {
-		t.Errorf("annealing worsened H: %g -> %g", res.HeteroBefore, res.HeteroAfter)
-	}
-	if err := res.Partition.Validate(); err != nil {
-		t.Error(err)
-	}
-	if !res.Partition.AllSatisfied() {
-		t.Error("constraints violated after annealing")
-	}
-	if res.LocalSearchTime <= 0 {
-		t.Error("local search time not recorded")
-	}
-}
-
-func TestLocalSearchString(t *testing.T) {
-	if LocalSearchTabu.String() != "tabu" || LocalSearchAnneal.String() != "anneal" {
-		t.Error("local search names wrong")
-	}
-	if LocalSearch(7).String() != "LocalSearch(7)" {
-		t.Error("unknown local search string")
-	}
-}
-
 // TestSolveMultivariateHeterogeneity: H(P) over several z-scaled
 // dissimilarity attributes, the "balancing multiple criteria" extension of
 // Section III. The local search must still only improve.

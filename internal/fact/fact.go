@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"emp/internal/anneal"
 	"emp/internal/constraint"
 	"emp/internal/data"
 	"emp/internal/flight"
@@ -74,8 +73,6 @@ type Config struct {
 	// the paper's heterogeneity H(P). See tabu.Objective for alternatives
 	// (spatial compactness, weighted multi-criteria).
 	Objective tabu.Objective
-	// LocalSearch selects the phase-3 algorithm (default Tabu search).
-	LocalSearch LocalSearch
 	// CutShards, when >= 2, opts the solve into cut-based sharding: the
 	// dataset is sliced into up to CutShards balanced sub-instances along
 	// low-connectivity cuts (shard.NewCutPlan), the sub-instances are solved
@@ -119,28 +116,6 @@ type Config struct {
 	// label indexing this implies — by cut- and component-sharded sub-solves,
 	// whose areas index their shard, not the whole dataset.
 	WarmStart []int
-}
-
-// LocalSearch selects the phase-3 improvement algorithm.
-type LocalSearch int
-
-const (
-	// LocalSearchTabu is the paper's Tabu search (default).
-	LocalSearchTabu LocalSearch = iota
-	// LocalSearchAnneal is the simulated-annealing alternative.
-	LocalSearchAnneal
-)
-
-// String names the local-search algorithm.
-func (l LocalSearch) String() string {
-	switch l {
-	case LocalSearchTabu:
-		return "tabu"
-	case LocalSearchAnneal:
-		return "anneal"
-	default:
-		return fmt.Sprintf("LocalSearch(%d)", int(l))
-	}
 }
 
 // pool returns the configured worker pool, or a private GOMAXPROCS-slot pool.
@@ -189,8 +164,7 @@ type Result struct {
 	// Improvements is the number of local-search new-best events.
 	Improvements int
 	// Search profiles the local-search hot path (candidate evaluations,
-	// heap churn, tabu rejections, removability passes), whichever
-	// algorithm ran.
+	// heap churn, tabu rejections, removability passes).
 	Search tabu.Counters
 	// Iterations is the number of construction iterations executed (summed
 	// over shards for sharded solves).
@@ -252,15 +226,15 @@ func canceled(err error) error {
 }
 
 // SolveCtx is Solve with cooperative cancellation: the context is checked
-// between construction sweeps and local-search iterations (see tabu.Config.Ctx
-// and anneal.Config.Ctx), so a cancelled solve returns within one check
-// interval instead of running to completion. On cancellation the error wraps
+// between construction sweeps and local-search iterations (see
+// tabu.Config.Ctx), so a cancelled solve returns within one check interval
+// instead of running to completion. On cancellation the error wraps
 // ctx.Err() and the Result is nil; no partial partition escapes.
 //
 // Deadlines degrade instead of failing: when the context carries a deadline
 // that expires after construction produced an incumbent, SolveCtx returns
-// that incumbent (improved as far as the search got — both search algorithms
-// end at their best visited state) with Result.Degraded set and a warning,
+// that incumbent (improved as far as the search got — the search ends at its
+// best visited state) with Result.Degraded set and a warning,
 // not an error. A deadline that expires before any construction iteration
 // completes still fails, wrapping context.DeadlineExceeded: there is no
 // partition to degrade to. Explicit cancellation (context.Canceled) always
@@ -324,7 +298,7 @@ func SolveCtx(ctx context.Context, ds *data.Dataset, set constraint.Set, cfg Con
 		met.degraded.Inc()
 	}
 	met.solves.Inc()
-	emitSolveEvent(res, cfg.LocalSearch.String())
+	emitSolveEvent(res)
 	// Final curve point: the (p, H) the caller's response reports.
 	flight.FromContext(ctx).Finish(res.P, res.HeteroAfter)
 	return res, nil
@@ -485,9 +459,9 @@ func solveWhole(ctx context.Context, art *prep.Artifact, ev *constraint.Evaluato
 			"construction budget exhausted after %d of %d iterations; continuing with the best incumbent", res.Iterations, cfg.Iterations))
 	}
 
-	// Phase 3: local search (Tabu by default, simulated annealing as the
-	// alternative) on the configured objective. A deadline spent during
-	// construction skips the search and serves the incumbent directly.
+	// Phase 3: Tabu search on the configured objective. A deadline spent
+	// during construction skips the search and serves the incumbent
+	// directly.
 	skipSearch := cfg.SkipLocalSearch || best.NumRegions() <= 1
 	if deadlineHit || ctx.Err() != nil {
 		skipSearch = true
@@ -497,32 +471,19 @@ func solveWhole(ctx context.Context, art *prep.Artifact, ev *constraint.Evaluato
 	}
 	if !skipSearch {
 		rec.SetPhase(flight.PhaseSearch)
-		// searchCtx carries the phase span's identity, so the tabu/anneal
-		// span nests under it; cancellation semantics are untouched (the
-		// derived context shares ctx's Done channel).
+		// searchCtx carries the phase span's identity, so the tabu span
+		// nests under it; cancellation semantics are untouched (the derived
+		// context shares ctx's Done channel).
 		searchSpan, searchCtx := met.spanSearch.StartCtx(ctx)
-		switch cfg.LocalSearch {
-		case LocalSearchAnneal:
-			stats := anneal.Improve(best, anneal.Config{
-				Objective: cfg.Objective,
-				Seed:      cfg.Seed,
-				Steps:     20 * cfg.MaxNoImprove,
-				Ctx:       searchCtx,
-			})
-			res.TabuMoves = stats.Accepted
-			res.Improvements = stats.Improvements
-			res.Search = stats.Counters
-		default:
-			stats := tabu.Improve(best, tabu.Config{
-				Objective:    cfg.Objective,
-				Tenure:       cfg.TabuLength,
-				MaxNoImprove: cfg.MaxNoImprove,
-				Ctx:          searchCtx,
-			})
-			res.TabuMoves = stats.Moves
-			res.Improvements = stats.Improvements
-			res.Search = stats.Counters
-		}
+		stats := tabu.Improve(best, tabu.Config{
+			Objective:    cfg.Objective,
+			Tenure:       cfg.TabuLength,
+			MaxNoImprove: cfg.MaxNoImprove,
+			Ctx:          searchCtx,
+		})
+		res.TabuMoves = stats.Moves
+		res.Improvements = stats.Improvements
+		res.Search = stats.Counters
 		res.LocalSearchTime = searchSpan.End()
 		if err := ctx.Err(); err != nil {
 			if !errors.Is(err, context.DeadlineExceeded) {
@@ -530,7 +491,7 @@ func solveWhole(ctx context.Context, art *prep.Artifact, ev *constraint.Evaluato
 				// cancelled solve must not be mistaken for a completed one.
 				return canceled(err)
 			}
-			// Deadline mid-search: both algorithms end at the best state
+			// Deadline mid-search: the search ends at the best state
 			// visited (revert-to-best epilogue), so the partition is valid
 			// and no worse than the construction incumbent.
 			res.Degraded = true

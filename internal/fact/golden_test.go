@@ -47,9 +47,9 @@ type golden struct {
 // goldenCases covers every solve path: whole-graph (2k, and 8k, whose one
 // state block makes it single-component), component-sharded (10k and 20k),
 // cut-sharded and multi-start; the enriched constraint families (MIN, MAX,
-// AVG, COUNT and a two-sided SUM range); the descending pickup order;
-// simulated annealing; and a warm start whose seed regions all exceed the new
-// upper bound, so Step 3 sheds areas. Datasets are scaled so the sweep stays
+// AVG, COUNT and a two-sided SUM range); the descending pickup order; and a
+// warm start whose seed regions all exceed the new upper bound, so Step 3
+// sheds areas. Datasets are scaled so the sweep stays
 // fast under -race, except the paper-scale case, which -short skips.
 var goldenCases = []struct {
 	name    string
@@ -79,7 +79,6 @@ var goldenCases = []struct {
 	{"8k_count", "8k", 0.05, "COUNT(*) in [5,40]; SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 41}, false},
 	{"20k_count", "20k", 0.03, "COUNT(*) in [5,40]; SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 43}, false},
 	{"8k_descending", "8k", 0.05, "SUM(TOTALPOP) >= %[1]d; AVG(EMPLOYED) in [1500,3500]", "", Config{Seed: 47, Order: OrderDescending}, false},
-	{"8k_anneal", "8k", 0.05, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 53, LocalSearch: LocalSearchAnneal}, false},
 	{"8k_warm_shed", "8k", 0.05, "SUM(TOTALPOP) in [%[1]d,%[2]d]", "SUM(TOTALPOP) >= %[2]d", Config{Seed: 59}, false},
 	// The paper-scale benchmark warm-up: 50k1 at dataset and solver seed 1.
 	{"50k1", "50k1", 1, "SUM(TOTALPOP) >= 100000", "", Config{Seed: 1}, true},

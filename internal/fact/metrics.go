@@ -81,7 +81,7 @@ func SetMetrics(r *obs.Registry) {
 
 // emitSolveEvent streams a structured summary of one finished solve to the
 // registry's sink (no-op without a sink or when disabled).
-func emitSolveEvent(res *Result, localSearch string) {
+func emitSolveEvent(res *Result) {
 	r := met.reg
 	if r == nil || !r.Enabled() || !r.HasSink() {
 		return
@@ -105,7 +105,6 @@ func emitSolveEvent(res *Result, localSearch string) {
 			"construct_ns":   float64(res.ConstructionTime.Nanoseconds()),
 			"search_ns":      float64(res.LocalSearchTime.Nanoseconds()),
 		},
-		Labels: map[string]string{"local_search": localSearch},
 	})
 }
 

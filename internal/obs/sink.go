@@ -8,7 +8,7 @@ import (
 
 // Event is one structured telemetry record. Spans emit Kind "span" with the
 // histogram's name and duration; solvers emit domain events ("solve", "trace")
-// with numeric Fields and string Labels. The JSONL schema is documented in
+// with numeric Fields. The JSONL schema is documented in
 // docs/OBSERVABILITY.md and consumed by `empbench -trace`.
 type Event struct {
 	// TimeUnixNano is the wall-clock stamp; Registry.Emit fills it when
@@ -31,8 +31,6 @@ type Event struct {
 	ParentID string `json:"parent_id,omitempty"`
 	// Fields carries numeric payload (counters, scores, sizes).
 	Fields map[string]float64 `json:"fields,omitempty"`
-	// Labels carries string payload (dataset names, request ids).
-	Labels map[string]string `json:"labels,omitempty"`
 }
 
 // Sink receives telemetry events. Implementations must be safe for

@@ -6,7 +6,6 @@
 package obswire
 
 import (
-	"emp/internal/anneal"
 	"emp/internal/fact"
 	"emp/internal/maxp"
 	"emp/internal/obs"
@@ -14,7 +13,7 @@ import (
 	"emp/internal/tabu"
 )
 
-// Enable binds the fact, tabu, region, anneal and maxp telemetry to the
+// Enable binds the fact, tabu, region and maxp telemetry to the
 // registry; Enable(nil) unbinds everything, restoring the zero-cost absent
 // state. Like the per-package SetMetrics calls it forwards to, it must run
 // during startup wiring, before solves begin.
@@ -22,7 +21,6 @@ func Enable(r *obs.Registry) {
 	fact.SetMetrics(r)
 	tabu.SetMetrics(r)
 	region.SetMetrics(r)
-	anneal.SetMetrics(r)
 	maxp.SetMetrics(r)
 }
 

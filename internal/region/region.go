@@ -627,36 +627,6 @@ func (p *Partition) BorderAreasBetween(fromID, toID int) []int {
 	return out
 }
 
-// MoveValid reports whether moving the area to the target region keeps the
-// solution feasible: the donor region keeps more than one member (so p is
-// unchanged), stays contiguous and satisfies every constraint after the
-// removal, the area is adjacent to the target region, and the target
-// satisfies every constraint after the addition.
-func (p *Partition) MoveValid(area, toRegionID int) bool {
-	fromID := p.assign[area]
-	if fromID == Unassigned || fromID == toRegionID {
-		return false
-	}
-	to := p.Region(toRegionID)
-	if to == nil {
-		return false
-	}
-	from := p.regs[fromID]
-	if len(from.Members) <= 1 {
-		return false
-	}
-	if !p.AdjacentToRegion(area, toRegionID) {
-		return false
-	}
-	if !p.g.ConnectedSubsetExcludingScratch(p.scratch, from.Members, area) {
-		return false
-	}
-	if !from.Tracker.SatisfiedAllAfterRemove(area, from.Members) {
-		return false
-	}
-	return to.Tracker.SatisfiedAllAfterAdd(area)
-}
-
 // AllSatisfied reports whether every region satisfies every constraint.
 func (p *Partition) AllSatisfied() bool {
 	for _, r := range p.regs {

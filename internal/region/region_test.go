@@ -314,60 +314,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestMoveValid(t *testing.T) {
-	// 4x3 lattice; SUM within [20, 100].
-	set := constraint.Set{constraint.New(constraint.Sum, "POP", 20, 100)}
-	p, _ := testPartition(t, set)
-	// POP values are id*10.
-	r1 := p.NewRegion(0, 1)    // sum 10
-	r2 := p.NewRegion(2, 3, 7) // sum 120... too big; use smaller
-	p.DissolveRegion(r1.ID)
-	p.DissolveRegion(r2.ID)
-
-	rA := p.NewRegion(1, 2) // sum 30
-	rB := p.NewRegion(5, 6) // sum 110 -> over upper; rebuild
-	p.DissolveRegion(rB.ID)
-	rB = p.NewRegion(5) // sum 50
-	p.AddArea(rB.ID, 4) // sum 90
-	_ = rA
-
-	// Moving area 2 (POP 20) from rA to rB: rA keeps {1} sum 10 < 20 →
-	// donor violates → invalid.
-	if p.MoveValid(2, rB.ID) {
-		t.Error("move leaving donor below lower bound accepted")
-	}
-	// Moving area 5 (POP 50) from rB to rA: receiver sum 80 <= 100 ok,
-	// donor keeps {4} sum 40 in range, 5 adjacent to rA via 1/6? area 5
-	// neighbors: 1, 4, 6, 9 — 1 is in rA. Donor {4} connected. Valid.
-	if !p.MoveValid(5, rA.ID) {
-		t.Error("legal move rejected")
-	}
-	// Unassigned area cannot move.
-	if p.MoveValid(11, rA.ID) {
-		t.Error("unassigned area move accepted")
-	}
-	// Move to own region is invalid.
-	if p.MoveValid(1, rA.ID) {
-		t.Error("self move accepted")
-	}
-	// Move to unknown region is invalid.
-	if p.MoveValid(1, 999) {
-		t.Error("move to unknown region accepted")
-	}
-	// Single-member donor cannot move (p would drop).
-	single := p.NewRegion(10)
-	if p.MoveValid(10, rA.ID) {
-		t.Errorf("single-member donor move accepted (region %d)", single.ID)
-	}
-	// Non-adjacent target is invalid: area 4 is not adjacent to... build
-	// a region far away.
-	far := p.NewRegion(3)
-	_ = far
-	if p.MoveValid(4, far.ID) && !p.AdjacentToRegion(4, far.ID) {
-		t.Error("non-adjacent move accepted")
-	}
-}
-
 func TestRegionIDsSorted(t *testing.T) {
 	p, _ := testPartition(t, defaultSet())
 	p.NewRegion(0)

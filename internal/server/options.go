@@ -21,8 +21,7 @@ type SolveOptions struct {
 	TabuLength      int    `json:"tabu_length,omitempty"`
 	MaxNoImprove    int    `json:"max_no_improve,omitempty"`
 	SkipLocalSearch bool   `json:"skip_local_search,omitempty"`
-	LocalSearch     string `json:"local_search,omitempty"` // "tabu" | "anneal"
-	Order           string `json:"order,omitempty"`        // "random" | "ascending" | "descending"
+	Order           string `json:"order,omitempty"` // "random" | "ascending" | "descending"
 	Seed            int64  `json:"seed,omitempty"`
 	CutShards       int    `json:"cut_shards,omitempty"`
 }
@@ -72,14 +71,6 @@ func (o SolveOptions) Config() (fact.Config, error) {
 	if o.CutShards < 0 || o.CutShards == 1 {
 		return fact.Config{}, fmt.Errorf("cut_shards must be 0 (off) or >= 2, got %d", o.CutShards)
 	}
-	switch canonicalLocalSearch(o.LocalSearch) {
-	case "tabu":
-		cfg.LocalSearch = fact.LocalSearchTabu
-	case "anneal":
-		cfg.LocalSearch = fact.LocalSearchAnneal
-	default:
-		return fact.Config{}, fmt.Errorf("unknown local_search %q", o.LocalSearch)
-	}
 	switch canonicalOrder(o.Order) {
 	case "random":
 		cfg.Order = fact.OrderRandom
@@ -104,7 +95,6 @@ func OptionsFromConfig(cfg fact.Config) SolveOptions {
 		TabuLength:      cfg.TabuLength,
 		MaxNoImprove:    cfg.MaxNoImprove,
 		SkipLocalSearch: cfg.SkipLocalSearch,
-		LocalSearch:     cfg.LocalSearch.String(),
 		Order:           cfg.Order.String(),
 		Seed:            cfg.Seed,
 		CutShards:       cfg.CutShards,
@@ -133,7 +123,6 @@ func (o *SolveOptions) fingerprintParts() []string {
 		strconv.Itoa(o.TabuLength),
 		strconv.Itoa(o.MaxNoImprove),
 		strconv.FormatBool(o.SkipLocalSearch),
-		canonicalLocalSearch(o.LocalSearch),
 		canonicalOrder(o.Order),
 		strconv.FormatInt(o.Seed, 10),
 		strconv.Itoa(o.CutShards),

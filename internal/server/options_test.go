@@ -43,7 +43,6 @@ func TestOptionsConfigRoundTrip(t *testing.T) {
 		SkipLocalSearch: true,
 		Order:           fact.OrderDescending,
 		Seed:            99,
-		LocalSearch:     fact.LocalSearchAnneal,
 		CutShards:       4,
 	}
 	v := reflect.ValueOf(cfg)
@@ -81,7 +80,6 @@ var optionsValidation = []struct {
 	opts SolveOptions
 	err  string
 }{
-	{SolveOptions{LocalSearch: "genetic"}, "local_search"},
 	{SolveOptions{Order: "sideways"}, "order"},
 	{SolveOptions{CutShards: 1}, "cut_shards"},
 	{SolveOptions{CutShards: -3}, "cut_shards"},
@@ -90,8 +88,8 @@ var optionsValidation = []struct {
 	{SolveOptions{TabuLength: -3}, "tabu_length"},
 	{SolveOptions{MaxNoImprove: -5}, "max_no_improve"},
 	{SolveOptions{}, ""},
-	{SolveOptions{LocalSearch: "tabu", Order: "random"}, ""},
-	{SolveOptions{LocalSearch: "anneal", Order: "descending"}, ""},
+	{SolveOptions{Order: "random"}, ""},
+	{SolveOptions{Order: "descending"}, ""},
 	{SolveOptions{CutShards: 4}, ""},
 	{SolveOptions{Iterations: 3, MergeLimit: 2, TabuLength: 7, MaxNoImprove: 50}, ""},
 }
@@ -126,6 +124,7 @@ func FuzzSolveOptions(f *testing.F) {
 	}
 	f.Add([]byte(`{"iterations":-1}`))
 	f.Add([]byte(`{"seed":5,"shard_off":true}`))
+	f.Add([]byte(`{"seed":5,"local_search":"anneal"}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var o SolveOptions
 		if json.Unmarshal(b, &o) != nil {
@@ -160,17 +159,16 @@ func TestFingerprintKnobs(t *testing.T) {
 		set := mustSet(t, "SUM(TOTALPOP) >= 1")
 		return solveFingerprint(req, set)
 	}
-	if fp(SolveOptions{Seed: 1, LocalSearch: "tabu", Order: "random"}) != fp(base) {
-		t.Error("spelling out the default local_search and order changed the fingerprint")
+	if fp(SolveOptions{Seed: 1, Order: "random"}) != fp(base) {
+		t.Error("spelling out the default order changed the fingerprint")
 	}
 	// Result-affecting knobs: distinct keys.
 	for name, o := range map[string]SolveOptions{
-		"seed":         {Seed: 2},
-		"iterations":   {Seed: 1, Iterations: 4},
-		"order":        {Seed: 1, Order: "ascending"},
-		"local_search": {Seed: 1, LocalSearch: "anneal"},
-		"skip_search":  {Seed: 1, SkipLocalSearch: true},
-		"cut_shards":   {Seed: 1, CutShards: 4},
+		"seed":        {Seed: 2},
+		"iterations":  {Seed: 1, Iterations: 4},
+		"order":       {Seed: 1, Order: "ascending"},
+		"skip_search": {Seed: 1, SkipLocalSearch: true},
+		"cut_shards":  {Seed: 1, CutShards: 4},
 	} {
 		if fp(o) == fp(base) {
 			t.Errorf("%s did not change the fingerprint but changes the result", name)

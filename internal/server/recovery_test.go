@@ -297,6 +297,7 @@ func TestRecoveryCorruptStateBootsClean(t *testing.T) {
 func TestRecoveryRemovedOptionDropped(t *testing.T) {
 	for _, tc := range []struct{ name, options string }{
 		{"removed-key", `{"seed":5,"shard_off":true}`},
+		{"removed-local-search", `{"seed":5,"local_search":"anneal"}`},
 		{"negative-iterations", `{"seed":5,"iterations":-1}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -136,14 +136,6 @@ func TestSolveRejectsWrappedAdjacencyID(t *testing.T) {
 	}
 }
 
-func TestSolveAnnealOption(t *testing.T) {
-	body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000","options":{"seed":1,"local_search":"anneal"}}`
-	rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-	}
-}
-
 // TestSolveParallelIterations: multi-start iterations fan out on the
 // service's worker pool, and the answer must equal a one-slot library solve.
 func TestSolveParallelIterations(t *testing.T) {
@@ -221,18 +213,25 @@ func TestSolveAssignmentMatchesLibrary(t *testing.T) {
 }
 
 // TestSolveRejectsUnknownOptions: a key inside "options" that names no
-// option (a typo, or a retired worker knob) is a 400 whose message names the
-// key, never a silently different solve.
+// option (a typo, or a retired knob such as a worker count or the
+// local_search selector, whatever its value) is a 400 whose message names the
+// key on both solve paths, never a silently different solve.
 func TestSolveRejectsUnknownOptions(t *testing.T) {
-	for _, key := range []string{"cut_shard", "shard_off", "parallelism", "kernel_off", "shard_workers", "cut_workers"} {
-		body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000","options":{"seed":1,"` + key + `":1}}`
-		rec, _ := doJSON(t, Handler(), http.MethodPost, "/v1/solve", body)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400: %s", key, rec.Code, rec.Body.String())
-			continue
-		}
-		if detail := decodeError(t, rec); !strings.Contains(detail.Message, `"`+key+`"`) {
-			t.Errorf("%s: message %q does not name the key", key, detail.Message)
+	for _, opt := range []struct{ key, value string }{
+		{"cut_shard", "1"}, {"shard_off", "1"}, {"parallelism", "1"}, {"kernel_off", "1"},
+		{"shard_workers", "1"}, {"cut_workers", "1"},
+		{"local_search", `"tabu"`}, {"local_search", `"anneal"`},
+	} {
+		body := `{"named":"1k","scale":0.08,"constraints":"SUM(TOTALPOP) >= 25000","options":{"seed":1,"` + opt.key + `":` + opt.value + `}}`
+		for _, path := range []string{"/v1/solve", "/v1/jobs"} {
+			rec, _ := doJSON(t, Handler(), http.MethodPost, path, body)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s=%s: status = %d, want 400: %s", path, opt.key, opt.value, rec.Code, rec.Body.String())
+				continue
+			}
+			if detail := decodeError(t, rec); !strings.Contains(detail.Message, `"`+opt.key+`"`) {
+				t.Errorf("%s %s: message %q does not name the key", path, opt.key, detail.Message)
+			}
 		}
 	}
 }

@@ -65,15 +65,6 @@ func normalizeSeed(seed int64) int64 {
 	return seed
 }
 
-// canonicalLocalSearch folds the two spellings of the default ("" and
-// "tabu") so they share a fingerprint.
-func canonicalLocalSearch(ls string) string {
-	if ls == "" {
-		return "tabu"
-	}
-	return ls
-}
-
 // solveFingerprint computes the canonical cache/dedup key of a solve
 // request: the normalized dataset source, the parsed-and-reprinted
 // constraint set (so whitespace and formatting variants share an entry),
