@@ -279,7 +279,10 @@ func SolveMaxP(ds *Dataset, attr string, threshold float64, opt MaxPOptions) (*M
 // Objective is the local-search optimization target. The default is the
 // paper's heterogeneity H(P); assign Options.Objective to optimize spatial
 // compactness or a weighted multi-criteria combination instead (the
-// alternative objectives Section III of the paper mentions).
+// alternative objectives Section III of the paper mentions). A custom
+// objective holding per-area state indexed by area id must also implement
+// Reindex(ids []int) Objective, as CompactnessObjective does, so that a
+// multi-component solve can re-index it to each component's areas.
 type Objective = tabu.Objective
 
 // HeterogeneityObjective is the default objective H(P).

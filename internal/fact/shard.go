@@ -12,6 +12,7 @@ import (
 	"emp/internal/prep"
 	"emp/internal/region"
 	"emp/internal/shard"
+	"emp/internal/tabu"
 )
 
 // shardRetryPolicy is the backoff schedule for transient shard failures
@@ -128,8 +129,10 @@ func runSubSolves(ctx context.Context, plan *shard.Plan, subArts []*prep.Artifac
 	runErr = shard.Run(ctx, len(plan.Shards), cfg.pool(), func(i int) error {
 		sub := cfg
 		// A warm-start assignment indexes the whole dataset; shard datasets
-		// renumber areas, so it must not leak into sub-solves.
+		// renumber areas, so it must not leak into sub-solves. An objective
+		// holding per-area state is re-indexed to the shard's areas.
 		sub.WarmStart = nil
+		sub.Objective = tabu.Reindex(cfg.Objective, plan.Shards[i].GlobalIDs)
 		sub.Seed = shardSeed(cfg.Seed, i)
 		subEv, err := constraint.NewEvaluator(set, plan.Shards[i].Dataset.Column)
 		if err != nil {

@@ -2,6 +2,7 @@ package fact
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,7 +10,9 @@ import (
 	"emp/internal/census"
 	"emp/internal/constraint"
 	"emp/internal/data"
+	"emp/internal/shard"
 	"emp/internal/solvecache"
+	"emp/internal/tabu"
 )
 
 // assignments extracts the full area->region-id vector.
@@ -205,5 +208,77 @@ func TestShardSeedDispersion(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardedObjectiveMatchesComponentSolves: component sharding is lossless
+// for every objective, not just H(P). Each component of a sharded solve must
+// equal that component solved alone under its shard seed, with its objective
+// built from the component's own polygons. Compactness holds one centroid
+// per area of the dataset it was built from, and so does a Weighted that
+// holds one; a sub-solve that did not re-index them to its shard would score
+// local area k with the centroid of global area k.
+func TestShardedObjectiveMatchesComponentSolves(t *testing.T) {
+	ds, err := census.NamedSeeded("20k", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := shard.NewPlan(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Shards) < 2 {
+		t.Fatalf("20k has %d components, want several", len(plan.Shards))
+	}
+	set := constraint.Set{constraint.AtLeast(constraint.Sum, census.AttrTotalPop, 20000)}
+	// canonical relabels a partition by first occurrence, so two labelings
+	// of the same partition compare equal; -1 (unassigned) stays -1.
+	canonical := func(label func(a int) int, n int) []int {
+		out := make([]int, n)
+		seen := map[int]int{}
+		for a := range out {
+			l := label(a)
+			if l < 0 {
+				out[a] = -1
+				continue
+			}
+			if _, ok := seen[l]; !ok {
+				seen[l] = len(seen)
+			}
+			out[a] = seen[l]
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name      string
+		objective func(*data.Dataset) tabu.Objective
+	}{
+		{"default", func(*data.Dataset) tabu.Objective { return nil }},
+		{"compactness", func(d *data.Dataset) tabu.Objective { return tabu.NewCompactness(d.Polygons) }},
+		{"weighted", func(d *data.Dataset) tabu.Objective {
+			return &tabu.Weighted{
+				Objectives: []tabu.Objective{tabu.NewCompactness(d.Polygons), tabu.Heterogeneity{}},
+				Weights:    []float64{1, 1},
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			whole, err := Solve(ds, set, Config{Seed: 1, Objective: tc.objective(ds)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range plan.Shards {
+				alone, err := Solve(sh.Dataset, set, Config{Seed: shardSeed(1, i), Objective: tc.objective(sh.Dataset)})
+				if err != nil {
+					t.Fatalf("component %d alone: %v", i, err)
+				}
+				n := sh.Dataset.N()
+				got := canonical(func(a int) int { return whole.Partition.Assignment(sh.GlobalIDs[a]) }, n)
+				want := canonical(alone.Partition.Assignment, n)
+				if !slices.Equal(got, want) {
+					t.Errorf("component %d (%d areas): sharded solve differs from the component solved alone", i, n)
+				}
+			}
+		})
 	}
 }

@@ -26,6 +26,26 @@ type Objective interface {
 	DeltaMove(p *region.Partition, area, to int) float64
 }
 
+// Reindexer is implemented by objectives that hold per-area state indexed
+// by area id, such as Compactness's centroids. Reindex returns the objective
+// for a sub-instance whose local area i is area ids[i] of the instance the
+// objective was built for. Sharded solves re-index the objective to each
+// shard before its sub-solve, since shard datasets renumber their areas; an
+// objective without per-area state need not implement it.
+type Reindexer interface {
+	Reindex(ids []int) Objective
+}
+
+// Reindex returns obj re-indexed to the sub-instance whose local area i is
+// area ids[i], or obj itself when it holds no per-area state (it is not a
+// Reindexer). A nil objective stays nil.
+func Reindex(obj Objective, ids []int) Objective {
+	if r, ok := obj.(Reindexer); ok {
+		return r.Reindex(ids)
+	}
+	return obj
+}
+
 // Heterogeneity is the paper's default objective: H(P), the sum over
 // regions of pairwise absolute differences of the dissimilarity attribute
 // (Equation 1).
@@ -52,6 +72,15 @@ func NewCompactness(polys []geom.Polygon) *Compactness {
 	cents := make([]geom.Point, len(polys))
 	for i, pg := range polys {
 		cents[i] = pg.Centroid()
+	}
+	return &Compactness{Centroids: cents}
+}
+
+// Reindex returns the objective over the centroids of areas ids, in order.
+func (c *Compactness) Reindex(ids []int) Objective {
+	cents := make([]geom.Point, len(ids))
+	for i, a := range ids {
+		cents[i] = c.Centroids[a]
 	}
 	return &Compactness{Centroids: cents}
 }
@@ -122,4 +151,13 @@ func (w *Weighted) DeltaMove(p *region.Partition, area, to int) float64 {
 		d += w.Weights[i] * o.DeltaMove(p, area, to)
 	}
 	return d
+}
+
+// Reindex re-indexes every component objective that holds per-area state.
+func (w *Weighted) Reindex(ids []int) Objective {
+	objs := make([]Objective, len(w.Objectives))
+	for i, o := range w.Objectives {
+		objs[i] = Reindex(o, ids)
+	}
+	return &Weighted{Objectives: objs, Weights: w.Weights}
 }

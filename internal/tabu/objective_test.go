@@ -151,3 +151,38 @@ func TestCompactnessEmptyRegionSSE(t *testing.T) {
 		t.Error("singleton region SSE should be 0")
 	}
 }
+
+// TestReindex: Compactness keeps the centroids of the chosen areas in order,
+// Weighted re-indexes the components that hold per-area state and keeps the
+// rest, and an objective without per-area state comes back unchanged.
+func TestReindex(t *testing.T) {
+	_, polys := randomBiPartition(t, 3, 4, 3)
+	comp := NewCompactness(polys)
+	ids := []int{7, 2, 11}
+	sub, ok := Reindex(comp, ids).(*Compactness)
+	if !ok || len(sub.Centroids) != len(ids) {
+		t.Fatalf("Reindex(Compactness) = %#v", sub)
+	}
+	for i, a := range ids {
+		if sub.Centroids[i] != comp.Centroids[a] {
+			t.Errorf("centroid %d = %v, want area %d's %v", i, sub.Centroids[i], a, comp.Centroids[a])
+		}
+	}
+	w := &Weighted{Objectives: []Objective{comp, Heterogeneity{}}, Weights: []float64{2, 3}}
+	sw, ok := Reindex(w, ids).(*Weighted)
+	if !ok || len(sw.Objectives) != 2 {
+		t.Fatalf("Reindex(Weighted) = %#v", sw)
+	}
+	if c, ok := sw.Objectives[0].(*Compactness); !ok || len(c.Centroids) != len(ids) {
+		t.Errorf("Weighted's compactness not re-indexed: %#v", sw.Objectives[0])
+	}
+	if sw.Objectives[1] != (Heterogeneity{}) || sw.Weights[0] != 2 || sw.Weights[1] != 3 {
+		t.Errorf("Weighted lost its other component or weights: %#v", sw)
+	}
+	if len(comp.Centroids) != len(polys) || len(w.Objectives[0].(*Compactness).Centroids) != len(polys) {
+		t.Error("Reindex mutated its receiver")
+	}
+	if Reindex(Heterogeneity{}, ids) != (Heterogeneity{}) || Reindex(nil, ids) != nil {
+		t.Error("an objective without per-area state must come back unchanged")
+	}
+}
