@@ -79,9 +79,10 @@ bench-smoke:
 # which plain `go test` only replays: the constraint DSL, the shapefile
 # readers, the traceparent header, the wire options, the two decoders that
 # build a dataset from outside bytes (dataset JSON and GeoJSON), contiguity
-# extraction against its map-based reference, and durable journal replay.
-# go test fuzzes one target per run, hence one line per target. A failing
-# input is written under the package's testdata/fuzz/ for replay.
+# extraction against its map-based reference, and the three durable decoders
+# (journal replay, cache snapshot, job checkpoint). go test fuzzes one target
+# per run, hence one line per target. A failing input is written under the
+# package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/constraint/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/constraint/
@@ -93,3 +94,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/geojson/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdjacency$$' -fuzztime 10s ./internal/geom/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s ./internal/durable/

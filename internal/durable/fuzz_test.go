@@ -137,3 +137,169 @@ func goodFrame(data []byte) (int, bool) {
 	}
 	return frameHeader + int(n), true
 }
+
+// fuzzFile builds a fuzzed durable file: payloads, split on '\n', are framed
+// one frame per line (so a mutated payload still passes its checksum and
+// reaches the JSON decoder), then raw is appended unframed (torn or corrupt
+// tails, and whole raw files when payloads is empty). Marshaled JSON never
+// holds a raw newline, so a seed's payloads survive the split intact.
+func fuzzFile(payloads, raw []byte) []byte {
+	var out []byte
+	if len(payloads) > 0 {
+		for _, p := range bytes.Split(payloads, []byte{'\n'}) {
+			out = appendFrame(out, p)
+		}
+	}
+	return append(out, raw...)
+}
+
+// FuzzReadSnapshot reads fuzzed bytes as a cache snapshot. ReadSnapshot must
+// not panic; every entry it returns must pass its own filter, and only a
+// header stamped with FormatVersion may yield entries. Writing the result
+// back and reading it again must give the same data (response bodies in the
+// compact form WriteSnapshot stores) and count nothing corrupt.
+func FuzzReadSnapshot(f *testing.F) {
+	hdr, err := json.Marshal(snapshotHeader{Format: FormatVersion, UnixMs: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	stale, err := json.Marshal(snapshotHeader{Format: "emp-durable-0", UnixMs: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var lines [][]byte
+	for _, e := range []snapshotEntry{
+		{Kind: "result", Result: &ResultEntry{Fingerprint: "fp1", Body: json.RawMessage(`{"p":3}`)}},
+		{Kind: "result", Result: &ResultEntry{Fingerprint: "fp2", Body: json.RawMessage(`{"p":4}`)}},
+		{Kind: "warmseed", WarmSeed: &WarmSeedEntry{DatasetKey: "dk", JobID: "job-1", Fingerprint: "fp1", Seed: []int{0, 0, 1, -1}, P: 2, H: 1.5}},
+	} {
+		p, err := json.Marshal(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines = append(lines, p)
+	}
+	valid := bytes.Join(append([][]byte{hdr}, lines...), []byte{'\n'})
+	f.Add(valid, []byte(nil))
+	f.Add(bytes.Join(append([][]byte{stale}, lines...), []byte{'\n'}), []byte(nil))
+	// TestSnapshotCorruptChecksumSkipsTail's file: two results, the last
+	// byte flipped, as raw bytes.
+	file := fuzzFile(bytes.Join([][]byte{hdr, lines[0], lines[1]}, []byte{'\n'}), nil)
+	f.Add([]byte(nil), flip(file, len(file)-1))
+	f.Add(bytes.Join([][]byte{hdr, lines[0]}, []byte{'\n'}), []byte{9, 0, 0, 0, 1, 2})
+	f.Add([]byte(nil), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, payloads, raw []byte) {
+		in := fuzzFile(payloads, raw)
+		path := filepath.Join(t.TempDir(), "cache.snapshot")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := ReadSnapshot(path, testMetrics(obs.New()))
+		for _, r := range got.Results {
+			if r.Fingerprint == "" || len(r.Body) == 0 {
+				t.Fatalf("restored a result ReadSnapshot's filter drops: %+v", r)
+			}
+		}
+		for _, w := range got.WarmSeeds {
+			if w.DatasetKey == "" || len(w.Seed) == 0 {
+				t.Fatalf("restored a warm seed ReadSnapshot's filter drops: %+v", w)
+			}
+		}
+		if len(got.Results)+len(got.WarmSeeds) > 0 {
+			frames, _, _ := readFrames(in)
+			var h snapshotHeader
+			if json.Unmarshal(frames[0], &h) != nil || h.Format != FormatVersion {
+				t.Fatalf("restored entries under header %q", frames[0])
+			}
+		}
+
+		if err := WriteSnapshot(path, got); err != nil {
+			t.Fatal(err)
+		}
+		met := testMetrics(obs.New())
+		back := ReadSnapshot(path, met)
+		if n := met.CorruptRecords.Value(); n != 0 {
+			t.Fatalf("rewritten snapshot counted %d corrupt records", n)
+		}
+		want := got
+		want.Results = nil
+		for _, r := range got.Results {
+			var body bytes.Buffer
+			if err := json.Compact(&body, r.Body); err != nil {
+				t.Fatalf("restored body %q is not JSON: %v", r.Body, err)
+			}
+			var esc bytes.Buffer
+			json.HTMLEscape(&esc, body.Bytes())
+			want.Results = append(want.Results, ResultEntry{Fingerprint: r.Fingerprint, Body: esc.Bytes()})
+		}
+		if !reflect.DeepEqual(back, want) {
+			t.Fatalf("round trip changed the snapshot:\n got %+v\nwant %+v", back, want)
+		}
+	})
+}
+
+// FuzzReadCheckpoint reads fuzzed bytes as a job checkpoint. ReadCheckpoint
+// must not panic; ok must imply Format == FormatVersion, and !ok a zero
+// Checkpoint. Writing an accepted checkpoint back and reading it again must
+// give the same checkpoint and count nothing corrupt, except that
+// WriteCheckpoint stamps a zero UnixMs with the current time. The round trip
+// writes under a fixed job id, since a decoded one may name a path outside
+// the test directory.
+func FuzzReadCheckpoint(f *testing.F) {
+	ck, err := json.Marshal(Checkpoint{Format: FormatVersion, JobID: "j", Fingerprint: "fp", P: 1, Assign: []int{0}, UnixMs: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	stale, err := json.Marshal(Checkpoint{Format: "emp-durable-0", JobID: "j", P: 1, Assign: []int{0}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ck, []byte(nil))
+	f.Add(stale, []byte(nil))
+	// TestCheckpointCorruptAndStale's file with its last byte flipped, as
+	// raw bytes.
+	file := appendFrame(nil, ck)
+	f.Add([]byte(nil), flip(file, len(file)-1))
+	f.Add(ck, []byte{9, 0, 0, 0, 1, 2})
+	f.Add([]byte(`{"format":"emp-durable-1","assign":null}`), []byte(nil))
+	f.Add([]byte(nil), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, payloads, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(CheckpointPath(dir, "job"), fuzzFile(payloads, raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := ReadCheckpoint(dir, "job", testMetrics(obs.New()))
+		if !ok {
+			if !reflect.DeepEqual(got, Checkpoint{}) {
+				t.Fatalf("rejected checkpoint came back non-zero: %+v", got)
+			}
+			return
+		}
+		if got.Format != FormatVersion {
+			t.Fatalf("accepted a checkpoint stamped %q", got.Format)
+		}
+
+		out := got
+		out.JobID = "job"
+		if err := WriteCheckpoint(dir, out); err != nil {
+			t.Fatal(err)
+		}
+		met := testMetrics(obs.New())
+		back, ok := ReadCheckpoint(dir, "job", met)
+		if !ok || met.CorruptRecords.Value() != 0 {
+			t.Fatalf("rewritten checkpoint: ok=%v, %d corrupt", ok, met.CorruptRecords.Value())
+		}
+		back.JobID = got.JobID
+		if got.UnixMs == 0 {
+			if back.UnixMs == 0 {
+				t.Fatal("WriteCheckpoint left UnixMs zero")
+			}
+			back.UnixMs = 0
+		}
+		if !reflect.DeepEqual(back, got) {
+			t.Fatalf("round trip changed the checkpoint:\n got %+v\nwant %+v", back, got)
+		}
+	})
+}
