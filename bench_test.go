@@ -1,13 +1,10 @@
 package emp
 
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per artifact, backed by internal/experiments), plus
-// ablation benches for the design choices DESIGN.md calls out.
-//
-// Dataset sizes are scaled down (BenchScale) so `go test -bench=.` finishes
-// in minutes on one core; the shapes of the results — who wins, how p moves
-// with thresholds, where the AVG hard case bites — match the full-size runs
-// (see EXPERIMENTS.md). Use cmd/empbench -scale 1 for full-size numbers.
+// Ablation benches for the design choices DESIGN.md calls out, plus solver
+// phase, worker and GIS IO timings, on scaled-down census datasets so
+// `go test -bench=.` finishes quickly. The paper's tables and figures are
+// regenerated by cmd/empbench (internal/experiments), whose runners
+// internal/experiments.TestAllRunnersSmoke exercises.
 
 import (
 	"strconv"
@@ -15,58 +12,11 @@ import (
 
 	"emp/internal/census"
 	"emp/internal/data"
-	"emp/internal/experiments"
 	"emp/internal/fact"
 	"emp/internal/geom"
 	"emp/internal/solvecache"
 	"emp/internal/tabu"
 )
-
-// BenchScale is the dataset scale used by the experiment benchmarks.
-const BenchScale = 0.08
-
-func benchCfg() experiments.Config {
-	return experiments.Config{Scale: BenchScale, Seed: 1}
-}
-
-// runExperiment drives one registered experiment runner per iteration.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	runner := experiments.Registry[id]
-	if runner == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables, err := runner(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 {
-			b.Fatal("no tables")
-		}
-	}
-}
-
-func BenchmarkTable1Datasets(b *testing.B)  { runExperiment(b, "table1") }
-func BenchmarkTable3MinCombos(b *testing.B) { runExperiment(b, "table3") }
-func BenchmarkTable4SumCombos(b *testing.B) { runExperiment(b, "table4") }
-
-func BenchmarkFig5MinUpperBound(b *testing.B) { runExperiment(b, "fig5") }
-func BenchmarkFig6MinLowerBound(b *testing.B) { runExperiment(b, "fig6") }
-func BenchmarkFig7MinBounded(b *testing.B)    { runExperiment(b, "fig7") }
-func BenchmarkFig8Histogram(b *testing.B)     { runExperiment(b, "fig8") }
-func BenchmarkFig9AvgMidpoints(b *testing.B)  { runExperiment(b, "fig9") }
-func BenchmarkFig10AvgLengths(b *testing.B)   { runExperiment(b, "fig10") }
-func BenchmarkFig11AvgRuntime(b *testing.B)   { runExperiment(b, "fig11") }
-func BenchmarkFig12SumVsMaxP(b *testing.B)    { runExperiment(b, "fig12") }
-func BenchmarkFig13SumBounded(b *testing.B)   { runExperiment(b, "fig13") }
-func BenchmarkFig14ScaleSmall(b *testing.B)   { runExperiment(b, "fig14") }
-func BenchmarkFig15ScaleLarge(b *testing.B)   { runExperiment(b, "fig15") }
-func BenchmarkFig16AvgHardScale(b *testing.B) { runExperiment(b, "fig16") }
-func BenchmarkExactBlowup(b *testing.B)       { runExperiment(b, "mip") }
-
-// --- Ablation benches -------------------------------------------------
 
 // benchDataset returns the default 2k dataset at bench scale.
 func benchDataset(b *testing.B) *Dataset {
