@@ -36,7 +36,7 @@ func Parse(expr string) (Constraint, error) {
 		return Constraint{}, err
 	}
 	rest = strings.TrimSpace(rest)
-	lower := strings.ToLower(rest)
+	lower := lowerASCII(rest)
 
 	switch {
 	case strings.HasPrefix(rest, ">="):
@@ -178,8 +178,7 @@ func parseRange(agg Aggregate, attr, rest, expr string) (Constraint, error) {
 }
 
 func parseBetween(agg Aggregate, attr, rest, expr string) (Constraint, error) {
-	lowerRest := strings.ToLower(rest)
-	andIdx := strings.Index(lowerRest, " and ")
+	andIdx := strings.Index(lowerASCII(rest), " and ")
 	if andIdx < 0 {
 		return Constraint{}, fmt.Errorf("constraint: %q: expected 'between l and u'", expr)
 	}
@@ -192,6 +191,20 @@ func parseBetween(agg Aggregate, attr, rest, expr string) (Constraint, error) {
 		return Constraint{}, fmt.Errorf("constraint: %q: %v", expr, err)
 	}
 	return New(agg, attr, lo, hi), nil
+}
+
+// lowerASCII lowercases ASCII letters only, so every byte offset into the
+// result is an offset into s. strings.ToLower rewrites invalid UTF-8 and
+// some non-ASCII letters into encodings of a different length, so an index
+// found in its result can fall outside s.
+func lowerASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 // parseNumber parses a float with optional k/K (1e3) or m/M (1e6) suffix,
