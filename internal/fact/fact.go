@@ -234,12 +234,12 @@ func canceled(err error) error {
 // Deadlines degrade instead of failing: when the context carries a deadline
 // that expires after construction produced an incumbent, SolveCtx returns
 // that incumbent (improved as far as the search got — the search ends at its
-// best visited state) with Result.Degraded set and a warning,
-// not an error. A deadline that expires before any construction iteration
-// completes still fails, wrapping context.DeadlineExceeded: there is no
-// partition to degrade to. Explicit cancellation (context.Canceled) always
-// fails — a caller that walked away is not served a partial answer. The
-// per-phase budget split is described in docs/ROBUSTNESS.md.
+// best visited state) with Result.Degraded set and a warning, not an error.
+// A deadline that expires before any construction iteration completes still
+// fails, wrapping context.DeadlineExceeded: there is no partition to degrade
+// to. Explicit cancellation (context.Canceled) always fails — a caller that
+// walked away is not served a partial answer. The per-phase budget split is
+// described in docs/ROBUSTNESS.md.
 //
 // When the contiguity graph has more than one connected component the solve
 // is sharded: each component is an independent sub-instance (regions never
