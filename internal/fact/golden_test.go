@@ -49,8 +49,10 @@ type golden struct {
 // cut-sharded and multi-start; the enriched constraint families (MIN, MAX,
 // AVG, COUNT and a two-sided SUM range); the descending pickup order; and a
 // warm start whose seed regions all exceed the new upper bound, so Step 3
-// sheds areas. Datasets are scaled so the sweep stays
-// fast under -race, except the paper-scale case, which -short skips.
+// sheds areas; and construction-only solves on full-size datasets, the
+// shape of a cold dataset's first request. Searched datasets are scaled so
+// the sweep stays fast under -race, except the paper-scale case, which
+// -short skips.
 var goldenCases = []struct {
 	name    string
 	dataset string
@@ -82,6 +84,21 @@ var goldenCases = []struct {
 	{"8k_warm_shed", "8k", 0.05, "SUM(TOTALPOP) in [%[1]d,%[2]d]", "SUM(TOTALPOP) >= %[2]d", Config{Seed: 59}, false},
 	// The paper-scale benchmark warm-up: 50k1 at dataset and solver seed 1.
 	{"50k1", "50k1", 1, "SUM(TOTALPOP) >= 100000", "", Config{Seed: 1}, true},
+	// The cold-dataset path: construction-only solves on full-size 2k, 8k
+	// and 20k, under the construction-only warm-up's SUM floor and the
+	// MIN/AVG, MAX-range and COUNT families at the same threshold.
+	{"2k_cold", "2k", 1, "SUM(TOTALPOP) >= 19000", "", Config{Seed: 61, SkipLocalSearch: true}, false},
+	{"8k_cold", "8k", 1, "SUM(TOTALPOP) >= 19000", "", Config{Seed: 67, SkipLocalSearch: true}, false},
+	{"20k_cold", "20k", 1, "SUM(TOTALPOP) >= 19000", "", Config{Seed: 71, SkipLocalSearch: true}, false},
+	{"2k_cold_min_avg", "2k", 1, "MIN(POP16UP) <= 3000; AVG(EMPLOYED) in [1500,3500]; SUM(TOTALPOP) >= 19000", "", Config{Seed: 73, SkipLocalSearch: true}, false},
+	{"8k_cold_min_avg", "8k", 1, "MIN(POP16UP) <= 3000; AVG(EMPLOYED) in [1500,3500]; SUM(TOTALPOP) >= 19000", "", Config{Seed: 79, SkipLocalSearch: true}, false},
+	{"20k_cold_min_avg", "20k", 1, "MIN(POP16UP) <= 3000; AVG(EMPLOYED) in [1500,3500]; SUM(TOTALPOP) >= 19000", "", Config{Seed: 83, SkipLocalSearch: true}, false},
+	{"2k_cold_max_range", "2k", 1, "MAX(EMPLOYED) <= 5000; SUM(TOTALPOP) in [19000,57000]", "", Config{Seed: 89, SkipLocalSearch: true}, false},
+	{"8k_cold_max_range", "8k", 1, "MAX(EMPLOYED) <= 5000; SUM(TOTALPOP) in [19000,57000]", "", Config{Seed: 97, SkipLocalSearch: true}, false},
+	{"20k_cold_max_range", "20k", 1, "MAX(EMPLOYED) <= 5000; SUM(TOTALPOP) in [19000,57000]", "", Config{Seed: 101, SkipLocalSearch: true}, false},
+	{"2k_cold_count", "2k", 1, "COUNT(*) in [5,40]; SUM(TOTALPOP) >= 19000", "", Config{Seed: 103, SkipLocalSearch: true}, false},
+	{"8k_cold_count", "8k", 1, "COUNT(*) in [5,40]; SUM(TOTALPOP) >= 19000", "", Config{Seed: 107, SkipLocalSearch: true}, false},
+	{"20k_cold_count", "20k", 1, "COUNT(*) in [5,40]; SUM(TOTALPOP) >= 19000", "", Config{Seed: 109, SkipLocalSearch: true}, false},
 }
 
 // goldenSet renders a golden constraint format for the dataset.
