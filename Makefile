@@ -28,8 +28,11 @@ staticcheck:
 # check is the CI gate: static analysis plus the full suite under the race
 # detector (internal/fact fans component sub-solves, cut sub-solves and
 # multi-start iterations out on a shared worker pool, and plain `go test`
-# never exercises that sharing for races).
+# never exercises that sharing for races). census.Generate draws attributes
+# while contiguity is extracted on a second goroutine, so the generated
+# datasets are also checked byte for byte at GOMAXPROCS 1, 2 and 4.
 check: vet staticcheck race
+	$(GO) test -race -count=1 -cpu 1,2,4 -run TestGeneratedDatasetsByteIdentical ./internal/census/
 
 # chaos runs the fault-injection suite under the race detector: seeded,
 # deterministic failure scenarios (deadline mid-search, shard panics,
@@ -57,14 +60,17 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # bench-smoke runs the telemetry-overhead benchmark, a converged search, the
-# construction benchmark, contiguity extraction and cold 50k1 generation
-# once: a fast CI-grade check that the tabu hot path still builds and runs
-# in all four telemetry states (absent / disabled / enabled / recorded under
-# a request-shaped trace context), that a search to the solver's stopping
-# rule still fast-forwards its final cycle (replayed-moves/op > 0), that a
-# construction-only solve of prepared 20k still runs, and what rook and
-# queen adjacency and a cold paper-scale dataset cost. -benchmem keeps the
-# per-run allocation profiles visible so regressions show up in the CI log:
+# construction benchmark, contiguity extraction, cold 50k1 generation, and
+# cold 20k generation at GOMAXPROCS 1 and 2, once: a fast CI-grade check
+# that the tabu hot path still builds and runs in all four telemetry states
+# (absent / disabled / enabled / recorded under a request-shaped trace
+# context), that a search to the solver's stopping rule still fast-forwards
+# its final cycle (replayed-moves/op > 0), that a construction-only solve of
+# prepared 20k still runs, and what rook and queen adjacency and a cold
+# dataset cost. Generation extracts contiguity on a second goroutine while
+# it draws the attributes, so the two 20k runs show what that overlap buys
+# and that one processor does not pay for it. -benchmem keeps the per-run
+# allocation profiles visible so regressions show up in the CI log:
 # adjacency allocs/op stays a small constant at every size, so a count that
 # grows with n means the kernel allocates per edge or per area again. One
 # iteration is too noisy for overhead numbers: rerun BenchmarkTabuTelemetry
@@ -74,6 +80,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkConstruct -benchtime 1x -benchmem ./internal/fact/
 	$(GO) test -run xxx -bench 'BenchmarkRookAdjacency|BenchmarkQueenAdjacency' -benchtime 1x -benchmem ./internal/geom/
 	$(GO) test -run xxx -bench 'BenchmarkGenerate/50k1' -benchtime 1x -benchmem ./internal/census/
+	$(GO) test -run xxx -bench 'BenchmarkGenerate/20k$$' -benchtime 1x -benchmem -cpu 1,2 ./internal/census/
 
 # fuzz-smoke runs every native fuzz target for 10 s beyond its seed corpus,
 # which plain `go test` only replays: the constraint DSL, the shapefile

@@ -153,10 +153,21 @@ func Generate(opt Options) (*data.Dataset, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	polys := layoutStates(opt.Areas, states, comps, jitter, rng)
-	d := data.FromPolygons(opt.Name, polys, geom.Rook)
+	// Contiguity reads only the polygons and the attribute draws only the
+	// centroids and the rng, so the two overlap; the draws keep their order.
+	adj := make(chan [][]int, 1)
+	go func() { adj <- geom.Adjacency(polys, geom.Rook) }()
+	cols := synthesizeAttributes(polys, rng)
+	d, err := data.New(opt.Name, <-adj)
+	if err != nil {
+		return nil, fmt.Errorf("census: generating %q: %w", opt.Name, err)
+	}
+	d.Polygons = polys
 	d.Dissimilarity = AttrHouseholds
-	if err := synthesizeAttributes(d, rng); err != nil {
-		return nil, err
+	for _, c := range cols {
+		if err := d.AddColumn(c.name, c.col); err != nil {
+			return nil, err
+		}
 	}
 	return d, nil
 }
@@ -296,7 +307,14 @@ func (f spatialField) at(p geom.Point) float64 {
 	return math.Exp(f.amp * v)
 }
 
-// synthesizeAttributes fills in the census-like attribute columns.
+// column is one named attribute column.
+type column struct {
+	name string
+	col  []float64
+}
+
+// synthesizeAttributes draws the census-like attribute columns for the
+// polygons, in dataset column order.
 //
 // Calibration targets (see package comment):
 //
@@ -316,11 +334,11 @@ func (f spatialField) at(p geom.Point) float64 {
 //	TRANSIT:   lognormal(ln 700, 0.80) — heavy-tailed transit ridership.
 //	CALLS:     lognormal(ln 120, 0.60) — patrol calls for service.
 //	WORKLOAD:  50 + U[0,100] — patrol workload units.
-func synthesizeAttributes(d *data.Dataset, rng *rand.Rand) error {
-	n := d.N()
+func synthesizeAttributes(polys []geom.Polygon, rng *rand.Rand) []column {
+	n := len(polys)
 	ext := geom.EmptyBBox()
 	cents := make([]geom.Point, n)
-	for i, pg := range d.Polygons {
+	for i, pg := range polys {
 		cents[i] = pg.Centroid()
 		ext.Extend(cents[i])
 	}
@@ -339,16 +357,18 @@ func synthesizeAttributes(d *data.Dataset, rng *rand.Rand) error {
 	calls := make([]float64, n)
 	workload := make([]float64, n)
 
+	muPop, muEmp, muInc := math.Log(4100), math.Log(1800), math.Log(3800)
+	muTrn, muCalls := math.Log(700), math.Log(120)
 	for i := 0; i < n; i++ {
 		c := cents[i]
-		tp := lognormal(rng, math.Log(4100), 0.33) * popField.at(c)
+		tp := lognormal(rng, muPop, 0.33) * popField.at(c)
 		if tp > 15000 {
 			tp = 15000
 		}
 		totalpop[i] = math.Round(tp)
 		p16 := totalpop[i] * (0.72 + 0.12*rng.Float64())
 		pop16up[i] = math.Round(p16)
-		emp := lognormal(rng, math.Log(1800), 0.40) * empField.at(c)
+		emp := lognormal(rng, muEmp, 0.40) * empField.at(c)
 		if emp > pop16up[i] {
 			emp = pop16up[i]
 		}
@@ -357,16 +377,13 @@ func synthesizeAttributes(d *data.Dataset, rng *rand.Rand) error {
 		}
 		employed[i] = math.Round(emp)
 		households[i] = math.Round(totalpop[i] / (2.8 + 0.4*(rng.Float64()-0.5)))
-		income[i] = math.Round(lognormal(rng, math.Log(3800), 0.30) * incField.at(c))
-		transit[i] = math.Round(lognormal(rng, math.Log(700), 0.80) * trnField.at(c))
-		calls[i] = math.Round(lognormal(rng, math.Log(120), 0.60))
+		income[i] = math.Round(lognormal(rng, muInc, 0.30) * incField.at(c))
+		transit[i] = math.Round(lognormal(rng, muTrn, 0.80) * trnField.at(c))
+		calls[i] = math.Round(lognormal(rng, muCalls, 0.60))
 		workload[i] = math.Round(50 + 100*rng.Float64())
 	}
 
-	cols := []struct {
-		name string
-		col  []float64
-	}{
+	return []column{
 		{AttrTotalPop, totalpop},
 		{AttrPop16Up, pop16up},
 		{AttrEmployed, employed},
@@ -376,10 +393,4 @@ func synthesizeAttributes(d *data.Dataset, rng *rand.Rand) error {
 		{AttrCalls, calls},
 		{AttrWorkload, workload},
 	}
-	for _, c := range cols {
-		if err := d.AddColumn(c.name, c.col); err != nil {
-			return err
-		}
-	}
-	return nil
 }

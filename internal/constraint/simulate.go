@@ -77,6 +77,26 @@ func (t *Tracker) SatisfiedAllAfterRemove(area int, members []int) bool {
 	return true
 }
 
+// NoRemovalSatisfies reports, from the aggregates alone, that
+// SatisfiedAllAfterRemove is false for every member: the region holds at
+// most one area, or sits below a COUNT lower bound, or below a SUM lower
+// bound whose column the evaluator found non-negative (removing an area
+// can only lower such a sum). A false result proves nothing.
+func (t *Tracker) NoRemovalSatisfies() bool {
+	if t.n <= 1 {
+		return true
+	}
+	for i, c := range t.ev.set {
+		switch {
+		case c.Agg == Count && float64(t.n) < c.Lower:
+			return true
+		case c.Agg == Sum && t.ev.nonNeg[i] && t.sum[i] < c.Lower:
+			return true
+		}
+	}
+	return false
+}
+
 // UpperSafeAfterAdd reports whether adding the area keeps the region inside
 // every constraint's "hard" side: the full range for extrema and centrality
 // constraints, but only the upper bound for counting constraints (whose

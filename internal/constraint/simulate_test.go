@@ -146,3 +146,45 @@ func TestSatisfiedAllAfterRemoveWhenSizeOne(t *testing.T) {
 		t.Error("removing only member empties the region")
 	}
 }
+
+// TestNoRemovalSatisfies checks the aggregate-only precheck against
+// SatisfiedAllAfterRemove: whenever it fires, no member's removal leaves
+// the region valid, and it stays silent below a SUM bound whose column
+// has a negative value, where removing that value raises the sum.
+func TestNoRemovalSatisfies(t *testing.T) {
+	a := []float64{4, 5, 12, -3, 7, 0}
+	b := []float64{4, 5, 12, 3, 7, 0}
+	for _, tc := range []struct {
+		name    string
+		set     Set
+		members []int
+		want    bool
+	}{
+		{"single member", Set{AtLeast(Sum, "B", 1)}, []int{2}, true},
+		{"below COUNT lower", Set{AtLeast(Count, "", 4)}, []int{0, 1, 2}, true},
+		{"at COUNT lower", Set{AtLeast(Count, "", 3)}, []int{0, 1, 2}, false},
+		{"below SUM lower, non-negative", Set{AtLeast(Sum, "B", 20)}, []int{0, 1, 4}, true},
+		{"above SUM lower", Set{AtLeast(Sum, "B", 10)}, []int{0, 1, 4}, false},
+		{"below SUM lower, negative value", Set{AtLeast(Sum, "A", 10)}, []int{2, 3}, false},
+		{"below SUM lower on another column", Set{AtLeast(Sum, "A", 1), AtLeast(Sum, "B", 30)}, []int{0, 1, 4}, true},
+	} {
+		ev := testColumns(t, tc.set, a, b)
+		tr := ev.Compute(tc.members)
+		if got := tr.NoRemovalSatisfies(); got != tc.want {
+			t.Errorf("%s: NoRemovalSatisfies = %v, want %v", tc.name, got, tc.want)
+		}
+		if tr.NoRemovalSatisfies() {
+			for _, m := range tc.members {
+				if tr.SatisfiedAllAfterRemove(m, tc.members) {
+					t.Errorf("%s: fired, but removing %d leaves the region valid", tc.name, m)
+				}
+			}
+		}
+	}
+	// The negative case is real: removing area 3 (-3) lifts the sum of
+	// {12, -3} from 9 to 12, over the bound.
+	tr := testColumns(t, Set{AtLeast(Sum, "A", 10)}, a, b).Compute([]int{2, 3})
+	if !tr.SatisfiedAllAfterRemove(3, []int{2, 3}) {
+		t.Error("removing the negative value should satisfy the SUM bound")
+	}
+}

@@ -3,6 +3,7 @@ package constraint
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Evaluator binds a constraint Set to the attribute columns of a concrete
@@ -10,6 +11,9 @@ import (
 type Evaluator struct {
 	set  Set
 	vals [][]float64 // per constraint; nil for COUNT(*)
+	// nonNeg[i] reports that SUM constraint i's column holds no negative or
+	// NaN value, so removing an area never raises the region's sum.
+	nonNeg []bool
 }
 
 // NewEvaluator resolves every constraint attribute through lookup, which
@@ -19,7 +23,7 @@ func NewEvaluator(set Set, lookup func(attr string) []float64) (*Evaluator, erro
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	ev := &Evaluator{set: set, vals: make([][]float64, len(set))}
+	ev := &Evaluator{set: set, vals: make([][]float64, len(set)), nonNeg: make([]bool, len(set))}
 	for i, c := range set {
 		if c.Agg == Count {
 			continue
@@ -29,6 +33,9 @@ func NewEvaluator(set Set, lookup func(attr string) []float64) (*Evaluator, erro
 			return nil, fmt.Errorf("constraint: attribute %q not found in dataset", c.Attr)
 		}
 		ev.vals[i] = col
+		if c.Agg == Sum {
+			ev.nonNeg[i] = !slices.ContainsFunc(col, func(v float64) bool { return !(v >= 0) })
+		}
 	}
 	return ev, nil
 }
@@ -66,25 +73,35 @@ type Tracker struct {
 }
 
 // NewTracker returns an empty region tracker for the evaluator's constraints.
-// The five per-constraint arrays share two backing allocations: construction
-// creates a tracker for every seed region.
 func (ev *Evaluator) NewTracker() *Tracker {
+	return &ev.NewTrackers(1)[0]
+}
+
+// NewTrackers returns k empty region trackers whose per-constraint arrays
+// share two backing allocations, for callers that hand out trackers a
+// chunk at a time: construction opens a region, and so a tracker, for
+// every seed area.
+func (ev *Evaluator) NewTrackers(k int) []Tracker {
 	m := len(ev.set)
-	vals := make([]float64, 3*m)
-	cnts := make([]int, 2*m)
-	t := &Tracker{
-		ev:     ev,
-		sum:    vals[:m:m],
-		min:    vals[m : 2*m : 2*m],
-		max:    vals[2*m:],
-		minCnt: cnts[:m:m],
-		maxCnt: cnts[m:],
+	vals := make([]float64, 3*m*k)
+	cnts := make([]int, 2*m*k)
+	ts := make([]Tracker, k)
+	for j := range ts {
+		v, c := vals[3*m*j:3*m*(j+1)], cnts[2*m*j:2*m*(j+1)]
+		ts[j] = Tracker{
+			ev:     ev,
+			sum:    v[:m:m],
+			min:    v[m : 2*m : 2*m],
+			max:    v[2*m : 3*m : 3*m],
+			minCnt: c[:m:m],
+			maxCnt: c[m : 2*m : 2*m],
+		}
+		for i := 0; i < m; i++ {
+			ts[j].min[i] = math.Inf(1)
+			ts[j].max[i] = math.Inf(-1)
+		}
 	}
-	for i := range t.min {
-		t.min[i] = math.Inf(1)
-		t.max[i] = math.Inf(-1)
-	}
-	return t
+	return ts
 }
 
 // Count returns the number of areas tracked.

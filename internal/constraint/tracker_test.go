@@ -352,3 +352,22 @@ func TestTrackerAppendState(t *testing.T) {
 		t.Error("AppendState does not append after the given words")
 	}
 }
+
+// TestNewTrackersIndependent checks that trackers carved from one
+// NewTrackers call share backing arrays without sharing state.
+func TestNewTrackersIndependent(t *testing.T) {
+	set := Set{AtLeast(Sum, "A", 1), AtMost(Max, "B", 10), AtLeast(Min, "A", 0)}
+	a, b := []float64{1, 2, 3, 4}, []float64{5, 6, 7, 8}
+	ev := testColumns(t, set, a, b)
+	ts := ev.NewTrackers(3)
+	for j := range ts {
+		ts[j].Add(j)
+		ts[j].Add(3)
+	}
+	for j := range ts {
+		want := ev.Compute([]int{j, 3}).AppendState(nil)
+		if got := ts[j].AppendState(nil); !slices.Equal(got, want) {
+			t.Errorf("tracker %d: state %v, want %v", j, got, want)
+		}
+	}
+}

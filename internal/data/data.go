@@ -11,7 +11,6 @@ package data
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"emp/internal/geom"
 	"emp/internal/graph"
@@ -21,7 +20,7 @@ import (
 // and attribute columns. Polygons are optional — when present they are the
 // source of truth for contiguity; when absent the graph stands alone (as
 // when decoding a dataset JSON with adjacency lists only). The graph is
-// built once by the constructor (New, FromPolygons, ReadJSON, Subset) and
+// built once by the constructor (New, FromPolygons, ReadJSON, Split) and
 // read through Graph; the zero value is an empty dataset.
 type Dataset struct {
 	// Name identifies the dataset in reports (e.g. "2k").
@@ -201,53 +200,44 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Subset returns a new dataset restricted to the given area ids (in the
-// given order), remapping contiguity to the new dense ids (neighbors sorted
-// ascending) and dropping edges to excluded areas. Used by the feasibility
-// phase to discard invalid areas while keeping the original ids available
-// via the returned mapping (new id -> old id is simply the input slice).
-func (d *Dataset) Subset(ids []int) (*Dataset, error) {
-	remap := make(map[int]int, len(ids))
-	for newID, oldID := range ids {
-		if oldID < 0 || oldID >= d.N() {
-			return nil, fmt.Errorf("data: subset id %d out of range", oldID)
+// Split cuts the dataset into one sub-dataset per part, in one pass over
+// its contiguity graph and columns. members[c] lists part c's areas in
+// local-id order, part[a] is area a's part and local[a] its index in
+// members[part[a]]; the three must agree. Each sub-dataset keeps the name,
+// attribute names and dissimilarity configuration, its areas' polygons and
+// values, and the edges inside its part, as ascending local-id lists. The
+// shard planners build their sub-instances with it.
+func (d *Dataset) Split(part, local []int, members [][]int) []*Dataset {
+	graphs := d.g.Split(part, local, members)
+	out := make([]*Dataset, len(members))
+	for c, ids := range members {
+		sub := &Dataset{
+			Name:               d.Name,
+			Dissimilarity:      d.Dissimilarity,
+			DissimilarityAttrs: append([]string(nil), d.DissimilarityAttrs...),
+			AttrNames:          append([]string(nil), d.AttrNames...),
+			g:                  *graphs[c],
 		}
-		if _, dup := remap[oldID]; dup {
-			return nil, fmt.Errorf("data: subset id %d repeated", oldID)
-		}
-		remap[oldID] = newID
-	}
-	adj := make([][]int, len(ids))
-	for newID, oldID := range ids {
-		for _, oldNb := range d.g.Neighbors(oldID) {
-			if newNb, ok := remap[int(oldNb)]; ok {
-				adj[newID] = append(adj[newID], newNb)
+		if d.Polygons != nil {
+			sub.Polygons = make([]geom.Polygon, len(ids))
+			for i, a := range ids {
+				sub.Polygons[i] = d.Polygons[a]
 			}
 		}
-		sort.Ints(adj[newID])
-	}
-	out, err := New(d.Name, adj)
-	if err != nil {
-		return nil, err
-	}
-	out.Dissimilarity = d.Dissimilarity
-	out.DissimilarityAttrs = append([]string(nil), d.DissimilarityAttrs...)
-	out.AttrNames = append([]string(nil), d.AttrNames...)
-	if d.Polygons != nil {
-		out.Polygons = make([]geom.Polygon, len(ids))
-		for newID, oldID := range ids {
-			out.Polygons[newID] = d.Polygons[oldID]
+		// One arena holds every column of the part.
+		m := len(ids)
+		vals := make([]float64, len(d.Cols)*m)
+		sub.Cols = make([][]float64, len(d.Cols))
+		for k, src := range d.Cols {
+			col := vals[k*m : (k+1)*m : (k+1)*m]
+			for i, a := range ids {
+				col[i] = src[a]
+			}
+			sub.Cols[k] = col
 		}
+		out[c] = sub
 	}
-	out.Cols = make([][]float64, len(d.Cols))
-	for c := range d.Cols {
-		col := make([]float64, len(ids))
-		for newID, oldID := range ids {
-			col[newID] = d.Cols[c][oldID]
-		}
-		out.Cols[c] = col
-	}
-	return out, nil
+	return out
 }
 
 // Stats summarizes one attribute column.

@@ -134,38 +134,34 @@ func TestValidateCatchesProblems(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
+// TestSplit cuts the 3x2 grid into {0,1,4} and {5,3,2}; the second part's
+// local order runs against the global one, and area 3 keeps no edge.
+func TestSplit(t *testing.T) {
 	d := grid3x2(t)
-	// Keep areas 0,1,4 (grid positions: (0,0),(1,0),(1,1)).
-	sub, err := d.Subset([]int{0, 1, 4})
-	if err != nil {
-		t.Fatal(err)
+	members := [][]int{{0, 1, 4}, {5, 3, 2}}
+	part, local := splitIndex(d.N(), members)
+	subs := d.Split(part, local, members)
+	if len(subs) != 2 || subs[0].N() != 3 || subs[1].N() != 3 {
+		t.Fatalf("split sizes = %d parts", len(subs))
 	}
-	if sub.N() != 3 {
-		t.Fatalf("subset N = %d", sub.N())
+	// Part 0: 0->0, 1->1, 4->2; edges 0-1 and 1-4. Part 1: 5->0, 3->1,
+	// 2->2; only edge 2-5.
+	for c, want := range [][][]int{{{1}, {0, 2}, {1}}, {{2}, {}, {0}}} {
+		if got := lists(subs[c]); !reflect.DeepEqual(got, want) {
+			t.Errorf("part %d adjacency = %v, want %v", c, got, want)
+		}
+		if err := subs[c].Validate(); err != nil {
+			t.Errorf("part %d invalid: %v", c, err)
+		}
+		if len(subs[c].Polygons) != 3 || subs[c].Name != d.Name || subs[c].Dissimilarity != "POP" {
+			t.Errorf("part %d lost polygons or metadata: %+v", c, subs[c])
+		}
 	}
-	// New ids: 0->0, 1->1, 4->2. Edges: 0-1 (was 0-1), 1-2 (was 1-4).
-	if got, want := lists(sub), [][]int{{1}, {0, 2}, {1}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("sub adjacency = %v, want %v", got, want)
+	if got := subs[0].Column("POP"); !reflect.DeepEqual(got, []float64{10, 20, 50}) {
+		t.Errorf("part 0 column = %v", got)
 	}
-	if got := sub.Column("POP"); got[2] != 50 {
-		t.Errorf("subset column remap wrong: %v", got)
-	}
-	if len(sub.Polygons) != 3 {
-		t.Errorf("subset polygons = %d", len(sub.Polygons))
-	}
-	if err := sub.Validate(); err != nil {
-		t.Errorf("subset invalid: %v", err)
-	}
-
-	if _, err := d.Subset([]int{0, 0}); err == nil {
-		t.Error("duplicate subset id accepted")
-	}
-	if _, err := d.Subset([]int{-1}); err == nil {
-		t.Error("negative subset id accepted")
-	}
-	if _, err := d.Subset([]int{17}); err == nil {
-		t.Error("out-of-range subset id accepted")
+	if got := subs[1].Column("POP"); !reflect.DeepEqual(got, []float64{60, 40, 30}) {
+		t.Errorf("part 1 column = %v", got)
 	}
 }
 

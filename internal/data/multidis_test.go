@@ -114,14 +114,14 @@ func TestDissimilarityAttrsJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDissimilarityAttrsSubset(t *testing.T) {
+func TestDissimilarityAttrsSplit(t *testing.T) {
 	d := grid3x2(t)
 	d.DissimilarityAttrs = []string{"POP"}
-	sub, err := d.Subset([]int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.DissimilarityAttrs) != 1 {
-		t.Error("subset lost dissimilarity attrs")
+	members := [][]int{{0, 1}, {2, 3, 4, 5}}
+	part, local := splitIndex(d.N(), members)
+	for _, sub := range d.Split(part, local, members) {
+		if len(sub.DissimilarityAttrs) != 1 {
+			t.Error("split lost dissimilarity attrs")
+		}
 	}
 }

@@ -38,7 +38,8 @@ type builder struct {
 	// seenIDs holds the neighbor region ids tryAttach and tryMergeAbsorb
 	// already tried (an area has few distinct neighbor regions, so a linear
 	// scan beats hashing); mergeTrial is mergedPlusAreaSafe's union tracker,
-	// created on first use; swaps holds pullAreas' candidate pairs.
+	// created on first use; swaps is the swap list of the region Step 3 is
+	// visiting (see swapCandidates).
 	seenIDs    []int
 	mergeTrial *constraint.Tracker
 	swaps      []uint64
@@ -545,50 +546,70 @@ func (b *builder) countingViolation(r *region.Region, countIdx []int) (below, ab
 // pullAreas swaps border areas from neighbor regions into r until the
 // counting lower bounds hold or no valid swap remains. Donors must remain
 // contiguous and fully valid; each area moves at most once overall. Each
-// round takes the first valid swap in ascending (donor id, area) order. The
-// constraint predicates are pure, so they run first; the donor contiguity
-// check, the only one that traverses a region, runs last.
+// round takes the first valid swap in ascending (donor id, area) order.
+//
+// The swap list is built once per visit and patched after each pull, so
+// every round scans the list a rebuild would give. A donor whose aggregates
+// prove that no removal leaves it valid is skipped whole; otherwise the
+// constraint predicates, which are pure, run first, and the donor
+// contiguity check, the only one that traverses a region, runs last.
 func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped []bool) bool {
+	b.swapCandidates(r)
 	moved := false
 	for !b.stopped() {
 		below, _ := b.countingViolation(r, countIdx)
 		if !below {
 			return moved
 		}
-		swappedOne := false
-		for _, pair := range b.swapCandidates(r) {
-			donor, a := int(pair>>32), int(uint32(pair))
-			if swapped[a] {
-				continue
-			}
-			nb := b.p.Region(donor)
-			if !nb.Tracker.SatisfiedAllAfterRemove(a, nb.Members) || !r.Tracker.UpperSafeAfterAdd(a) {
-				continue
-			}
-			if b.avgIdx >= 0 && !b.avgInRange(r.Tracker.ValueAfterAdd(b.avgIdx, a)) {
-				continue
-			}
-			if !b.p.CanRemove(a) {
-				continue
-			}
-			b.p.MoveArea(a, r.ID)
-			swapped[a] = true
-			moved, swappedOne = true, true
-			break
-		}
-		if !swappedOne {
+		i := b.nextSwap(r, swapped)
+		if i < 0 {
 			return moved
 		}
+		a := int(uint32(b.swaps[i]))
+		b.p.MoveArea(a, r.ID)
+		swapped[a] = true
+		moved = true
+		b.patchSwaps(i, a, r.ID)
 	}
 	return moved
 }
 
-// swapCandidates lists every (donor region, area) pair where the area sits
-// in another region and borders r, packed as donor<<32 | area and sorted, so
-// ascending by donor id, then by area. It reads only the neighbors of r's
-// members, never the donors' member lists. The slice is builder scratch,
-// valid until the next call.
-func (b *builder) swapCandidates(r *region.Region) []uint64 {
+// nextSwap returns the index in the swap list of the first valid swap into
+// r, or -1 when there is none.
+func (b *builder) nextSwap(r *region.Region, swapped []bool) int {
+	for i := 0; i < len(b.swaps); i++ {
+		donor := b.swaps[i] >> 32
+		nb := b.p.Region(int(donor))
+		if nb.Tracker.NoRemovalSatisfies() {
+			for i+1 < len(b.swaps) && b.swaps[i+1]>>32 == donor {
+				i++
+			}
+			continue
+		}
+		a := int(uint32(b.swaps[i]))
+		if swapped[a] {
+			continue
+		}
+		if !nb.Tracker.SatisfiedAllAfterRemove(a, nb.Members) || !r.Tracker.UpperSafeAfterAdd(a) {
+			continue
+		}
+		if b.avgIdx >= 0 && !b.avgInRange(r.Tracker.ValueAfterAdd(b.avgIdx, a)) {
+			continue
+		}
+		if !b.p.CanRemove(a) {
+			continue
+		}
+		return i
+	}
+	return -1
+}
+
+// swapCandidates builds the swap list of r: every (donor region, area) pair
+// where the area sits in another region and borders r, packed as
+// donor<<32 | area and sorted, so ascending by donor id, then by area. It
+// reads only the neighbors of r's members, never the donors' member lists.
+// Its distinct donors are r's neighbor regions, ascending.
+func (b *builder) swapCandidates(r *region.Region) {
 	b.swaps = b.swaps[:0]
 	for _, m := range r.Members {
 		for _, nb := range b.g.Neighbors(m) {
@@ -599,16 +620,36 @@ func (b *builder) swapCandidates(r *region.Region) []uint64 {
 	}
 	slices.Sort(b.swaps)
 	b.swaps = slices.Compact(b.swaps) // an area bordering several members
-	return b.swaps
+}
+
+// patchSwaps updates the swap list after entry i's area a joined region
+// id: a leaves the list, and a's neighbors in other regions now border the
+// region. No other area changed region, so every other entry stands.
+func (b *builder) patchSwaps(i, a, id int) {
+	b.swaps = slices.Delete(b.swaps, i, i+1)
+	for _, nb := range b.g.Neighbors(a) {
+		if d := b.p.Assignment(int(nb)); d != region.Unassigned && d != id {
+			key := uint64(d)<<32 | uint64(nb)
+			if j, found := slices.BinarySearch(b.swaps, key); !found {
+				b.swaps = slices.Insert(b.swaps, j, key)
+			}
+		}
+	}
 }
 
 // mergeForLowerBound merges r with a neighbor region when the union
-// respects all hard bounds, moving r toward its counting lower bounds.
+// respects all hard bounds, moving r toward its counting lower bounds. It
+// runs after a pullAreas visit that pulled nothing, so the visit's swap
+// list is current and its distinct donors are r's neighbor regions.
 func (b *builder) mergeForLowerBound(r *region.Region) bool {
-	for _, nbID := range b.p.NeighborRegions(r.ID) {
-		nb := b.p.Region(nbID)
-		if r.Tracker.UpperSafeAfterMerge(nb.Tracker) {
-			b.p.MergeRegions(r.ID, nbID)
+	last := uint64(0) // region ids start at 1
+	for _, pair := range b.swaps {
+		if pair>>32 == last {
+			continue
+		}
+		last = pair >> 32
+		if nb := b.p.Region(int(last)); r.Tracker.UpperSafeAfterMerge(nb.Tracker) {
+			b.p.MergeRegions(r.ID, int(last))
 			return true
 		}
 	}

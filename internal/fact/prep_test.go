@@ -9,6 +9,7 @@ import (
 	"emp/internal/data"
 	"emp/internal/prep"
 	"emp/internal/shard"
+	"emp/internal/solvecache"
 )
 
 // preparedSet builds a constraint set proportional to the dataset's total
@@ -97,10 +98,7 @@ func TestSolvePreparedDifferential(t *testing.T) {
 // dataset of its own.
 func largestComponent(t *testing.T, ds *data.Dataset) *data.Dataset {
 	t.Helper()
-	plan, err := shard.NewPlan(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := shard.NewPlan(ds)
 	best := plan.Shards[0].Dataset
 	for _, s := range plan.Shards[1:] {
 		if s.Dataset.N() > best.N() {
@@ -143,5 +141,50 @@ func TestSolvePreparedMismatchedArtifactIgnored(t *testing.T) {
 	if plain.P != mismatched.P || plain.HeteroAfter != mismatched.HeteroAfter {
 		t.Fatalf("mismatched artifact changed the result: p %d vs %d, H %v vs %v",
 			plain.P, mismatched.P, plain.HeteroAfter, mismatched.HeteroAfter)
+	}
+}
+
+// TestMultiStartRacesToFirstRankBuild runs four construction iterations at
+// once on one fresh artifact, under a SUM floor whose regions outgrow the
+// Fenwick threshold, so the iterations reach the artifact's first rank
+// build together (make check runs it under the race detector). The winner
+// must match the same solve on a one-slot pool.
+func TestMultiStartRacesToFirstRankBuild(t *testing.T) {
+	ds, err := census.Named("2k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := constraint.ParseSet("SUM(TOTALPOP) >= 100000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The region package's Fenwick threshold: max(8, n/128).
+	minFen := max(8, ds.N()/128)
+	var first *Result
+	for _, workers := range []int{4, 1} {
+		art, err := prep.New(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Solve(ds, set, Config{Seed: 5, Iterations: 4, SkipLocalSearch: true,
+			Prepared: art, Pool: solvecache.NewPool(workers)})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		largest := 0
+		for _, id := range res.Partition.RegionIDs() {
+			largest = max(largest, res.Partition.Region(id).Size())
+		}
+		if largest < minFen {
+			t.Fatalf("workers=%d: largest region has %d areas, below the Fenwick threshold %d", workers, largest, minFen)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.P != first.P || res.HeteroAfter != first.HeteroAfter ||
+			assignHash(WarmAssignment(res.Partition)) != assignHash(WarmAssignment(first.Partition)) {
+			t.Errorf("one slot: p=%d H=%v; four slots: p=%d H=%v", res.P, res.HeteroAfter, first.P, first.HeteroAfter)
+		}
 	}
 }

@@ -223,10 +223,7 @@ func TestShardedObjectiveMatchesComponentSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := shard.NewPlan(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := shard.NewPlan(ds)
 	if len(plan.Shards) < 2 {
 		t.Fatalf("20k has %d components, want several", len(plan.Shards))
 	}

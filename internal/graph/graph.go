@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Graph is an undirected graph over vertices 0..N-1 stored in CSR
@@ -202,6 +203,38 @@ func (g *Graph) ComponentSlices() (comp []int, members [][]int) {
 		members[c] = append(members[c], v)
 	}
 	return comp, members
+}
+
+// Split cuts the graph into one induced subgraph per part, reading each
+// neighbor list once. members[c] lists part c's vertices in local-id order,
+// part[u] is vertex u's part and local[u] its index in members[part[u]];
+// the three must agree. Edges between parts are dropped, and each
+// subgraph's lists hold local ids in ascending order.
+func (g *Graph) Split(part, local []int, members [][]int) []*Graph {
+	subs := make([]*Graph, len(members))
+	for c, ids := range members {
+		deg := 0
+		for _, u := range ids {
+			deg += g.Degree(u)
+		}
+		sg := &Graph{n: len(ids), off: make([]int32, len(ids)+1), arena: make([]int32, 0, deg)}
+		for i, u := range ids {
+			start := len(sg.arena)
+			for _, v := range g.Neighbors(u) {
+				if part[v] == c {
+					sg.arena = append(sg.arena, int32(local[v]))
+				}
+			}
+			// Lists come out sorted when local ids ascend with global ids
+			// and the source lists are sorted, as in every shard plan.
+			if row := sg.arena[start:]; !slices.IsSorted(row) {
+				slices.Sort(row)
+			}
+			sg.off[i+1] = int32(len(sg.arena))
+		}
+		subs[c] = sg
+	}
+	return subs
 }
 
 // ConnectedSubset reports whether the given vertex subset induces a

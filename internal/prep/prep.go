@@ -1,9 +1,10 @@
 // Package prep builds prepared-dataset artifacts: the immutable,
 // shareable per-dataset solver state that every solve on a dataset would
 // otherwise recompute — the scaled dissimilarity matrix, the heterogeneity
-// kernel's sorted rank arrays, the CSR contiguity graph, the component and
-// cut shard plans, and the shared pools of mutable scratch (graph traversal
-// state, Fenwick trees) that partitions draw from and return to.
+// kernel's sorted rank arrays (built at the first Fenwick build of any of
+// its partitions), the CSR contiguity graph, the component and cut shard
+// plans, and the shared pools of mutable scratch (graph traversal state,
+// Fenwick trees) that partitions draw from and return to.
 //
 // Every solve runs on an artifact. A caller that solves a dataset more than
 // once builds it with New (typically at cache-admission time in a server, or
@@ -56,9 +57,9 @@ type cutEntry struct {
 }
 
 // New prepares the dataset: it builds the shared solver state (dissimilarity
-// matrix, rank kernel, CSR graph, scratch pools). The shard plans are built
-// on first use. The dataset must be fully constructed and is treated as
-// immutable from here on.
+// matrix, rank kernel, CSR graph, scratch pools). The kernel's rank order
+// and the shard plans are built on first use. The dataset must be fully
+// constructed and is treated as immutable from here on.
 func New(ds *data.Dataset) (*Artifact, error) {
 	sh, err := region.NewShared(ds)
 	if err != nil {
@@ -84,13 +85,10 @@ func (a *Artifact) Cost() int64 { return a.cost }
 // sub-solves can run fully prepared.
 func (a *Artifact) Plan() (*shard.Plan, []*Artifact, error) {
 	a.planOnce.Do(func() {
-		plan, err := shard.NewPlan(a.ds)
-		if err != nil {
-			a.planErr = err
-			return
-		}
+		plan := shard.NewPlan(a.ds)
 		subs := make([]*Artifact, len(plan.Shards))
 		for i := range plan.Shards {
+			var err error
 			if subs[i], err = New(plan.Shards[i].Dataset); err != nil {
 				a.planErr = err
 				return
@@ -137,7 +135,9 @@ func (a *Artifact) CutPlan(k int) (*shard.Plan, []*Artifact, error) {
 // cost approximates resident bytes: the dataset (polygons, contiguity
 // graph, columns) plus the prepared structures for attrs dissimilarity
 // attributes (matrix + transposed copy at 8 bytes/value, rank arrays at 4).
-// The graph is CSR: 4 bytes per offset and per directed edge.
+// The rank arrays count even before their first-use build, so the cost is
+// an upper bound that a later build never exceeds. The graph is CSR: 4
+// bytes per offset and per directed edge.
 func cost(ds *data.Dataset, attrs int) int64 {
 	c := int64(1024)
 	for i := range ds.Polygons {

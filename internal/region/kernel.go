@@ -1,8 +1,10 @@
 package region
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // This file implements the incremental heterogeneity kernel: an O(log n)
@@ -27,6 +29,9 @@ import (
 // threshold the scan is cheaper than tree traversal, and skipping trees for
 // small regions bounds kernel memory to O(n²/threshold) across all regions
 // (at most n/threshold regions can exceed the threshold simultaneously).
+// The rank order is built on the first tree build, not with the kernel:
+// construction-only solves and fine-grained constraint sets rarely grow a
+// region to the threshold, so most kernels never read it.
 
 // kernelMinRegion is the floor of the Fenwick build threshold; the effective
 // threshold grows with the dataset (see heteroKernel.minFen) so at most
@@ -48,8 +53,12 @@ type heteroKernel struct {
 	valsT []float64
 	attrs int
 	// rank[ai][area] is the area's unique rank in the sorted order of
-	// attribute ai (ascending value, ties by area id).
-	rank [][]int32
+	// attribute ai (ascending value, ties by area id). It is built once,
+	// by the first Fenwick build on any partition of the kernel (rankOnce);
+	// every other reader works on an existing tree, so it runs after that
+	// build.
+	rankOnce sync.Once
+	rank     [][]int32
 	// minFen is the region size at which a Fenwick tree is built.
 	minFen int
 }
@@ -65,7 +74,8 @@ func (k *heteroKernel) pairDiff(a, b int) float64 {
 	return total
 }
 
-// newHeteroKernel builds the rank order of each dissimilarity column.
+// newHeteroKernel builds the area-major value copy; the rank order waits
+// for the first Fenwick build (ensureRanks).
 func newHeteroKernel(dis [][]float64) *heteroKernel {
 	n := 0
 	if len(dis) > 0 {
@@ -81,25 +91,47 @@ func newHeteroKernel(dis [][]float64) *heteroKernel {
 			k.valsT[area*len(dis)+ai] = v
 		}
 	}
-	k.rank = make([][]int32, len(dis))
-	order := make([]int, n)
-	for ai, col := range dis {
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(x, y int) bool {
-			if col[order[x]] != col[order[y]] {
-				return col[order[x]] < col[order[y]]
-			}
-			return order[x] < order[y]
-		})
-		r := make([]int32, n)
-		for pos, area := range order {
-			r[area] = int32(pos)
-		}
-		k.rank[ai] = r
-	}
 	return k
+}
+
+// ensureRanks builds the rank order on its first call; concurrent callers
+// wait for that one build.
+func (k *heteroKernel) ensureRanks() {
+	k.rankOnce.Do(func() { k.rank = rankColumns(k.vals, k.n) })
+}
+
+// rankColumns returns, per column, each area's position in ascending value
+// order with ties broken by area id (−0 and +0 tie). The order is strict
+// and total for non-NaN values, so the ranks do not depend on the sort
+// algorithm.
+func rankColumns(dis [][]float64, n int) [][]int32 {
+	type keyed struct {
+		v  float64
+		id int32
+	}
+	order := make([]keyed, n)
+	arena := make([]int32, n*len(dis))
+	rank := make([][]int32, len(dis))
+	for ai, col := range dis {
+		for area, v := range col {
+			order[area] = keyed{v, int32(area)}
+		}
+		slices.SortFunc(order, func(x, y keyed) int {
+			switch {
+			case x.v < y.v:
+				return -1
+			case x.v > y.v:
+				return 1
+			}
+			return cmp.Compare(x.id, y.id)
+		})
+		r := arena[ai*n : (ai+1)*n : (ai+1)*n]
+		for pos, e := range order {
+			r[e.id] = int32(pos)
+		}
+		rank[ai] = r
+	}
+	return rank
 }
 
 // fenNode is one Fenwick tree cell: the member value sum and member count

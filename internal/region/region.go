@@ -80,6 +80,12 @@ type Partition struct {
 	// ids are still issued fresh from nextID.
 	freeRegs []*Region
 	nextID   int
+	// shells holds fresh Region shells, each with its tracker and a small
+	// member capacity, carved from chunks (newShell): construction opens a
+	// region per seed area, and a chunk costs four allocations however many
+	// shells it holds. shellChunk is the size of the last chunk.
+	shells     []Region
+	shellChunk int
 
 	// krn is the immutable rank structure of the heterogeneity kernel
 	// (shared across clones); kernelOn gates the O(log n) path so the
@@ -142,6 +148,7 @@ func (p *Partition) maybeBuildFen(r *Region) {
 	if !p.kernelOn || r.fen != nil || len(r.Members) < p.krn.minFen {
 		return
 	}
+	p.krn.ensureRanks()
 	f := p.acquireFen()
 	for _, a := range r.Members {
 		p.krn.add(f, a)
@@ -274,6 +281,34 @@ func (p *Partition) deleteRegion(r *Region) {
 	p.freeRegs = append(p.freeRegs, r)
 }
 
+// Shell chunks double from minShellChunk up to maxShellChunk; each fresh
+// shell holds room for shellMembers members before its first growth.
+const (
+	minShellChunk = 8
+	maxShellChunk = 512
+	shellMembers  = 4
+)
+
+// newShell returns a fresh Region shell from the current chunk, carving a
+// new chunk (regions, trackers and member arena together) when it is used
+// up.
+func (p *Partition) newShell() *Region {
+	if len(p.shells) == 0 {
+		k := min(max(2*p.shellChunk, minShellChunk), maxShellChunk)
+		p.shellChunk = k
+		p.shells = make([]Region, k)
+		trackers := p.ev.NewTrackers(k)
+		arena := make([]int, k*shellMembers)
+		for i := range p.shells {
+			p.shells[i].Tracker = &trackers[i]
+			p.shells[i].Members = arena[i*shellMembers : i*shellMembers : (i+1)*shellMembers]
+		}
+	}
+	r := &p.shells[0]
+	p.shells = p.shells[1:]
+	return r
+}
+
 // NewRegion creates a region from the given unassigned areas and returns it.
 // It panics if any area is already assigned — callers own that invariant.
 func (p *Partition) NewRegion(areas ...int) *Region {
@@ -281,14 +316,17 @@ func (p *Partition) NewRegion(areas ...int) *Region {
 	if n := len(p.freeRegs); n > 0 {
 		r = p.freeRegs[n-1]
 		p.freeRegs = p.freeRegs[:n-1]
-		r.ID = p.nextID
 		r.Members = r.Members[:0]
 		r.Hetero = 0
 		r.epoch = 0
 		r.Tracker.Reset()
 	} else {
-		r = &Region{ID: p.nextID, Tracker: p.ev.NewTracker()}
+		r = p.newShell()
 	}
+	if cap(r.Members) < len(areas) {
+		r.Members = make([]int, 0, len(areas))
+	}
+	r.ID = p.nextID
 	p.nextID++
 	p.insertRegion(r)
 	for _, a := range areas {
@@ -757,11 +795,12 @@ func PartitionFromRegions(ds *data.Dataset, ev *constraint.Evaluator, regions []
 // validating instead of panicking.
 func (p *Partition) fillRegions(regions [][]int) error {
 	n := p.ds.N()
+	// seen[a] == ri+1 marks an area already listed by list ri.
+	seen := make([]int32, n)
 	for ri, members := range regions {
 		if len(members) == 0 {
 			return fmt.Errorf("region: region list %d is empty", ri)
 		}
-		seen := make(map[int]bool, len(members))
 		for _, a := range members {
 			if a < 0 || a >= n {
 				return fmt.Errorf("region: region list %d has out-of-range area %d", ri, a)
@@ -769,10 +808,10 @@ func (p *Partition) fillRegions(regions [][]int) error {
 			if id := p.assign[a]; id != Unassigned {
 				return fmt.Errorf("region: area %d in region lists %d and %d", a, id-1, ri)
 			}
-			if seen[a] {
+			if seen[a] == int32(ri)+1 {
 				return fmt.Errorf("region: region list %d repeats area %d", ri, a)
 			}
-			seen[a] = true
+			seen[a] = int32(ri) + 1
 		}
 		p.NewRegion(members...)
 	}

@@ -15,7 +15,8 @@ import (
 // built on one. Building it once per dataset and handing it to every
 // partition removes the dominant setup cost of multi-start and sharded
 // solves: NewPartition builds a private Shared on every call, so it
-// recomputes the matrix and re-sorts the kernel ranks each time.
+// recomputes the matrix, and the kernel ranks once a region needs them,
+// each time.
 //
 // A Shared is safe for concurrent use by partitions on different
 // goroutines; the immutable parts are read-only and the pools are
@@ -122,6 +123,6 @@ func (p *Partition) Recycle() {
 		p.shared.scratches.Put(p.scratch)
 		p.scratch = nil
 	}
-	p.regs, p.freeRegs, p.assign, p.live = nil, nil, nil, nil
+	p.regs, p.freeRegs, p.shells, p.assign, p.live = nil, nil, nil, nil, nil
 	p.numRegions, p.liveOK = 0, false
 }

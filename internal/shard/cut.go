@@ -88,27 +88,12 @@ func NewCutPlan(ds *data.Dataset, k int) (*Plan, error) {
 		}
 	}
 	members := make([][]int, np)
+	plan := &Plan{Component: make([]int, n), CutEdges: g.CutEdges(part)}
 	for u, p := range part {
 		members[p] = append(members[p], u)
+		plan.Component[u] = int(p)
 	}
-	plan := &Plan{
-		Shards:    make([]Shard, np),
-		Component: make([]int, n),
-		Local:     make([]int, n),
-		CutEdges:  g.CutEdges(part),
-	}
-	for c, ids := range members {
-		sub, err := ds.Subset(ids)
-		if err != nil {
-			return nil, fmt.Errorf("shard: cut part %d: %w", c, err)
-		}
-		sub.Name = fmt.Sprintf("%s@%d", ds.Name, c)
-		plan.Shards[c] = Shard{Component: c, Dataset: sub, GlobalIDs: ids}
-		for local, global := range ids {
-			plan.Component[global] = c
-			plan.Local[global] = local
-		}
-	}
+	plan.cut(ds, members, "@")
 	return plan, nil
 }
 

@@ -69,25 +69,28 @@ type Plan struct {
 // NewPlan decomposes the dataset into one shard per connected component.
 // Single-component datasets yield a one-shard plan; callers usually skip
 // sharding for those.
-func NewPlan(ds *data.Dataset) (*Plan, error) {
+func NewPlan(ds *data.Dataset) *Plan {
 	comp, members := ds.Graph().ComponentSlices()
-	p := &Plan{
-		Shards:    make([]Shard, len(members)),
-		Component: comp,
-		Local:     make([]int, ds.N()),
-	}
-	for c, ids := range members {
-		sub, err := ds.Subset(ids)
-		if err != nil {
-			return nil, fmt.Errorf("shard: component %d: %w", c, err)
-		}
-		sub.Name = fmt.Sprintf("%s#%d", ds.Name, c)
-		p.Shards[c] = Shard{Component: c, Dataset: sub, GlobalIDs: ids}
+	p := &Plan{Component: comp}
+	p.cut(ds, members, "#")
+	return p
+}
+
+// cut fills Local and Shards from Component and the per-part member lists
+// (ascending global ids), cutting every shard dataset in one pass; shard c
+// is named after the dataset, sep and c.
+func (p *Plan) cut(ds *data.Dataset, members [][]int, sep string) {
+	p.Local = make([]int, ds.N())
+	for _, ids := range members {
 		for local, global := range ids {
 			p.Local[global] = local
 		}
 	}
-	return p, nil
+	p.Shards = make([]Shard, len(members))
+	for c, sub := range ds.Split(p.Component, p.Local, members) {
+		sub.Name = fmt.Sprintf("%s%s%d", ds.Name, sep, c)
+		p.Shards[c] = Shard{Component: c, Dataset: sub, GlobalIDs: members[c]}
+	}
 }
 
 // MergeRegions concatenates per-shard region member lists (given in local

@@ -29,10 +29,7 @@ func twoComponents(t *testing.T) *data.Dataset {
 
 func TestNewPlanSplitsComponents(t *testing.T) {
 	ds := twoComponents(t)
-	p, err := NewPlan(ds)
-	if err != nil {
-		t.Fatalf("NewPlan: %v", err)
-	}
+	p := NewPlan(ds)
 	if len(p.Shards) != 2 {
 		t.Fatalf("got %d shards, want 2", len(p.Shards))
 	}
@@ -72,10 +69,7 @@ func TestNewPlanCensusComponents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("census: %v", err)
 	}
-	p, err := NewPlan(ds)
-	if err != nil {
-		t.Fatalf("NewPlan: %v", err)
-	}
+	p := NewPlan(ds)
 	if len(p.Shards) != ds.Components() {
 		t.Fatalf("plan has %d shards, dataset has %d components", len(p.Shards), ds.Components())
 	}
@@ -93,10 +87,7 @@ func TestNewPlanCensusComponents(t *testing.T) {
 
 func TestMergeRegions(t *testing.T) {
 	ds := twoComponents(t)
-	p, err := NewPlan(ds)
-	if err != nil {
-		t.Fatalf("NewPlan: %v", err)
-	}
+	p := NewPlan(ds)
 	merged := p.MergeRegions([][][]int{
 		{{0, 1}, {2}},
 		nil, // infeasible shard contributes nothing
@@ -128,10 +119,7 @@ func TestMergeRegions(t *testing.T) {
 // silently stranding the trailing shards' areas.
 func TestMergeRegionsLengthMismatchPanics(t *testing.T) {
 	ds := twoComponents(t)
-	p, err := NewPlan(ds)
-	if err != nil {
-		t.Fatalf("NewPlan: %v", err)
-	}
+	p := NewPlan(ds)
 	for _, perShard := range [][][][]int{
 		{{{0, 1, 2}}},         // one result for two shards
 		{{{0}}, {{0}}, {{0}}}, // three results for two shards
