@@ -82,7 +82,7 @@ type Partition struct {
 	nextID   int
 	// shells holds fresh Region shells, each with its tracker and a small
 	// member capacity, carved from chunks (newShell): construction opens a
-	// region per seed area, and a chunk costs four allocations however many
+	// region per seed area, and a chunk costs five allocations however many
 	// shells it holds. shellChunk is the size of the last chunk.
 	shells     []Region
 	shellChunk int
