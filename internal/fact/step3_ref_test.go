@@ -253,6 +253,6 @@ func TestStep3MatchesReference(t *testing.T) {
 		}
 	}
 	if belowGives["sum_negative"] == 0 {
-		t.Error("no donor below the SUM bound over the negative column gave an area; the case the precheck must skip is not covered")
+		t.Error("no donor below the SUM bound over the negative column gave an area; the case the precheck must leave alone is not covered")
 	}
 }
