@@ -91,8 +91,8 @@ func renderTraceRemote(addr, id string, curve bool) {
 	}
 	fmt.Printf("trace %s  dataset=%s  %s  (%d spans, %d curve samples)\n",
 		dump.TraceID, dump.Dataset, state, len(dump.Spans), len(dump.Curve))
-	if dump.DroppedSpans > 0 || dump.DroppedSamples > 0 {
-		fmt.Printf("dropped: %d spans, %d samples\n", dump.DroppedSpans, dump.DroppedSamples)
+	if dump.DroppedSpans > 0 {
+		fmt.Printf("dropped: %d spans\n", dump.DroppedSpans)
 	}
 	if err := flight.WriteTree(os.Stdout, dump.Tree); err != nil {
 		log.Fatal(err)

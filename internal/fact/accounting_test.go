@@ -53,7 +53,7 @@ func TestOneAccountingPointPerSolve(t *testing.T) {
 			sink := &obs.MemorySink{}
 			reg.SetSink(sink)
 			defer reg.SetSink(nil)
-			rec := flight.NewRecorder(0)
+			rec := flight.NewRecorder()
 			var mu sync.Mutex
 			finals := 0
 			rec.SetTap(func(s flight.Sample, _ func() []int) {

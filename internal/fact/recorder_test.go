@@ -40,7 +40,7 @@ func TestRecorderSeesWholeProblem(t *testing.T) {
 				t.Fatalf("%s at scale %g has %d components, want %d", tc.dataset, tc.scale, ds.Components(), tc.comps)
 			}
 			set := constraint.Set{constraint.AtLeast(constraint.Sum, census.AttrTotalPop, 25000)}
-			rec := flight.NewRecorder(0)
+			rec := flight.NewRecorder()
 			var mu sync.Mutex
 			var samples []flight.Sample
 			builders := 0

@@ -12,7 +12,7 @@ import (
 )
 
 func TestRecorderCurve(t *testing.T) {
-	r := NewRecorder(16)
+	r := NewRecorder()
 	r.SetPhase(PhaseFeasibility)
 	r.SetPhase(PhaseFeasibility) // repeat transitions record nothing
 	r.SetPhase(PhaseConstruction)
@@ -21,7 +21,7 @@ func TestRecorderCurve(t *testing.T) {
 	r.Improve(40, 850.25, 10, nil)
 	r.Finish(40, 850.25)
 
-	curve := r.Curve()
+	curve, _ := r.Log(0)
 	phases := make([]string, len(curve))
 	for i, s := range curve {
 		phases[i] = s.Phase
@@ -50,28 +50,136 @@ func TestRecorderCurve(t *testing.T) {
 	}
 }
 
-func TestRecorderRingOverflow(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 10; i++ {
-		r.Improve(50-i, float64(1000-i), i, nil)
+// clockedRecorder returns a recorder on a test clock, and the setter that
+// moves that clock to ms milliseconds after the recorder's start.
+func clockedRecorder() (*Recorder, func(ms float64)) {
+	t0 := time.Unix(1_700_000_000, 0)
+	at := t0
+	r := NewRecorder()
+	r.t0, r.now = t0, func() time.Time { return at }
+	return r, func(ms float64) { at = t0.Add(time.Duration(ms * float64(time.Millisecond))) }
+}
+
+// TestRecorderRetention pins the log's retention rule on a test clock: phase
+// transitions and p changes are always logged; an H-only incumbent is logged
+// once max(10 ms, elapsed/100) has passed since the last logged entry, and
+// held otherwise; the held incumbent is superseded by the next logged one,
+// and flushed before a phase sample and at Finish. The tap sees every
+// sample.
+func TestRecorderRetention(t *testing.T) {
+	r, at := clockedRecorder()
+	taps := 0
+	r.SetTap(func(Sample, func() []int) { taps++ })
+	steps := []struct {
+		ms    float64
+		phase Phase // 0: an Improve with p, h
+		p     int
+		h     float64
+	}{
+		{0, PhaseConstruction, 0, 0},
+		{5, 0, 10, 100},         // p changes: logged
+		{6, PhaseSearch, 0, 0},  // phase: logged
+		{8, 0, 10, 90},          // 2 ms after the last entry: held
+		{12, 0, 10, 80},         // held, replacing H=90
+		{17, 0, 10, 70},         // 11 ms: logged, H=80 dropped
+		{20, 0, 10, 65},         // held
+		{21, 0, 11, 64},         // p changes: logged, H=65 dropped
+		{22, 0, 11, 60},         // held
+		{23, PhaseShards, 0, 0}, // flushes H=60, then logs the phase
+		{2000, 0, 11, 50},       // logged
+		{2015, 0, 11, 49},       // 15 ms < 2015/100 ms: held
+		{2021, 0, 11, 48},       // 21 ms >= 20.21 ms: logged
+		{2025, 0, 11, 47},       // held until Finish
 	}
-	curve := r.Curve()
-	if len(curve) != 4 {
-		t.Fatalf("curve length = %d, want ring cap 4", len(curve))
+	for _, st := range steps {
+		at(st.ms)
+		if st.phase != 0 {
+			r.SetPhase(st.phase)
+		} else {
+			r.Improve(st.p, st.h, int(st.ms), nil)
+		}
 	}
-	if r.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", r.Dropped())
+	if _, _, p, h := r.Status(); p != 11 || h != 47 {
+		t.Fatalf("status incumbent = (%d, %g), want the held (11, 47)", p, h)
 	}
-	// The retained tail is the most recent samples, oldest first.
-	if curve[0].Moves != 6 || curve[3].Moves != 9 {
-		t.Fatalf("ring retained wrong tail: %+v", curve)
+	_, grew := r.Log(r.Len())
+	at(2030)
+	r.Finish(11, 47)
+	select {
+	case <-grew:
+	default:
+		t.Fatal("Finish did not wake a reader waiting in Log")
+	}
+	var got []string
+	curve, _ := r.Log(0)
+	for _, s := range curve {
+		got = append(got, fmt.Sprintf("%d/%s/%d/%g", s.ElapsedNs/int64(time.Millisecond), s.Phase, s.P, s.H))
+	}
+	want := []string{
+		"0/construction/0/0", "5/construction/10/100", "6/search/10/100",
+		"17/search/10/70", "21/search/11/64", "22/search/11/60", "23/shards/11/60",
+		"2000/shards/11/50", "2021/shards/11/48", "2025/shards/11/47", "2030/done/11/47",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("log = %v\nwant  %v", got, want)
+	}
+	if taps != len(steps)+1 {
+		t.Fatalf("tap saw %d samples, want every one of %d", taps, len(steps)+1)
+	}
+}
+
+// TestRecorderLongSearchLogSize: a search improving H every millisecond for
+// five minutes (the server's longest timeout) logs about 670 entries, not
+// 300,000.
+func TestRecorderLongSearchLogSize(t *testing.T) {
+	r, at := clockedRecorder()
+	r.SetPhase(PhaseSearch)
+	for ms := 1; ms <= 300_000; ms++ {
+		at(float64(ms))
+		r.Improve(5, float64(1e6-ms), ms, nil)
+	}
+	r.Finish(5, 1e6-300_000)
+	n := r.Len()
+	if n < 600 || n > 700 {
+		t.Fatalf("five-minute search logged %d entries, want about 670", n)
+	}
+	t.Logf("five-minute search: %d entries", n)
+	if last, _ := r.Log(n - 1); last[0].Phase != "done" || last[0].H != 1e6-300_000 {
+		t.Fatalf("log ends on %+v, want the final incumbent", last[0])
+	}
+}
+
+// TestRecorderFlush: Flush logs a held incumbent, returns the log's end, and
+// wakes readers even when nothing was held.
+func TestRecorderFlush(t *testing.T) {
+	r, at := clockedRecorder()
+	r.Improve(3, 30, 1, nil)
+	at(1)
+	r.Improve(3, 29, 2, nil) // held
+	if r.Len() != 1 {
+		t.Fatalf("len = %d, want the held incumbent kept out of the log", r.Len())
+	}
+	if n, last := r.Flush(); n != 2 || last.H != 29 || last.Moves != 2 {
+		t.Fatalf("Flush = %d, %+v; want 2 entries ending on H=29", n, last)
+	}
+	_, grew := r.Log(2)
+	if n, _ := r.Flush(); n != 2 {
+		t.Fatalf("second Flush = %d, want 2", n)
+	}
+	select {
+	case <-grew:
+	default:
+		t.Fatal("Flush with nothing held did not wake a reader")
+	}
+	if evs, _ := r.Log(5); len(evs) != 0 || evs == nil {
+		t.Fatalf("Log past the end = %#v, want an empty slice", evs)
 	}
 }
 
 // TestRecorderTap: the tap sees every sample, in order, and receives a
 // builder only with the incumbents that offered one.
 func TestRecorderTap(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	var got []string
 	r.SetTap(func(s Sample, assign func() []int) {
 		got = append(got, fmt.Sprintf("%s/%d/%v", s.Phase, s.P, assign != nil))
@@ -92,8 +200,11 @@ func TestNilRecorderAndContext(t *testing.T) {
 	r.SetPhase(PhaseSearch)
 	r.Improve(1, 2, 3, nil)
 	r.Finish(1, 2)
-	if got := r.Curve(); got != nil {
-		t.Fatalf("nil recorder curve = %v", got)
+	if got, grew := r.Log(0); got != nil || grew != nil {
+		t.Fatalf("nil recorder log = %v, %v", got, grew)
+	}
+	if n, _ := r.Flush(); n != 0 || r.Len() != 0 {
+		t.Fatalf("nil recorder flush = %d, len = %d", n, r.Len())
 	}
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context yielded a recorder")
@@ -101,7 +212,7 @@ func TestNilRecorderAndContext(t *testing.T) {
 	if FromContext(nil) != nil {
 		t.Fatal("nil context yielded a recorder")
 	}
-	rec := NewRecorder(0)
+	rec := NewRecorder()
 	ctx := NewContext(context.Background(), rec)
 	if FromContext(ctx) != rec {
 		t.Fatal("context round trip lost the recorder")
@@ -123,7 +234,8 @@ func spanEvent(trace obs.TraceID, span, parent string, name string, start, dur i
 func TestStoreLifecycle(t *testing.T) {
 	st := NewStore(0, 0)
 	trace := obs.NewTraceID()
-	rec := st.Begin(trace, "3comp")
+	rec := NewRecorder()
+	st.Begin(trace, "3comp", rec)
 	rec.SetPhase(PhaseSearch)
 	rec.Improve(12, 500, 4, nil)
 
@@ -139,7 +251,7 @@ func TestStoreLifecycle(t *testing.T) {
 	st.Emit(spanEvent(obs.NewTraceID(), "bbbbbbbbbbbbbbb1", "", "foreign", 0, 1))
 
 	rec.Finish(12, 480)
-	st.Finish(trace)
+	st.Finish(trace, rec)
 	if rows := st.Inflight(); len(rows) != 0 {
 		t.Fatalf("inflight after Finish = %+v", rows)
 	}
@@ -172,8 +284,9 @@ func TestStoreEvictsOldestFinished(t *testing.T) {
 	ids := make([]obs.TraceID, 4)
 	for i := range ids {
 		ids[i] = obs.NewTraceID()
-		st.Begin(ids[i], fmt.Sprintf("ds%d", i))
-		st.Finish(ids[i])
+		rec := NewRecorder()
+		st.Begin(ids[i], fmt.Sprintf("ds%d", i), rec)
+		st.Finish(ids[i], rec)
 	}
 	if _, ok := st.Trace(ids[0].String()); ok {
 		t.Fatal("oldest finished trace survived past the cap")
@@ -192,15 +305,53 @@ func TestStoreEvictsOldestFinished(t *testing.T) {
 func TestStoreInflightNeverEvicted(t *testing.T) {
 	st := NewStore(1, 1) // absurdly tight budget
 	live := obs.NewTraceID()
-	st.Begin(live, "live")
+	st.Begin(live, "live", NewRecorder())
 	for i := 0; i < 5; i++ {
 		id := obs.NewTraceID()
-		st.Begin(id, "done")
-		st.Finish(id)
+		rec := NewRecorder()
+		st.Begin(id, "done", rec)
+		st.Finish(id, rec)
 	}
 	rows := st.Inflight()
 	if len(rows) != 1 || rows[0].TraceID != live.String() {
 		t.Fatalf("in-flight solve evicted under budget pressure: %+v", rows)
+	}
+}
+
+// TestStoreSharedTraceID: two solves in flight at once under one trace id
+// (a traced client fanning out) keep the first solve's entry. The second
+// Begin does not displace it, and the second solve's Finish does not retire
+// it, so the first solve's curve and budget charge stay its own.
+func TestStoreSharedTraceID(t *testing.T) {
+	st := NewStore(0, 0)
+	trace := obs.NewTraceID()
+	first, second := NewRecorder(), NewRecorder()
+	st.Begin(trace, "first", first)
+	st.Begin(trace, "second", second)
+	first.Improve(7, 70, 0, nil)
+	second.Improve(9, 90, 0, nil)
+	if rows := st.Inflight(); len(rows) != 1 || rows[0].Dataset != "first" || rows[0].P != 7 {
+		t.Fatalf("inflight = %+v, want the first solve's row", rows)
+	}
+	second.Finish(9, 90)
+	st.Finish(trace, second)
+	if rows := st.Inflight(); len(rows) != 1 || rows[0].Dataset != "first" {
+		t.Fatalf("the second solve's Finish retired the first's entry: inflight = %+v", rows)
+	}
+	if dump, _ := st.Trace(trace.String()); !dump.InFlight {
+		t.Fatal("the first solve's dump reads finished while it runs")
+	}
+	first.Finish(7, 65)
+	st.Finish(trace, first)
+	dump, ok := st.Trace(trace.String())
+	if !ok || dump.InFlight || dump.Dataset != "first" {
+		t.Fatalf("dump = %+v, want the first solve, finished", dump)
+	}
+	if final := dump.Curve[len(dump.Curve)-1]; final.P != 7 || final.H != 65 {
+		t.Fatalf("final curve sample = %+v, want the first solve's (7, 65)", final)
+	}
+	if stats := st.StoreStats(); stats.Retained != 1 || stats.Inflight != 0 || stats.UsedBytes != int64(first.Len())*32+160 {
+		t.Fatalf("stats = %+v, want one retained entry charged %d bytes", stats, first.Len()*32+160)
 	}
 }
 

@@ -39,10 +39,8 @@ type TraceDump struct {
 	Spans    []SpanRec   `json:"spans"`
 	Tree     []*SpanNode `json:"tree"`
 	Curve    []Sample    `json:"curve"`
-	// DroppedSamples counts convergence samples lost to ring overflow;
 	// DroppedSpans counts span events past the per-trace cap.
-	DroppedSamples int `json:"dropped_samples,omitempty"`
-	DroppedSpans   int `json:"dropped_spans,omitempty"`
+	DroppedSpans int `json:"dropped_spans,omitempty"`
 }
 
 // entry is one tracked solve: its recorder plus every identified span event
@@ -55,9 +53,8 @@ type entry struct {
 	droppedSpans int
 	spanBytes    int64
 	inflight     bool
+	charged      int64 // bytes counted in Store.doneBytes once finished
 }
-
-func (e *entry) cost() int64 { return e.rec.cost() + e.spanBytes + 64 }
 
 // maxSpansPerTrace bounds one trace's span list: a sharded solve emits a few
 // spans per shard plus a handful of phase spans, so 4096 only trips on runaway
@@ -97,40 +94,46 @@ func NewStore(budgetBytes int64, maxTraces int) *Store {
 	}
 }
 
-// Begin registers an in-flight solve under the trace id and returns its
-// recorder (to be attached to the solve context with NewContext). A zero
-// trace id returns a detached recorder that the store does not track.
-func (s *Store) Begin(trace obs.TraceID, dataset string) *Recorder {
-	rec := NewRecorder(0)
+// Begin registers rec, the recorder attached to the solve's context with
+// NewContext, as the in-flight solve of the trace id. The store does not
+// track rec under a zero trace id, or under one whose solve is still in
+// flight (a traced client fanning out several solves): the entry already
+// there keeps its solve.
+func (s *Store) Begin(trace obs.TraceID, dataset string, rec *Recorder) {
 	if s == nil || !trace.IsValid() {
-		return rec
+		return
 	}
 	s.mu.Lock()
-	if old, ok := s.byTrace[trace]; ok && !old.inflight {
+	defer s.mu.Unlock()
+	if old, ok := s.byTrace[trace]; ok {
+		if old.inflight {
+			return
+		}
 		// A trace id reappearing (retried request reusing its traceparent)
 		// replaces the finished record.
 		s.removeDoneLocked(old)
 	}
 	s.byTrace[trace] = &entry{trace: trace, dataset: dataset, rec: rec, inflight: true}
-	s.mu.Unlock()
-	return rec
 }
 
-// Finish moves the solve from the in-flight view into the retained set and
-// evicts the oldest finished traces past the budget.
-func (s *Store) Finish(trace obs.TraceID) {
+// Finish moves the solve from the in-flight view into the retained set,
+// charging it for its log's length, and evicts the oldest finished traces
+// past the budget. It acts only when rec is the recorder Begin registered
+// for the trace.
+func (s *Store) Finish(trace obs.TraceID, rec *Recorder) {
 	if s == nil || !trace.IsValid() {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.byTrace[trace]
-	if !ok || !e.inflight {
+	if !ok || !e.inflight || e.rec != rec {
 		return
 	}
 	e.inflight = false
+	e.charged = int64(rec.Len())*32 + e.spanBytes + 160 // 32 B per log entry, plus the recorder and entry
 	s.done = append(s.done, e)
-	s.doneBytes += e.cost()
+	s.doneBytes += e.charged
 	for len(s.done) > 0 && (len(s.done) > s.maxTraces || s.doneBytes > s.budget) {
 		s.removeDoneLocked(s.done[0])
 	}
@@ -141,7 +144,7 @@ func (s *Store) removeDoneLocked(e *entry) {
 	for i, d := range s.done {
 		if d == e {
 			s.done = append(s.done[:i], s.done[i+1:]...)
-			s.doneBytes -= e.cost()
+			s.doneBytes -= e.charged
 			break
 		}
 	}
@@ -183,6 +186,7 @@ func (s *Store) Emit(ev obs.Event) {
 	if !e.inflight {
 		// Late spans (the HTTP root ends after Finish) grow a retained
 		// entry; keep the budget honest.
+		e.charged += add
 		s.doneBytes += add
 	}
 }
@@ -206,7 +210,7 @@ func (s *Store) Inflight() []InflightSolve {
 		out = append(out, InflightSolve{
 			TraceID: e.trace.String(), Dataset: e.dataset,
 			Phase: phase.String(), ElapsedNs: int64(elapsed),
-			P: p, H: h, Samples: len(e.rec.Curve()),
+			P: p, H: h, Samples: e.rec.Len(),
 		})
 	}
 	sortInflight(out)
@@ -250,8 +254,7 @@ func (s *Store) Trace(id string) (*TraceDump, bool) {
 	}
 	rec := e.rec
 	s.mu.Unlock()
-	dump.Curve = rec.Curve()
-	dump.DroppedSamples = rec.Dropped()
+	dump.Curve, _ = rec.Log(0)
 	dump.Tree = BuildTree(spans)
 	return dump, true
 }

@@ -1,16 +1,16 @@
 // Package jobs is the async solve job subsystem behind POST /v1/jobs: a
 // bounded in-memory job store with TTL eviction, byte-budgeted result
 // retention and a fingerprint index for duplicate-submit dedup, plus the
-// per-job event log that feeds the SSE/NDJSON streams of
+// per-job event stream behind the SSE/NDJSON responses of
 // GET /v1/jobs/{id}/events.
 //
 // The store owns job identity and lifecycle (queued → running → one of
 // done/failed/canceled); the HTTP layer owns execution (scheduler slots,
-// the solve itself) and calls the transition methods. Events arrive through
-// Job.AppendSample, called from the flight recorder's one tap, so the event
-// stream and the /v1/debug convergence curve come from one sample source.
-// They keep different parts of it: the recorder's ring keeps the newest
-// samples, the event log the first maxEventsPerJob plus the terminal event.
+// the solve itself) and calls the transition methods. A job keeps no event
+// log of its own: its stream reads the solve's flight-recorder log by index,
+// so the stream and the /v1/debug convergence curve are one sequence. The
+// terminal transition seals the stream at the log's length and puts the
+// "done" event there.
 package jobs
 
 import (
@@ -48,8 +48,10 @@ func (s State) String() string {
 func (s State) Terminal() bool { return s >= StateDone }
 
 // Event is one entry of a job's event stream: an incumbent improvement, a
-// phase transition, or the terminal marker. Seq is the event's position in
-// the job's log; watchers resume from the sequence number they last saw.
+// phase transition, or the terminal marker. Seq is the entry's index in the
+// solve's flight-recorder log (the terminal event sits at the log's length
+// when the job was sealed); watchers resume from the sequence number they
+// last saw.
 type Event struct {
 	Seq       int     `json:"seq"`
 	Type      string  `json:"type"` // "incumbent" | "phase" | "done"
@@ -63,12 +65,6 @@ type Event struct {
 	// solve ended without a follow-up status GET.
 	State string `json:"state,omitempty"`
 }
-
-// maxEventsPerJob bounds one job's event log. A long search records an
-// improvement every few hundred moves; 4096 only trips on runaway emitters,
-// whose overflow the cap discards instead of growing memory. The terminal
-// event is always appended.
-const maxEventsPerJob = 4096
 
 // Errors the store reports to the submission path.
 var (
@@ -218,9 +214,8 @@ func (s *Store) notifyTransition(j *Job, st State) {
 }
 
 // Job is one tracked solve. Identity fields are immutable after creation;
-// lifecycle state is guarded by the store mutex, the event log by its own
-// mutex (AppendSample runs on the solve goroutine at improvement granularity
-// and must not contend with store-wide operations).
+// lifecycle state is guarded by the store mutex, the event stream by its own
+// mutex (watchers poll it and must not contend with store-wide operations).
 type Job struct {
 	id          string
 	fingerprint string
@@ -236,7 +231,6 @@ type Job struct {
 	finished  time.Time
 	cancel    func()
 	traceID   string
-	rec       *flight.Recorder
 	result    any
 	cost      int64
 	warmSeed  []int
@@ -244,14 +238,13 @@ type Job struct {
 	errStatus int
 	errMsg    string
 
-	// Event log, guarded by evMu.
-	evMu      sync.Mutex
-	events    []Event
-	closed    bool // terminal event appended; no more samples accepted
-	lastP     int
-	lastH     float64
-	hasSample bool
-	notify    chan struct{} // closed-and-replaced on every append
+	// rec is the solve's flight recorder, whose log the event stream reads.
+	rec *flight.Recorder
+	// final is the terminal event, at the log's length when the job was
+	// sealed; nil until then. Guarded by evMu; terminal transitions write it
+	// under store.mu as well, so either lock reads it.
+	evMu  sync.Mutex
+	final *Event
 }
 
 // newID returns a 16-hex-char random job id. IDs are capability-ish tokens
@@ -311,7 +304,7 @@ func (s *Store) retireBornDoneLocked(j *Job, result any, cost int64, warmSeed []
 	j.result = result
 	j.cost = cost
 	j.setWarmSeedLocked(warmSeed)
-	j.closeEvents(StateDone, p, h, 0)
+	j.seal(StateDone, true, p, h)
 	s.retireLocked(j)
 }
 
@@ -335,7 +328,7 @@ func (s *Store) addJobLocked(id, fingerprint, datasetKey, dataset string) *Job {
 		dataset:     dataset,
 		created:     s.now(),
 		store:       s,
-		notify:      make(chan struct{}),
+		rec:         flight.NewRecorder(),
 	}
 	s.byID[id] = j
 	return j
@@ -399,13 +392,6 @@ func (s *Store) SetTrace(j *Job, traceID string) {
 	s.mu.Unlock()
 }
 
-// SetRecorder attaches the solve's flight recorder for live status reads.
-func (s *Store) SetRecorder(j *Job, rec *flight.Recorder) {
-	s.mu.Lock()
-	j.rec = rec
-	s.mu.Unlock()
-}
-
 // SetWarmFrom marks the job as warm-started from a prior job's partition.
 func (s *Store) SetWarmFrom(j *Job, seedJobID string) {
 	s.mu.Lock()
@@ -438,13 +424,12 @@ func (s *Store) Finish(j *Job, result any, cost int64, warmSeed []int, p int, h 
 		s.mu.Unlock()
 		return
 	}
-	moves := j.lastMoves()
 	j.state = StateDone
 	j.finished = s.now()
 	j.result = result
 	j.cost = cost
 	j.setWarmSeedLocked(warmSeed)
-	j.closeEvents(StateDone, p, h, moves)
+	j.seal(StateDone, true, p, h)
 	s.retireLocked(j)
 	s.mu.Unlock()
 	s.notifyTransition(j, StateDone)
@@ -463,8 +448,7 @@ func (s *Store) Fail(j *Job, status int, msg string) {
 	j.finished = s.now()
 	j.errStatus = status
 	j.errMsg = msg
-	p, h := j.lastIncumbent()
-	j.closeEvents(StateFailed, p, h, j.lastMoves())
+	j.seal(StateFailed, false, 0, 0)
 	s.retireLocked(j)
 	s.mu.Unlock()
 	s.notifyTransition(j, StateFailed)
@@ -488,8 +472,7 @@ func (s *Store) Cancel(id string) (State, bool) {
 	cancel := j.cancel
 	j.state = StateCanceled
 	j.finished = s.now()
-	p, h := j.lastIncumbent()
-	j.closeEvents(StateCanceled, p, h, j.lastMoves())
+	j.seal(StateCanceled, false, 0, 0)
 	s.retireLocked(j)
 	s.mu.Unlock()
 	// Fire outside the lock: the hook cancels a context, which may run
@@ -543,12 +526,10 @@ func (s *Store) retireLocked(j *Job) {
 }
 
 // retainedCost approximates the finished job's resident bytes against the
-// retention budget: the result dominates, the event log rides along.
+// retention budget: the result dominates, the streamed part of the log
+// rides along. Caller holds s.mu, and the job is sealed.
 func (j *Job) retainedCost() int64 {
-	j.evMu.Lock()
-	n := len(j.events)
-	j.evMu.Unlock()
-	return j.cost + int64(len(j.warmSeed))*8 + int64(n)*64 + 256
+	return j.cost + int64(len(j.warmSeed))*8 + int64(j.final.Seq)*32 + 256
 }
 
 // evictLocked drops a finished job entirely. Caller holds s.mu.
@@ -636,115 +617,89 @@ func (j *Job) Snapshot() Snapshot {
 	}
 	j.store.mu.Unlock()
 	j.evMu.Lock()
-	snap.Events = len(j.events)
+	if j.final != nil {
+		snap.Events = j.final.Seq + 1
+	} else {
+		snap.Events = j.rec.Len()
+	}
 	j.evMu.Unlock()
 	return snap
 }
 
-// ---- Event log ----
+// ---- Event stream ----
 
-// AppendSample feeds one flight-recorder sample into the event log. The
-// recorder's tap calls it on the solve goroutine at improvement/phase
-// granularity. Samples that change the incumbent (p, H) become "incumbent"
-// events, others "phase" events; samples after the terminal event (a cancel
-// racing the solve's last improvements) are dropped.
-func (j *Job) AppendSample(s flight.Sample) {
+// Recorder returns the job's flight recorder: the solve records into it, and
+// the event stream reads its log.
+func (j *Job) Recorder() *flight.Recorder { return j.rec }
+
+// seal ends the job's event stream: the recorder logs its held incumbent
+// and wakes the watchers, the stream stops at the log's length, and the
+// terminal event goes there. A finished job's event carries the result's
+// (p, H) (hasResult); a failed or canceled one carries the log's newest
+// incumbent. Called once, by the store's terminal transitions, under
+// store.mu; evMu nests inside.
+func (j *Job) seal(final State, hasResult bool, p int, h float64) {
 	j.evMu.Lock()
 	defer j.evMu.Unlock()
-	if j.closed {
-		return
+	n, last := j.rec.Flush()
+	if !hasResult {
+		p, h = last.P, last.H
 	}
-	typ := "phase"
-	if !j.hasSample || s.P != j.lastP || s.H != j.lastH {
-		typ = "incumbent"
-		if !j.hasSample && s.P == 0 && s.H == 0 {
-			// The first phase transition arrives before any incumbent
-			// exists; a (0, 0) incumbent would be noise.
-			typ = "phase"
-		}
-	}
-	if typ == "incumbent" {
-		j.lastP, j.lastH = s.P, s.H
-		j.hasSample = true
-	}
-	j.appendLocked(Event{
-		Type:      typ,
-		ElapsedMs: float64(s.ElapsedNs) / 1e6,
-		Phase:     s.Phase,
-		P:         s.P,
-		H:         s.H,
-		Moves:     s.Moves,
-	})
-}
-
-// appendLocked appends one event (capping the log) and wakes watchers.
-// Caller holds evMu.
-func (j *Job) appendLocked(ev Event) {
-	if len(j.events) >= maxEventsPerJob && ev.Type != "done" {
-		return
-	}
-	ev.Seq = len(j.events)
-	j.events = append(j.events, ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
-}
-
-// closeEvents appends the terminal event and seals the log. Called by the
-// store's terminal transitions (under store.mu; evMu nests inside).
-func (j *Job) closeEvents(final State, p int, h float64, moves int) {
-	j.evMu.Lock()
-	defer j.evMu.Unlock()
-	if j.closed {
-		return
-	}
-	j.closed = true
-	var elapsed float64
-	if n := len(j.events); n > 0 {
-		elapsed = j.events[n-1].ElapsedMs
-	}
-	j.appendLocked(Event{
+	j.final = &Event{
+		Seq:       n,
 		Type:      "done",
-		ElapsedMs: elapsed,
+		ElapsedMs: float64(last.ElapsedNs) / 1e6,
 		Phase:     "done",
 		P:         p,
 		H:         h,
-		Moves:     moves,
+		Moves:     last.Moves,
 		State:     final.String(),
-	})
-}
-
-// lastIncumbent returns the best (p, H) the event log has seen, for
-// stamping terminal events of jobs that did not finish cleanly.
-func (j *Job) lastIncumbent() (int, float64) {
-	j.evMu.Lock()
-	defer j.evMu.Unlock()
-	return j.lastP, j.lastH
-}
-
-// lastMoves returns the move count of the newest event.
-func (j *Job) lastMoves() int {
-	j.evMu.Lock()
-	defer j.evMu.Unlock()
-	if n := len(j.events); n > 0 {
-		return j.events[n-1].Moves
 	}
-	return 0
 }
 
-// EventsSince returns the events at sequence >= since, a channel closed on
-// the next append, and whether the log is sealed (terminal event present).
-// The watcher loop is: drain the returned events, then either stop (sealed
-// and caught up) or wait on the channel. The channel is replaced on every
-// append, so a watcher never misses or double-sees an event — the sequence
-// numbers are the cursor.
+// EventsSince returns the events at sequence >= since, a channel closed when
+// more may be available, and whether the stream is sealed (its terminal
+// event is in evs). Log entry i is event i: an "incumbent" when it changes
+// (p, H) from entry i-1 (or from (0, 0) for the first), a "phase" event
+// otherwise. A sealed stream always delivers its terminal event, even to a
+// cursor past it — a watcher resuming after a restart holds the old run's
+// cursor. The watcher loop is: drain the returned events, then either stop
+// (sealed) or wait on the channel. Sequence numbers are the cursor, so a
+// watcher never misses or double-sees an event.
 func (j *Job) EventsSince(since int) (evs []Event, next <-chan struct{}, sealed bool) {
 	j.evMu.Lock()
 	defer j.evMu.Unlock()
-	if since < 0 {
-		since = 0
+	since = max(since, 0)
+	// The entry before the cursor types the first event returned.
+	log, next := j.rec.Log(since - 1)
+	var prevP int
+	var prevH float64
+	if since > 0 && len(log) > 0 {
+		prevP, prevH = log[0].P, log[0].H
+		log = log[1:]
 	}
-	if since < len(j.events) {
-		evs = append(evs, j.events[since:]...)
+	for i, s := range log {
+		seq := since + i
+		if j.final != nil && seq >= j.final.Seq {
+			break // logged after a cancel sealed the stream
+		}
+		typ := "phase"
+		if s.P != prevP || s.H != prevH {
+			typ = "incumbent"
+		}
+		prevP, prevH = s.P, s.H
+		evs = append(evs, Event{
+			Seq:       seq,
+			Type:      typ,
+			ElapsedMs: float64(s.ElapsedNs) / 1e6,
+			Phase:     s.Phase,
+			P:         s.P,
+			H:         s.H,
+			Moves:     s.Moves,
+		})
 	}
-	return evs, j.notify, j.closed
+	if j.final != nil {
+		evs = append(evs, *j.final)
+	}
+	return evs, next, j.final != nil
 }

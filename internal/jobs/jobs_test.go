@@ -201,41 +201,89 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// running submits and starts a job, returning it and its recorder.
+func running(t *testing.T, s *Store, fp string) (*Job, *flight.Recorder) {
+	t.Helper()
+	j, _, err := s.Submit(fp, "k", "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(j)
+	return j, j.Recorder()
+}
+
 func TestEventLogReplayAndLive(t *testing.T) {
 	s, _ := newTestStore(t, Config{})
-	j, _, _ := s.Submit("fp", "k", "d")
-	s.Start(j)
-	j.AppendSample(flight.Sample{ElapsedNs: 1e6, P: 0, H: 0, Phase: "feasibility"})
-	j.AppendSample(flight.Sample{ElapsedNs: 2e6, P: 5, H: 100, Phase: "construction"})
-	j.AppendSample(flight.Sample{ElapsedNs: 3e6, P: 5, H: 90, Phase: "search", Moves: 10})
+	j, rec := running(t, s, "fp")
+	rec.SetPhase(flight.PhaseFeasibility)
+	rec.Improve(5, 100, 0, nil) // a new p is always logged
+	rec.SetPhase(flight.PhaseSearch)
 
 	evs, next, sealed := j.EventsSince(0)
 	if sealed || len(evs) != 3 {
 		t.Fatalf("got %d events sealed=%v, want 3 live", len(evs), sealed)
 	}
-	if evs[0].Type != "phase" || evs[1].Type != "incumbent" || evs[2].Type != "incumbent" {
+	// A same-(p,H) phase transition is a phase event, not a fake incumbent.
+	if evs[0].Type != "phase" || evs[1].Type != "incumbent" || evs[2].Type != "phase" {
 		t.Fatalf("event types = %s/%s/%s", evs[0].Type, evs[1].Type, evs[2].Type)
 	}
-	// A same-(p,H) phase transition is a phase event, not a fake incumbent.
-	j.AppendSample(flight.Sample{ElapsedNs: 4e6, P: 5, H: 90, Phase: "search"})
+	rec.Improve(6, 95, 10, nil)
 	select {
 	case <-next:
 	case <-time.After(time.Second):
-		t.Fatal("append did not wake the watcher channel")
+		t.Fatal("a logged entry did not wake the watcher channel")
 	}
-	evs, _, _ = j.EventsSince(3)
-	if len(evs) != 1 || evs[0].Type != "phase" || evs[0].Seq != 3 {
-		t.Fatalf("resumed events = %+v, want one phase event at seq 3", evs)
+	// A resumed cursor types its first event against the entry before it.
+	evs, _, _ = j.EventsSince(2)
+	if len(evs) != 2 || evs[0].Type != "phase" || evs[1].Type != "incumbent" || evs[1].Seq != 3 || evs[1].P != 6 {
+		t.Fatalf("resumed events = %+v, want the phase at seq 2 and the p=6 incumbent at seq 3", evs)
 	}
-	s.Finish(j, "res", 1, nil, 5, 90)
+	// An H-only improvement right after an entry may be held back from the
+	// log; sealing the stream flushes it, so the stream ends on it.
+	rec.Improve(6, 90, 11, nil)
+	if st, _ := s.Cancel(j.ID()); st != StateCanceled {
+		t.Fatalf("cancel = %v", st)
+	}
 	evs, _, sealed = j.EventsSince(4)
-	if !sealed || len(evs) != 1 || evs[0].Type != "done" || evs[0].State != "done" || evs[0].P != 5 {
-		t.Fatalf("terminal events = %+v sealed=%v", evs, sealed)
+	if !sealed || len(evs) != 2 || evs[0].Type != "incumbent" || evs[0].H != 90 {
+		t.Fatalf("terminal events = %+v sealed=%v, want the H=90 incumbent then done", evs, sealed)
 	}
-	// Samples after sealing (a racing tap) are dropped silently.
-	j.AppendSample(flight.Sample{ElapsedNs: 9e6, P: 6, H: 1})
-	if evs, _, _ := j.EventsSince(5); len(evs) != 0 {
-		t.Fatalf("post-seal sample leaked: %+v", evs)
+	final := evs[1]
+	if final.Type != "done" || final.State != "canceled" || final.Seq != 5 || final.P != 6 || final.H != 90 || final.Moves != 11 {
+		t.Fatalf("terminal event = %+v, want done/canceled at seq 5 carrying (6, 90)", final)
+	}
+	// Entries the solve logs after a cancel sealed the stream (it is still
+	// winding down) stay out of it.
+	rec.Improve(7, 1, 12, nil)
+	if evs, _, _ := j.EventsSince(0); len(evs) != 6 || evs[5] != final {
+		t.Fatalf("post-seal entry leaked: %+v", evs)
+	}
+	if snap := j.Snapshot(); snap.Events != 6 {
+		t.Fatalf("status events = %d, want the 6 the stream delivers", snap.Events)
+	}
+}
+
+// TestEventsSinceCursorPastSealedEnd: a cursor beyond a sealed stream (a
+// watcher re-dialing after a restart with the old run's cursor) still gets
+// the terminal event, and only it.
+func TestEventsSinceCursorPastSealedEnd(t *testing.T) {
+	s, _ := newTestStore(t, Config{})
+	j, rec := running(t, s, "fp")
+	rec.Improve(4, 40, 0, nil)
+	rec.Finish(4, 40)
+	s.Finish(j, "res", 1, nil, 4, 40)
+	born := s.SubmitDone("fp-2", "k", "d", "res", 1, nil, 4, 40)
+	for _, tc := range []struct {
+		name string
+		j    *Job
+		end  int
+	}{{"finished", j, 2}, {"born done", born, 0}} {
+		for _, since := range []int{tc.end, tc.end + 1, 30, 1_000_000} {
+			evs, _, sealed := tc.j.EventsSince(since)
+			if !sealed || len(evs) != 1 || evs[0].Type != "done" || evs[0].Seq != tc.end || evs[0].P != 4 {
+				t.Errorf("%s: EventsSince(%d) = %+v sealed=%v, want exactly the done event at seq %d", tc.name, since, evs, sealed, tc.end)
+			}
+		}
 	}
 }
 
@@ -287,22 +335,26 @@ func TestSubmitDoneOnArrival(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppendAndWatch: a watcher following the stream while the
+// solve records, held incumbents included, sees every event exactly once,
+// in sequence, up to the terminal event at the log's end.
 func TestConcurrentAppendAndWatch(t *testing.T) {
 	s, _ := newTestStore(t, Config{})
-	j, _, _ := s.Submit("fp", "k", "d")
-	s.Start(j)
+	j, rec := running(t, s, "fp")
 	const samples = 500
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 1; i <= samples; i++ {
-			j.AppendSample(flight.Sample{ElapsedNs: int64(i), P: i, H: float64(samples - i)})
+			rec.Improve(i, float64(samples-i)+1, 2*i, nil)     // a new p: logged
+			rec.Improve(i, float64(samples-i)+0.5, 2*i+1, nil) // H only: usually held
 		}
-		s.Finish(j, "res", 1, nil, samples, 0)
+		s.Finish(j, "res", 1, nil, samples, 0.5)
 	}()
 	// Watcher: follow the log to the terminal event, checking the cursor
 	// contract (no gaps, no duplicates).
 	seen := 0
+	var last Event
 	for {
 		evs, next, sealed := j.EventsSince(seen)
 		for _, ev := range evs {
@@ -310,8 +362,9 @@ func TestConcurrentAppendAndWatch(t *testing.T) {
 				t.Fatalf("sequence gap: got %d want %d", ev.Seq, seen)
 			}
 			seen++
+			last = ev
 		}
-		if sealed && len(evs) == 0 {
+		if sealed {
 			break
 		}
 		if len(evs) == 0 {
@@ -323,7 +376,7 @@ func TestConcurrentAppendAndWatch(t *testing.T) {
 		}
 	}
 	<-done
-	if seen != samples+1 { // + terminal event
-		t.Fatalf("saw %d events, want %d", seen, samples+1)
+	if last.Type != "done" || last.Seq != rec.Len() || seen < samples+1 {
+		t.Fatalf("saw %d events ending on %+v, want at least %d ending on done at seq %d", seen, last, samples+1, rec.Len())
 	}
 }

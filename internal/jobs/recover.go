@@ -46,14 +46,13 @@ func (s *Store) WarmSeeds() []durable.WarmSeedEntry {
 	defer s.mu.Unlock()
 	out := make([]durable.WarmSeedEntry, 0, len(s.warmByKey))
 	for key, j := range s.warmByKey {
-		p, h := j.finalIncumbent()
 		out = append(out, durable.WarmSeedEntry{
 			DatasetKey:  key,
 			JobID:       j.id,
 			Fingerprint: j.fingerprint,
 			Seed:        j.warmSeed,
-			P:           p,
-			H:           h,
+			P:           j.final.P,
+			H:           j.final.H,
 		})
 	}
 	return out
@@ -76,20 +75,6 @@ func (s *Store) RestoreWarmSeed(e durable.WarmSeedEntry) bool {
 	j := s.addJobLocked(e.JobID, e.Fingerprint, e.DatasetKey, e.DatasetKey)
 	s.retireBornDoneLocked(j, nil, 0, e.Seed, e.P, e.H)
 	return true
-}
-
-// finalIncumbent returns the (p, H) of the sealed terminal event, falling
-// back to the running incumbent for jobs that are not terminal. Caller may
-// hold s.mu; only evMu is taken.
-func (j *Job) finalIncumbent() (int, float64) {
-	j.evMu.Lock()
-	defer j.evMu.Unlock()
-	for i := len(j.events) - 1; i >= 0; i-- {
-		if j.events[i].Type == "done" {
-			return j.events[i].P, j.events[i].H
-		}
-	}
-	return j.lastP, j.lastH
 }
 
 // DatasetKey returns the warm-start grouping key the job was submitted under.

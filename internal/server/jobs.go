@@ -24,8 +24,8 @@ import (
 // improvements as SSE or NDJSON; DELETE /v1/jobs/{id} cancels. The job store
 // (internal/jobs) owns identity and lifecycle; this file owns execution —
 // each accepted job gets a runner goroutine that waits for a scheduler slot,
-// runs the same executeSolve as the sync path, and feeds the job's event log
-// through the flight recorder's tap.
+// runs the same executeSolve as the sync path under a flight recorder whose
+// log the job's event stream reads.
 
 // JobStatus is the wire form of a job on GET /v1/jobs and GET /v1/jobs/{id}.
 type JobStatus struct {
@@ -162,23 +162,20 @@ func (s *service) runJob(j *jobs.Job, req *SolveRequest, set constraint.Set, cfg
 	ctx = obs.ContextWithSpan(ctx, sc)
 	// Begin before publishing the trace id: once the status endpoint shows
 	// trace_id, /v1/debug/trace/{id} must resolve.
-	rec := s.fstore.Begin(sc.Trace, j.Dataset())
-	defer s.fstore.Finish(sc.Trace)
+	rec := j.Recorder()
+	s.fstore.Begin(sc.Trace, j.Dataset(), rec)
+	defer s.fstore.Finish(sc.Trace, rec)
 	s.jobs.SetTrace(j, sc.Trace.String())
-	// The recorder tap is the job's one incumbent feed: every phase
-	// transition and incumbent the solver records lands in the job's event
-	// log, and with a state dir each incumbent that offers its assignment
-	// also goes to the checkpointer, which throttles and persists it so a
-	// crash resumes from near the front (ck is nil without one, and Offer
-	// accepts a nil receiver).
-	ck := s.newCheckpointer(j, fp)
-	rec.SetTap(func(sm flight.Sample, assign func() []int) {
-		j.AppendSample(sm)
-		if assign != nil {
-			ck.Offer(sm.P, sm.H, sm.Moves, assign)
-		}
-	})
-	s.jobs.SetRecorder(j, rec)
+	// With a state dir, the recorder's tap offers each incumbent that
+	// carries its assignment to the checkpointer, which throttles and
+	// persists it so a crash resumes from near the front.
+	if ck := s.newCheckpointer(j, fp); ck != nil {
+		rec.SetTap(func(sm flight.Sample, assign func() []int) {
+			if assign != nil {
+				ck.Offer(sm.P, sm.H, sm.Moves, assign)
+			}
+		})
+	}
 	ctx = flight.NewContext(ctx, rec)
 	// Unlike the sync path, a queued job is not shed on queue pressure: it
 	// already holds an admission slot (MaxActiveJobs), so it retries for a
@@ -265,12 +262,13 @@ func (s *service) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobEvents streams the job's event log: everything recorded so far,
-// then live events as the solve appends them, ending with the terminal
-// "done" event. Content negotiation: an Accept containing text/event-stream
-// gets SSE (`event:`/`data:` frames, one per event); everything else gets
-// NDJSON (one JSON event per line). `?since=N` resumes from sequence N, so a
-// reconnecting watcher skips what it already saw. Disconnecting only
+// handleJobEvents streams the job's events: everything logged so far, then
+// live events as the solve logs them, ending with the terminal "done" event.
+// Content negotiation: an Accept containing text/event-stream gets SSE
+// (`event:`/`data:` frames, one per event); everything else gets NDJSON
+// (one JSON event per line). `?since=N` resumes from sequence N, so a
+// reconnecting watcher skips what it already saw; a cursor past the end of a
+// finished job's stream still gets its "done" event. Disconnecting only
 // unsubscribes this watcher — the solve keeps running for the job's
 // lifetime, and other watchers keep their streams.
 func (s *service) handleJobEvents(w http.ResponseWriter, r *http.Request, j *jobs.Job) {
@@ -298,7 +296,7 @@ func (s *service) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	s.jobWatchers.Add(1)
 	defer s.jobWatchers.Add(-1)
 	ctx := r.Context()
@@ -321,8 +319,8 @@ func (s *service) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job
 			s.jobEventsSent.Inc()
 			since = ev.Seq + 1
 		}
-		if len(evs) > 0 && flusher != nil {
-			flusher.Flush()
+		if len(evs) > 0 {
+			_ = rc.Flush() // a writer that cannot flush still delivers the events when the stream ends
 		}
 		if sealed {
 			return // terminal event delivered; the log will not grow

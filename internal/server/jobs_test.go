@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"emp/internal/fault"
+	"emp/internal/flight"
 	"emp/internal/jobs"
 	"emp/internal/obs"
 )
@@ -67,6 +68,28 @@ func waitJobTerminal(t *testing.T, h http.Handler, id string) JobStatus {
 	}
 }
 
+// getEvents replays a job's NDJSON event stream, with an optional query.
+func getEvents(t *testing.T, h http.Handler, id, query string) []jobs.Event {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events"+query, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("events%s = %d: %s", query, rec.Code, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("events content type = %q", ct)
+	}
+	var evs []jobs.Event
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		var ev jobs.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", line, err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
 const jobBody = `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":5}}`
 
 // TestJobLifecycleEndToEnd: submit → 202 with Location, poll to done, replay
@@ -99,22 +122,7 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 
 	// Replay the event log as NDJSON (no Accept header): a finished job's
 	// stream returns everything and closes.
-	evRec := httptest.NewRecorder()
-	h.ServeHTTP(evRec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+st.ID+"/events", nil))
-	if evRec.Code != http.StatusOK {
-		t.Fatalf("events = %d: %s", evRec.Code, evRec.Body.String())
-	}
-	if ct := evRec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("events content type = %q", ct)
-	}
-	var evs []jobs.Event
-	for _, line := range strings.Split(strings.TrimSpace(evRec.Body.String()), "\n") {
-		var ev jobs.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad event line %q: %v", line, err)
-		}
-		evs = append(evs, ev)
-	}
+	evs := getEvents(t, h, st.ID, "")
 	if len(evs) < 2 {
 		t.Fatalf("event log has %d events, want phase transitions plus a terminal", len(evs))
 	}
@@ -146,12 +154,8 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 	}
 
 	// Resume cursor: since=<last> returns only the terminal event.
-	evRec = httptest.NewRecorder()
-	h.ServeHTTP(evRec, httptest.NewRequest(http.MethodGet,
-		fmt.Sprintf("/v1/jobs/%s/events?since=%d", st.ID, last.Seq), nil))
-	lines := strings.Split(strings.TrimSpace(evRec.Body.String()), "\n")
-	if len(lines) != 1 {
-		t.Errorf("since=%d returned %d events, want 1", last.Seq, len(lines))
+	if got := getEvents(t, h, st.ID, fmt.Sprintf("?since=%d", last.Seq)); len(got) != 1 {
+		t.Errorf("since=%d returned %d events, want 1", last.Seq, len(got))
 	}
 
 	// The job appears in the collection listing (without the bulky result).
@@ -172,6 +176,62 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("job %s missing from GET /v1/jobs", st.ID)
+	}
+}
+
+// TestJobStreamIsTheDebugCurve: a finished job's event stream and its
+// /v1/debug/trace curve are one sequence. Every event before done is the
+// curve entry at the same index (p, H, phase, elapsed), seq has no gaps, the
+// last incumbent carries the stored result, done sits at the curve's end,
+// and a cursor far past that end (a watcher re-dialing a restarted server
+// with the old run's cursor) gets exactly the done event.
+func TestJobStreamIsTheDebugCurve(t *testing.T) {
+	h, _ := newServingHandler(t, Config{})
+	body := `{"named":"8k","constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":3}}`
+	rec, st := postJob(t, h, body)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", rec.Code, rec.Body.String())
+	}
+	final := waitJobTerminal(t, h, st.ID)
+	if final.State != "done" || final.Result == nil {
+		t.Fatalf("final = %+v, want done with a result", final)
+	}
+	evs := getEvents(t, h, st.ID, "")
+	dumpRec := httptest.NewRecorder()
+	h.ServeHTTP(dumpRec, httptest.NewRequest(http.MethodGet, "/v1/debug/trace/"+final.TraceID, nil))
+	if dumpRec.Code != http.StatusOK {
+		t.Fatalf("debug trace = %d: %s", dumpRec.Code, dumpRec.Body.String())
+	}
+	var dump flight.TraceDump
+	if err := json.Unmarshal(dumpRec.Body.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	curve := dump.Curve
+	t.Logf("%d events, %d curve entries", len(evs), len(curve))
+	if len(evs) != len(curve)+1 || final.Events != len(evs) {
+		t.Fatalf("%d events (status says %d) for %d curve entries, want the curve plus done", len(evs), final.Events, len(curve))
+	}
+	for i, c := range curve {
+		ev := evs[i]
+		if ev.Seq != i || ev.P != c.P || ev.H != c.H || ev.Phase != c.Phase || ev.ElapsedMs != float64(c.ElapsedNs)/1e6 {
+			t.Fatalf("event %d = %+v, want curve entry %+v", i, ev, c)
+		}
+	}
+	done := evs[len(evs)-1]
+	if done.Type != "done" || done.Seq != len(curve) {
+		t.Fatalf("last event = %+v, want done at seq %d", done, len(curve))
+	}
+	lastInc := -1
+	for i, ev := range evs {
+		if ev.Type == "incumbent" {
+			lastInc = i
+		}
+	}
+	if lastInc < 0 || evs[lastInc].P != final.Result.P || evs[lastInc].H != final.Result.HeteroAfter {
+		t.Fatalf("last incumbent %+v, want the result's (p=%d, H=%g)", evs[lastInc], final.Result.P, final.Result.HeteroAfter)
+	}
+	if past := getEvents(t, h, st.ID, "?since=1000000"); len(past) != 1 || past[0] != done {
+		t.Fatalf("since=1000000 returned %+v, want exactly %+v", past, done)
 	}
 }
 
@@ -223,6 +283,10 @@ func TestJobEventsSSELive(t *testing.T) {
 	bReader := bufio.NewReader(bResp.Body)
 	if _, err := bReader.ReadString('\n'); err != nil {
 		t.Fatalf("watcher B first frame: %v", err)
+	}
+	// Frames are flushed as they are logged, not held until the stream ends.
+	if _, cur := getJob(t, h, st.ID); cur.State != "running" {
+		t.Fatalf("watcher B's first frame arrived with the job %s, want running", cur.State)
 	}
 	bResp.Body.Close() // B walks away mid-solve
 

@@ -186,8 +186,9 @@ func (s *service) runSolve(ctx context.Context, req *SolveRequest, set constrain
 		dsLabel = "inline"
 	}
 	trace := obs.SpanContextFrom(ctx).Trace
-	rec := s.fstore.Begin(trace, dsLabel)
-	defer s.fstore.Finish(trace)
+	rec := flight.NewRecorder()
+	s.fstore.Begin(trace, dsLabel, rec)
+	defer s.fstore.Finish(trace, rec)
 	ctx = flight.NewContext(ctx, rec)
 	release, err := s.sched.Acquire(ctx)
 	if err != nil {

@@ -45,7 +45,7 @@ func TestMoveLoopAllocs(t *testing.T) {
 func TestDecliningTapBuildsNothing(t *testing.T) {
 	base := eightKPartition(t)
 	run := func(tap bool) (offers int, bytes uint64) {
-		rec := flight.NewRecorder(0)
+		rec := flight.NewRecorder()
 		if tap {
 			rec.SetTap(func(_ flight.Sample, assign func() []int) {
 				if assign != nil {

@@ -187,7 +187,7 @@ func BenchmarkTabuTelemetry(b *testing.B) {
 			solveHist = r.Histogram("emp_solve_duration", "Solve wall-time distribution.", nil)
 		}, func() (context.Context, func()) {
 			span, ctx := solveHist.StartCtx(context.Background())
-			return flight.NewContext(ctx, flight.NewRecorder(0)), func() { span.End() }
+			return flight.NewContext(ctx, flight.NewRecorder()), func() { span.End() }
 		}},
 	}
 	defer func() { SetMetrics(nil); region.SetMetrics(nil) }()
