@@ -5,18 +5,19 @@
 //	empserve -addr :8080 [-debug-addr :8081] [-max-body 67108864] [-quiet]
 //	         [-workers N] [-queue-depth N] [-queue-wait 10s]
 //	         [-max-timeout 5m] [-drain-grace 15s]
-//	         [-dataset-cache-mb 256] [-result-cache-mb 64]
+//	         [-dataset-cache-mb 256] [-result-cache-mb 128]
 //	         [-flight-recorder-mb 8] [-flight-recorder-traces 64]
-//	         [-job-ttl 15m] [-job-results-mb 64] [-max-jobs 64]
+//	         [-job-ttl 15m] [-max-jobs 64]
 //	         [-state-dir /var/lib/empserve] [-snapshot-interval 1m]
 //	         [-checkpoint-interval 2s]
 //
 // Solves run on a bounded worker pool behind a FIFO queue; when the queue
 // is full or a queued solve exceeds -queue-wait the request is shed with
-// 429 and a Retry-After hint. Generated datasets and finished results are
-// cached (see docs/SERVING.md); identical concurrent requests share one
-// solve execution. Every solve runs under a deadline: the request's
-// timeout_ms clamped to -max-timeout (docs/ROBUSTNESS.md).
+// 429 and a Retry-After hint. Generated datasets are cached, and every
+// finished answer, sync or async, lives in one result cache sized by
+// -result-cache-mb (see docs/SERVING.md); identical concurrent requests
+// share one solve execution. Every solve runs under a deadline: the
+// request's timeout_ms clamped to -max-timeout (docs/ROBUSTNESS.md).
 //
 // Endpoints (the whole surface lives under the /v1 prefix; bare paths get
 // 404. All errors on every route arrive as one JSON envelope
@@ -44,8 +45,9 @@
 //
 // Submitting an identical request while its job is active attaches to the
 // existing job; a finished job on the same dataset seeds the next job's
-// construction (warm start). Finished jobs stay fetchable for -job-ttl with
-// results retained under a -job-results-mb byte budget; at most -max-jobs
+// construction (warm start). Finished jobs stay fetchable for -job-ttl; a
+// job names its answer in the result cache, and once the cache evicts it
+// the job keeps its state, p and H but loses its result. At most -max-jobs
 // are queued or running at once (further submits get 429).
 //
 // Every request is one trace: an incoming W3C traceparent header is honored
@@ -91,9 +93,9 @@
 // refused the same moment), then after -drain-grace in-flight requests AND
 // in-flight async jobs get up to 15 seconds to finish before the listener is
 // torn down. Nonsensical flag values (negative -workers, -queue-depth below
-// -1, non-positive -queue-wait, -max-body, -max-timeout, -job-ttl,
-// -job-results-mb or negative -max-jobs) are rejected at startup with exit
-// status 2.
+// -1, non-positive -queue-wait, -max-body, -max-timeout, -result-cache-mb,
+// -flight-recorder-mb, -flight-recorder-traces or -job-ttl, negative
+// -drain-grace or -max-jobs) are rejected at startup with exit status 2.
 package main
 
 import (
@@ -129,23 +131,22 @@ func main() {
 		maxTimeout = flag.Duration("max-timeout", server.DefaultMaxSolveTimeout, "per-solve deadline ceiling; request timeout_ms is clamped to it")
 		drainGrace = flag.Duration("drain-grace", 15*time.Second, "pause between flipping /v1/readyz to 503 and closing the listener, so load balancers observe the drain")
 		dsCacheMB  = flag.Int64("dataset-cache-mb", server.DefaultDatasetCacheBytes>>20, "dataset artifact cache budget in MiB (negative disables)")
-		resCacheMB = flag.Int64("result-cache-mb", server.DefaultResultCacheBytes>>20, "solve result cache budget in MiB (negative disables)")
+		resCacheMB = flag.Int64("result-cache-mb", server.DefaultResultCacheBytes>>20, "budget in MiB of the result cache, which holds every finished answer (sync solves and async jobs)")
 		flightMB   = flag.Int64("flight-recorder-mb", server.DefaultFlightRecorderBytes>>20, "flight-recorder trace retention budget in MiB")
 		flightN    = flag.Int("flight-recorder-traces", server.DefaultFlightRecorderTraces, "finished traces retained for /v1/debug/trace")
 		jobTTL     = flag.Duration("job-ttl", jobs.DefaultTTL, "how long finished async jobs stay fetchable on /v1/jobs/{id}")
-		jobResMB   = flag.Int64("job-results-mb", jobs.DefaultRetainBytes>>20, "byte budget for results retained across finished async jobs, in MiB")
 		maxJobs    = flag.Int("max-jobs", jobs.DefaultMaxActive, "max queued+running async jobs; submits past it get 429 (0 = default)")
 		stateDir   = flag.String("state-dir", "", "directory for crash-safe state (job journal, solve checkpoints, cache snapshot); empty disables persistence")
 		snapEvery  = flag.Duration("snapshot-interval", server.DefaultSnapshotInterval, "how often the result-cache/warm-seed snapshot is written (requires -state-dir)")
 		ckptEvery  = flag.Duration("checkpoint-interval", server.DefaultCheckpointInterval, "min spacing between incumbent checkpoints of a running job (requires -state-dir)")
 	)
 	flag.Parse()
-	if err := validateFlags(*workers, *queueDep, *queueWait, *maxBody, *maxTimeout, *drainGrace); err != nil {
+	if err := validateFlags(*workers, *queueDep, *queueWait, *maxBody, *maxTimeout, *drainGrace, *resCacheMB, *flightMB, *flightN); err != nil {
 		log.Print(err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := validateJobFlags(*jobTTL, *jobResMB, *maxJobs); err != nil {
+	if err := validateJobFlags(*jobTTL, *maxJobs); err != nil {
 		log.Print(err)
 		flag.Usage()
 		os.Exit(2)
@@ -177,14 +178,13 @@ func main() {
 		QueueWait:         *queueWait,
 		MaxSolveTimeout:   *maxTimeout,
 		DatasetCacheBytes: mb(*dsCacheMB),
-		ResultCacheBytes:  mb(*resCacheMB),
+		ResultCacheBytes:  *resCacheMB << 20,
 
 		FlightRecorderBytes:  *flightMB << 20,
 		FlightRecorderTraces: *flightN,
 
-		JobTTL:         *jobTTL,
-		JobRetainBytes: *jobResMB << 20,
-		MaxActiveJobs:  *maxJobs,
+		JobTTL:        *jobTTL,
+		MaxActiveJobs: *maxJobs,
 
 		StateDir:           *stateDir,
 		SnapshotInterval:   *snapEvery,
@@ -269,7 +269,9 @@ func main() {
 // validateFlags rejects nonsensical serving configurations at startup, before
 // any listener binds: a misconfigured instance exiting with status 2 is
 // diagnosable, the same instance silently "defaulting" mid-traffic is not.
-func validateFlags(workers, queueDep int, queueWait time.Duration, maxBody int64, maxTimeout, drainGrace time.Duration) error {
+// The retention budgets must be positive: the result cache is where every
+// answer lives, and the flight recorder has no off switch.
+func validateFlags(workers, queueDep int, queueWait time.Duration, maxBody int64, maxTimeout, drainGrace time.Duration, resCacheMB, flightMB int64, flightN int) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
 	}
@@ -288,17 +290,23 @@ func validateFlags(workers, queueDep int, queueWait time.Duration, maxBody int64
 	if drainGrace < 0 {
 		return fmt.Errorf("-drain-grace must be >= 0, got %v", drainGrace)
 	}
+	if resCacheMB <= 0 {
+		return fmt.Errorf("-result-cache-mb must be positive, got %d", resCacheMB)
+	}
+	if flightMB <= 0 {
+		return fmt.Errorf("-flight-recorder-mb must be positive, got %d", flightMB)
+	}
+	if flightN <= 0 {
+		return fmt.Errorf("-flight-recorder-traces must be positive, got %d", flightN)
+	}
 	return nil
 }
 
 // validateJobFlags applies the same fail-at-startup policy to the async job
 // store's sizing flags.
-func validateJobFlags(ttl time.Duration, resMB int64, maxJobs int) error {
+func validateJobFlags(ttl time.Duration, maxJobs int) error {
 	if ttl <= 0 {
 		return fmt.Errorf("-job-ttl must be positive, got %v", ttl)
-	}
-	if resMB <= 0 {
-		return fmt.Errorf("-job-results-mb must be positive, got %d", resMB)
 	}
 	if maxJobs < 0 {
 		return fmt.Errorf("-max-jobs must be >= 0 (0 = default), got %d", maxJobs)

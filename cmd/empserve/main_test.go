@@ -15,13 +15,18 @@ import (
 // defaults mid-traffic; every sane configuration passes.
 func TestValidateFlags(t *testing.T) {
 	ok := func(workers, queueDep int, queueWait time.Duration, maxBody int64, maxTimeout, drainGrace time.Duration) error {
-		return validateFlags(workers, queueDep, queueWait, maxBody, maxTimeout, drainGrace)
+		return validateFlags(workers, queueDep, queueWait, maxBody, maxTimeout, drainGrace, 1, 1, 1)
+	}
+	// retention varies the three retention budgets of a sane configuration.
+	retention := func(resCacheMB, flightMB int64, flightN int) error {
+		return validateFlags(0, 0, time.Second, 1, time.Second, 0, resCacheMB, flightMB, flightN)
 	}
 	valid := []struct {
 		name string
 		err  error
 	}{
-		{"defaults", ok(0, 0, server.DefaultQueueWait, server.DefaultMaxBodyBytes, server.DefaultMaxSolveTimeout, 15*time.Second)},
+		{"defaults", validateFlags(0, 0, server.DefaultQueueWait, server.DefaultMaxBodyBytes, server.DefaultMaxSolveTimeout, 15*time.Second,
+			server.DefaultResultCacheBytes>>20, server.DefaultFlightRecorderBytes>>20, server.DefaultFlightRecorderTraces)},
 		{"no queue", ok(4, -1, time.Second, 1, time.Millisecond, 0)},
 	}
 	for _, tc := range valid {
@@ -42,6 +47,14 @@ func TestValidateFlags(t *testing.T) {
 		{"zero max timeout", ok(0, 0, time.Second, 1, 0, 0)},
 		{"negative max timeout", ok(0, 0, time.Second, 1, -time.Second, 0)},
 		{"negative drain grace", ok(0, 0, time.Second, 1, time.Second, -time.Second)},
+		// The result cache holds every answer, jobs' included: it has no
+		// disabled setting, and 0 is not a quiet default.
+		{"zero result cache", retention(0, 1, 1)},
+		{"negative result cache", retention(-1, 1, 1)},
+		{"zero flight recorder budget", retention(1, 0, 1)},
+		{"negative flight recorder budget", retention(1, -1, 1)},
+		{"zero flight recorder traces", retention(1, 1, 0)},
+		{"negative flight recorder traces", retention(1, 1, -1)},
 	}
 	for _, tc := range invalid {
 		if tc.err == nil {
@@ -52,17 +65,16 @@ func TestValidateFlags(t *testing.T) {
 
 // TestValidateJobFlags pins the same contract for the async job store flags.
 func TestValidateJobFlags(t *testing.T) {
-	if err := validateJobFlags(jobs.DefaultTTL, jobs.DefaultRetainBytes>>20, jobs.DefaultMaxActive); err != nil {
+	if err := validateJobFlags(jobs.DefaultTTL, jobs.DefaultMaxActive); err != nil {
 		t.Errorf("defaults rejected: %v", err)
 	}
-	if err := validateJobFlags(time.Minute, 1, 0); err != nil {
+	if err := validateJobFlags(time.Minute, 0); err != nil {
 		t.Errorf("minimal config rejected: %v", err)
 	}
 	for name, err := range map[string]error{
-		"zero ttl":            validateJobFlags(0, 64, 64),
-		"negative ttl":        validateJobFlags(-time.Second, 64, 64),
-		"zero results budget": validateJobFlags(time.Minute, 0, 64),
-		"negative max jobs":   validateJobFlags(time.Minute, 64, -1),
+		"zero ttl":          validateJobFlags(0, 64),
+		"negative ttl":      validateJobFlags(-time.Second, 64),
+		"negative max jobs": validateJobFlags(time.Minute, -1),
 	} {
 		if err == nil {
 			t.Errorf("%s: accepted, want an error (exit 2 at startup)", name)

@@ -379,7 +379,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			{Fingerprint: "fp2", Body: json.RawMessage(`{"p":4}`)},
 		},
 		WarmSeeds: []WarmSeedEntry{
-			{DatasetKey: "dk1", JobID: "job-1", Fingerprint: "fp1", Seed: []int{0, 1, -1}, P: 3, H: 1.5},
+			{DatasetKey: "dk1", Dataset: "2k", JobID: "job-1", Fingerprint: "fp1", ResultKey: "fp1", P: 3, H: 1.5},
 		},
 	}
 	if err := WriteSnapshot(path, data); err != nil {
@@ -393,7 +393,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("result mismatch: %+v", got.Results[1])
 	}
 	ws := got.WarmSeeds[0]
-	if ws.DatasetKey != "dk1" || ws.P != 3 || ws.H != 1.5 || len(ws.Seed) != 3 || ws.Seed[2] != -1 {
+	if ws.DatasetKey != "dk1" || ws.Dataset != "2k" || ws.ResultKey != "fp1" || ws.P != 3 || ws.H != 1.5 {
 		t.Fatalf("warm seed mismatch: %+v", ws)
 	}
 	if got := ReadSnapshot(filepath.Join(t.TempDir(), "absent"), Metrics{}); len(got.Results)+len(got.WarmSeeds) != 0 {
@@ -436,6 +436,28 @@ func TestSnapshotVersionMismatchDropsAll(t *testing.T) {
 	}
 	if met.CorruptRecords.Value() == 0 {
 		t.Fatal("stale snapshot not counted as dropped")
+	}
+}
+
+// oldWarmSeed is a warm-seed entry in the shape written before warm seeds
+// named their answer: the assignment inline, no result key.
+const oldWarmSeed = `{"kind":"warmseed","warm_seed":{"dataset_key":"dk","job_id":"job-1","fingerprint":"fp1","seed":[0,0,1,-1],"p":2,"h":1.5}}`
+
+// TestSnapshotOldWarmSeedCountedCorrupt: a snapshot whose warm-seed entry
+// carries its assignment instead of naming its answer's key keeps its
+// results; the warm-seed entry fails the filter and is counted corrupt.
+func TestSnapshotOldWarmSeedCountedCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.snapshot")
+	hdr, _ := json.Marshal(snapshotHeader{Format: FormatVersion, UnixMs: 1})
+	result, _ := json.Marshal(snapshotEntry{Kind: "result", Result: &ResultEntry{Fingerprint: "fp1", Body: json.RawMessage(`{"p":2}`)}})
+	os.WriteFile(path, appendFrame(appendFrame(appendFrame(nil, hdr), result), []byte(oldWarmSeed)), 0o644)
+	met := testMetrics(obs.New())
+	got := ReadSnapshot(path, met)
+	if len(got.Results) != 1 || got.Results[0].Fingerprint != "fp1" || len(got.WarmSeeds) != 0 {
+		t.Fatalf("restored %+v, want the one result and no warm seed", got)
+	}
+	if n := met.CorruptRecords.Value(); n != 1 {
+		t.Fatalf("corrupt records = %d, want the old warm-seed entry counted once", n)
 	}
 }
 

@@ -171,7 +171,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	for _, e := range []snapshotEntry{
 		{Kind: "result", Result: &ResultEntry{Fingerprint: "fp1", Body: json.RawMessage(`{"p":3}`)}},
 		{Kind: "result", Result: &ResultEntry{Fingerprint: "fp2", Body: json.RawMessage(`{"p":4}`)}},
-		{Kind: "warmseed", WarmSeed: &WarmSeedEntry{DatasetKey: "dk", JobID: "job-1", Fingerprint: "fp1", Seed: []int{0, 0, 1, -1}, P: 2, H: 1.5}},
+		{Kind: "warmseed", WarmSeed: &WarmSeedEntry{DatasetKey: "dk", Dataset: "2k", JobID: "job-1", Fingerprint: "fp1", ResultKey: "fp1", P: 2, H: 1.5}},
 	} {
 		p, err := json.Marshal(e)
 		if err != nil {
@@ -188,6 +188,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(nil), flip(file, len(file)-1))
 	f.Add(bytes.Join([][]byte{hdr, lines[0]}, []byte{'\n'}), []byte{9, 0, 0, 0, 1, 2})
 	f.Add([]byte(nil), []byte(nil))
+	// TestSnapshotOldWarmSeedCountedCorrupt's file: a result and a warm-seed
+	// entry in the old inline-assignment shape.
+	f.Add(bytes.Join([][]byte{hdr, lines[0], []byte(oldWarmSeed)}, []byte{'\n'}), []byte(nil))
 
 	f.Fuzz(func(t *testing.T, payloads, raw []byte) {
 		in := fuzzFile(payloads, raw)
@@ -202,7 +205,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 		for _, w := range got.WarmSeeds {
-			if w.DatasetKey == "" || len(w.Seed) == 0 {
+			if w.DatasetKey == "" || w.ResultKey == "" {
 				t.Fatalf("restored a warm seed ReadSnapshot's filter drops: %+v", w)
 			}
 		}

@@ -25,22 +25,27 @@ type snapshotEntry struct {
 	WarmSeed *WarmSeedEntry `json:"warm_seed,omitempty"`
 }
 
-// ResultEntry is one result-cache entry: the canonical request fingerprint
-// and the marshaled solve response. The restoring server re-decodes Body and
-// re-accounts its cost — nothing from disk is trusted for sizing.
+// ResultEntry is one result-store entry: its key and the marshaled solve
+// response. The key is the canonical request fingerprint, or "job/<id>" for
+// a warm-started job's answer that a WarmSeedEntry names. The restoring
+// server re-decodes Body and re-accounts its cost — nothing from disk is
+// trusted for sizing.
 type ResultEntry struct {
 	Fingerprint string          `json:"fingerprint"`
 	Body        json.RawMessage `json:"body"`
 }
 
-// WarmSeedEntry is one warm-start seed: the best assignment seen for a
-// dataset key, used to warm resubmits after a restart exactly like the
-// in-memory seed it mirrors.
+// WarmSeedEntry is one warm-start seed: the newest done job on a dataset
+// key, restored after a restart to warm resubmits exactly like the
+// in-memory seed it mirrors. It names the job's answer by its result-entry
+// key, so the snapshot holds each assignment once; Dataset is the job's
+// display label and (P, H) its answer's.
 type WarmSeedEntry struct {
 	DatasetKey  string  `json:"dataset_key"`
+	Dataset     string  `json:"dataset"`
 	JobID       string  `json:"job_id"`
 	Fingerprint string  `json:"fingerprint"`
-	Seed        []int   `json:"seed"`
+	ResultKey   string  `json:"result_key"`
 	P           int     `json:"p"`
 	H           float64 `json:"h"`
 }
@@ -113,7 +118,7 @@ func ReadSnapshot(path string, met Metrics) SnapshotData {
 		switch {
 		case e.Kind == "result" && e.Result != nil && e.Result.Fingerprint != "" && len(e.Result.Body) > 0:
 			out.Results = append(out.Results, *e.Result)
-		case e.Kind == "warmseed" && e.WarmSeed != nil && e.WarmSeed.DatasetKey != "" && len(e.WarmSeed.Seed) > 0:
+		case e.Kind == "warmseed" && e.WarmSeed != nil && e.WarmSeed.DatasetKey != "" && e.WarmSeed.ResultKey != "":
 			out.WarmSeeds = append(out.WarmSeeds, *e.WarmSeed)
 		default:
 			met.CorruptRecords.Inc()

@@ -110,11 +110,12 @@ type Config struct {
 	// the warm iteration reproduces the seed partition, so the solve is never
 	// worse than its seed (pinned by a differential test); under a perturbed
 	// set it repairs only what broke. Re-roll iterations (Iterations > 1)
-	// stay cold, preserving multi-start diversity. In-process only (the
-	// async jobs layer wires it from retained job results): it has no wire
-	// form and never participates in cache fingerprints. Ignored — with the
-	// label indexing this implies — by cut- and component-sharded sub-solves,
-	// whose areas index their shard, not the whole dataset.
+	// stay cold, preserving multi-start diversity. The solve only reads the
+	// slice, so callers may pass a shared one. In-process only (the async
+	// jobs layer wires it from answers in the server's result cache): it has
+	// no wire form and never participates in cache fingerprints. Ignored —
+	// with the label indexing this implies — by cut- and component-sharded
+	// sub-solves, whose areas index their shard, not the whole dataset.
 	WarmStart []int
 }
 

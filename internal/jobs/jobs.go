@@ -1,22 +1,27 @@
 // Package jobs is the async solve job subsystem behind POST /v1/jobs: a
-// bounded in-memory job store with TTL eviction, byte-budgeted result
-// retention and a fingerprint index for duplicate-submit dedup, plus the
+// bounded in-memory job registry with TTL eviction, a fingerprint index for
+// duplicate-submit dedup and a dataset index for warm starts, plus the
 // per-job event stream behind the SSE/NDJSON responses of
 // GET /v1/jobs/{id}/events.
 //
 // The store owns job identity and lifecycle (queued → running → one of
 // done/failed/canceled); the HTTP layer owns execution (scheduler slots,
-// the solve itself) and calls the transition methods. A job keeps no event
-// log of its own: its stream reads the solve's flight-recorder log by index,
-// so the stream and the /v1/debug convergence curve are one sequence. The
-// terminal transition seals the stream at the log's length and puts the
-// "done" event there.
+// the solve itself) and calls the transition methods. A job holds no
+// answer: a done job names it by key in the server's result store, and
+// keeps its state, p and H when that store evicts it. Nor does a job keep
+// an event log of its own: its stream reads the solve's flight-recorder log
+// by index, so the stream and the /v1/debug convergence curve are one
+// sequence. The terminal transition seals the stream at the log's length
+// and puts the "done" event there.
 package jobs
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -75,17 +80,14 @@ var (
 
 // Config tunes the store. The zero value is usable.
 type Config struct {
-	// TTL is how long a finished job (and its retained result) stays
-	// fetchable after it reaches a terminal state; 0 means DefaultTTL.
+	// TTL is how long a finished job stays fetchable after it reaches a
+	// terminal state; 0 means DefaultTTL.
 	TTL time.Duration
-	// RetainBytes budgets the results retained across finished jobs;
-	// oldest-finished evict first past it. 0 means DefaultRetainBytes.
-	RetainBytes int64
 	// MaxActive bounds queued+running jobs; 0 means DefaultMaxActive.
 	MaxActive int
-	// SweepInterval is the background expiry sweeper's tick: TTL'd jobs and
-	// their retained results are reclaimed on the ticker, not only lazily on
-	// the next access, so the byte budget does not drift on an idle server.
+	// SweepInterval is the background expiry sweeper's tick: TTL'd jobs are
+	// reclaimed on the ticker, not only lazily on the next access, so an
+	// idle server does not keep expired records.
 	// 0 means DefaultSweepInterval; negative disables the sweeper (tests
 	// that drive a fake clock sweep explicitly).
 	SweepInterval time.Duration
@@ -106,23 +108,31 @@ const (
 	// DefaultTTL keeps finished jobs fetchable long enough for a client
 	// polling at human timescales to collect its result.
 	DefaultTTL = 15 * time.Minute
-	// DefaultRetainBytes holds hundreds of 50k-area assignments.
-	DefaultRetainBytes = 64 << 20
 	// DefaultMaxActive bounds admitted-but-unfinished jobs; admission
 	// control for the async path (the sync path's queue bound does not
 	// apply — jobs wait for workers as long as they live).
 	DefaultMaxActive = 64
 	// DefaultSweepInterval paces the background expiry sweeper: frequent
-	// enough that an idle server's retained bytes track the TTL, rare
+	// enough that an idle server's retained records track the TTL, rare
 	// enough to be free.
 	DefaultSweepInterval = time.Minute
+)
+
+// Finished records are charged recordBytes each plus entryBytes per event
+// their stream delivered; past retainBytes the oldest-finished record goes.
+// A record holds no answer, so its charge does not grow with the area
+// count: about 1 KB for a 30k1 job, and the bound, the flight recorder's
+// budget for the same kind of data, keeps over 8,000 of them.
+const (
+	retainBytes = 8 << 20
+	recordBytes = 256
+	entryBytes  = 32
 )
 
 // Store is the bounded job registry. All exported methods are safe for
 // concurrent use.
 type Store struct {
 	ttl          time.Duration
-	retain       int64
 	maxActive    int
 	now          func() time.Time
 	onTransition func(j *Job, st State) // immutable after NewStore
@@ -130,7 +140,7 @@ type Store struct {
 	mu        sync.Mutex
 	byID      map[string]*Job
 	byFP      map[string]*Job // active (non-terminal) jobs by fingerprint
-	warmByKey map[string]*Job // newest finished job with a warm seed, per dataset key
+	warmByKey map[string]*Job // newest done job, whose answer can seed a warm start, per dataset key
 	done      []*Job          // finish order, oldest first
 	doneBytes int64
 	active    int
@@ -146,9 +156,6 @@ func NewStore(cfg Config) *Store {
 	if cfg.TTL <= 0 {
 		cfg.TTL = DefaultTTL
 	}
-	if cfg.RetainBytes <= 0 {
-		cfg.RetainBytes = DefaultRetainBytes
-	}
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = DefaultMaxActive
 	}
@@ -160,7 +167,6 @@ func NewStore(cfg Config) *Store {
 	}
 	s := &Store{
 		ttl:          cfg.TTL,
-		retain:       cfg.RetainBytes,
 		maxActive:    cfg.MaxActive,
 		now:          cfg.Now,
 		onTransition: cfg.OnTransition,
@@ -231,9 +237,7 @@ type Job struct {
 	finished  time.Time
 	cancel    func()
 	traceID   string
-	result    any
-	cost      int64
-	warmSeed  []int
+	resultKey string // the done job's answer, by its key in the result store
 	warmFrom  string // id of the job whose result seeded this one
 	errStatus int
 	errMsg    string
@@ -283,27 +287,26 @@ func (s *Store) Submit(fingerprint, datasetKey, dataset string) (j *Job, dup boo
 }
 
 // SubmitDone registers a job that is done on arrival: its fingerprint hit
-// the result cache, so the job is born terminal with the cached result and
-// a single "done" event. It never counts against MaxActive.
-func (s *Store) SubmitDone(fingerprint, datasetKey, dataset string, result any, cost int64, warmSeed []int, p int, h float64) *Job {
+// the result store, so the job is born terminal, naming the stored answer
+// by resultKey, with a single "done" event carrying its (p, H). It never
+// counts against MaxActive.
+func (s *Store) SubmitDone(fingerprint, datasetKey, dataset, resultKey string, p int, h float64) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepLocked()
 	j := s.newJobLocked(fingerprint, datasetKey, dataset)
-	s.retireBornDoneLocked(j, result, cost, warmSeed, p, h)
+	s.retireBornDoneLocked(j, resultKey, p, h)
 	return j
 }
 
 // retireBornDoneLocked seals a job that is terminal on arrival — never
-// queued, never active — with its result, warm seed and single "done"
-// event, and moves it to the finished FIFO. Caller holds s.mu.
-func (s *Store) retireBornDoneLocked(j *Job, result any, cost int64, warmSeed []int, p int, h float64) {
+// queued, never active — with its answer's key and single "done" event,
+// and moves it to the finished FIFO. Caller holds s.mu.
+func (s *Store) retireBornDoneLocked(j *Job, resultKey string, p int, h float64) {
 	j.state = StateDone
 	j.started = j.created
 	j.finished = j.created
-	j.result = result
-	j.cost = cost
-	j.setWarmSeedLocked(warmSeed)
+	j.setResultLocked(resultKey)
 	j.seal(StateDone, true, p, h)
 	s.retireLocked(j)
 }
@@ -352,28 +355,21 @@ func (s *Store) Active() int {
 	return s.active
 }
 
-// Jobs returns every tracked job, oldest-created first.
+// Jobs returns every tracked job, oldest-created first. Only the copy runs
+// under the store lock: created and id never change after a job is built,
+// so the sort needs none, and submits and status reads do not wait for it.
 func (s *Store) Jobs() []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.sweepLocked()
 	out := make([]*Job, 0, len(s.byID))
 	for _, j := range s.byID {
 		out = append(out, j)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort: the store holds dozens, not millions
-		for k := i; k > 0 && less(out[k], out[k-1]); k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int {
+		return cmp.Or(a.created.Compare(b.created), strings.Compare(a.id, b.id))
+	})
 	return out
-}
-
-func less(a, b *Job) bool {
-	if !a.created.Equal(b.created) {
-		return a.created.Before(b.created)
-	}
-	return a.id < b.id
 }
 
 // SetCancel installs the job's cancellation hook (the solve context's
@@ -414,11 +410,11 @@ func (s *Store) Start(j *Job) bool {
 	return true
 }
 
-// Finish transitions the job to done with its retained result. warmSeed is
-// the final assignment, indexed by the store's warm-start lookup for later
-// submissions on the same dataset. No-op when the job is already terminal
-// (a cancel won the race).
-func (s *Store) Finish(j *Job, result any, cost int64, warmSeed []int, p int, h float64) {
+// Finish transitions the job to done. resultKey names its answer in the
+// result store; the store's warm-start lookup offers it to later submissions
+// on the same dataset. (p, H) is the answer's, carried by the terminal
+// event. No-op when the job is already terminal (a cancel won the race).
+func (s *Store) Finish(j *Job, resultKey string, p int, h float64) {
 	s.mu.Lock()
 	if j.state.Terminal() {
 		s.mu.Unlock()
@@ -426,9 +422,7 @@ func (s *Store) Finish(j *Job, result any, cost int64, warmSeed []int, p int, h 
 	}
 	j.state = StateDone
 	j.finished = s.now()
-	j.result = result
-	j.cost = cost
-	j.setWarmSeedLocked(warmSeed)
+	j.setResultLocked(resultKey)
 	j.seal(StateDone, true, p, h)
 	s.retireLocked(j)
 	s.mu.Unlock()
@@ -484,34 +478,35 @@ func (s *Store) Cancel(id string) (State, bool) {
 	return StateCanceled, true
 }
 
-// WarmSeed returns the retained final assignment of the newest finished job
-// on the dataset key, for seeding a new solve's construction — unless that
-// job IS the submission (same fingerprint: identical requests warm-starting
-// from themselves would be a no-op pretending to be one). The returned slice
-// is shared read-only; callers must not mutate it.
-func (s *Store) WarmSeed(datasetKey, excludeFingerprint string) (seed []int, jobID string, ok bool) {
+// WarmSeed names the newest done job on the dataset key and its answer's
+// key in the result store, whose assignment can seed a new solve's
+// construction — unless that job IS the submission (same fingerprint:
+// identical requests warm-starting from themselves would be a no-op
+// pretending to be one). The caller reads the answer from the result store;
+// an answer it has evicted seeds nothing.
+func (s *Store) WarmSeed(datasetKey, excludeFingerprint string) (resultKey, jobID string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepLocked()
 	j := s.warmByKey[datasetKey]
 	if j == nil || j.fingerprint == excludeFingerprint {
-		return nil, "", false
+		return "", "", false
 	}
-	return j.warmSeed, j.id, true
+	return j.resultKey, j.id, true
 }
 
-// setWarmSeedLocked stores the final assignment and indexes it for
+// setResultLocked records the done job's answer key and indexes the job for
 // warm-start lookups. Caller holds store.mu.
-func (j *Job) setWarmSeedLocked(seed []int) {
-	if len(seed) == 0 {
+func (j *Job) setResultLocked(resultKey string) {
+	if resultKey == "" {
 		return
 	}
-	j.warmSeed = seed
+	j.resultKey = resultKey
 	j.store.warmByKey[j.datasetKey] = j
 }
 
 // retireLocked moves a job out of the active set into the finished FIFO and
-// evicts past the retention budget. Caller holds s.mu.
+// evicts the oldest-finished records past the byte bound. Caller holds s.mu.
 func (s *Store) retireLocked(j *Job) {
 	if cur, ok := s.byFP[j.fingerprint]; ok && cur == j {
 		delete(s.byFP, j.fingerprint)
@@ -520,16 +515,16 @@ func (s *Store) retireLocked(j *Job) {
 	j.cancel = nil
 	s.done = append(s.done, j)
 	s.doneBytes += j.retainedCost()
-	for len(s.done) > 0 && s.doneBytes > s.retain {
+	for len(s.done) > 0 && s.doneBytes > retainBytes {
 		s.evictLocked(s.done[0])
 	}
 }
 
-// retainedCost approximates the finished job's resident bytes against the
-// retention budget: the result dominates, the streamed part of the log
-// rides along. Caller holds s.mu, and the job is sealed.
+// retainedCost approximates the finished record's resident bytes: the
+// record itself and the log its stream delivered. Its answer lives, and is
+// charged, in the result store. Caller holds s.mu, and the job is sealed.
 func (j *Job) retainedCost() int64 {
-	return j.cost + int64(len(j.warmSeed))*8 + int64(j.final.Seq)*32 + 256
+	return recordBytes + int64(j.final.Seq)*entryBytes
 }
 
 // evictLocked drops a finished job entirely. Caller holds s.mu.
@@ -567,7 +562,7 @@ type Stats struct {
 func (s *Store) StoreStats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{Active: s.active, Retained: len(s.done), RetainBytes: s.retain, UsedBytes: s.doneBytes}
+	return Stats{Active: s.active, Retained: len(s.done), RetainBytes: retainBytes, UsedBytes: s.doneBytes}
 }
 
 // ---- Job accessors (immutable or store-mutex-guarded reads) ----
@@ -583,19 +578,23 @@ func (j *Job) Dataset() string { return j.dataset }
 
 // Snapshot is a consistent read of the job's lifecycle state.
 type Snapshot struct {
-	ID        string
-	State     State
-	Dataset   string
-	TraceID   string
-	WarmFrom  string
-	Created   time.Time
-	Started   time.Time
-	Finished  time.Time
-	Result    any
+	ID       string
+	State    State
+	Dataset  string
+	TraceID  string
+	WarmFrom string
+	Created  time.Time
+	Started  time.Time
+	Finished time.Time
+	// ResultKey names a done job's answer in the result store.
+	ResultKey string
 	ErrStatus int
 	ErrMsg    string
 	Recorder  *flight.Recorder
 	Events    int
+	// P and H are the sealed terminal event's; zero until the job is sealed.
+	P int
+	H float64
 }
 
 // Snapshot returns the job's current lifecycle state in one consistent read.
@@ -610,7 +609,7 @@ func (j *Job) Snapshot() Snapshot {
 		Created:   j.created,
 		Started:   j.started,
 		Finished:  j.finished,
-		Result:    j.result,
+		ResultKey: j.resultKey,
 		ErrStatus: j.errStatus,
 		ErrMsg:    j.errMsg,
 		Recorder:  j.rec,
@@ -619,6 +618,7 @@ func (j *Job) Snapshot() Snapshot {
 	j.evMu.Lock()
 	if j.final != nil {
 		snap.Events = j.final.Seq + 1
+		snap.P, snap.H = j.final.P, j.final.H
 	} else {
 		snap.Events = j.rec.Len()
 	}

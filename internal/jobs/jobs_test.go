@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func TestSubmitDedupeByFingerprint(t *testing.T) {
 		t.Fatalf("distinct fingerprint: job=%v dup=%v err=%v", j3.ID(), dup, err)
 	}
 	// Once the job finishes, the fingerprint frees up for a fresh run.
-	s.Finish(j1, "result", 10, []int{0, 0, 1}, 2, 5.0)
+	s.Finish(j1, "fp-a", 2, 5.0)
 	j4, dup, err := s.Submit("fp-a", "ds-1", "2k")
 	if err != nil || dup || j4 == j1 {
 		t.Fatalf("resubmit after finish: job=%v dup=%v err=%v", j4.ID(), dup, err)
@@ -88,7 +89,7 @@ func TestTTLEviction(t *testing.T) {
 	s, clk := newTestStore(t, Config{TTL: time.Minute})
 	j, _, _ := s.Submit("fp", "k", "d")
 	s.Start(j)
-	s.Finish(j, "res", 8, nil, 3, 1.5)
+	s.Finish(j, "fp", 3, 1.5)
 	if _, ok := s.Get(j.ID()); !ok {
 		t.Fatal("finished job should be fetchable before TTL")
 	}
@@ -110,7 +111,7 @@ func TestTTLExpiryRacingGet(t *testing.T) {
 	s, clk := newTestStore(t, Config{TTL: time.Minute})
 	j, _, _ := s.Submit("fp", "k", "d")
 	s.Start(j)
-	s.Finish(j, "res", 8, nil, 3, 1.5)
+	s.Finish(j, "fp", 3, 1.5)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -143,30 +144,93 @@ func TestTTLExpiryRacingGet(t *testing.T) {
 	}
 }
 
+// TestByteBudgetEviction: a finished record is charged for what it holds —
+// itself and the log its stream delivered, never its answer, which the
+// result store holds — and past the byte bound the oldest-finished record
+// is dropped whole.
 func TestByteBudgetEviction(t *testing.T) {
-	// Budget fits roughly two retained jobs (cost 1024 + overhead each).
-	s, _ := newTestStore(t, Config{RetainBytes: 3000})
+	s, _ := newTestStore(t, Config{})
+	const charge = recordBytes + 10*entryBytes // a record whose stream logged 10 entries
+	const fit = retainBytes / charge
 	var ids []string
-	for i, fp := range []string{"a", "b", "c"} {
-		j, _, err := s.Submit(fp, "k", "d")
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i <= fit; i++ {
+		fp := fmt.Sprint("fp-", i)
+		j, rec := running(t, s, fp)
+		for p := 1; p <= 10; p++ {
+			rec.Improve(p, float64(100-p), p, nil) // a new p is always logged
 		}
-		s.Start(j)
-		s.Finish(j, i, 1024, nil, 1, 0)
+		s.Finish(j, fp, 10, 90)
 		ids = append(ids, j.ID())
 	}
 	if _, ok := s.Get(ids[0]); ok {
-		t.Fatal("oldest finished job should have been evicted past the byte budget")
+		t.Fatal("oldest finished job should have been evicted past the byte bound")
 	}
-	for _, id := range ids[1:] {
+	for _, id := range []string{ids[1], ids[fit]} {
 		if _, ok := s.Get(id); !ok {
-			t.Fatalf("job %s evicted though within budget", id)
+			t.Fatalf("job %s evicted though within the bound", id)
 		}
 	}
-	st := s.StoreStats()
-	if st.Retained != 2 || st.UsedBytes > 3000 {
-		t.Fatalf("stats = %+v, want 2 retained within budget", st)
+	if st := s.StoreStats(); st.Retained != fit || st.UsedBytes != fit*charge {
+		t.Fatalf("stats = %+v, want %d retained charged %d B each", st, fit, charge)
+	}
+}
+
+// TestJobsListsFullStore: a store filled to its record bound with born-done
+// jobs lists every one, oldest-created first (ties by id), quickly and
+// without holding up the store: the sort runs outside its lock, so submits
+// go on while a listing sorts.
+func TestJobsListsFullStore(t *testing.T) {
+	s, clk := newTestStore(t, Config{})
+	n := retainBytes / recordBytes // born-done records deliver no log entries
+	for i := 0; i < n; i++ {
+		if i%1000 == 0 {
+			clk.Advance(time.Millisecond) // both sort keys get exercised
+		}
+		s.SubmitDone(fmt.Sprint("fp-", i), "k", "d", fmt.Sprint("fp-", i), 1, 1)
+	}
+	if st := s.StoreStats(); st.Retained != n || st.UsedBytes != st.RetainBytes {
+		t.Fatalf("stats = %+v, want %d records filling the bound exactly", st, n)
+	}
+	inOrder := func(list []*Job) {
+		t.Helper()
+		if len(list) != n {
+			t.Fatalf("listed %d records, want %d", len(list), n)
+		}
+		for i := 1; i < len(list); i++ {
+			a, b := list[i-1], list[i]
+			if a.created.After(b.created) || (a.created.Equal(b.created) && a.id >= b.id) {
+				t.Fatalf("records %d and %d out of order: (%v, %s) then (%v, %s)", i-1, i, a.created, a.id, b.created, b.id)
+			}
+		}
+	}
+	start := time.Now()
+	list := s.Jobs()
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("listing %d records took %v, want under 2s", n, el)
+	}
+	inOrder(list)
+
+	// Submits run while a listing sorts; each one past the bound evicts the
+	// oldest record, so the store stays at the bound.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				s.SubmitDone(fmt.Sprint("live-", i), "k", "d", "live", 1, 1)
+			}
+		}
+	}()
+	inOrder(s.Jobs())
+	close(stop)
+	wg.Wait()
+	if st := s.StoreStats(); st.Retained != n {
+		t.Fatalf("retained %d records past the bound, want %d", st.Retained, n)
 	}
 }
 
@@ -271,8 +335,8 @@ func TestEventsSinceCursorPastSealedEnd(t *testing.T) {
 	j, rec := running(t, s, "fp")
 	rec.Improve(4, 40, 0, nil)
 	rec.Finish(4, 40)
-	s.Finish(j, "res", 1, nil, 4, 40)
-	born := s.SubmitDone("fp-2", "k", "d", "res", 1, nil, 4, 40)
+	s.Finish(j, "fp", 4, 40)
+	born := s.SubmitDone("fp-2", "k", "d", "fp-2", 4, 40)
 	for _, tc := range []struct {
 		name string
 		j    *Job
@@ -291,12 +355,13 @@ func TestWarmSeedIndex(t *testing.T) {
 	s, _ := newTestStore(t, Config{})
 	j1, _, _ := s.Submit("fp-1", "ds-A", "2k")
 	s.Start(j1)
-	s.Finish(j1, "res1", 10, []int{0, 1, 1}, 2, 4)
+	s.Finish(j1, "fp-1", 2, 4)
 
-	// Same dataset, different constraints (fingerprint) → warm seed found.
-	seed, fromID, ok := s.WarmSeed("ds-A", "fp-2")
-	if !ok || fromID != j1.ID() || len(seed) != 3 {
-		t.Fatalf("WarmSeed = %v %q %v", seed, fromID, ok)
+	// Same dataset, different constraints (fingerprint) → warm seed found,
+	// named by its answer's key.
+	key, fromID, ok := s.WarmSeed("ds-A", "fp-2")
+	if !ok || fromID != j1.ID() || key != "fp-1" {
+		t.Fatalf("WarmSeed = %q %q %v", key, fromID, ok)
 	}
 	// Identical fingerprint is excluded (that's a cache hit, not a warm start).
 	if _, _, ok := s.WarmSeed("ds-A", "fp-1"); ok {
@@ -309,17 +374,17 @@ func TestWarmSeedIndex(t *testing.T) {
 	// A newer finished job replaces the index entry.
 	j2, _, _ := s.Submit("fp-2", "ds-A", "2k")
 	s.Start(j2)
-	s.Finish(j2, "res2", 10, []int{1, 1, 0}, 2, 3)
-	if _, fromID, ok := s.WarmSeed("ds-A", "other"); !ok || fromID != j2.ID() {
-		t.Fatalf("warm index not updated: from=%q ok=%v", fromID, ok)
+	s.Finish(j2, "job/"+j2.ID(), 2, 3)
+	if key, fromID, ok := s.WarmSeed("ds-A", "other"); !ok || fromID != j2.ID() || key != "job/"+j2.ID() {
+		t.Fatalf("warm index not updated: key=%q from=%q ok=%v", key, fromID, ok)
 	}
 }
 
 func TestSubmitDoneOnArrival(t *testing.T) {
 	s, _ := newTestStore(t, Config{})
-	j := s.SubmitDone("fp", "ds-A", "2k", "cached-result", 100, []int{0, 1}, 2, 7.5)
+	j := s.SubmitDone("fp", "ds-A", "2k", "fp", 2, 7.5)
 	snap := j.Snapshot()
-	if snap.State != StateDone || snap.Result != "cached-result" {
+	if snap.State != StateDone || snap.ResultKey != "fp" || snap.P != 2 || snap.H != 7.5 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	if got := s.Active(); got != 0 {
@@ -349,7 +414,7 @@ func TestConcurrentAppendAndWatch(t *testing.T) {
 			rec.Improve(i, float64(samples-i)+1, 2*i, nil)     // a new p: logged
 			rec.Improve(i, float64(samples-i)+0.5, 2*i+1, nil) // H only: usually held
 		}
-		s.Finish(j, "res", 1, nil, samples, 0.5)
+		s.Finish(j, "fp", samples, 0.5)
 	}()
 	// Watcher: follow the log to the terminal event, checking the cursor
 	// contract (no gaps, no duplicates).

@@ -39,8 +39,9 @@ func (s *Store) SubmitRecovered(id, fingerprint, datasetKey, dataset string) (*J
 }
 
 // WarmSeeds exports the warm-seed index for snapshotting: per dataset key,
-// the newest finished job's final assignment plus the (p, H) of its sealed
-// terminal event. Seeds are shared read-only with the store.
+// the newest done job's id, dataset label and answer key, plus the (p, H)
+// of its sealed terminal event. The answer itself is the result store's to
+// persist.
 func (s *Store) WarmSeeds() []durable.WarmSeedEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -48,9 +49,10 @@ func (s *Store) WarmSeeds() []durable.WarmSeedEntry {
 	for key, j := range s.warmByKey {
 		out = append(out, durable.WarmSeedEntry{
 			DatasetKey:  key,
+			Dataset:     j.dataset,
 			JobID:       j.id,
 			Fingerprint: j.fingerprint,
-			Seed:        j.warmSeed,
+			ResultKey:   j.resultKey,
 			P:           j.final.P,
 			H:           j.final.H,
 		})
@@ -59,12 +61,12 @@ func (s *Store) WarmSeeds() []durable.WarmSeedEntry {
 }
 
 // RestoreWarmSeed re-seeds the warm-start index from a snapshot entry: a
-// synthetic finished job under the original id (so warm_from attribution
-// stays stable across restarts) carrying only the seed. First writer wins —
-// a live job that already took the id or produced a fresher seed for the key
-// is never displaced.
+// done job under the original id (so warm_from attribution and its status
+// stay stable across restarts) naming its answer's key, with its label and
+// (p, H). First writer wins — a live job that already took the id or
+// produced a fresher seed for the key is never displaced.
 func (s *Store) RestoreWarmSeed(e durable.WarmSeedEntry) bool {
-	if len(e.Seed) == 0 || e.DatasetKey == "" {
+	if e.ResultKey == "" || e.DatasetKey == "" {
 		return false
 	}
 	s.mu.Lock()
@@ -72,8 +74,8 @@ func (s *Store) RestoreWarmSeed(e durable.WarmSeedEntry) bool {
 	if s.byID[e.JobID] != nil || s.warmByKey[e.DatasetKey] != nil {
 		return false
 	}
-	j := s.addJobLocked(e.JobID, e.Fingerprint, e.DatasetKey, e.DatasetKey)
-	s.retireBornDoneLocked(j, nil, 0, e.Seed, e.P, e.H)
+	j := s.addJobLocked(e.JobID, e.Fingerprint, e.DatasetKey, e.Dataset)
+	s.retireBornDoneLocked(j, e.ResultKey, e.P, e.H)
 	return true
 }
 

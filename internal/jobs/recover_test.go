@@ -50,13 +50,13 @@ func TestOnTransitionHookObservesLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start(j)
-	s.Finish(j, "result", 10, []int{0, 1}, 2, 1.5)
+	s.Finish(j, "fp", 2, 1.5)
 	j2, _, _ := s.Submit("fp2", "dk", "grid")
 	s.Fail(j2, 500, "boom")
 	j3, _, _ := s.Submit("fp3", "dk", "grid")
 	s.Cancel(j3.ID())
 	// Born-terminal jobs (cache hits) are not reported.
-	s.SubmitDone("fp4", "dk", "grid", "r", 1, nil, 1, 0)
+	s.SubmitDone("fp4", "dk", "grid", "fp4", 1, 0)
 
 	want := []string{
 		j.ID() + ":running", j.ID() + ":done",
@@ -78,25 +78,33 @@ func TestWarmSeedsRestoreRoundTrip(t *testing.T) {
 	s, _ := newTestStore(t, Config{})
 	j, _, _ := s.Submit("fp", "dk", "grid")
 	s.Start(j)
-	s.Finish(j, "result", 10, []int{0, 1, 1, -1}, 2, 3.5)
+	s.Finish(j, "fp", 2, 3.5)
 
 	exp := s.WarmSeeds()
 	if len(exp) != 1 {
 		t.Fatalf("exported %d seeds", len(exp))
 	}
 	e := exp[0]
-	if e.DatasetKey != "dk" || e.JobID != j.ID() || e.Fingerprint != "fp" || e.P != 2 || e.H != 3.5 || len(e.Seed) != 4 {
+	if e.DatasetKey != "dk" || e.Dataset != "grid" || e.JobID != j.ID() || e.Fingerprint != "fp" || e.ResultKey != "fp" || e.P != 2 || e.H != 3.5 {
 		t.Fatalf("export = %+v", e)
 	}
 
-	// Restore into a fresh store: the seed is servable under the old job id.
+	// Restore into a fresh store: the seed is servable under the old job id,
+	// and the job reads as it did before: label, state, (p, H), answer key.
 	s2, _ := newTestStore(t, Config{})
 	if !s2.RestoreWarmSeed(e) {
 		t.Fatal("restore rejected")
 	}
-	seed, id, ok := s2.WarmSeed("dk", "other-fp")
-	if !ok || id != j.ID() || len(seed) != 4 {
-		t.Fatalf("restored seed = %v %s %v", seed, id, ok)
+	key, id, ok := s2.WarmSeed("dk", "other-fp")
+	if !ok || id != j.ID() || key != "fp" {
+		t.Fatalf("restored seed = %q %s %v", key, id, ok)
+	}
+	rj, ok := s2.Get(j.ID())
+	if !ok {
+		t.Fatal("restored job not fetchable by its id")
+	}
+	if snap := rj.Snapshot(); snap.Dataset != "grid" || snap.State != StateDone || snap.P != 2 || snap.H != 3.5 || snap.ResultKey != "fp" {
+		t.Fatalf("restored job = %+v", snap)
 	}
 	// Same-fingerprint submissions still refuse to self-seed.
 	if _, _, ok := s2.WarmSeed("dk", "fp"); ok {
@@ -108,8 +116,12 @@ func TestWarmSeedsRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("re-export = %+v", exp2)
 	}
 	// First wins: a second restore for the same key is a no-op.
-	if s2.RestoreWarmSeed(durable.WarmSeedEntry{DatasetKey: "dk", JobID: "zz", Fingerprint: "z", Seed: []int{9}}) {
+	if s2.RestoreWarmSeed(durable.WarmSeedEntry{DatasetKey: "dk", JobID: "zz", Fingerprint: "z", ResultKey: "z"}) {
 		t.Fatal("duplicate-key restore accepted")
+	}
+	// An entry that names no answer restores nothing.
+	if s2.RestoreWarmSeed(durable.WarmSeedEntry{DatasetKey: "dk2", JobID: "yy", Fingerprint: "y", P: 1}) {
+		t.Fatal("restored a seed with no answer key")
 	}
 }
 
@@ -122,7 +134,7 @@ func TestBackgroundSweeperReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start(j)
-	s.Finish(j, "result", 10, nil, 1, 0)
+	s.Finish(j, "fp", 1, 0)
 	if st := s.StoreStats(); st.Retained != 1 {
 		t.Fatalf("retained = %d before TTL", st.Retained)
 	}

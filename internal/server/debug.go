@@ -51,8 +51,10 @@ func (s *service) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, dump)
 }
 
-// handleDebugCache reports cache occupancy and hit rates for the dataset
-// artifact cache and the result cache, plus the flight-recorder store.
+// handleDebugCache reports occupancy and hit rates of the dataset artifact
+// cache and the result cache (where every finished answer, sync or async,
+// lives), the flight-recorder store, the job store's records, and, under a
+// state dir, the durable layer's counters.
 func (s *service) handleDebugCache(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)

@@ -26,6 +26,12 @@ import (
 // each accepted job gets a runner goroutine that waits for a scheduler slot,
 // runs the same executeSolve as the sync path under a flight recorder whose
 // log the job's event stream reads.
+//
+// A job's answer lives only in the result store (resCache); the job record
+// names it by key. A cold answer is keyed by its request fingerprint, like
+// a sync solve's. A warm-started or checkpoint-resumed answer depends on its
+// seed's trajectory, so it goes under jobResultKey, out of reach of
+// fingerprint lookups.
 
 // JobStatus is the wire form of a job on GET /v1/jobs and GET /v1/jobs/{id}.
 type JobStatus struct {
@@ -51,9 +57,25 @@ type JobStatus struct {
 	// Error carries the failure (failed jobs only), in the same shape as the
 	// sync error envelope's detail.
 	Error *errorDetail `json:"error,omitempty"`
-	// Result is the full solve response (done jobs on the status endpoint;
-	// the list view omits it).
+	// Result is the full solve response (done jobs on the status endpoint,
+	// while the result store holds it; the list view omits it).
 	Result *SolveResponse `json:"result,omitempty"`
+}
+
+// jobKeyPrefix starts the result-store key of a warm-started or
+// checkpoint-resumed job's answer. A request fingerprint is 64 hex digits,
+// so no fingerprint lookup can reach such a key.
+const jobKeyPrefix = "job/"
+
+func jobResultKey(id string) string { return jobKeyPrefix + id }
+
+// storedAnswer reads the answer under key from the result store without
+// counting a lookup: status and warm-seed reads are not requests for a
+// result. Nil once the store has evicted it.
+func (s *service) storedAnswer(key string) *SolveResponse {
+	v, _ := s.resCache.Peek(key)
+	resp, _ := v.(*SolveResponse)
+	return resp
 }
 
 // handleJobs serves the collection: POST submits, GET lists.
@@ -97,11 +119,10 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// A result-cache hit becomes a job that is done on arrival: clients keep
 	// one code path (submit, then read status/events) and still benefit from
-	// the cache.
+	// the cache. The job names the cached answer; nothing is copied.
 	if v, ok := s.resCache.Get(fp); ok {
 		resp := v.(*SolveResponse)
-		seed := append([]int(nil), resp.Assignment...)
-		j := s.jobs.SubmitDone(fp, dsKey, dsLabel, resp, responseCost(resp), seed, resp.P, resp.HeteroAfter)
+		j := s.jobs.SubmitDone(fp, dsKey, dsLabel, fp, resp.P, resp.HeteroAfter)
 		s.jobsSubmitted.Inc()
 		w.Header().Set("Location", "/v1/jobs/"+j.ID())
 		writeJSON(w, http.StatusOK, s.jobStatus(j, true))
@@ -126,12 +147,10 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.jobStatus(j, true))
 		return
 	}
-	// Warm start: the newest finished job on the same dataset seeds this
-	// solve's construction (WarmSeed excludes the job's own fingerprint, so
-	// only genuinely different requests — typically a perturbed constraint
-	// set — warm-start). Warm results are trajectory-dependent, so runJob
-	// keeps them out of the shared result cache.
-	if seed, fromID, ok := s.jobs.WarmSeed(dsKey, fp); ok {
+	// Warm start: the newest done job on the same dataset seeds this
+	// solve's construction (only genuinely different requests — typically a
+	// perturbed constraint set — warm-start).
+	if seed, fromID := s.warmSeed(dsKey, fp); seed != nil {
 		cfg.WarmStart = seed
 		s.jobs.SetWarmFrom(j, fromID)
 		s.jobsWarm.Inc()
@@ -145,6 +164,23 @@ func (s *service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	go s.runJob(j, req, set, cfg, fp)
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
 	writeJSON(w, http.StatusAccepted, s.jobStatus(j, true))
+}
+
+// warmSeed returns the stored assignment of the newest done job on the
+// dataset key, and that job's id, to seed a submission with fingerprint fp;
+// nil when there is none (see jobs.Store.WarmSeed) or its answer has left
+// the result store. The solver only reads a seed, so this is the stored
+// assignment itself, not a copy.
+func (s *service) warmSeed(dsKey, fp string) (seed []int, fromID string) {
+	key, fromID, ok := s.jobs.WarmSeed(dsKey, fp)
+	if !ok {
+		return nil, ""
+	}
+	resp := s.storedAnswer(key)
+	if resp == nil {
+		return nil, ""
+	}
+	return resp.Assignment, fromID
 }
 
 // runJob executes one accepted job on its own goroutine: its lifetime is the
@@ -204,15 +240,13 @@ func (s *service) runJob(j *jobs.Job, req *SolveRequest, set constraint.Set, cfg
 	}
 	oc := s.executeSolve(ctx, req, set, cfg)
 	if oc.resp != nil {
-		if len(cfg.WarmStart) == 0 {
-			// Cold results are exactly what POST /v1/solve would have
-			// produced: share them through the result cache. Warm-started
-			// results depend on the seed partition's trajectory and must not
-			// be served to cold requests under the same fingerprint.
-			s.resCache.Add(fp, oc.resp, responseCost(oc.resp))
+		// Stored before the job turns done, so a done status always finds it.
+		key := fp
+		if len(cfg.WarmStart) > 0 {
+			key = jobResultKey(j.ID())
 		}
-		seed := append([]int(nil), oc.resp.Assignment...)
-		s.jobs.Finish(j, oc.resp, responseCost(oc.resp), seed, oc.resp.P, oc.resp.HeteroAfter)
+		s.resCache.Add(key, oc.resp, responseCost(oc.resp))
+		s.jobs.Finish(j, key, oc.resp.P, oc.resp.HeteroAfter)
 		if j.Snapshot().State == jobs.StateDone {
 			s.jobsDone.Inc()
 		}
@@ -333,7 +367,7 @@ func (s *service) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job
 	}
 }
 
-// jobStatus renders a job for the wire. full includes the retained result
+// jobStatus renders a job for the wire. full includes the stored answer
 // (the list view omits it — a 50k-area assignment per row would dwarf the
 // listing).
 func (s *service) jobStatus(j *jobs.Job, full bool) JobStatus {
@@ -363,12 +397,12 @@ func (s *service) jobStatus(j *jobs.Job, full bool) JobStatus {
 		st.P, st.H = p, h
 	case jobs.StateFailed:
 		st.Error = &errorDetail{Code: errorCode(snap.ErrStatus), Message: snap.ErrMsg}
-	default:
-		if resp, ok := snap.Result.(*SolveResponse); ok {
-			st.P, st.H = resp.P, resp.HeteroAfter
-			if full {
-				st.Result = resp
-			}
+	case jobs.StateDone:
+		// (p, H) come from the sealed done event, so they outlive the
+		// answer's eviction from the result store.
+		st.P, st.H = snap.P, snap.H
+		if full {
+			st.Result = s.storedAnswer(snap.ResultKey)
 		}
 	}
 	return st
@@ -376,8 +410,8 @@ func (s *service) jobStatus(j *jobs.Job, full bool) JobStatus {
 
 // jobDatasetKey keys the warm-start index by dataset identity: named/scaled
 // datasets by their generation parameters, inline ones by content. Jobs on
-// the same key solve the same substrate, so a retained final assignment is a
-// meaningful construction seed for them.
+// the same key solve the same substrate, so a done job's final assignment is
+// a meaningful construction seed for them.
 func jobDatasetKey(req *SolveRequest) string {
 	if req.Dataset != nil {
 		return solvecache.Key("dataset-inline", string(req.Dataset))

@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"emp/internal/durable"
 	"emp/internal/fault"
 	"emp/internal/flight"
 	"emp/internal/jobs"
@@ -457,8 +459,8 @@ func TestJobDoneOnArrival(t *testing.T) {
 // TestJobWarmStartResubmit: after a job finishes on a dataset, a job with a
 // perturbed constraint set on the same dataset warm-starts from its
 // partition (warm_from set, warm counter bumped) and still converges to a
-// valid done state. The warm result must NOT be shared through the result
-// cache: a later sync POST /v1/solve with the same body runs cold.
+// valid done state. The warm result must NOT be served under its
+// fingerprint: a later sync POST /v1/solve with the same body runs cold.
 func TestJobWarmStartResubmit(t *testing.T) {
 	h, reg := newServingHandler(t, Config{})
 	rec, first := postJob(t, h, jobBody)
@@ -652,4 +654,183 @@ func TestDebugTraceQueuedJob(t *testing.T) {
 	// Clean up: cancel the queued job and let the sync solve finish.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+st.ID, nil))
 	wg.Wait()
+}
+
+// TestJobAnswersHaveOneHome: the result store is the only place an answer
+// lives. A cold job, its identical resubmit (born done from the store) and
+// warm resubmits hold no copies: their statuses and the warm seeds read the
+// stored assignments themselves, the store is charged once per distinct
+// answer, a job record's charge does not grow with its answer's area count,
+// and the snapshot writes each assignment once.
+func TestJobAnswersHaveOneHome(t *testing.T) {
+	sv, h, _ := newRecoveryService(t, t.TempDir())
+	waitRecovered(t, sv)
+	s := sv.s
+	// status is the result a job's status serves, read in process.
+	status := func(id string) *SolveResponse {
+		t.Helper()
+		j, ok := s.jobs.Get(id)
+		if !ok {
+			t.Fatalf("job %s not tracked", id)
+		}
+		resp := s.jobStatus(j, true).Result
+		if resp == nil || len(resp.Assignment) == 0 {
+			t.Fatalf("job %s serves no assignment", id)
+		}
+		return resp
+	}
+	// same reports whether two assignments share one backing array.
+	same := func(a, b []int) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+	used := func() int64 { return s.jobs.StoreStats().UsedBytes }
+	submit := func(body string) JobStatus {
+		t.Helper()
+		rec, st := postJob(t, h, body)
+		if rec.Code != http.StatusAccepted && rec.Code != http.StatusOK {
+			t.Fatalf("submit = %d: %s", rec.Code, rec.Body.String())
+		}
+		if fin := waitJobTerminal(t, h, st.ID); fin.State != "done" {
+			t.Fatalf("job = %+v", fin)
+		}
+		return st
+	}
+
+	cold := submit(jobBody)
+	u := used()
+	again := submit(jobBody)
+	if again.State != "done" {
+		t.Fatalf("identical resubmit = %+v, want born done", again)
+	}
+	smallCharge := used() - u
+	coldAns := status(cold.ID)
+	if !same(coldAns.Assignment, status(again.ID).Assignment) {
+		t.Fatal("the identical resubmit's status holds a copy of the cold answer")
+	}
+	// The warm seed on offer is the stored assignment itself.
+	perturbed := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 21000","options":{"seed":5}}`
+	warmFP, dsKey := solveIdentity(t, perturbed)
+	seed, from := s.warmSeed(dsKey, warmFP)
+	if from != again.ID || !same(seed, coldAns.Assignment) {
+		t.Fatalf("warm seed from %q is not the stored cold answer", from)
+	}
+	warm := submit(perturbed)
+	if warm.WarmFrom != again.ID {
+		t.Fatalf("warm_from = %q, want %s", warm.WarmFrom, again.ID)
+	}
+	warmAns := status(warm.ID)
+	if seed, from := s.warmSeed(dsKey, "other"); from != warm.ID || !same(seed, warmAns.Assignment) {
+		t.Fatalf("warm seed after the warm job comes from %q, want the warm job's stored answer", from)
+	}
+	// A second warm job takes over the dataset's warm seed, so the first
+	// warm answer is named by no warm seed.
+	warm2 := submit(`{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 22000","options":{"seed":5}}`)
+	if warm2.WarmFrom != warm.ID {
+		t.Fatalf("second warm_from = %q, want %s", warm2.WarmFrom, warm.ID)
+	}
+	warm2Ans := status(warm2.ID)
+
+	// A sync answer on a dataset ten times larger, then a job born done on
+	// it: its record is charged what the small one's was.
+	big := `{"named":"1k","constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":5}}`
+	if rec := postSolve(h, big, "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("sync solve = %d: %s", rec.Code, rec.Body.String())
+	}
+	u = used()
+	bigJob := submit(big)
+	bigCharge := used() - u
+	bigAns := status(bigJob.ID)
+	if len(bigAns.Assignment) < 5*len(coldAns.Assignment) || bigCharge != smallCharge {
+		t.Errorf("born-done records charged %d B on %d areas and %d B on %d areas, want equal charges",
+			smallCharge, len(coldAns.Assignment), bigCharge, len(bigAns.Assignment))
+	}
+
+	// The store is charged once per distinct answer.
+	answers := []*SolveResponse{coldAns, warmAns, warm2Ans, bigAns}
+	var want int64
+	for _, a := range answers {
+		want += responseCost(a)
+	}
+	if st := s.resCache.Stats(); st.Entries != len(answers) || st.CostBytes != want {
+		t.Errorf("result store holds %d entries costing %d B, want %d answers costing %d B",
+			st.Entries, st.CostBytes, len(answers), want)
+	}
+
+	// The snapshot writes each assignment once, as a result entry; warm
+	// seeds name theirs. The first warm answer, named by no warm seed, is
+	// not written.
+	s.saveSnapshot()
+	data := durable.ReadSnapshot(s.snapshotPath(), durable.Metrics{})
+	coldFP, _ := solveIdentity(t, jobBody)
+	bigFP, _ := solveIdentity(t, big)
+	written := map[string]*SolveResponse{}
+	for _, r := range data.Results {
+		var resp SolveResponse
+		if err := json.Unmarshal(r.Body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if written[r.Fingerprint] != nil {
+			t.Errorf("answer %q written twice", r.Fingerprint)
+		}
+		written[r.Fingerprint] = &resp
+	}
+	wantWritten := map[string]*SolveResponse{
+		coldFP:                 coldAns,
+		jobResultKey(warm2.ID): warm2Ans,
+		bigFP:                  bigAns,
+	}
+	if len(written) != len(wantWritten) {
+		t.Errorf("snapshot wrote %d answers, want %d", len(written), len(wantWritten))
+	}
+	for k, a := range wantWritten {
+		if w := written[k]; w == nil || !slices.Equal(w.Assignment, a.Assignment) {
+			t.Errorf("snapshot lacks the answer under %q", k)
+		}
+	}
+	if len(data.WarmSeeds) != 2 {
+		t.Fatalf("snapshot wrote %d warm seeds, want one per dataset", len(data.WarmSeeds))
+	}
+	for _, ws := range data.WarmSeeds {
+		if written[ws.ResultKey] == nil {
+			t.Errorf("warm seed for job %s names %q, which the snapshot lacks", ws.JobID, ws.ResultKey)
+		}
+	}
+}
+
+// TestJobAnswerEvicted: once the result store evicts a done job's answer,
+// the job keeps its state, p and H; only its result is gone, and it seeds
+// no warm start.
+func TestJobAnswerEvicted(t *testing.T) {
+	other := `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":6}}`
+	// Size the store to hold one answer: solve both requests once on a probe
+	// service to learn their costs.
+	probe, _ := newServingHandler(t, Config{})
+	var bound int64
+	for _, body := range []string{jobBody, other} {
+		rec := postSolve(probe, body, "", nil)
+		var resp SolveResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			t.Fatalf("probe solve = %d: %s", rec.Code, rec.Body.String())
+		}
+		bound = max(bound, responseCost(&resp))
+	}
+	h, reg := newServingHandler(t, Config{ResultCacheBytes: bound})
+	_, st := postJob(t, h, jobBody)
+	done := waitJobTerminal(t, h, st.ID)
+	if done.State != "done" || done.Result == nil {
+		t.Fatalf("job = %+v, want done with its result", done)
+	}
+	if rec := postSolve(h, other, "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("evicting solve = %d: %s", rec.Code, rec.Body.String())
+	}
+	code, after := getJob(t, h, st.ID)
+	if code != http.StatusOK || after.State != "done" || after.P != done.P || after.H != done.H {
+		t.Fatalf("job after its answer left the store = %d %+v, want done with p=%d h=%g", code, after, done.P, done.H)
+	}
+	if after.Result != nil {
+		t.Fatal("job still serves a result the store evicted")
+	}
+	rec, warm := postJob(t, h, `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 21000","options":{"seed":5}}`)
+	if rec.Code != http.StatusAccepted || warm.WarmFrom != "" || counterValue(reg, "emp_jobs_warmstart_total") != 0 {
+		t.Fatalf("submit after eviction = %d warm_from %q: an evicted answer must seed nothing", rec.Code, warm.WarmFrom)
+	}
+	waitJobTerminal(t, h, warm.ID)
 }

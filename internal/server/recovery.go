@@ -5,6 +5,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"emp/internal/durable"
@@ -152,11 +153,10 @@ func (s *service) readmitJob(p durable.PendingJob) {
 	}
 	s.durMet.RecoveredJobs.Inc()
 	// A restored result cache may already hold this fingerprint: the job is
-	// done on arrival, under its original id.
+	// done on arrival, under its original id, naming the cached answer.
 	if v, ok := s.resCache.Get(fp); ok {
 		resp := v.(*SolveResponse)
-		seed := append([]int(nil), resp.Assignment...)
-		s.jobs.Finish(j, resp, responseCost(resp), seed, resp.P, resp.HeteroAfter)
+		s.jobs.Finish(j, fp, resp.P, resp.HeteroAfter)
 		s.jobsDone.Inc()
 		return
 	}
@@ -240,16 +240,23 @@ func (s *service) newCheckpointer(j *jobs.Job, fp string) *durable.Checkpointer 
 	}
 }
 
-// saveSnapshot persists the result cache and warm-seed index. Best-effort:
-// a failure leaves the previous snapshot file intact.
+// saveSnapshot persists the result cache and warm-seed index. Each answer
+// is written once, as a result entry; a warm-seed entry names its answer's
+// key. A job-keyed answer is written only when a warm-seed entry names it:
+// no other job record survives a restart, and no fingerprint lookup reaches
+// it. Best-effort: a failure leaves the previous snapshot file intact.
 func (s *service) saveSnapshot() {
 	if s.stateDir == "" {
 		return
 	}
-	var data durable.SnapshotData
+	data := durable.SnapshotData{WarmSeeds: s.jobs.WarmSeeds()}
+	named := make(map[string]bool, len(data.WarmSeeds))
+	for _, ws := range data.WarmSeeds {
+		named[ws.ResultKey] = true
+	}
 	for _, e := range s.resCache.Entries() {
 		resp, ok := e.Val.(*SolveResponse)
-		if !ok {
+		if !ok || (strings.HasPrefix(e.Key, jobKeyPrefix) && !named[e.Key]) {
 			continue
 		}
 		body, err := json.Marshal(resp)
@@ -258,7 +265,6 @@ func (s *service) saveSnapshot() {
 		}
 		data.Results = append(data.Results, durable.ResultEntry{Fingerprint: e.Key, Body: body})
 	}
-	data.WarmSeeds = s.jobs.WarmSeeds()
 	if err := durable.WriteSnapshot(s.snapshotPath(), data); err != nil {
 		log.Printf("durable: snapshot write failed (previous snapshot kept): %v", err)
 		return

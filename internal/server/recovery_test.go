@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -200,9 +201,10 @@ func TestRecoveryMismatchedCheckpointIgnored(t *testing.T) {
 }
 
 // TestRecoverySnapshotRestoresCacheAndSeeds: results and warm seeds snapshot
-// on drain survive a restart — the restored boot serves the same request
-// from cache, and a sibling request on the same dataset warm-starts from the
-// pre-restart job's id.
+// on drain survive a restart — the pre-restart job's status reads as it did
+// before, the restored boot serves the same request from cache, and a
+// sibling request on the same dataset warm-starts from the pre-restart
+// job's id.
 func TestRecoverySnapshotRestoresCacheAndSeeds(t *testing.T) {
 	dir := t.TempDir()
 	svA, hA, _ := newRecoveryService(t, dir)
@@ -221,8 +223,21 @@ func TestRecoverySnapshotRestoresCacheAndSeeds(t *testing.T) {
 
 	svB, hB, regB := newRecoveryService(t, dir)
 	waitRecovered(t, svB)
-	// The identical request is a restored-cache hit on the sync path.
 	hits0 := counterValue(regB, "emp_result_cache_hits_total")
+	// The pre-restart job reads as it did: its label, (p, H) and answer.
+	code, old := getJob(t, hB, st.ID)
+	if code != http.StatusOK || old.State != "done" {
+		t.Fatalf("pre-restart job after restart: %d %+v", code, old)
+	}
+	if old.Dataset != done.Dataset || old.P != done.P || old.H != done.H {
+		t.Errorf("pre-restart job after restart reads dataset %q p=%d h=%g, want %q p=%d h=%g",
+			old.Dataset, old.P, old.H, done.Dataset, done.P, done.H)
+	}
+	if old.Result == nil || !slices.Equal(old.Result.Assignment, done.Result.Assignment) {
+		t.Errorf("pre-restart job after restart lost its answer: %+v", old.Result)
+	}
+	// The identical request is a restored-cache hit on the sync path, and
+	// the status read above counted no lookup.
 	rec2 := postSolve(hB, jobBody, "", nil)
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("restored solve = %d: %s", rec2.Code, rec2.Body.String())

@@ -49,9 +49,12 @@ type Config struct {
 	// shared read-only across requests; 0 means DefaultDatasetCacheBytes,
 	// negative disables the cache.
 	DatasetCacheBytes int64
-	// ResultCacheBytes bounds the LRU of finished solve responses keyed by
-	// request fingerprint; 0 means DefaultResultCacheBytes, negative
-	// disables the cache.
+	// ResultCacheBytes bounds the result store, the LRU that alone holds
+	// every finished solve response: sync answers and cold job answers under
+	// their request fingerprint, warm-started and resumed job answers under
+	// their job's id. Job records name their answers there. 0 or negative
+	// means DefaultResultCacheBytes; the store cannot be disabled, since a
+	// job's answer lives nowhere else.
 	ResultCacheBytes int64
 	// Workers caps concurrently executing solves; 0 means GOMAXPROCS.
 	Workers int
@@ -77,9 +80,6 @@ type Config struct {
 	// JobTTL is how long a finished async job (POST /v1/jobs) stays
 	// fetchable; 0 means jobs.DefaultTTL.
 	JobTTL time.Duration
-	// JobRetainBytes budgets results retained across finished jobs; 0 means
-	// jobs.DefaultRetainBytes.
-	JobRetainBytes int64
 	// MaxActiveJobs bounds queued+running async jobs (submits past it get
 	// 429); 0 means jobs.DefaultMaxActive.
 	MaxActiveJobs int
@@ -108,8 +108,9 @@ const DefaultMaxBodyBytes = 64 << 20
 const (
 	// DefaultDatasetCacheBytes holds roughly a dozen 20k-area substrates.
 	DefaultDatasetCacheBytes = 256 << 20
-	// DefaultResultCacheBytes holds thousands of assignments.
-	DefaultResultCacheBytes = 64 << 20
+	// DefaultResultCacheBytes holds every finished answer, sync and async:
+	// over 300 50k-area assignments, thousands of smaller ones.
+	DefaultResultCacheBytes = 128 << 20
 	// DefaultQueueWait bounds queue time before shedding with 429.
 	DefaultQueueWait = 10 * time.Second
 	// DefaultMaxSolveTimeout is the per-solve deadline ceiling: generous
@@ -367,7 +368,7 @@ func New(cfg Config) *Service {
 		dsBytes = DefaultDatasetCacheBytes
 	}
 	resBytes := cfg.ResultCacheBytes
-	if resBytes == 0 {
+	if resBytes <= 0 {
 		resBytes = DefaultResultCacheBytes
 	}
 	maxTimeout := cfg.MaxSolveTimeout
@@ -407,7 +408,6 @@ func New(cfg Config) *Service {
 	s.fstore = flight.NewStore(cfg.FlightRecorderBytes, cfg.FlightRecorderTraces)
 	s.jobs = jobs.NewStore(jobs.Config{
 		TTL:          cfg.JobTTL,
-		RetainBytes:  cfg.JobRetainBytes,
 		MaxActive:    cfg.MaxActiveJobs,
 		OnTransition: s.onJobTransition,
 	})

@@ -216,7 +216,7 @@ func (s *service) runSolve(ctx context.Context, req *SolveRequest, set constrain
 // solver errors onto HTTP outcomes. It deliberately does NOT touch the
 // result cache — the sync path caches in runSolve under the request
 // fingerprint, while the async job path (which may inject a WarmStart and so
-// produce a trajectory-dependent result) decides caching itself.
+// produce a trajectory-dependent result) picks the answer's key itself.
 func (s *service) executeSolve(ctx context.Context, req *SolveRequest, set constraint.Set, cfg fact.Config) *solveOutcome {
 	art, err := s.datasetFor(ctx, req)
 	if err != nil {

@@ -89,6 +89,22 @@ func (c *LRU) Get(key string) (any, bool) {
 	return v, true
 }
 
+// Peek returns the cached value without counting a hit or miss and without
+// touching its recency: a read that is not a lookup, like a job status
+// fetching an answer it already names by key.
+func (c *LRU) Peek(key string) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*lruEntry).val, true
+}
+
 // Add inserts or replaces the entry, evicting cold entries until the total
 // cost fits the bound. Entries whose own cost exceeds the bound are not
 // cached at all (they would evict everything for a single use).

@@ -47,6 +47,16 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if c.Cost() != 8 {
 		t.Errorf("cost = %d, want 8", c.Cost())
 	}
+	// A Peek does not refresh recency: a, the cold end since c was read,
+	// stays the cold end after a Peek.
+	c.Peek("a")
+	c.Add("d", 4, 4)
+	if _, ok := c.Peek("a"); ok {
+		t.Error("a should have been evicted: Peek must not refresh it")
+	}
+	if _, ok := c.Peek("c"); !ok {
+		t.Error("c should have survived")
+	}
 }
 
 func TestLRUEntriesColdToHot(t *testing.T) {
@@ -124,9 +134,22 @@ func TestLRUDisabledAndMetrics(t *testing.T) {
 	c.Get("a")
 	c.Add("a", 1, 3)
 	c.Get("a")
+	// Peek reads without counting and without refreshing recency.
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Errorf("Peek(a) = %v, %v", v, ok)
+	}
+	if _, ok := c.Peek("zz"); ok {
+		t.Error("Peek invented an entry")
+	}
 	c.Add("b", 2, 3) // evicts a
 	if hits.Value() != 1 || misses.Value() != 1 || evs.Value() != 1 {
 		t.Errorf("hits=%d misses=%d evictions=%d", hits.Value(), misses.Value(), evs.Value())
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want the one hit and one miss of Get", st)
+	}
+	if _, ok := disabled.Peek("a"); ok {
+		t.Error("nil cache must always miss on Peek")
 	}
 }
 
