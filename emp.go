@@ -41,7 +41,6 @@ import (
 	"emp/internal/render"
 	"emp/internal/report"
 	"emp/internal/shapefile"
-	"emp/internal/skater"
 	"emp/internal/tabu"
 )
 
@@ -311,18 +310,6 @@ type AZPResult = azp.Result
 // greedy-aggregation region-building lineage in the paper's related work.
 func SolveAZP(ds *Dataset, k int, opt AZPOptions) (*AZPResult, error) {
 	return azp.Solve(ds, k, opt)
-}
-
-// SKATERResult is a tree-partition baseline solution.
-type SKATERResult = skater.Result
-
-// SolveSKATER partitions the dataset into exactly k contiguous regions with
-// the SKATER tree-partition heuristic (minimum spanning tree + greedy edge
-// cuts minimizing within-region dissimilarity variance). It is the
-// fixed-k, constraint-free baseline from the regionalization literature the
-// paper's related work surveys.
-func SolveSKATER(ds *Dataset, k int) (*SKATERResult, error) {
-	return skater.Solve(ds, k)
 }
 
 // ExactResult is the optimum of a tiny instance.

@@ -177,20 +177,6 @@ func TestSolveMaxPBaseline(t *testing.T) {
 	}
 }
 
-func TestSolveSKATERFacade(t *testing.T) {
-	ds := smallDataset(t)
-	res, err := SolveSKATER(ds, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.K != 5 || len(res.Assignment) != ds.N() {
-		t.Errorf("K=%d len=%d", res.K, len(res.Assignment))
-	}
-	if _, err := SolveSKATER(ds, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestSolveAZPFacade(t *testing.T) {
 	ds := smallDataset(t)
 	res, err := SolveAZP(ds, 6, AZPOptions{Seed: 1})

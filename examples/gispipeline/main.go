@@ -11,7 +11,7 @@
 //
 //  4. export the solution as an SVG choropleth and a GeoJSON layer, and
 //
-//  5. compare against the SKATER tree-partition baseline at the same k.
+//  5. compare against the AZP-Tabu fixed-k baseline at the same k.
 //
 //     go run ./examples/gispipeline
 package main
@@ -97,30 +97,26 @@ func main() {
 	fmt.Printf("rendered %s (%d bytes) and %s (%d bytes)\n",
 		filepath.Base(svgPath), svgInfo.Size(), filepath.Base(gjPath), gjInfo.Size())
 
-	// 5. SKATER baseline at the same k: optimal-variance tree partition,
-	// but blind to the constraints.
-	sk, err := emp.SolveSKATER(loaded, sol.P)
+	// 5. AZP-Tabu baseline at the same k: minimizes H directly, but blind
+	// to the constraints.
+	az, err := emp.SolveAZP(loaded, sol.P, emp.AZPOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("SKATER at k = %d: SSD = %.4g (constraint-free baseline)\n", sk.K, sk.SSD)
+	fmt.Printf("AZP-Tabu at k = %d: H = %.4g (constraint-free baseline)\n", az.K, az.Objective)
 
-	// How many SKATER regions would actually satisfy the EMP query?
-	ok := 0
-	groups := make([][]int, sk.K)
-	for a, c := range sk.Assignment {
-		groups[c] = append(groups[c], a)
-	}
+	// How many AZP regions would actually satisfy the EMP query?
+	sums := make([]float64, az.K)
 	pop := loaded.Column("TOTALPOP")
-	for _, members := range groups {
-		var sum float64
-		for _, a := range members {
-			sum += pop[a]
-		}
+	for a, c := range az.Assignment {
+		sums[c] += pop[a]
+	}
+	ok := 0
+	for _, sum := range sums {
 		if sum >= 25000 {
 			ok++
 		}
 	}
-	fmt.Printf("SKATER regions meeting SUM(TOTALPOP) >= 25000: %d of %d (EMP guarantees all %d)\n",
-		ok, sk.K, sol.P)
+	fmt.Printf("AZP regions meeting SUM(TOTALPOP) >= 25000: %d of %d (EMP guarantees all %d)\n",
+		ok, az.K, sol.P)
 }

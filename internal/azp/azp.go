@@ -6,8 +6,8 @@
 // searcher (AZP-Tabu in the literature), optimizing the same pluggable
 // objective as FaCT's phase 3.
 //
-// Like SKATER, AZP fixes k and knows nothing about EMP's enriched
-// constraints; it serves as a quality baseline and as the initialization
+// AZP fixes k and knows nothing about EMP's enriched constraints; it serves
+// as the repository's fixed-k quality baseline and as the initialization
 // study for the local-search machinery.
 package azp
 

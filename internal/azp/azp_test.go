@@ -6,8 +6,9 @@ import (
 	"testing/quick"
 
 	"emp/internal/census"
+	"emp/internal/constraint"
 	"emp/internal/data"
-	"emp/internal/skater"
+	"emp/internal/fact"
 	"emp/internal/tabu"
 )
 
@@ -109,45 +110,32 @@ func TestSolveCustomObjective(t *testing.T) {
 	checkResult(t, ds, res, 7)
 }
 
-// TestAZPVsSKATERHeterogeneity compares the two fixed-k baselines under the
-// paper's H(P) measure: AZP (which optimizes H directly) should not be
-// wildly worse than SKATER (which optimizes SSD); both must be valid.
-func TestAZPVsSKATERHeterogeneity(t *testing.T) {
-	ds := sample(t)
-	const k = 10
-	a, err := Solve(ds, k, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := skater.Solve(ds, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := pairwiseH(ds, s.Assignment)
-	if a.Objective > 3*hs {
-		t.Errorf("AZP H = %g vastly worse than SKATER H = %g", a.Objective, hs)
-	}
-}
-
-func pairwiseH(ds *data.Dataset, assign []int) float64 {
-	dis, _ := ds.DissimilarityColumn()
-	groups := make(map[int][]int)
-	for a, c := range assign {
-		groups[c] = append(groups[c], a)
-	}
-	var h float64
-	for _, members := range groups {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				d := dis[members[i]] - dis[members[j]]
-				if d < 0 {
-					d = -d
-				}
-				h += d
+// TestAZPVsFaCTHeterogeneity compares the fixed-k baseline with FaCT at
+// FaCT's p under the paper's H(P) measure: AZP ignores the constraints and
+// optimizes H directly, so it must not be wildly worse than FaCT.
+func TestAZPVsFaCTHeterogeneity(t *testing.T) {
+	for _, seed := range []int64{5, 6, 7} {
+		ds, err := census.Generate(census.Options{Name: "azp", Areas: 150, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lower := range []float64{20000, 40000} {
+			set := constraint.Set{constraint.AtLeast(constraint.Sum, census.AttrTotalPop, lower)}
+			f, err := fact.Solve(ds, set, fact.Config{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := Solve(ds, f.P, Config{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResult(t, ds, a, f.P)
+			if a.Objective > 3*f.HeteroAfter {
+				t.Errorf("seed %d, SUM >= %g: AZP H = %g vastly worse than FaCT H = %g at k = %d",
+					seed, lower, a.Objective, f.HeteroAfter, f.P)
 			}
 		}
 	}
-	return h
 }
 
 // Property: any k in [components, n/4] yields a valid contiguous cover.
