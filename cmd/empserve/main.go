@@ -93,9 +93,10 @@
 // refused the same moment), then after -drain-grace in-flight requests AND
 // in-flight async jobs get up to 15 seconds to finish before the listener is
 // torn down. Nonsensical flag values (negative -workers, -queue-depth below
-// -1, non-positive -queue-wait, -max-body, -max-timeout, -result-cache-mb,
-// -flight-recorder-mb, -flight-recorder-traces or -job-ttl, negative
-// -drain-grace or -max-jobs) are rejected at startup with exit status 2.
+// -1, non-positive -queue-wait, -max-body, -max-timeout, -dataset-cache-mb,
+// -result-cache-mb, -flight-recorder-mb, -flight-recorder-traces or
+// -job-ttl, negative -drain-grace or -max-jobs) are rejected at startup with
+// exit status 2.
 package main
 
 import (
@@ -130,7 +131,7 @@ func main() {
 		queueWait  = flag.Duration("queue-wait", server.DefaultQueueWait, "max time a solve may wait queued before a 429")
 		maxTimeout = flag.Duration("max-timeout", server.DefaultMaxSolveTimeout, "per-solve deadline ceiling; request timeout_ms is clamped to it")
 		drainGrace = flag.Duration("drain-grace", 15*time.Second, "pause between flipping /v1/readyz to 503 and closing the listener, so load balancers observe the drain")
-		dsCacheMB  = flag.Int64("dataset-cache-mb", server.DefaultDatasetCacheBytes>>20, "dataset artifact cache budget in MiB (negative disables)")
+		dsCacheMB  = flag.Int64("dataset-cache-mb", server.DefaultDatasetCacheBytes>>20, "dataset artifact cache budget in MiB")
 		resCacheMB = flag.Int64("result-cache-mb", server.DefaultResultCacheBytes>>20, "budget in MiB of the result cache, which holds every finished answer (sync solves and async jobs)")
 		flightMB   = flag.Int64("flight-recorder-mb", server.DefaultFlightRecorderBytes>>20, "flight-recorder trace retention budget in MiB")
 		flightN    = flag.Int("flight-recorder-traces", server.DefaultFlightRecorderTraces, "finished traces retained for /v1/debug/trace")
@@ -141,7 +142,7 @@ func main() {
 		ckptEvery  = flag.Duration("checkpoint-interval", server.DefaultCheckpointInterval, "min spacing between incumbent checkpoints of a running job (requires -state-dir)")
 	)
 	flag.Parse()
-	if err := validateFlags(*workers, *queueDep, *queueWait, *maxBody, *maxTimeout, *drainGrace, *resCacheMB, *flightMB, *flightN); err != nil {
+	if err := validateFlags(*workers, *queueDep, *queueWait, *maxBody, *maxTimeout, *drainGrace, *dsCacheMB, *resCacheMB, *flightMB, *flightN); err != nil {
 		log.Print(err)
 		flag.Usage()
 		os.Exit(2)
@@ -164,12 +165,6 @@ func main() {
 	obswire.Enable(reg)
 	expvar.Publish("emp", expvar.Func(func() any { return reg.Snapshot() }))
 
-	mb := func(v int64) int64 {
-		if v < 0 {
-			return -1 // disable the cache
-		}
-		return v << 20
-	}
 	cfg := server.Config{
 		Registry:          reg,
 		MaxBodyBytes:      *maxBody,
@@ -177,7 +172,7 @@ func main() {
 		QueueDepth:        *queueDep,
 		QueueWait:         *queueWait,
 		MaxSolveTimeout:   *maxTimeout,
-		DatasetCacheBytes: mb(*dsCacheMB),
+		DatasetCacheBytes: *dsCacheMB << 20,
 		ResultCacheBytes:  *resCacheMB << 20,
 
 		FlightRecorderBytes:  *flightMB << 20,
@@ -269,9 +264,10 @@ func main() {
 // validateFlags rejects nonsensical serving configurations at startup, before
 // any listener binds: a misconfigured instance exiting with status 2 is
 // diagnosable, the same instance silently "defaulting" mid-traffic is not.
-// The retention budgets must be positive: the result cache is where every
-// answer lives, and the flight recorder has no off switch.
-func validateFlags(workers, queueDep int, queueWait time.Duration, maxBody int64, maxTimeout, drainGrace time.Duration, resCacheMB, flightMB int64, flightN int) error {
+// The cache and retention budgets must be positive: neither cache nor the
+// flight recorder has an off switch, and the result cache is where every
+// answer lives.
+func validateFlags(workers, queueDep int, queueWait time.Duration, maxBody int64, maxTimeout, drainGrace time.Duration, dsCacheMB, resCacheMB, flightMB int64, flightN int) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", workers)
 	}
@@ -289,6 +285,9 @@ func validateFlags(workers, queueDep int, queueWait time.Duration, maxBody int64
 	}
 	if drainGrace < 0 {
 		return fmt.Errorf("-drain-grace must be >= 0, got %v", drainGrace)
+	}
+	if dsCacheMB <= 0 {
+		return fmt.Errorf("-dataset-cache-mb must be positive, got %d", dsCacheMB)
 	}
 	if resCacheMB <= 0 {
 		return fmt.Errorf("-result-cache-mb must be positive, got %d", resCacheMB)

@@ -15,18 +15,19 @@ import (
 // defaults mid-traffic; every sane configuration passes.
 func TestValidateFlags(t *testing.T) {
 	ok := func(workers, queueDep int, queueWait time.Duration, maxBody int64, maxTimeout, drainGrace time.Duration) error {
-		return validateFlags(workers, queueDep, queueWait, maxBody, maxTimeout, drainGrace, 1, 1, 1)
+		return validateFlags(workers, queueDep, queueWait, maxBody, maxTimeout, drainGrace, 1, 1, 1, 1)
 	}
-	// retention varies the three retention budgets of a sane configuration.
-	retention := func(resCacheMB, flightMB int64, flightN int) error {
-		return validateFlags(0, 0, time.Second, 1, time.Second, 0, resCacheMB, flightMB, flightN)
+	// retention varies the four cache and retention budgets of a sane
+	// configuration.
+	retention := func(dsCacheMB, resCacheMB, flightMB int64, flightN int) error {
+		return validateFlags(0, 0, time.Second, 1, time.Second, 0, dsCacheMB, resCacheMB, flightMB, flightN)
 	}
 	valid := []struct {
 		name string
 		err  error
 	}{
 		{"defaults", validateFlags(0, 0, server.DefaultQueueWait, server.DefaultMaxBodyBytes, server.DefaultMaxSolveTimeout, 15*time.Second,
-			server.DefaultResultCacheBytes>>20, server.DefaultFlightRecorderBytes>>20, server.DefaultFlightRecorderTraces)},
+			server.DefaultDatasetCacheBytes>>20, server.DefaultResultCacheBytes>>20, server.DefaultFlightRecorderBytes>>20, server.DefaultFlightRecorderTraces)},
 		{"no queue", ok(4, -1, time.Second, 1, time.Millisecond, 0)},
 	}
 	for _, tc := range valid {
@@ -47,14 +48,16 @@ func TestValidateFlags(t *testing.T) {
 		{"zero max timeout", ok(0, 0, time.Second, 1, 0, 0)},
 		{"negative max timeout", ok(0, 0, time.Second, 1, -time.Second, 0)},
 		{"negative drain grace", ok(0, 0, time.Second, 1, time.Second, -time.Second)},
-		// The result cache holds every answer, jobs' included: it has no
-		// disabled setting, and 0 is not a quiet default.
-		{"zero result cache", retention(0, 1, 1)},
-		{"negative result cache", retention(-1, 1, 1)},
-		{"zero flight recorder budget", retention(1, 0, 1)},
-		{"negative flight recorder budget", retention(1, -1, 1)},
-		{"zero flight recorder traces", retention(1, 1, 0)},
-		{"negative flight recorder traces", retention(1, 1, -1)},
+		// No cache has a disabled setting, and 0 is not a quiet default.
+		{"zero dataset cache", retention(0, 1, 1, 1)},
+		{"negative dataset cache", retention(-1, 1, 1, 1)},
+		// The result cache holds every answer, jobs' included.
+		{"zero result cache", retention(1, 0, 1, 1)},
+		{"negative result cache", retention(1, -1, 1, 1)},
+		{"zero flight recorder budget", retention(1, 1, 0, 1)},
+		{"negative flight recorder budget", retention(1, 1, -1, 1)},
+		{"zero flight recorder traces", retention(1, 1, 1, 0)},
+		{"negative flight recorder traces", retention(1, 1, 1, -1)},
 	}
 	for _, tc := range invalid {
 		if tc.err == nil {

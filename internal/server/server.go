@@ -46,8 +46,8 @@ type Config struct {
 	// means 64 MiB.
 	MaxBodyBytes int64
 	// DatasetCacheBytes bounds the LRU of generated named/scaled datasets
-	// shared read-only across requests; 0 means DefaultDatasetCacheBytes,
-	// negative disables the cache.
+	// shared read-only across requests; 0 or negative means
+	// DefaultDatasetCacheBytes.
 	DatasetCacheBytes int64
 	// ResultCacheBytes bounds the result store, the LRU that alone holds
 	// every finished solve response: sync answers and cold job answers under
@@ -364,7 +364,7 @@ func New(cfg Config) *Service {
 		maxBody = DefaultMaxBodyBytes
 	}
 	dsBytes := cfg.DatasetCacheBytes
-	if dsBytes == 0 {
+	if dsBytes <= 0 {
 		dsBytes = DefaultDatasetCacheBytes
 	}
 	resBytes := cfg.ResultCacheBytes

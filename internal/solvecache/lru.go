@@ -2,6 +2,7 @@ package solvecache
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"emp/internal/obs"
@@ -21,9 +22,7 @@ type CacheMetrics struct {
 // LRU is a cost-bounded least-recently-used cache, safe for concurrent use.
 // Each entry carries a caller-supplied cost (the server uses approximate
 // resident bytes); adding past the bound evicts from the cold end until the
-// new entry fits. A nil *LRU or one built with a non-positive bound is a
-// valid always-miss cache, so callers can disable caching by configuration
-// without branching.
+// new entry fits.
 type LRU struct {
 	mu    sync.Mutex
 	bound int64
@@ -43,11 +42,11 @@ type lruEntry struct {
 	cost int64
 }
 
-// NewLRU creates a cache holding at most bound total cost. A non-positive
-// bound returns a disabled cache (every Get misses, Add is a no-op).
+// NewLRU creates a cache holding at most bound total cost. The bound must be
+// positive: a cache has no disabled mode.
 func NewLRU(bound int64) *LRU {
 	if bound <= 0 {
-		return nil
+		panic(fmt.Sprintf("solvecache: NewLRU bound %d is not positive", bound))
 	}
 	return &LRU{
 		bound: bound,
@@ -58,9 +57,6 @@ func NewLRU(bound int64) *LRU {
 
 // SetMetrics binds the cache's counters/gauge. Call before use.
 func (c *LRU) SetMetrics(m CacheMetrics) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.met = m
 	c.mu.Unlock()
@@ -68,9 +64,6 @@ func (c *LRU) SetMetrics(m CacheMetrics) {
 
 // Get returns the cached value and marks it most recently used.
 func (c *LRU) Get(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if !ok {
@@ -93,9 +86,6 @@ func (c *LRU) Get(key string) (any, bool) {
 // touching its recency: a read that is not a lookup, like a job status
 // fetching an answer it already names by key.
 func (c *LRU) Peek(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -109,7 +99,7 @@ func (c *LRU) Peek(key string) (any, bool) {
 // cost fits the bound. Entries whose own cost exceeds the bound are not
 // cached at all (they would evict everything for a single use).
 func (c *LRU) Add(key string, val any, cost int64) {
-	if c == nil || cost > c.bound {
+	if cost > c.bound {
 		return
 	}
 	if cost < 1 {
@@ -156,11 +146,8 @@ type LRUStats struct {
 	HitRate    float64 `json:"hit_rate"`
 }
 
-// Stats snapshots the cache. A nil (disabled) cache reports zeros.
+// Stats snapshots the cache.
 func (c *LRU) Stats() LRUStats {
-	if c == nil {
-		return LRUStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := LRUStats{
@@ -189,9 +176,6 @@ type Entry struct {
 // ranking. Values are shared with the cache; snapshot writers serialize them
 // without mutation.
 func (c *LRU) Entries() []Entry {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Entry, 0, c.ll.Len())
@@ -204,9 +188,6 @@ func (c *LRU) Entries() []Entry {
 
 // Len returns the number of cached entries.
 func (c *LRU) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
@@ -214,9 +195,6 @@ func (c *LRU) Len() int {
 
 // Cost returns the current total cost.
 func (c *LRU) Cost() int64 {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cost

@@ -90,9 +90,6 @@ func TestLRUEntriesColdToHot(t *testing.T) {
 	if _, ok := c2.Get("a"); !ok {
 		t.Error("replayed cache lost hot a")
 	}
-	if NewLRU(0).Entries() != nil {
-		t.Error("disabled cache should export nil")
-	}
 }
 
 func TestLRUReplaceAndOversize(t *testing.T) {
@@ -115,13 +112,16 @@ func TestLRUReplaceAndOversize(t *testing.T) {
 }
 
 func TestLRUDisabledAndMetrics(t *testing.T) {
-	var disabled *LRU
-	disabled.Add("a", 1, 1)
-	if _, ok := disabled.Get("a"); ok {
-		t.Error("nil cache must always miss")
-	}
-	if NewLRU(0) != nil || NewLRU(-5) != nil {
-		t.Error("non-positive bound must return the disabled cache")
+	// A cache has no disabled mode: a non-positive bound is refused.
+	for _, bound := range []int64{0, -5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewLRU(%d) returned a cache, want a panic", bound)
+				}
+			}()
+			NewLRU(bound)
+		}()
 	}
 
 	reg := obs.New()
@@ -147,9 +147,6 @@ func TestLRUDisabledAndMetrics(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want the one hit and one miss of Get", st)
-	}
-	if _, ok := disabled.Peek("a"); ok {
-		t.Error("nil cache must always miss on Peek")
 	}
 }
 
