@@ -36,16 +36,3 @@ func TestCutEdges(t *testing.T) {
 		t.Errorf("CutEdges = %v, want %v", all, wantAll)
 	}
 }
-
-func TestFrontierVertices(t *testing.T) {
-	g := frontierGraph()
-	label := []int32{0, 1, 1, 0, 1, 1}
-	got := g.FrontierVertices(label)
-	want := []int32{0, 1, 3, 4}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("FrontierVertices = %v, want %v", got, want)
-	}
-	if got := g.FrontierVertices([]int32{3, 3, 3, 3, 3, 3}); len(got) != 0 {
-		t.Errorf("uniform labeling has frontier %v", got)
-	}
-}

@@ -292,67 +292,6 @@ func (g *Graph) connectedWithin(start int, in map[int]bool, want int) bool {
 	return len(visited) == want
 }
 
-// ArticulationPoints returns, for the whole graph, the set of vertices whose
-// removal increases the number of connected components (Tarjan lowlink).
-// The result is a boolean per vertex.
-func (g *Graph) ArticulationPoints() []bool {
-	n := g.n
-	art := make([]bool, n)
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	for i := range disc {
-		disc[i] = -1
-		parent[i] = -1
-	}
-	timer := 0
-	// Iterative DFS to avoid deep recursion on path-like graphs.
-	type frame struct {
-		u, idx int
-	}
-	for s := 0; s < n; s++ {
-		if disc[s] != -1 {
-			continue
-		}
-		stack := []frame{{s, 0}}
-		disc[s], low[s] = timer, timer
-		timer++
-		rootChildren := 0
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			u := f.u
-			if nbs := g.arena[g.off[u]:g.off[u+1]]; f.idx < len(nbs) {
-				v := int(nbs[f.idx])
-				f.idx++
-				if disc[v] == -1 {
-					parent[v] = u
-					disc[v], low[v] = timer, timer
-					timer++
-					if u == s {
-						rootChildren++
-					}
-					stack = append(stack, frame{v, 0})
-				} else if v != parent[u] && disc[v] < low[u] {
-					low[u] = disc[v]
-				}
-			} else {
-				stack = stack[:len(stack)-1]
-				p := parent[u]
-				if p != -1 {
-					if low[u] < low[p] {
-						low[p] = low[u]
-					}
-					if p != s && low[u] >= disc[p] {
-						art[p] = true
-					}
-				}
-			}
-		}
-		art[s] = rootChildren > 1
-	}
-	return art
-}
-
 // BFSOrder returns vertices in breadth-first order from start, restricted to
 // the subset `within` when non-nil.
 func (g *Graph) BFSOrder(start int, within map[int]bool) []int {

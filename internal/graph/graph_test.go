@@ -282,82 +282,6 @@ func TestConnectedSubsetExcluding(t *testing.T) {
 	}
 }
 
-func TestArticulationPointsPath(t *testing.T) {
-	g := pathGraph(5)
-	art := g.ArticulationPoints()
-	want := []bool{false, true, true, true, false}
-	for i := range want {
-		if art[i] != want[i] {
-			t.Errorf("art[%d] = %v, want %v", i, art[i], want[i])
-		}
-	}
-}
-
-func TestArticulationPointsCycleHasNone(t *testing.T) {
-	b := newBuilder(4)
-	b.add(0, 1)
-	b.add(1, 2)
-	b.add(2, 3)
-	b.add(3, 0)
-	for i, a := range b.graph().ArticulationPoints() {
-		if a {
-			t.Errorf("cycle vertex %d flagged as articulation point", i)
-		}
-	}
-}
-
-func TestArticulationPointsBridgeVertex(t *testing.T) {
-	// Two triangles joined at vertex 2: 2 is the only articulation point.
-	b := newBuilder(5)
-	b.add(0, 1)
-	b.add(1, 2)
-	b.add(2, 0)
-	b.add(2, 3)
-	b.add(3, 4)
-	b.add(4, 2)
-	art := b.graph().ArticulationPoints()
-	for i, a := range art {
-		want := i == 2
-		if a != want {
-			t.Errorf("art[%d] = %v, want %v", i, a, want)
-		}
-	}
-}
-
-// Property: v is an articulation point of its component iff removing v
-// disconnects that component (cross-check against ConnectedSubsetExcluding).
-func TestArticulationMatchesRemovalCheck(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 6 + rng.Intn(8)
-		b := newBuilder(n)
-		// random connected-ish graph: random tree plus extra edges
-		for v := 1; v < n; v++ {
-			b.add(v, rng.Intn(v))
-		}
-		extra := rng.Intn(n)
-		for e := 0; e < extra; e++ {
-			b.add(rng.Intn(n), rng.Intn(n))
-		}
-		g := b.graph()
-		art := g.ArticulationPoints()
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i
-		}
-		for v := 0; v < n; v++ {
-			stillConnected := g.ConnectedSubsetExcluding(members, v)
-			if art[v] == stillConnected {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBFSOrder(t *testing.T) {
 	g := pathGraph(4)
 	order := g.BFSOrder(0, nil)

@@ -78,15 +78,6 @@ func (s *Scratch) begin(members []int, exclude int) int {
 	return marked
 }
 
-// ConnectedSubsetScratch is ConnectedSubset using reusable buffers.
-func (g *Graph) ConnectedSubsetScratch(s *Scratch, members []int) bool {
-	if len(members) <= 1 {
-		return true
-	}
-	want := s.begin(members, -1)
-	return s.bfsCount(members[0]) == want
-}
-
 // ConnectedSubsetExcludingScratch is ConnectedSubsetExcluding using reusable
 // buffers: it reports whether the subset stays connected after removing one
 // member.

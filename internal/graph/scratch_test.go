@@ -31,9 +31,6 @@ func TestScratchConnectivityMatchesMaps(t *testing.T) {
 		g := randomGraph(rng, n, rng.Intn(2*n))
 		sc := g.NewScratch()
 		members := randomSubset(rng, n, 1+rng.Intn(n))
-		if got, want := g.ConnectedSubsetScratch(sc, members), g.ConnectedSubset(members); got != want {
-			t.Fatalf("trial %d: ConnectedSubsetScratch = %v, want %v (members %v)", trial, got, want, members)
-		}
 		removed := members[rng.Intn(len(members))]
 		if got, want := g.ConnectedSubsetExcludingScratch(sc, members, removed),
 			g.ConnectedSubsetExcluding(members, removed); got != want {
