@@ -7,6 +7,8 @@
 //	empgen -areas 5000 -states 4 -components 2 -seed 7 -out custom.json
 //	empgen -name 50k -scale 0.1 -out small50k.json
 //	empgen -list                             # show the named datasets
+//
+// A -scale outside (0, 1] exits with status 2.
 package main
 
 import (
@@ -35,6 +37,11 @@ func main() {
 		list       = flag.Bool("list", false, "list the named datasets and exit")
 	)
 	flag.Parse()
+	if err := census.CheckScale(*scale); err != nil {
+		log.Printf("invalid -scale: %v", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("name  areas  states  components")

@@ -200,6 +200,15 @@ func NamedSeeded(name string, seed int64) (*data.Dataset, error) {
 	})
 }
 
+// CheckScale reports whether scale is a valid scale factor for Scaled: it
+// must lie in (0, 1]. Commands taking a -scale flag check it up front.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("scale must be in (0, 1], got %g", scale)
+	}
+	return nil
+}
+
 // Scaled generates a named dataset shrunk to scale*Areas areas (at least 30),
 // preserving the state/component structure. Used by the benchmark harness to
 // keep the large-dataset experiments tractable on small machines while
@@ -209,8 +218,8 @@ func Scaled(name string, scale float64, seed int64) (*data.Dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("census: unknown dataset %q", name)
 	}
-	if scale <= 0 || scale > 1 {
-		return nil, fmt.Errorf("census: scale must be in (0, 1], got %g", scale)
+	if err := CheckScale(scale); err != nil {
+		return nil, fmt.Errorf("census: %w", err)
 	}
 	areas := int(math.Round(float64(sz.Areas) * scale))
 	if areas < 30 {
