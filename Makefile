@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke fuzz-smoke
+.PHONY: build test race vet fmt-check staticcheck check chaos recovery bench bench-smoke fuzz-smoke paper
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,13 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRookAdjacency|BenchmarkQueenAdjacency' -benchtime 1x -benchmem ./internal/geom/
 	$(GO) test -run xxx -bench 'BenchmarkGenerate/50k1' -benchtime 1x -benchmem ./internal/census/
 	$(GO) test -run xxx -bench 'BenchmarkGenerate/20k$$' -benchtime 1x -benchmem -cpu 1,2 ./internal/census/
+
+# paper regenerates every table and figure of the evaluation, plus the
+# ablation suite, at the paper's own dataset sizes (-scale 1, seed 1). It
+# takes about 8 s on 2 vCPUs; TestAllRunnersSmoke runs the same experiments
+# at scale 0.04.
+paper:
+	$(GO) run ./cmd/empbench -experiment all -scale 1
 
 # fuzz-smoke runs every native fuzz target for 10 s beyond its seed corpus,
 # which plain `go test` only replays: the constraint DSL, the shapefile
