@@ -60,8 +60,10 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # bench-smoke runs the telemetry-overhead benchmark, a converged search, the
-# construction benchmark, contiguity extraction, cold 50k1 generation, and
-# cold 20k generation at GOMAXPROCS 1 and 2, once: a fast CI-grade check
+# paper-scale search (the 50k1 seed-1 construction incumbent searched to the
+# solver's stopping rule), the construction benchmark, contiguity
+# extraction, cold 50k1 generation, and cold 20k generation at GOMAXPROCS 1
+# and 2, once: a fast CI-grade check
 # that the tabu hot path still builds and runs in all four telemetry states
 # (absent / disabled / enabled / recorded under a request-shaped trace
 # context), that a search to the solver's stopping rule still fast-forwards
@@ -76,7 +78,7 @@ bench:
 # iteration is too noisy for overhead numbers: rerun BenchmarkTabuTelemetry
 # with -benchtime 5x -count 5 and compare the legs.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkTabuTelemetry|BenchmarkImproveConverge' -benchtime 1x -benchmem ./internal/tabu/
+	$(GO) test -run xxx -bench 'BenchmarkTabuTelemetry|BenchmarkImproveConverge|BenchmarkImprovePaperScale' -benchtime 1x -benchmem ./internal/tabu/
 	$(GO) test -run xxx -bench BenchmarkConstruct -benchtime 1x -benchmem ./internal/fact/
 	$(GO) test -run xxx -bench 'BenchmarkRookAdjacency|BenchmarkQueenAdjacency' -benchtime 1x -benchmem ./internal/geom/
 	$(GO) test -run xxx -bench 'BenchmarkGenerate/50k1' -benchtime 1x -benchmem ./internal/census/

@@ -19,16 +19,14 @@ type Scratch struct {
 	// queue is the BFS worklist.
 	queue []int
 	// nodes holds the per-vertex articulation DFS state, packed into 16
-	// bytes so one vertex — including its subset-membership stamp — costs a
-	// single cache line's worth of state instead of four parallel array
-	// reads. Valid for members reset at the start of each pass.
+	// bytes so one vertex — including its subset-membership stamp and its
+	// verdict — costs a single cache line's worth of state instead of
+	// several parallel array reads. Valid for members reset at the start of
+	// each pass.
 	nodes []artNode
 	// artStamp is the articulation pass generation recorded in artNode
 	// stamps; wrapped (with a full reset) before int32 overflow.
 	artStamp int32
-	// artFlag[v] records the articulation verdict of the current pass; only
-	// entries of current members are meaningful.
-	artFlag []bool
 	// stack is the reusable DFS frame stack of articulation runs.
 	stack []artFrame
 	// artBuf is the reusable result buffer of SubsetArticulation.
@@ -39,15 +37,19 @@ type Scratch struct {
 }
 
 // artNode is one vertex's articulation DFS state: Tarjan discovery and
-// lowlink times, DFS tree parent, and the membership stamp of the pass that
-// last touched it.
+// lowlink times, the membership stamp of the pass that last touched it, and
+// the pass's verdict. A vertex's DFS tree parent is the frame below its own
+// on the stack, so it is not stored.
 type artNode struct {
-	disc, low, parent int32
-	stamp             int32
+	disc, low int32
+	stamp     int32
+	art       bool
 }
 
-// artFrame is one DFS stack entry of an articulation pass.
-type artFrame struct{ u, idx int }
+// artFrame is one DFS stack entry of an articulation pass: the vertex and
+// the unscanned rest [idx, end) of its neighbor range in the arena, so
+// resuming a frame reads no offsets.
+type artFrame struct{ u, idx, end int32 }
 
 // NewScratch allocates scratch buffers sized for the graph.
 func (g *Graph) NewScratch() *Scratch {
@@ -57,7 +59,6 @@ func (g *Graph) NewScratch() *Scratch {
 		inStamp:  make([]int, n),
 		visStamp: make([]int, n),
 		nodes:    make([]artNode, n),
-		artFlag:  make([]bool, n),
 	}
 }
 
@@ -161,13 +162,13 @@ func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []b
 	nodes := s.nodes
 	for _, v := range members {
 		nodes[v] = artNode{disc: -1, stamp: gen}
-		s.artFlag[v] = false
 	}
 	if cap(s.artBuf) < len(members) {
 		s.artBuf = make([]bool, len(members))
 	}
 	art := s.artBuf[:len(members)]
 	s.extU, s.extV = s.extU[:0], s.extV[:0]
+	off, arena := g.off, g.arena
 	if len(members) <= 2 {
 		// K1/K2: removal leaves <= 1 vertex, always connected.
 		for i := range art {
@@ -175,7 +176,7 @@ func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []b
 		}
 		if boundary {
 			for _, u := range members {
-				for _, v := range g.arena[g.off[u]:g.off[u+1]] {
+				for _, v := range arena[off[u]:off[u+1]] {
 					if nodes[v].stamp != gen {
 						s.extU = append(s.extU, int32(u))
 						s.extV = append(s.extV, v)
@@ -185,6 +186,21 @@ func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []b
 		}
 		return art
 	}
+	// The members' total degree bounds the boundary incidences, so the
+	// traversal writes them by index into buffers of that length.
+	var extU, extV []int32
+	if boundary {
+		deg := 0
+		for _, v := range members {
+			deg += int(off[v+1] - off[v])
+		}
+		if cap(s.extU) < deg {
+			s.extU = make([]int32, deg)
+			s.extV = make([]int32, deg)
+		}
+		extU, extV = s.extU[:deg], s.extV[:deg]
+	}
+	ne := 0
 	var timer int32
 	for _, root := range members {
 		if nodes[root].disc != -1 {
@@ -192,42 +208,45 @@ func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []b
 		}
 		nodes[root].disc, nodes[root].low = timer, timer
 		timer++
-		nodes[root].parent = -1
 		rootChildren := 0
-		s.stack = append(s.stack[:0], artFrame{root, 0})
+		s.stack = append(s.stack[:0], artFrame{int32(root), off[root], off[root+1]})
 		for len(s.stack) > 0 {
+			// The frame below is u's DFS tree parent; the root (depth 0) has
+			// none.
 			top := len(s.stack) - 1
 			f := &s.stack[top]
 			u := f.u
-			nbs := g.arena[g.off[u]:g.off[u+1]]
-			idx := f.idx
+			parent := int32(-1)
+			if top > 0 {
+				parent = s.stack[top-1].u
+			}
 			nu := &nodes[u]
 			// Keep the frame's mutable state (scan index, running lowlink)
 			// in locals across the neighbor scan; flush only on push/pop.
+			idx, end := f.idx, f.end
 			low := nu.low
-			parent := int(nu.parent)
 			pushed := false
-			for idx < len(nbs) {
-				v := int(nbs[idx])
+			for idx < end {
+				v := arena[idx]
 				idx++
 				nv := &nodes[v]
 				if nv.stamp != gen {
 					if boundary {
-						s.extU = append(s.extU, int32(u))
-						s.extV = append(s.extV, int32(v))
+						extU[ne] = u
+						extV[ne] = v
+						ne++
 					}
 					continue // outside the subset
 				}
 				if nv.disc == -1 {
-					nv.parent = int32(u)
 					nv.disc, nv.low = timer, timer
 					timer++
-					if u == root {
+					if top == 0 {
 						rootChildren++
 					}
 					f.idx = idx
 					nu.low = low
-					s.stack = append(s.stack, artFrame{v, 0})
+					s.stack = append(s.stack, artFrame{v, off[v], off[v+1]})
 					pushed = true
 					break
 				}
@@ -240,22 +259,25 @@ func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []b
 			}
 			nu.low = low
 			s.stack = s.stack[:top]
-			if parent != -1 {
+			if top > 0 {
 				np := &nodes[parent]
 				if low < np.low {
 					np.low = low
 				}
-				if parent != root && low >= np.disc {
-					s.artFlag[parent] = true
+				// A non-root parent separates u's subtree when nothing in it
+				// reaches above the parent.
+				if top > 1 && low >= np.disc {
+					np.art = true
 				}
 			}
 		}
 		if rootChildren > 1 {
-			s.artFlag[root] = true
+			nodes[root].art = true
 		}
 	}
+	s.extU, s.extV = extU[:ne], extV[:ne]
 	for i, v := range members {
-		art[i] = s.artFlag[v]
+		art[i] = nodes[v].art
 	}
 	return art
 }

@@ -506,6 +506,10 @@ func (p *Partition) Heterogeneity() float64 {
 	return h
 }
 
+// HeteroExact reports whether heterogeneity arithmetic on the partition's
+// data is exact (Shared.HeteroExact).
+func (p *Partition) HeteroExact() bool { return p.shared.exact }
+
 // HeteroDeltaMove returns the change in H(P) if area moved from its current
 // region to the target region, without mutating the partition. With the
 // kernel on both sides cost O(attrs·log n); the area's self-term in its own

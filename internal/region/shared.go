@@ -1,6 +1,7 @@
 package region
 
 import (
+	"math"
 	"sync"
 
 	"emp/internal/constraint"
@@ -26,6 +27,8 @@ type Shared struct {
 	g   *graph.Graph
 	dis [][]float64
 	krn *heteroKernel
+	// exact is the HeteroExact verdict, decided once from dis.
+	exact bool
 
 	// fens pools regionFen trees across partitions; trees are returned by
 	// Partition.Recycle and zeroed on reuse.
@@ -43,11 +46,33 @@ func NewShared(ds *data.Dataset) (*Shared, error) {
 		return nil, err
 	}
 	return &Shared{
-		ds:  ds,
-		g:   ds.Graph(),
-		dis: dis,
-		krn: newHeteroKernel(dis),
+		ds:    ds,
+		g:     ds.Graph(),
+		dis:   dis,
+		krn:   newHeteroKernel(dis),
+		exact: exactDissimilarities(dis, ds.N()),
 	}, nil
+}
+
+// exactDissimilarities reports whether every heterogeneity sum over the
+// matrix is an exact float: every value is an integer and
+// n²·attrs·max|d| < 2^52. A region's H, H(P), a move delta and every
+// intermediate of the kernel's prefix-sum formula are then integers below
+// 2^53 (H(P) itself is below n²·attrs·max|d|), and float addition and
+// subtraction of such integers is exact in any order. NaN fails the integer
+// test and ±Inf the bound. The product is compared in floats: rounding only
+// sets in above 2^53, and it cannot carry a product back below 2^52.
+func exactDissimilarities(dis [][]float64, n int) bool {
+	var maxAbs float64
+	for _, col := range dis {
+		for _, v := range col {
+			if v != math.Trunc(v) {
+				return false
+			}
+			maxAbs = max(maxAbs, math.Abs(v))
+		}
+	}
+	return float64(n)*float64(n)*float64(len(dis))*maxAbs < 1<<52
 }
 
 // Dataset returns the dataset the shared state was built from.
@@ -58,6 +83,15 @@ func (sh *Shared) Graph() *graph.Graph { return sh.g }
 
 // Attrs returns the number of dissimilarity attributes (matrix rows).
 func (sh *Shared) Attrs() int { return len(sh.dis) }
+
+// HeteroExact reports whether heterogeneity arithmetic on this data is exact
+// (see exactDissimilarities): any two ways of summing the same region
+// heterogeneities and move deltas then give the same bits, so a total kept
+// up to date by applied deltas equals a fresh Partition.Heterogeneity.
+// Integer-valued dissimilarities of a realistic range qualify, such as the
+// census HOUSEHOLDS counts; fractional values, among them the standardized
+// columns of DissimilarityAttrs, do not.
+func (sh *Shared) HeteroExact() bool { return sh.exact }
 
 // getScratch takes a traversal scratch from the pool, making a fresh one
 // when the pool is empty.

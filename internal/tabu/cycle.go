@@ -150,23 +150,24 @@ func (s *searcher) startProof(c *cycles, undo []appliedMove, l, tenure, nextIter
 	c.regions = slices.Compact(c.regions)
 	slices.Sort(c.paths)
 	c.paths = slices.Compact(c.paths)
-	// The refresh stamps dedupe the footprint: refreshAround takes a fresh
-	// stamp on every call, so the marks left here never alias its own.
-	s.stamp++
+	// The refresh flags dedupe the footprint, and are cleared after.
 	c.areas = c.areas[:0]
 	for _, id := range c.regions {
 		for _, m := range p.Region(id).Members {
-			if s.affStamp[m] != s.stamp {
-				s.affStamp[m] = s.stamp
+			if s.flags[m]&flagListed == 0 {
+				s.flags[m] |= flagListed
 				c.areas = append(c.areas, m)
 			}
 			for _, nb := range p.Graph().Neighbors(m) {
-				if v := int(nb); s.affStamp[v] != s.stamp {
-					s.affStamp[v] = s.stamp
+				if v := int(nb); s.flags[v]&flagListed == 0 {
+					s.flags[v] |= flagListed
 					c.areas = append(c.areas, v)
 				}
 			}
 		}
+	}
+	for _, a := range c.areas {
+		s.flags[a] = 0
 	}
 	c.snap = s.appendState(c.snap[:0], c, nextIter)
 	c.base = s.counters()
@@ -198,9 +199,11 @@ func (s *searcher) appendState(dst []uint64, c *cycles, nextIter int) []uint64 {
 				remValid = 1
 			}
 		}
-		dst = append(dst, uint64(int64(reg)), remValid, uint64(len(s.byArea[a])))
+		cands := s.area[a].cands
+		dst = append(dst, uint64(int64(reg)), remValid, uint64(len(cands)))
 		start := len(dst)
-		for _, it := range s.byArea[a] {
+		for i := range cands {
+			it := &cands[i]
 			dst = append(dst, uint64(it.key.to), math.Float64bits(it.delta), math.Float64bits(it.gain))
 		}
 		sortTuples(dst[start:], 3)
@@ -225,7 +228,7 @@ func (s *searcher) appendState(dst []uint64, c *cycles, nextIter int) []uint64 {
 // (refreshArea adjusts that loss by one pair term), or stale (recomputed on
 // the next read, like a missing entry).
 func (s *searcher) appendDonor(dst []uint64, a int, r *region.Region) []uint64 {
-	ent := s.donor[a]
+	ent := &s.area[a]
 	if r != nil && ent.reg == r.ID {
 		switch r.Version() - ent.ver {
 		case 0:

@@ -268,7 +268,7 @@ func TestCycleSnapshotSeesFootprint(t *testing.T) {
 		return -1
 	}
 	inRegions := func(reg int) bool { return slices.Contains(c.regions, reg) }
-	cand := find("candidates", func(a int) bool { return len(s.byArea[a]) > 0 })
+	cand := find("candidates", func(a int) bool { return len(s.area[a].cands) > 0 })
 	tabued := find("a live tabu entry", func(a int) bool {
 		for _, e := range s.tabuByArea[a] {
 			if e.until > next {
@@ -279,21 +279,21 @@ func TestCycleSnapshotSeesFootprint(t *testing.T) {
 	})
 	donor := find("a current donor entry", func(a int) bool {
 		r := p.Region(p.Assignment(a))
-		return r != nil && s.donor[a].reg == r.ID && s.donor[a].ver == r.Version()
+		return r != nil && s.area[a].reg == r.ID && s.area[a].ver == r.Version()
 	})
 	outside := find("a region outside the footprint", func(a int) bool {
 		reg := p.Assignment(a)
 		return reg != region.Unassigned && !inRegions(reg)
 	})
 	r := p.Region(c.regions[0])
-	item := s.byArea[cand][0]
+	item := &s.area[cand].cands[0]
 	var live *tabuEnt
 	for i := range s.tabuByArea[tabued] {
 		if s.tabuByArea[tabued][i].until > next {
 			live = &s.tabuByArea[tabued][i]
 		}
 	}
-	ent := &s.donor[donor]
+	ent := &s.area[donor]
 	for _, tc := range []struct {
 		name string
 		set  func(on bool)
@@ -304,13 +304,7 @@ func TestCycleSnapshotSeesFootprint(t *testing.T) {
 		{"candidate delta", swapOn(&item.delta, item.delta+1)},
 		{"candidate gain", swapOn(&item.gain, item.gain+1)},
 		{"candidate target", swapOn(&item.key.to, item.key.to+1000)},
-		{"candidate set", func(on bool) {
-			if on {
-				s.byArea[cand] = s.byArea[cand][1:]
-			} else {
-				s.byArea[cand] = append([]*candItem{item}, s.byArea[cand]...)
-			}
-		}},
+		{"candidate set", swapOn(&s.area[cand].cands, s.area[cand].cands[1:])},
 		{"tabu expiry", swapOn(&live.until, live.until+1)},
 		{"donor loss", swapOn(&ent.loss, ent.loss+1)},
 		{"donor version", swapOn(&ent.ver, ent.ver-1)},

@@ -94,14 +94,37 @@ type tabuEnt struct {
 	until int
 }
 
-// donorEnt is one area's cached donor-side state, keyed by the donor region
-// and its mutation version. loss is only meaningful when feas is true and
-// the searcher runs the default heterogeneity objective.
-type donorEnt struct {
+// areaState is one area's candidates and donor cache. A refresh reads and
+// writes all of them for each area it refreshes, so they share one struct
+// instead of living in parallel arrays.
+type areaState struct {
+	// cands holds the area's live candidate items; each sits in the heap,
+	// whose entries point into this array (see placeCand).
+	cands []candItem
+	// reg, ver, feas and loss cache the area's donor-side state — tracker
+	// feasibility of leaving and (under the default objective) the
+	// heterogeneity loss — valid while the area still sits in region reg at
+	// version ver. loss is only meaningful when feas is true. External areas
+	// keep the same donor across consecutive refreshes, so the cached values
+	// — bitwise identical to a recompute, since the donor's member and
+	// Fenwick state are keyed by its version — save one tracker evaluation
+	// and one kernel query per refresh.
 	reg, ver int
-	feas     bool
 	loss     float64
+	feas     bool
 }
+
+// Flags of an area (searcher.flags) while a refresh or a proof snapshot
+// collects its areas; each collector clears the flags it set.
+const (
+	// flagListed: the area is already listed for this refresh (or, in
+	// startProof, the footprint).
+	flagListed uint8 = 1 << iota
+	// flagAdjF, flagAdjT: the area turned up adjacent to the donor or the
+	// target region in the boundary pass.
+	flagAdjF
+	flagAdjT
+)
 
 // searcher holds the candidate-move incremental state. All per-area state
 // lives in flat arrays indexed by area id — the refresh loop runs a few
@@ -115,10 +138,13 @@ type searcher struct {
 	// hetero marks the default Heterogeneity objective, enabling donor-loss
 	// batching: one HeteroLoss per area instead of one per (area, target).
 	hetero bool
-	// byArea indexes the live candidate items of each area; the same
-	// items sit in the heap.
-	byArea [][]*candItem
-	heap   candHeap
+	// exact marks a running objective that equals Objective.Total bit for
+	// bit after every move: the default objective on data whose
+	// heterogeneity arithmetic is exact (region.Partition.HeteroExact).
+	exact bool
+	// area holds each area's candidates and donor cache.
+	area []areaState
+	heap candHeap
 	// tabuByArea[a] lists a's forbidden targets with expiry iterations.
 	// An area accumulates few distinct past donors, so lookup is a short
 	// linear scan with no hashing; expired entries are overwritten in place.
@@ -128,31 +154,20 @@ type searcher struct {
 	// computed — live regions always have Version() >= 1).
 	remOK    []bool
 	remEpoch []int
-	// donor[a] caches a's donor-side state — tracker feasibility of leaving
-	// and (under the default objective) the heterogeneity loss — valid while
-	// the area still sits in region reg at version ver. External areas keep
-	// the same donor across consecutive refreshes, so the cached values —
-	// bitwise identical to a recompute, since the donor's member and
-	// Fenwick state are keyed by its version — save one tracker evaluation
-	// and one kernel query per refresh.
-	donor []donorEnt
-	// cur is the running objective value, updated by applied deltas and
-	// resynced from Objective.Total on improvements to stop float drift.
+	// cur is the running objective value, updated by applied deltas. Unless
+	// exact, it is resynced from Objective.Total on improvements to stop
+	// float drift.
 	cur float64
 	// popped is the reusable pick-move scratch buffer.
 	popped []*candItem
-	// affStamp/affList/extList/stamp dedupe the refresh set without
-	// clearing: affList collects f/t members (full refresh), extList the
-	// external neighbors (surgical refresh of f/t-targeted candidates only).
-	// extAdjF/extAdjT record — per refresh generation — whether an external
-	// area turned up adjacent to the donor or target region in the boundary
-	// pass, replacing a neighbor rescan in refreshExternal.
-	affStamp []int
-	affList  []int
-	extList  []int
-	extAdjF  []int
-	extAdjT  []int
-	stamp    int
+	// affList collects the f/t members of a refresh (full refresh), extList
+	// the external neighbors (surgical refresh of f/t-targeted candidates
+	// only). flags dedupe the lists and record each external's adjacency to
+	// f and t; one byte per area keeps a region's neighborhood — whose ids
+	// lie close together in generated datasets — in a few cache lines.
+	affList []int
+	extList []int
+	flags   []uint8
 	// targets is the per-area candidate-target scratch buffer.
 	targets []int
 	// movedArea is the area whose relocation triggered the current refresh
@@ -161,8 +176,9 @@ type searcher struct {
 	// this area's arrival or departure, so the cached loss can be adjusted
 	// by one pair term instead of re-queried.
 	movedArea int
-	// free recycles candidate items across refreshes.
-	free []*candItem
+	// candArena is the unused rest of the chunk that areas' first cands
+	// arrays are carved from.
+	candArena []candItem
 	// cnt accumulates the run's hot-path counters as plain ints; flushed
 	// into Stats and the bound registry at the end of Improve.
 	cnt Counters
@@ -176,14 +192,12 @@ func newSearcher(p *region.Partition, obj Objective, restrict []bool) *searcher 
 		obj:        obj,
 		restrict:   restrict,
 		hetero:     hetero,
-		byArea:     make([][]*candItem, n),
+		exact:      hetero && p.HeteroExact(),
+		area:       make([]areaState, n),
 		tabuByArea: make([][]tabuEnt, n),
 		remOK:      make([]bool, n),
 		remEpoch:   make([]int, p.RegionIDBound()),
-		donor:      make([]donorEnt, n),
-		affStamp:   make([]int, n),
-		extAdjF:    make([]int, n),
-		extAdjT:    make([]int, n),
+		flags:      make([]uint8, n),
 		movedArea:  -1,
 	}
 	s.buildAllCandidates()
@@ -212,6 +226,10 @@ func (s *searcher) tabuUntil(key moveKey) int {
 	}
 	return 0
 }
+
+// afterMove, when set by a test, observes the searcher after each executed
+// move and its refresh.
+var afterMove func(s *searcher)
 
 // Improve runs Tabu search on the partition in place. On return the
 // partition is in the best state encountered (moves past the best are
@@ -252,26 +270,33 @@ func Improve(p *region.Partition, cfg Config) Stats {
 		if !ok {
 			break
 		}
-		from := p.Assignment(it.key.area)
-		p.MoveArea(it.key.area, it.key.to)
+		// The item lives in its area's candidate array, which the refresh
+		// may move: read it before.
+		area, to := it.key.area, it.key.to
+		from := p.Assignment(area)
+		p.MoveArea(area, to)
 		s.cur += it.delta
 		stats.Moves++
 		if cfg.RecordMoves {
-			stats.MoveLog = append(stats.MoveLog, Move{Area: it.key.area, From: from, To: it.key.to})
+			stats.MoveLog = append(stats.MoveLog, Move{Area: area, From: from, To: to})
 		}
-		undo = append(undo, appliedMove{area: it.key.area, from: from, to: it.key.to})
-		cyc.hash ^= zobrist(it.key.area, from) ^ zobrist(it.key.area, it.key.to)
-		s.setTabu(it.key.area, from, iter+cfg.Tenure)
-		s.refreshAround(it.key.area, from, it.key.to)
+		undo = append(undo, appliedMove{area: area, from: from, to: to})
+		cyc.hash ^= zobrist(area, from) ^ zobrist(area, to)
+		s.setTabu(area, from, iter+cfg.Tenure)
+		s.refreshAround(area, from, to)
+		if afterMove != nil {
+			afterMove(s)
+		}
 
 		improved := false
 		if s.cur < best-1e-9 {
-			// Re-evaluate exactly on candidate improvements so the
-			// incremental value cannot drift across long runs.
-			s.cur = s.obj.Total(p)
-			if s.cur < best-1e-9 {
-				improved = true
+			// Re-evaluate on candidate improvements so the incremental value
+			// cannot drift across long runs. On exact data it cannot drift,
+			// and the O(p) re-sum would return the same bits.
+			if !s.exact {
+				s.cur = s.obj.Total(p)
 			}
+			improved = s.cur < best-1e-9
 		}
 		if improved {
 			best = s.cur
@@ -388,10 +413,13 @@ func less(a, b moveKey) bool {
 	return a.to < b.to
 }
 
-// buildAllCandidates scans every region's boundary for valid moves.
+// buildAllCandidates scans every region for valid moves. refreshArea drops
+// an interior member at its neighbor scan, so the members are visited as
+// they are, with no separate boundary list to build and sort: the heap's
+// total order makes the visiting order irrelevant.
 func (s *searcher) buildAllCandidates() {
 	for _, id := range s.p.RegionIDs() {
-		for _, a := range s.p.BoundaryAreas(id) {
+		for _, a := range s.p.Region(id).Members {
 			s.refreshArea(a, -1, -1)
 		}
 	}
@@ -457,33 +485,32 @@ func (s *searcher) refreshArea(a, f, t int) {
 		s.dropCandidates(a)
 		return
 	}
-	// Enumerate distinct neighbor regions first: interior areas bail out
-	// before paying any donor-side check. Degrees are small, so the dedup
-	// is a linear scan of the scratch slice.
-	targets := s.targets[:0]
-	for _, nb := range p.Graph().Neighbors(a) {
-		to := p.Assignment(int(nb))
-		if to == region.Unassigned || to == from {
-			continue
-		}
-		dup := false
-		for _, prev := range targets {
-			if prev == to {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			targets = append(targets, to)
-		}
-	}
-	s.targets = targets
-	if len(targets) == 0 {
+	r := p.Region(from)
+	if r.Size() <= 1 { // moving the only member would change p
 		s.dropCandidates(a)
 		return
 	}
-	r := p.Region(from)
-	if r.Size() <= 1 { // moving the only member would change p
+	// A cut vertex of its region has no move whatever its targets, and in a
+	// refresh about half the members are one: when the removability cache
+	// already holds the region's current pass, drop them before the target
+	// scan. A stale cache is left to canRemove below, so that no pass runs
+	// for an area the scan would have dropped.
+	if r.ID < len(s.remEpoch) && s.remEpoch[r.ID] == r.Version() && !s.remOK[a] {
+		s.dropCandidates(a)
+		return
+	}
+	// Find the first neighbor region: interior areas bail out before paying
+	// any donor-side check, and an area whose donor cannot lose it bails out
+	// before the full target scan below.
+	nbs := p.Graph().Neighbors(a)
+	first := -1
+	for i, nb := range nbs {
+		if to := p.Assignment(int(nb)); to != region.Unassigned && to != from {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
 		s.dropCandidates(a)
 		return
 	}
@@ -501,7 +528,7 @@ func (s *searcher) refreshArea(a, f, t int) {
 	// is adjusted by that one pair term in O(attrs) instead of re-queried —
 	// any rounding drift versus a fresh query is orders of magnitude below
 	// the tieEps window that move selection already tolerates.
-	ent := &s.donor[a]
+	ent := &s.area[a]
 	oneBehind := ent.reg == from && ent.ver == r.Version()-1 && ent.feas
 	prevLoss := ent.loss
 	ent.reg, ent.ver = from, r.Version()
@@ -511,6 +538,26 @@ func (s *searcher) refreshArea(a, f, t int) {
 		s.dropCandidates(a)
 		return
 	}
+	// Enumerate the distinct neighbor regions. Degrees are small, so the
+	// dedup is a linear scan of the scratch slice.
+	targets := s.targets[:0]
+	for _, nb := range nbs[first:] {
+		to := p.Assignment(int(nb))
+		if to == region.Unassigned || to == from {
+			continue
+		}
+		dup := false
+		for _, prev := range targets {
+			if prev == to {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			targets = append(targets, to)
+		}
+	}
+	s.targets = targets
 	var loss float64
 	if s.hetero {
 		if oneBehind && s.movedArea >= 0 {
@@ -524,9 +571,10 @@ func (s *searcher) refreshArea(a, f, t int) {
 		}
 		ent.loss = loss
 	}
-	old := s.byArea[a]
+	old := ent.cands
 	live := old[:0]
-	for _, it := range old {
+	for i := range old {
+		it := &old[i]
 		to := it.key.to
 		want := false
 		for _, tgt := range targets {
@@ -544,7 +592,6 @@ func (s *searcher) refreshArea(a, f, t int) {
 		mutated := to == f || to == t
 		if !want || (mutated && !p.Region(to).Tracker.SatisfiedAllAfterAdd(a)) {
 			s.heap.remove(it)
-			s.free = append(s.free, it)
 			continue
 		}
 		s.cnt.CandidateEvals++
@@ -565,12 +612,18 @@ func (s *searcher) refreshArea(a, f, t int) {
 			it.delta = delta
 			s.heap.fix(it)
 		}
-		live = append(live, it)
+		// Compaction only moves an item down into a removed item's slot.
+		if k := len(live); k != i {
+			live = append(live, *it)
+			s.heap.ents[live[k].pos].it = &live[k]
+		} else {
+			live = live[:k+1]
+		}
 	}
 	for _, to := range targets {
 		present := false
-		for _, it := range live {
-			if it.key.to == to {
+		for i := range live {
+			if live[i].key.to == to {
 				present = true
 				break
 			}
@@ -586,36 +639,52 @@ func (s *searcher) refreshArea(a, f, t int) {
 		} else {
 			delta = s.obj.DeltaMove(p, a, to)
 		}
-		it := s.newItem(moveKey{area: a, to: to}, delta)
-		it.gain = gain
-		live = append(live, it)
-		s.heap.push(it)
+		live = s.placeCand(live, candItem{key: moveKey{area: a, to: to}, delta: delta, gain: gain})
+		s.heap.push(&live[len(live)-1])
 	}
-	s.byArea[a] = live
+	ent.cands = live
 }
 
-// newItem recycles a candidate item from the free list.
-func (s *searcher) newItem(key moveKey, delta float64) *candItem {
-	if n := len(s.free); n > 0 {
-		it := s.free[n-1]
-		s.free = s.free[:n-1]
-		it.key, it.delta = key, delta
-		return it
+// An area's first cands array holds candCap items and is carved from
+// chunks of candChunk: the initial build gives tens of thousands of areas
+// their candidates at paper scale, and a chunk costs one allocation where
+// per-area arrays cost one each. Longer lists grow by append.
+const (
+	candChunk = 4096
+	candCap   = 2
+)
+
+// placeCand appends a candidate that is not in the heap yet to an area's
+// list and returns the list. When the append moves the array, the heap
+// entries of the items already listed are re-pointed to their new slots.
+func (s *searcher) placeCand(cands []candItem, c candItem) []candItem {
+	if cands == nil {
+		if len(s.candArena) < candCap {
+			s.candArena = make([]candItem, candChunk)
+		}
+		cands = s.candArena[:0:candCap]
+		s.candArena = s.candArena[candCap:]
 	}
-	return &candItem{key: key, delta: delta}
+	if len(cands) < cap(cands) {
+		return append(cands, c)
+	}
+	cands = append(cands, c)
+	for i := range cands[:len(cands)-1] {
+		s.heap.ents[cands[i].pos].it = &cands[i]
+	}
+	return cands
 }
 
 // dropCandidates removes all candidate items of one area.
 func (s *searcher) dropCandidates(a int) {
-	items := s.byArea[a]
-	if len(items) == 0 {
+	st := &s.area[a]
+	if len(st.cands) == 0 {
 		return
 	}
-	for _, it := range items {
-		s.heap.remove(it)
-		s.free = append(s.free, it)
+	for i := range st.cands {
+		s.heap.remove(&st.cands[i])
 	}
-	s.byArea[a] = items[:0]
+	st.cands = st.cands[:0]
 }
 
 // refreshAround rebuilds the candidate entries affected by a move between
@@ -632,7 +701,7 @@ func (s *searcher) dropCandidates(a int) {
 // affected set is read off RemovableAndBoundary's boundary incidences: one
 // traversal per region yields the removability verdicts (primed into the
 // canRemove cache) and every member-to-outside adjacency, replacing a second
-// full member-and-neighbor sweep. Members only need the extra byArea check
+// full member-and-neighbor sweep. Members only need the extra candidate check
 // for stale candidates from before they turned interior.
 //
 // Members of f and t get a full refreshArea: their donor side mutated.
@@ -645,10 +714,9 @@ func (s *searcher) dropCandidates(a int) {
 func (s *searcher) refreshAround(a, f, t int) {
 	p := s.p
 	s.movedArea = a
-	s.stamp++
 	s.affList = s.affList[:0]
 	s.extList = s.extList[:0]
-	collect := func(id int, adjStamp []int) {
+	collect := func(id int, adj uint8) {
 		r := p.Region(id)
 		if r == nil {
 			return
@@ -661,28 +729,31 @@ func (s *searcher) refreshAround(a, f, t int) {
 			if to == region.Unassigned {
 				continue
 			}
-			adjStamp[v] = s.stamp
-			if u := int(bu[i]); s.affStamp[u] != s.stamp {
-				s.affStamp[u] = s.stamp
+			if u := int(bu[i]); s.flags[u]&flagListed == 0 {
+				s.flags[u] |= flagListed
 				s.affList = append(s.affList, u)
 			}
-			if to != f && to != t && s.affStamp[v] != s.stamp {
-				s.affStamp[v] = s.stamp
-				s.extList = append(s.extList, v)
+			if to != f && to != t {
+				if s.flags[v]&flagListed == 0 {
+					s.extList = append(s.extList, v)
+				}
+				s.flags[v] |= flagListed | adj
 			}
 		}
 	}
-	collect(f, s.extAdjF)
-	collect(t, s.extAdjT)
+	collect(f, flagAdjF)
+	collect(t, flagAdjT)
 	// A member of f or t can hold stale candidates without appearing in the
 	// boundary pairs only by having just turned interior — its last foreign
 	// neighbor was the moved area itself (only a's assignment changed), so
 	// scanning a and its neighbors covers every such member without a sweep
 	// over both full member lists.
 	stale := func(m int) {
-		if to := p.Assignment(m); (to == f || to == t) && len(s.byArea[m]) > 0 && s.affStamp[m] != s.stamp {
-			s.affStamp[m] = s.stamp
-			s.affList = append(s.affList, m)
+		if to := p.Assignment(m); (to == f || to == t) && len(s.area[m].cands) > 0 {
+			if s.flags[m]&flagListed == 0 {
+				s.flags[m] |= flagListed
+				s.affList = append(s.affList, m)
+			}
 		}
 	}
 	stale(a)
@@ -690,25 +761,32 @@ func (s *searcher) refreshAround(a, f, t int) {
 		stale(int(nb))
 	}
 	for _, m := range s.affList {
+		s.flags[m] = 0
 		s.refreshArea(m, f, t)
 	}
 	for _, b := range s.extList {
-		s.refreshExternal(b, f, t, s.extAdjF[b] == s.stamp, s.extAdjT[b] == s.stamp)
+		fl := s.flags[b]
+		s.flags[b] = 0
+		s.refreshExternal(b, f, t, fl&flagAdjF != 0, fl&flagAdjT != 0)
 	}
 }
 
 // removeItem removes one candidate item from the heap and its area's index.
 func (s *searcher) removeItem(a int, it *candItem) {
-	items := s.byArea[a]
-	for i, o := range items {
-		if o == it {
-			items[i] = items[len(items)-1]
-			s.byArea[a] = items[:len(items)-1]
-			break
+	s.heap.remove(it)
+	st := &s.area[a]
+	items := st.cands
+	last := len(items) - 1
+	for i := range items {
+		if &items[i] == it {
+			if i != last {
+				items[i] = items[last]
+				s.heap.ents[items[i].pos].it = &items[i]
+			}
+			st.cands = items[:last]
+			return
 		}
 	}
-	s.heap.remove(it)
-	s.free = append(s.free, it)
 }
 
 // refreshExternal refreshes the candidates of external area b (a member of
@@ -724,14 +802,7 @@ func (s *searcher) refreshExternal(b, f, t int, adjF, adjT bool) {
 		return // unmasked areas never hold candidate items to refresh
 	}
 	p := s.p
-	var itF, itT *candItem
-	for _, it := range s.byArea[b] {
-		if it.key.to == f {
-			itF = it
-		} else if it.key.to == t {
-			itT = it
-		}
-	}
+	st := &s.area[b]
 	ok := adjF || adjT
 	var loss float64
 	if ok {
@@ -740,60 +811,76 @@ func (s *searcher) refreshExternal(b, f, t int, adjF, adjT bool) {
 		if r.Size() <= 1 || !s.canRemove(r, b) {
 			ok = false
 		} else {
-			ent := &s.donor[b]
-			if ent.reg != from || ent.ver != r.Version() {
-				ent.reg, ent.ver = from, r.Version()
-				ent.feas = r.Tracker.SatisfiedAllAfterRemove(b, r.Members)
-				ent.loss = 0
-				if ent.feas && s.hetero {
-					ent.loss = p.HeteroLoss(b)
+			if st.reg != from || st.ver != r.Version() {
+				st.reg, st.ver = from, r.Version()
+				st.feas = r.Tracker.SatisfiedAllAfterRemove(b, r.Members)
+				st.loss = 0
+				if st.feas && s.hetero {
+					st.loss = p.HeteroLoss(b)
 				}
 			}
-			ok = ent.feas
-			loss = ent.loss
+			ok = st.feas
+			loss = st.loss
 		}
 	}
-	upsert := func(to int, adj bool, it *candItem) {
-		if ok && adj && p.Region(to).Tracker.SatisfiedAllAfterAdd(b) {
-			s.cnt.CandidateEvals++
-			if it != nil {
-				// Kept items were refreshed at the target's previous
-				// mutation, so the cached gain is exactly one member change
-				// behind: advance it by the moved area's pair term.
-				var delta float64
-				if s.hetero {
-					if to == t {
-						it.gain += p.PairDissimilarity(b, s.movedArea)
-					} else {
-						it.gain -= p.PairDissimilarity(b, s.movedArea)
-					}
-					delta = it.gain - loss
-				} else {
-					delta = s.obj.DeltaMove(p, b, to)
-				}
-				if delta != it.delta {
-					it.delta = delta
-					s.heap.fix(it)
-				}
-			} else {
-				var gain, delta float64
-				if s.hetero {
-					gain = p.HeteroGain(b, to)
-					delta = gain - loss
-				} else {
-					delta = s.obj.DeltaMove(p, b, to)
-				}
-				ni := s.newItem(moveKey{area: b, to: to}, delta)
-				ni.gain = gain
-				s.byArea[b] = append(s.byArea[b], ni)
-				s.heap.push(ni)
-			}
-			return
+	if !ok && len(st.cands) == 0 {
+		return // nothing to remove, nothing to add
+	}
+	s.upsertExternal(b, f, ok && adjF, false, loss)
+	s.upsertExternal(b, t, ok && adjT, true, loss)
+}
+
+// upsertExternal brings external area b's candidate toward a mutated region
+// in line: re-keyed when kept, inserted when new, removed when unwanted.
+// want says b may move there as far as adjacency and its donor side go,
+// joined whether the moved area joined the region (else it left it), and
+// loss is b's donor loss. The slot is looked up afresh on every call,
+// because a previous upsert may have moved b's items.
+func (s *searcher) upsertExternal(b, to int, want, joined bool, loss float64) {
+	p := s.p
+	st := &s.area[b]
+	var it *candItem
+	for i := range st.cands {
+		if st.cands[i].key.to == to {
+			it = &st.cands[i]
+			break
 		}
+	}
+	if !want || !p.Region(to).Tracker.SatisfiedAllAfterAdd(b) {
 		if it != nil {
 			s.removeItem(b, it)
 		}
+		return
 	}
-	upsert(f, adjF, itF)
-	upsert(t, adjT, itT)
+	s.cnt.CandidateEvals++
+	if it != nil {
+		// Kept items were refreshed at the target's previous mutation, so
+		// the cached gain is exactly one member change behind: advance it by
+		// the moved area's pair term.
+		var delta float64
+		if s.hetero {
+			if joined {
+				it.gain += p.PairDissimilarity(b, s.movedArea)
+			} else {
+				it.gain -= p.PairDissimilarity(b, s.movedArea)
+			}
+			delta = it.gain - loss
+		} else {
+			delta = s.obj.DeltaMove(p, b, to)
+		}
+		if delta != it.delta {
+			it.delta = delta
+			s.heap.fix(it)
+		}
+		return
+	}
+	var gain, delta float64
+	if s.hetero {
+		gain = p.HeteroGain(b, to)
+		delta = gain - loss
+	} else {
+		delta = s.obj.DeltaMove(p, b, to)
+	}
+	st.cands = s.placeCand(st.cands, candItem{key: moveKey{area: b, to: to}, delta: delta, gain: gain})
+	s.heap.push(&st.cands[len(st.cands)-1])
 }
