@@ -544,7 +544,13 @@ func (p *Partition) RegionConnected(regionID int) bool {
 	if r == nil {
 		return false
 	}
-	return p.g.ConnectedSubset(r.Members)
+	return p.connected(r.Members)
+}
+
+// connected reports whether the members induce a connected subgraph, on the
+// partition's traversal scratch: the excluded area -1 is no member.
+func (p *Partition) connected(members []int) bool {
+	return p.g.ConnectedSubsetExcludingScratch(p.scratch, members, -1)
 }
 
 // CanRemove reports whether removing the area keeps its region connected
@@ -715,15 +721,24 @@ func (p *Partition) Clone() *Partition {
 	return c
 }
 
-// Validate checks all partition invariants; it is meant for tests and
-// debugging, not hot paths:
+// Validate checks all partition invariants:
 //   - assignment vector and region member lists agree,
 //   - regions are disjoint and non-empty,
 //   - every region is spatially contiguous,
 //   - trackers and heterogeneity match naive recomputation.
+//
+// It hashes nothing: area ownership is one slice over the areas, contiguity
+// runs on the partition's traversal scratch, and one tracker is refilled
+// per region. It costs O(n + Σ|R|²), a few milliseconds on a paper-scale
+// answer.
 func (p *Partition) Validate() error {
 	count := 0
-	seen := make(map[int]int) // area -> region id
+	// owner[a] is the first region found listing area a.
+	owner := make([]int, len(p.assign))
+	for a := range owner {
+		owner[a] = Unassigned
+	}
+	want := p.ev.NewTracker()
 	for id, r := range p.regs {
 		if r == nil {
 			continue
@@ -736,18 +751,21 @@ func (p *Partition) Validate() error {
 			return fmt.Errorf("region: region %d is empty", id)
 		}
 		for _, a := range r.Members {
-			if prev, dup := seen[a]; dup {
+			if prev := owner[a]; prev != Unassigned {
 				return fmt.Errorf("region: area %d in regions %d and %d", a, prev, id)
 			}
-			seen[a] = id
+			owner[a] = id
 			if p.assign[a] != id {
 				return fmt.Errorf("region: area %d assigned to %d but in region %d members", a, p.assign[a], id)
 			}
 		}
-		if !p.g.ConnectedSubset(r.Members) {
+		if !p.connected(r.Members) {
 			return fmt.Errorf("region: region %d is not contiguous", id)
 		}
-		want := p.ev.Compute(r.Members)
+		want.Reset()
+		for _, a := range r.Members {
+			want.Add(a)
+		}
 		for i := 0; i < p.ev.Len(); i++ {
 			got, exp := r.Tracker.Value(i), want.Value(i)
 			if math.Abs(got-exp) > 1e-6 && !(math.IsNaN(got) && math.IsNaN(exp)) {
@@ -770,10 +788,7 @@ func (p *Partition) Validate() error {
 		return fmt.Errorf("region: table holds %d regions but counter says %d", count, p.numRegions)
 	}
 	for a, id := range p.assign {
-		if id == Unassigned {
-			continue
-		}
-		if got, ok := seen[a]; !ok || got != id {
+		if id != Unassigned && owner[a] != id {
 			return fmt.Errorf("region: area %d assigned to %d but not a member", a, id)
 		}
 	}
