@@ -74,6 +74,11 @@ func main() {
 		reportCSV  = flag.String("reportcsv", "", "write the per-region statistics as CSV here")
 	)
 	flag.Parse()
+	if err := checkScaleFlag(*scale); err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *query == "" {
 		log.Fatal("-q is required")
 	}
@@ -168,6 +173,15 @@ func writeFileWith(path string, write func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// checkScaleFlag rejects a -scale outside (0, 1], as empbench and empgen
+// do; without it a scale above 1 silently loaded the full-size dataset.
+func checkScaleFlag(scale float64) error {
+	if err := census.CheckScale(scale); err != nil {
+		return fmt.Errorf("invalid -scale: %w", err)
+	}
+	return nil
 }
 
 func loadDataset(path, shpBase, dissim, name string, scale float64, seed int64) (*emp.Dataset, error) {
