@@ -17,6 +17,11 @@ import (
 // worker count, local-search objective, tabu tenure and no-improvement
 // budget, area pickup order, rook against queen contiguity, and a quality
 // comparison against the AZP-Tabu fixed-k baseline at the same k.
+//
+// cfg.Iterations applies to every FaCT solve except the rows of the
+// iterations table, which set their own. Under cfg.SkipTabu the
+// local-search objective and tabu tenure tables are left out and every
+// other FaCT solve is construction-only.
 func Ablations(cfg Config) ([]Table, error) {
 	cfg = cfg.withDefaults()
 	ds, err := dataset(cfg, "2k")
@@ -25,6 +30,11 @@ func Ablations(cfg Config) ([]Table, error) {
 	}
 	defaults := constraint.Set{defaultMin(), defaultAvg(), defaultSum()}
 	hardAvg := constraint.Set{avgRange(2000, 4000)}
+	// solve is the configuration every FaCT solve starts from, construct
+	// its construction-only form.
+	solve := fact.Config{Seed: cfg.Seed, Iterations: cfg.Iterations, SkipLocalSearch: cfg.SkipTabu}
+	construct := solve
+	construct.SkipLocalSearch = true
 	var tables []Table
 
 	// Merge limit on the hard AVG range (drives round-2 merges).
@@ -34,7 +44,9 @@ func Ablations(cfg Config) ([]Table, error) {
 		Header: []string{"merge_limit", "p", "unassigned", "construction"},
 	}
 	for _, limit := range []int{1, 3, 6, 12} {
-		res, err := fact.Solve(ds, hardAvg, fact.Config{MergeLimit: limit, Seed: cfg.Seed, SkipLocalSearch: true})
+		c := construct
+		c.MergeLimit = limit
+		res, err := fact.Solve(ds, hardAvg, c)
 		if err != nil {
 			return nil, err
 		}
@@ -65,56 +77,13 @@ func Ablations(cfg Config) ([]Table, error) {
 	}
 	tables = append(tables, it)
 
-	// Local-search objective.
-	ls := Table{
-		ID:     "ablation",
-		Title:  "Ablation: local-search objective",
-		Header: []string{"objective", "hetero_improve", "moves", "time"},
-	}
-	variants := []struct {
-		objName string
-		cfg     fact.Config
-	}{
-		{"heterogeneity", fact.Config{Seed: cfg.Seed}},
-		{"compactness", fact.Config{Seed: cfg.Seed, Objective: tabu.NewCompactness(ds.Polygons)}},
-	}
-	for _, v := range variants {
-		res, err := fact.Solve(ds, defaults, v.cfg)
+	if !cfg.SkipTabu {
+		ls, err := localSearchAblations(ds, defaults, solve)
 		if err != nil {
 			return nil, err
 		}
-		ls.Rows = append(ls.Rows, []string{
-			v.objName,
-			fmt.Sprintf("%.1f%%", res.HeteroImprovement()*100),
-			fmt.Sprintf("%d", res.TabuMoves),
-			secs(res.LocalSearchTime.Seconds()),
-		})
+		tables = append(tables, ls...)
 	}
-	tables = append(tables, ls)
-
-	// Tabu tenure and no-improvement budget.
-	tb := Table{
-		ID:     "ablation",
-		Title:  "Ablation: tabu tenure and no-improvement budget",
-		Header: []string{"tenure", "max_no_improve", "hetero_improve", "moves", "time"},
-	}
-	n := ds.N()
-	for _, row := range []struct {
-		tenure, budget int
-		label          string
-	}{{5, n / 4, "n/4"}, {10, n, "n"}, {20, 2 * n, "2n"}} {
-		res, err := fact.Solve(ds, defaults, fact.Config{TabuLength: row.tenure, MaxNoImprove: row.budget, Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		tb.Rows = append(tb.Rows, []string{
-			fmt.Sprintf("%d", row.tenure), fmt.Sprintf("%s=%d", row.label, row.budget),
-			fmt.Sprintf("%.1f%%", res.HeteroImprovement()*100),
-			fmt.Sprintf("%d", res.TabuMoves),
-			secs(res.LocalSearchTime.Seconds()),
-		})
-	}
-	tables = append(tables, tb)
 
 	// Area pickup order.
 	ord := Table{
@@ -123,7 +92,9 @@ func Ablations(cfg Config) ([]Table, error) {
 		Header: []string{"order", "p", "unassigned"},
 	}
 	for _, o := range []fact.Order{fact.OrderRandom, fact.OrderAscending, fact.OrderDescending} {
-		res, err := fact.Solve(ds, defaults, fact.Config{Order: o, Seed: cfg.Seed, SkipLocalSearch: true})
+		c := construct
+		c.Order = o
+		res, err := fact.Solve(ds, defaults, c)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +116,7 @@ func Ablations(cfg Config) ([]Table, error) {
 		name string
 		ds   *data.Dataset
 	}{{"rook", ds}, {"queen", queen}} {
-		res, err := fact.Solve(v.ds, defaults, fact.Config{Seed: cfg.Seed, SkipLocalSearch: true})
+		res, err := fact.Solve(v.ds, defaults, construct)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +127,7 @@ func Ablations(cfg Config) ([]Table, error) {
 	// AZP-Tabu quality comparison at FaCT's p (single SUM constraint so the
 	// comparison is as fair as AZP's constraint-free model allows).
 	sumOnly := constraint.Set{defaultSum()}
-	fr, err := fact.Solve(ds, sumOnly, fact.Config{Seed: cfg.Seed})
+	fr, err := fact.Solve(ds, sumOnly, solve)
 	if err != nil {
 		return nil, err
 	}
@@ -175,4 +146,57 @@ func Ablations(cfg Config) ([]Table, error) {
 	}
 	tables = append(tables, fk)
 	return tables, nil
+}
+
+// localSearchAblations runs the two local-search studies from the solve
+// configuration: the local-search objective, and the tabu tenure with its
+// no-improvement budget.
+func localSearchAblations(ds *data.Dataset, defaults constraint.Set, solve fact.Config) ([]Table, error) {
+	ls := Table{
+		ID:     "ablation",
+		Title:  "Ablation: local-search objective",
+		Header: []string{"objective", "hetero_improve", "moves", "time"},
+	}
+	compact := solve
+	compact.Objective = tabu.NewCompactness(ds.Polygons)
+	for _, v := range []struct {
+		objName string
+		cfg     fact.Config
+	}{{"heterogeneity", solve}, {"compactness", compact}} {
+		res, err := fact.Solve(ds, defaults, v.cfg)
+		if err != nil {
+			return nil, err
+		}
+		ls.Rows = append(ls.Rows, []string{
+			v.objName,
+			fmt.Sprintf("%.1f%%", res.HeteroImprovement()*100),
+			fmt.Sprintf("%d", res.TabuMoves),
+			secs(res.LocalSearchTime.Seconds()),
+		})
+	}
+
+	tb := Table{
+		ID:     "ablation",
+		Title:  "Ablation: tabu tenure and no-improvement budget",
+		Header: []string{"tenure", "max_no_improve", "hetero_improve", "moves", "time"},
+	}
+	n := ds.N()
+	for _, row := range []struct {
+		tenure, budget int
+		label          string
+	}{{5, n / 4, "n/4"}, {10, n, "n"}, {20, 2 * n, "2n"}} {
+		c := solve
+		c.TabuLength, c.MaxNoImprove = row.tenure, row.budget
+		res, err := fact.Solve(ds, defaults, c)
+		if err != nil {
+			return nil, err
+		}
+		tb.Rows = append(tb.Rows, []string{
+			fmt.Sprintf("%d", row.tenure), fmt.Sprintf("%s=%d", row.label, row.budget),
+			fmt.Sprintf("%.1f%%", res.HeteroImprovement()*100),
+			fmt.Sprintf("%d", res.TabuMoves),
+			secs(res.LocalSearchTime.Seconds()),
+		})
+	}
+	return []Table{ls, tb}, nil
 }
