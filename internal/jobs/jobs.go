@@ -99,6 +99,12 @@ type Config struct {
 	// lock, observers must tolerate reordered deliveries (the journal's
 	// replay is terminal-state-wins for exactly this reason).
 	OnTransition func(j *Job, st State)
+	// OnDrop, when set, observes each finished record the store drops —
+	// past its TTL or beyond the records' byte bound — after the store
+	// releases its lock. Nothing can reach a dropped job's answer by its
+	// id any more, so the server removes an answer kept under the job's
+	// own key along with the record.
+	OnDrop func(j *Job)
 	// Now is the clock, for tests; nil means time.Now.
 	Now func() time.Time
 }
@@ -136,6 +142,7 @@ type Store struct {
 	maxActive    int
 	now          func() time.Time
 	onTransition func(j *Job, st State) // immutable after NewStore
+	onDrop       func(j *Job)           // immutable after NewStore
 
 	mu        sync.Mutex
 	byID      map[string]*Job
@@ -144,6 +151,7 @@ type Store struct {
 	done      []*Job          // finish order, oldest first
 	doneBytes int64
 	active    int
+	dropped   []*Job // records dropped under the lock, for unlock to report
 
 	stopSweep chan struct{}
 	closeOnce sync.Once
@@ -170,6 +178,7 @@ func NewStore(cfg Config) *Store {
 		maxActive:    cfg.MaxActive,
 		now:          cfg.Now,
 		onTransition: cfg.OnTransition,
+		onDrop:       cfg.OnDrop,
 		byID:         make(map[string]*Job),
 		byFP:         make(map[string]*Job),
 		warmByKey:    make(map[string]*Job),
@@ -201,13 +210,25 @@ func (s *Store) sweeper(interval time.Duration) {
 func (s *Store) Sweep() {
 	s.mu.Lock()
 	s.sweepLocked()
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // Close stops the background sweeper. The store stays usable — Close only
 // ends the goroutine, it does not seal the registry.
 func (s *Store) Close() {
 	s.closeOnce.Do(func() { close(s.stopSweep) })
+}
+
+// unlock releases s.mu, then reports the records dropped while it was held
+// to the OnDrop observer. Every method that can drop a record (through
+// sweepLocked or retireLocked) releases the lock through it.
+func (s *Store) unlock() {
+	dropped := s.dropped
+	s.dropped = nil
+	s.mu.Unlock()
+	for _, j := range dropped {
+		s.onDrop(j)
+	}
 }
 
 // notifyTransition fires the transition observer. Called after s.mu is
@@ -271,7 +292,7 @@ func (s *Store) newID() string {
 // the sync path's singleflight. ErrTooManyJobs rejects past MaxActive.
 func (s *Store) Submit(fingerprint, datasetKey, dataset string) (j *Job, dup bool, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	s.sweepLocked()
 	if existing, ok := s.byFP[fingerprint]; ok {
 		return existing, true, nil
@@ -292,7 +313,7 @@ func (s *Store) Submit(fingerprint, datasetKey, dataset string) (j *Job, dup boo
 // counts against MaxActive.
 func (s *Store) SubmitDone(fingerprint, datasetKey, dataset, resultKey string, p int, h float64) *Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	s.sweepLocked()
 	j := s.newJobLocked(fingerprint, datasetKey, dataset)
 	s.retireBornDoneLocked(j, resultKey, p, h)
@@ -342,7 +363,7 @@ func (s *Store) addJobLocked(id, fingerprint, datasetKey, dataset string) *Job {
 // its next lookup even if nothing else churns the store.
 func (s *Store) Get(id string) (*Job, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	s.sweepLocked()
 	j, ok := s.byID[id]
 	return j, ok
@@ -365,7 +386,7 @@ func (s *Store) Jobs() []*Job {
 	for _, j := range s.byID {
 		out = append(out, j)
 	}
-	s.mu.Unlock()
+	s.unlock()
 	slices.SortFunc(out, func(a, b *Job) int {
 		return cmp.Or(a.created.Compare(b.created), strings.Compare(a.id, b.id))
 	})
@@ -425,7 +446,7 @@ func (s *Store) Finish(j *Job, resultKey string, p int, h float64) {
 	j.setResultLocked(resultKey)
 	j.seal(StateDone, true, p, h)
 	s.retireLocked(j)
-	s.mu.Unlock()
+	s.unlock()
 	s.notifyTransition(j, StateDone)
 }
 
@@ -444,7 +465,7 @@ func (s *Store) Fail(j *Job, status int, msg string) {
 	j.errMsg = msg
 	j.seal(StateFailed, false, 0, 0)
 	s.retireLocked(j)
-	s.mu.Unlock()
+	s.unlock()
 	s.notifyTransition(j, StateFailed)
 }
 
@@ -468,7 +489,7 @@ func (s *Store) Cancel(id string) (State, bool) {
 	j.finished = s.now()
 	j.seal(StateCanceled, false, 0, 0)
 	s.retireLocked(j)
-	s.mu.Unlock()
+	s.unlock()
 	// Fire outside the lock: the hook cancels a context, which may run
 	// arbitrary AfterFunc-style callbacks.
 	if cancel != nil {
@@ -486,7 +507,7 @@ func (s *Store) Cancel(id string) (State, bool) {
 // an answer it has evicted seeds nothing.
 func (s *Store) WarmSeed(datasetKey, excludeFingerprint string) (resultKey, jobID string, ok bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	s.sweepLocked()
 	j := s.warmByKey[datasetKey]
 	if j == nil || j.fingerprint == excludeFingerprint {
@@ -539,6 +560,9 @@ func (s *Store) evictLocked(j *Job) {
 	delete(s.byID, j.id)
 	if s.warmByKey[j.datasetKey] == j {
 		delete(s.warmByKey, j.datasetKey)
+	}
+	if s.onDrop != nil {
+		s.dropped = append(s.dropped, j)
 	}
 }
 

@@ -103,6 +103,41 @@ func TestTTLEviction(t *testing.T) {
 	}
 }
 
+// TestOnDropReportsDroppedRecords: every record the store drops, past its
+// TTL or beyond the byte bound, reaches OnDrop once, after the store has
+// released its lock (the observer calls back into the store).
+func TestOnDropReportsDroppedRecords(t *testing.T) {
+	var s *Store
+	var dropped []string
+	s, clk := newTestStore(t, Config{TTL: time.Minute, OnDrop: func(j *Job) {
+		s.StoreStats() // deadlocks if called under the store lock
+		dropped = append(dropped, j.ID())
+	}})
+	j, _, _ := s.Submit("fp", "k", "d")
+	s.Start(j)
+	s.Finish(j, "fp", 3, 1.5)
+	s.Sweep()
+	if len(dropped) != 0 {
+		t.Fatalf("dropped %v before the TTL", dropped)
+	}
+	clk.Advance(2 * time.Minute)
+	s.Sweep()
+	if len(dropped) != 1 || dropped[0] != j.ID() {
+		t.Fatalf("dropped %v, want [%s]", dropped, j.ID())
+	}
+
+	// Records pushed out by the byte bound are reported as well.
+	dropped = nil
+	n := retainBytes/recordBytes + 2
+	first := s.SubmitDone("fp-0", "k", "d", "fp-0", 1, 1)
+	for i := 1; i < n; i++ {
+		s.SubmitDone(fmt.Sprint("fp-", i), "k", "d", fmt.Sprint("fp-", i), 1, 1)
+	}
+	if len(dropped) != 2 || dropped[0] != first.ID() {
+		t.Fatalf("byte bound dropped %d records (first %v), want 2 starting with %s", len(dropped), dropped[:min(len(dropped), 1)], first.ID())
+	}
+}
+
 // TestTTLExpiryRacingGet hammers Get from many goroutines while the clock
 // crosses the TTL boundary: every call must return either (job, true) or
 // (_, false), never a torn state, and the store must stay consistent. Run

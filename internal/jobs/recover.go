@@ -70,7 +70,7 @@ func (s *Store) RestoreWarmSeed(e durable.WarmSeedEntry) bool {
 		return false
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.byID[e.JobID] != nil || s.warmByKey[e.DatasetKey] != nil {
 		return false
 	}

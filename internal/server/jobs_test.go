@@ -834,3 +834,45 @@ func TestJobAnswerEvicted(t *testing.T) {
 	}
 	waitJobTerminal(t, h, warm.ID)
 }
+
+// TestWarmAnswerLeavesWithItsRecord: a warm job's answer, kept under the
+// job's own key where no request can reach it, leaves the result store when
+// the job store drops the job's record, here at its TTL; a cold job's
+// answer, kept under its fingerprint where sync requests share it, stays.
+// The TTL leaves the warm submit ample time to find the cold job's record,
+// whose answer seeds it.
+func TestWarmAnswerLeavesWithItsRecord(t *testing.T) {
+	const ttl = 250 * time.Millisecond
+	sv := New(Config{Registry: obs.New(), Workers: 1, JobTTL: ttl})
+	t.Cleanup(func() { sv.Close() })
+	h, s := sv.Handler(), sv.s
+	_, cold := postJob(t, h, jobBody)
+	waitJobTerminal(t, h, cold.ID)
+	rec, warm := postJob(t, h, `{"named":"1k","scale":0.1,"constraints":"SUM(TOTALPOP) >= 21000","options":{"seed":5}}`)
+	if rec.Code != http.StatusAccepted || warm.WarmFrom != cold.ID {
+		t.Fatalf("warm submit = %d warm_from %q, want 202 from %s", rec.Code, warm.WarmFrom, cold.ID)
+	}
+	waitJobTerminal(t, h, warm.ID)
+	coldKey, _ := solveIdentity(t, jobBody)
+	warmKey := jobResultKey(warm.ID)
+	for _, key := range []string{coldKey, warmKey} {
+		if _, ok := s.resCache.Peek(key); !ok {
+			t.Fatalf("no answer under %q before the sweep", key)
+		}
+	}
+
+	time.Sleep(ttl + 50*time.Millisecond)
+	s.jobs.Sweep()
+	if st := s.jobs.StoreStats(); st.Retained != 0 {
+		t.Fatalf("%d records outlived their TTL", st.Retained)
+	}
+	if _, ok := s.resCache.Peek(warmKey); ok {
+		t.Error("the warm answer outlived its job's record")
+	}
+	if _, ok := s.resCache.Peek(coldKey); !ok {
+		t.Error("the cold answer left with its record; sync requests share it")
+	}
+	if st := s.resCache.Stats(); st.Entries != 1 {
+		t.Errorf("result store holds %d entries, want the cold answer alone", st.Entries)
+	}
+}

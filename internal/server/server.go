@@ -410,6 +410,10 @@ func New(cfg Config) *Service {
 		TTL:          cfg.JobTTL,
 		MaxActive:    cfg.MaxActiveJobs,
 		OnTransition: s.onJobTransition,
+		// A warm answer lives under its job's own key, which only the
+		// record names: it leaves with the record. A cold answer stays
+		// under its fingerprint, where sync requests share it.
+		OnDrop: func(j *jobs.Job) { s.resCache.Remove(jobResultKey(j.ID())) },
 	})
 	s.jobsSubmitted = reg.Counter("emp_jobs_submitted_total", "Async jobs accepted by POST /v1/jobs (including done-on-arrival cache hits).")
 	s.jobsDeduped = reg.Counter("emp_jobs_deduped_total", "Async submits attached to an already-active job with the same fingerprint.")

@@ -134,6 +134,25 @@ func (c *LRU) Add(key string, val any, cost int64) {
 	cg.Set(total)
 }
 
+// Remove deletes the entry under key, reporting whether there was one. It is
+// not an eviction: the owner of an answer withdraws it, as the server does
+// for a warm job's answer once the job's record is gone.
+func (c *LRU) Remove(key string) bool {
+	c.mu.Lock()
+	el, ok := c.items[key]
+	if ok {
+		c.ll.Remove(el)
+		delete(c.items, key)
+		c.cost -= el.Value.(*lruEntry).cost
+	}
+	cg, total := c.met.Cost, c.cost
+	c.mu.Unlock()
+	if ok {
+		cg.Set(total)
+	}
+	return ok
+}
+
 // LRUStats is a point-in-time occupancy and hit-rate snapshot, serialized by
 // the server's /v1/debug/cache endpoint.
 type LRUStats struct {

@@ -392,3 +392,23 @@ func ExampleKey() {
 	fmt.Println(Key("named", "2k", "0.25", "1") == Key("named", "2k", "0.25", "1"))
 	// Output: true
 }
+
+// TestLRURemove: Remove withdraws an entry and its cost without counting an
+// eviction, and reports a missing key.
+func TestLRURemove(t *testing.T) {
+	c := NewLRU(10)
+	c.Add("a", 1, 4)
+	c.Add("b", 2, 3)
+	if !c.Remove("a") {
+		t.Fatal("Remove(a) found nothing")
+	}
+	if _, ok := c.Peek("a"); ok || c.Cost() != 3 || c.Len() != 1 {
+		t.Errorf("after Remove(a): present=%v cost=%d len=%d, want gone, 3, 1", ok, c.Cost(), c.Len())
+	}
+	if c.Remove("a") {
+		t.Error("second Remove(a) reported an entry")
+	}
+	if st := c.Stats(); st.Evictions != 0 {
+		t.Errorf("Remove counted %d evictions", st.Evictions)
+	}
+}
