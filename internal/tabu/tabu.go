@@ -176,9 +176,10 @@ type searcher struct {
 	// this area's arrival or departure, so the cached loss can be adjusted
 	// by one pair term instead of re-queried.
 	movedArea int
-	// candArena is the unused rest of the chunk that areas' first cands
-	// arrays are carved from.
+	// candArena and tabuArena are the unused rests of the chunks that
+	// areas' first candidate arrays and tabu lists are carved from (carve).
 	candArena []candItem
+	tabuArena []tabuEnt
 	// cnt accumulates the run's hot-path counters as plain ints; flushed
 	// into Stats and the bound registry at the end of Improve.
 	cnt Counters
@@ -212,6 +213,9 @@ func (s *searcher) setTabu(area, to, until int) {
 			ents[i].until = until
 			return
 		}
+	}
+	if ents == nil {
+		ents = carve(&s.tabuArena, listCap, listChunk)
 	}
 	s.tabuByArea[area] = append(ents, tabuEnt{to: to, until: until})
 }
@@ -645,25 +649,34 @@ func (s *searcher) refreshArea(a, f, t int) {
 	ent.cands = live
 }
 
-// An area's first cands array holds candCap items and is carved from
-// chunks of candChunk: the initial build gives tens of thousands of areas
-// their candidates at paper scale, and a chunk costs one allocation where
-// per-area arrays cost one each. Longer lists grow by append.
+// An area's first candidate array and first tabu list hold listCap
+// entries each and are carved from chunks of listChunk: the initial build
+// gives tens of thousands of areas their candidates at paper scale, and a
+// search moves tens of thousands of distinct areas, so per-area arrays
+// would cost one allocation each where a chunk costs one for thousands.
+// Longer lists grow by append.
 const (
-	candChunk = 4096
-	candCap   = 2
+	listChunk = 4096
+	listCap   = 2
 )
+
+// carve returns an empty slice with room for n elements cut from *arena,
+// refilling the arena with a fresh chunk of size chunk when it runs short.
+func carve[T any](arena *[]T, n, chunk int) []T {
+	if len(*arena) < n {
+		*arena = make([]T, chunk)
+	}
+	c := (*arena)[:0:n]
+	*arena = (*arena)[n:]
+	return c
+}
 
 // placeCand appends a candidate that is not in the heap yet to an area's
 // list and returns the list. When the append moves the array, the heap
 // entries of the items already listed are re-pointed to their new slots.
 func (s *searcher) placeCand(cands []candItem, c candItem) []candItem {
 	if cands == nil {
-		if len(s.candArena) < candCap {
-			s.candArena = make([]candItem, candChunk)
-		}
-		cands = s.candArena[:0:candCap]
-		s.candArena = s.candArena[candCap:]
+		cands = carve(&s.candArena, listCap, listChunk)
 	}
 	if len(cands) < cap(cands) {
 		return append(cands, c)
