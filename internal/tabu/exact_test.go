@@ -65,7 +65,7 @@ func TestRunningTotalIsExact(t *testing.T) {
 				t.Fatal("integer dissimilarities judged inexact")
 			}
 			moves := 0
-			afterMove = func(s *searcher) {
+			afterMove = func(s *searcher, _ bool) {
 				moves++
 				if got, want := s.cur, s.p.Heterogeneity(); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("after move %d the running total is %v, H(P) %v", moves, got, want)
@@ -81,5 +81,42 @@ func TestRunningTotalIsExact(t *testing.T) {
 			}
 			t.Logf("%d executed moves checked, %d improvements", moves, st.Improvements)
 		})
+	}
+}
+
+// TestRunningTotalResyncedOnFractionalData: on fractional dissimilarities
+// the running total is re-summed on every improvement, so right after one
+// it equals H(P) bit for bit; deltas applied in another order would drift
+// from it in the last bits.
+func TestRunningTotalResyncedOnFractionalData(t *testing.T) {
+	const side = 24
+	ds := data.FromPolygons("lattice", geom.Lattice(geom.LatticeOptions{Cols: side, Rows: side}), geom.Rook)
+	rng := rand.New(rand.NewSource(5))
+	dis := make([]float64, side*side)
+	for i := range dis {
+		dis[i] = rng.Float64() * 1000
+	}
+	if err := ds.AddColumn("D", dis); err != nil {
+		t.Fatal(err)
+	}
+	ds.Dissimilarity = "D"
+	p := grownPartition(t, ds, 12)
+	if p.HeteroExact() {
+		t.Fatal("fractional dissimilarities judged exact")
+	}
+	improvements := 0
+	afterMove = func(s *searcher, improved bool) {
+		if !improved {
+			return
+		}
+		improvements++
+		if got, want := s.cur, s.p.Heterogeneity(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("after improvement %d the running total is %v, H(P) %v", improvements, got, want)
+		}
+	}
+	defer func() { afterMove = nil }()
+	Improve(p, Config{Tenure: 10, MaxNoImprove: p.Dataset().N()})
+	if improvements < 10 {
+		t.Fatalf("%d improvements; the check needs a real search", improvements)
 	}
 }

@@ -231,9 +231,9 @@ func (s *searcher) tabuUntil(key moveKey) int {
 	return 0
 }
 
-// afterMove, when set by a test, observes the searcher after each executed
-// move and its refresh.
-var afterMove func(s *searcher)
+// afterMove, when set by a test, observes the searcher at the end of each
+// executed move, after its refresh and its improvement check.
+var afterMove func(s *searcher, improved bool)
 
 // Improve runs Tabu search on the partition in place. On return the
 // partition is in the best state encountered (moves past the best are
@@ -288,9 +288,6 @@ func Improve(p *region.Partition, cfg Config) Stats {
 		cyc.hash ^= zobrist(area, from) ^ zobrist(area, to)
 		s.setTabu(area, from, iter+cfg.Tenure)
 		s.refreshAround(area, from, to)
-		if afterMove != nil {
-			afterMove(s)
-		}
 
 		improved := false
 		if s.cur < best-1e-9 {
@@ -330,6 +327,9 @@ func Improve(p *region.Partition, cfg Config) Stats {
 					}
 				}
 			}
+		}
+		if afterMove != nil {
+			afterMove(s, improved)
 		}
 	}
 	// Revert any moves made after the last improvement so the partition
