@@ -51,7 +51,7 @@ type golden struct {
 // warm start whose seed regions all exceed the new upper bound, so Step 3
 // sheds areas; and construction-only solves on full-size datasets, the
 // shape of a cold dataset's first request. Searched datasets are scaled so
-// the sweep stays fast under -race, except the paper-scale case, which
+// the sweep stays fast under -race, except the two paper-scale cases, which
 // -short skips.
 var goldenCases = []struct {
 	name    string
@@ -84,6 +84,9 @@ var goldenCases = []struct {
 	{"8k_warm_shed", "8k", 0.05, "SUM(TOTALPOP) in [%[1]d,%[2]d]", "SUM(TOTALPOP) >= %[2]d", Config{Seed: 59}, false},
 	// The paper-scale benchmark warm-up: 50k1 at dataset and solver seed 1.
 	{"50k1", "50k1", 1, "SUM(TOTALPOP) >= 100000", "", Config{Seed: 1}, true},
+	// The same solve cut 16 ways, the benchmark's cut request: the seam
+	// carve and the seam repair at paper scale.
+	{"50k1_cut16", "50k1", 1, "SUM(TOTALPOP) >= 100000", "", Config{Seed: 1, CutShards: 16}, true},
 	// The cold-dataset path: construction-only solves on full-size 2k, 8k
 	// and 20k, under the construction-only warm-up's SUM floor and the
 	// MIN/AVG, MAX-range and COUNT families at the same threshold.
