@@ -76,7 +76,7 @@ func (b *builder) pullAreasRef(r *region.Region, countIdx []int, swapped []bool,
 			if b.avgIdx >= 0 && !b.avgInRange(r.Tracker.ValueAfterAdd(b.avgIdx, a)) {
 				continue
 			}
-			if !b.p.CanRemove(a) {
+			if !b.p.Graph().ConnectedSubsetExcluding(nb.Members, a) {
 				continue
 			}
 			for i, c := range b.ev.Set() {

@@ -254,9 +254,10 @@ func (g *Graph) ConnectedSubset(members []int) bool {
 
 // ConnectedSubsetExcluding reports whether the subset stays connected after
 // removing one member: region members minus the removed area must remain a
-// single connected component. It builds two maps per call; solver code uses
-// ConnectedSubsetExcludingScratch (through region.Partition.CanRemove), and
-// this version remains the reference the scratch tests compare against.
+// single connected component. It builds two maps per call; solver code asks
+// region.Partition.CanRemove, which answers a whole region from one
+// SubsetArticulation pass, and this version remains the reference that the
+// articulation tests and the reference searchers use.
 func (g *Graph) ConnectedSubsetExcluding(members []int, removed int) bool {
 	in := make(map[int]bool, len(members))
 	start := -1

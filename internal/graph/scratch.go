@@ -2,22 +2,13 @@ package graph
 
 import "math"
 
-// Scratch holds reusable per-vertex buffers for repeated subset-connectivity
-// and articulation queries, avoiding the per-call map allocations of
+// Scratch holds reusable per-vertex buffers for repeated articulation
+// queries over vertex subsets, avoiding the per-call map allocations of
 // ConnectedSubset/ConnectedSubsetExcluding on hot paths. Membership and
 // visitation are recorded as generation stamps, so resetting between queries
 // is O(1). A Scratch is not safe for concurrent use; each goroutine (or each
 // region.Partition) owns its own.
 type Scratch struct {
-	g *Graph
-	// inStamp marks subset membership for the current query.
-	inStamp []int
-	// visStamp marks visited vertices for the current BFS traversal.
-	visStamp []int
-	// stamp is the current generation; bumped once per query.
-	stamp int
-	// queue is the BFS worklist.
-	queue []int
 	// nodes holds the per-vertex articulation DFS state, packed into 16
 	// bytes so one vertex — including its subset-membership stamp and its
 	// verdict — costs a single cache line's worth of state instead of
@@ -53,86 +44,26 @@ type artFrame struct{ u, idx, end int32 }
 
 // NewScratch allocates scratch buffers sized for the graph.
 func (g *Graph) NewScratch() *Scratch {
-	n := g.N()
-	return &Scratch{
-		g:        g,
-		inStamp:  make([]int, n),
-		visStamp: make([]int, n),
-		nodes:    make([]artNode, n),
-	}
-}
-
-// begin starts a new query generation and marks the members, returning the
-// number of distinct marked vertices.
-func (s *Scratch) begin(members []int, exclude int) int {
-	s.stamp++
-	marked := 0
-	for _, v := range members {
-		if v == exclude {
-			continue
-		}
-		if s.inStamp[v] != s.stamp {
-			s.inStamp[v] = s.stamp
-			marked++
-		}
-	}
-	return marked
-}
-
-// ConnectedSubsetExcludingScratch is ConnectedSubsetExcluding using reusable
-// buffers: it reports whether the subset stays connected after removing one
-// member.
-func (g *Graph) ConnectedSubsetExcludingScratch(s *Scratch, members []int, removed int) bool {
-	want := s.begin(members, removed)
-	if want <= 1 {
-		return true
-	}
-	start := -1
-	for _, v := range members {
-		if v != removed {
-			start = v
-			break
-		}
-	}
-	return s.bfsCount(start) == want
-}
-
-// bfsCount traverses from start within the currently marked subset and
-// returns the number of vertices reached.
-func (s *Scratch) bfsCount(start int) int {
-	s.visStamp[start] = s.stamp
-	s.queue = append(s.queue[:0], start)
-	reached := 1
-	g := s.g
-	for len(s.queue) > 0 {
-		u := s.queue[len(s.queue)-1]
-		s.queue = s.queue[:len(s.queue)-1]
-		for _, v := range g.arena[g.off[u]:g.off[u+1]] {
-			if s.inStamp[v] == s.stamp && s.visStamp[v] != s.stamp {
-				s.visStamp[v] = s.stamp
-				reached++
-				s.queue = append(s.queue, int(v))
-			}
-		}
-	}
-	return reached
+	return &Scratch{nodes: make([]artNode, g.N())}
 }
 
 // SubsetArticulation reports, for each member, whether it is an articulation
 // point of the subgraph induced by the member subset — i.e. whether removing
-// it disconnects the remaining members. The result is parallel to members.
-// One call costs O(|members| + induced edges), so callers can amortize a
-// whole region's removability checks into a single traversal per region
-// mutation instead of one BFS per member.
+// it disconnects the remaining members — and whether the members induce a
+// connected subgraph at all. art is parallel to members. One call costs
+// O(|members| + induced edges), so callers can amortize a whole region's
+// removability checks into a single traversal per region mutation instead
+// of one traversal per member.
 //
 // The returned slice is a reusable Scratch buffer: it stays valid only until
 // the next query on this Scratch, and callers must copy what they keep. The
 // call itself performs no heap allocations in steady state.
 //
-// Members need not induce a connected subgraph; articulation is computed per
-// induced component (removing a member of one component never disconnects
-// another).
-func (g *Graph) SubsetArticulation(s *Scratch, members []int) []bool {
+// Members must contain no duplicates, but need not induce a connected
+// subgraph; articulation is computed per induced component (removing a
+// member of one component never disconnects another). The empty subset is
+// connected.
+func (g *Graph) SubsetArticulation(s *Scratch, members []int) (art []bool, connected bool) {
 	return g.subsetArticulation(s, members, false)
 }
 
@@ -144,13 +75,14 @@ func (g *Graph) SubsetArticulation(s *Scratch, members []int) []bool {
 // member sweep. All returned slices are reusable Scratch buffers, valid only
 // until the next query.
 func (g *Graph) SubsetArticulationBoundary(s *Scratch, members []int) (art []bool, extU, extV []int32) {
-	art = g.subsetArticulation(s, members, true)
+	art, _ = g.subsetArticulation(s, members, true)
 	return art, s.extU, s.extV
 }
 
 // subsetArticulation runs the iterative Tarjan articulation pass over the
-// induced subgraph, optionally collecting boundary incidences.
-func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []bool {
+// induced subgraph, optionally collecting boundary incidences, and counts
+// the DFS roots: the subset is connected when there is at most one.
+func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) (art []bool, connected bool) {
 	s.artStamp++
 	if s.artStamp == math.MaxInt32 {
 		for i := range s.nodes {
@@ -166,25 +98,28 @@ func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []b
 	if cap(s.artBuf) < len(members) {
 		s.artBuf = make([]bool, len(members))
 	}
-	art := s.artBuf[:len(members)]
+	art = s.artBuf[:len(members)]
 	s.extU, s.extV = s.extU[:0], s.extV[:0]
 	off, arena := g.off, g.arena
 	if len(members) <= 2 {
-		// K1/K2: removal leaves <= 1 vertex, always connected.
-		for i := range art {
-			art[i] = false
-		}
-		if boundary {
+		// K1/K2: removal leaves <= 1 vertex, always connected. Two members
+		// are connected when one is the other's neighbor.
+		clear(art)
+		connected = len(members) < 2
+		if boundary || !connected {
 			for _, u := range members {
 				for _, v := range arena[off[u]:off[u+1]] {
-					if nodes[v].stamp != gen {
+					switch {
+					case nodes[v].stamp == gen:
+						connected = true
+					case boundary:
 						s.extU = append(s.extU, int32(u))
 						s.extV = append(s.extV, v)
 					}
 				}
 			}
 		}
-		return art
+		return art, connected
 	}
 	// The members' total degree bounds the boundary incidences, so the
 	// traversal writes them by index into buffers of that length.
@@ -200,12 +135,13 @@ func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []b
 		}
 		extU, extV = s.extU[:deg], s.extV[:deg]
 	}
-	ne := 0
+	ne, roots := 0, 0
 	var timer int32
 	for _, root := range members {
 		if nodes[root].disc != -1 {
 			continue
 		}
+		roots++
 		nodes[root].disc, nodes[root].low = timer, timer
 		timer++
 		rootChildren := 0
@@ -279,5 +215,5 @@ func (g *Graph) subsetArticulation(s *Scratch, members []int, boundary bool) []b
 	for i, v := range members {
 		art[i] = nodes[v].art
 	}
-	return art
+	return art, roots == 1
 }

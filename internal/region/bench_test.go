@@ -87,14 +87,27 @@ func BenchmarkAddRemoveArea(b *testing.B) {
 	}
 }
 
-// BenchmarkRemovableMembers measures the per-epoch articulation pass that
-// replaces one BFS per candidate.
-func BenchmarkRemovableMembers(b *testing.B) {
-	p, _, from, _ := benchPartition(b, 64, 64, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rem := p.RemovableMembers(from); len(rem) == 0 {
-			b.Fatal("no members")
+// BenchmarkCanRemove measures the donor-side contiguity check on a
+// 2,048-member region. The pass leg queries right after a mutation, so each
+// query runs the region's articulation pass; it also pays one move out and
+// back, which BenchmarkAddRemoveArea times alone. The hit leg asks again
+// with no mutation in between and reads the kept verdict.
+func BenchmarkCanRemove(b *testing.B) {
+	p, area, from, to := benchPartition(b, 64, 64, true)
+	b.Run("pass", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.MoveArea(area, to)
+			p.MoveArea(area, from)
+			if !p.CanRemove(area) {
+				b.Fatal("a border corner cannot leave")
+			}
 		}
-	}
+	})
+	b.Run("hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !p.CanRemove(area) {
+				b.Fatal("a border corner cannot leave")
+			}
+		}
+	})
 }

@@ -143,10 +143,9 @@ func TestKernelRandomMutations(t *testing.T) {
 				if r.Size() <= 1 {
 					continue
 				}
-				rem := p.RemovableMembers(id)
-				for i, okRem := range rem {
-					if okRem {
-						p.RemoveArea(r.Members[i])
+				for _, a := range r.Members {
+					if p.CanRemove(a) {
+						p.RemoveArea(a)
 						break
 					}
 				}

@@ -20,14 +20,11 @@ type PartitionStats struct {
 	// FenwickPoolReuse counts builds served from the partition's tree pool
 	// instead of fresh allocations.
 	FenwickPoolReuse int64
-}
-
-// add folds o into s.
-func (s *PartitionStats) add(o PartitionStats) {
-	s.KernelQueries += o.KernelQueries
-	s.NaiveScans += o.NaiveScans
-	s.FenwickBuilds += o.FenwickBuilds
-	s.FenwickPoolReuse += o.FenwickPoolReuse
+	// RemovabilityPasses counts articulation passes that made a region's
+	// removability verdicts current (see CanRemove). No registry series
+	// holds them: the local search reports its share as
+	// emp_tabu_removability_passes_total.
+	RemovabilityPasses int64
 }
 
 // Stats returns the partition's accumulated hot-path counters since creation

@@ -28,9 +28,10 @@ type Region struct {
 	// member pairs.
 	Hetero float64
 	// epoch counts mutations of this region (member additions, removals,
-	// merges). Consumers cache per-region derived state (e.g. removability
-	// of members) keyed by (ID, epoch).
-	epoch int
+	// merges). removableAt is the epoch of the partition's removability
+	// verdicts for the members (0: none); they are current while it equals
+	// epoch (see CanRemove).
+	epoch, removableAt int
 	// fen is the region's Fenwick heterogeneity index, or nil while the
 	// region is below the build threshold (then the naive scan is used).
 	fen *regionFen
@@ -97,10 +98,14 @@ type Partition struct {
 	// scratch and Fenwick trees come from shared's pools (see Shared and
 	// Recycle).
 	shared *Shared
-	// scratch backs allocation-free contiguity and articulation queries.
-	// It makes Partition methods non-reentrant; a Partition was already
-	// not safe for concurrent use.
+	// scratch backs allocation-free articulation passes. It makes Partition
+	// methods non-reentrant; a Partition was already not safe for concurrent
+	// use.
 	scratch *graph.Scratch
+	// removable[a] is area a's verdict from the last articulation pass over
+	// its region: whether the region stays connected without it. Allocated
+	// by the first pass; read only while the region's removableAt is current.
+	removable []bool
 	// stats accumulates hot-path telemetry as plain ints (the partition is
 	// single-goroutine); see PartitionStats and FlushObs.
 	stats PartitionStats
@@ -318,7 +323,7 @@ func (p *Partition) NewRegion(areas ...int) *Region {
 		p.freeRegs = p.freeRegs[:n-1]
 		r.Members = r.Members[:0]
 		r.Hetero = 0
-		r.epoch = 0
+		r.epoch, r.removableAt = 0, 0
 		r.Tracker.Reset()
 	} else {
 		r = p.newShell()
@@ -544,62 +549,77 @@ func (p *Partition) RegionConnected(regionID int) bool {
 	if r == nil {
 		return false
 	}
-	return p.connected(r.Members)
+	return p.connected(r)
 }
 
-// connected reports whether the members induce a connected subgraph, on the
-// partition's traversal scratch: the excluded area -1 is no member.
-func (p *Partition) connected(members []int) bool {
-	return p.g.ConnectedSubsetExcludingScratch(p.scratch, members, -1)
+// connected reports whether the region's members induce a connected
+// subgraph, from one articulation pass whose verdicts it keeps.
+func (p *Partition) connected(r *Region) bool {
+	art, ok := p.g.SubsetArticulation(p.scratch, r.Members)
+	p.keepRemovable(r, art)
+	return ok
 }
 
 // CanRemove reports whether removing the area keeps its region connected
-// (or empties it). Single-member regions can always lose their member.
+// (or empties it). Single-member regions can always lose their member. The
+// partition keeps the verdicts per region version: the first query after a
+// mutation of the area's region answers every member in one articulation
+// pass (O(|R| + induced edges)), and later queries until the next mutation
+// are O(1).
 func (p *Partition) CanRemove(area int) bool {
 	id := p.assign[area]
 	if id == Unassigned {
 		return false
 	}
 	r := p.regs[id]
-	return p.g.ConnectedSubsetExcludingScratch(p.scratch, r.Members, area)
+	if r.removableAt != r.epoch {
+		art, _ := p.g.SubsetArticulation(p.scratch, r.Members)
+		p.keepRemovable(r, art)
+	}
+	return p.removable[area]
 }
 
-// RemovableMembers returns, parallel to the region's Members, whether each
-// member can be removed without disconnecting the rest — the donor-side
-// contiguity check of swap moves, answered for the whole region in one
-// articulation-point pass (O(|R| + induced edges)) instead of one BFS per
-// member. The result is a reusable scratch buffer: it is valid until the
-// partition's next contiguity or removability query, and callers cache it
-// keyed by (regionID, Version()) only after copying.
-func (p *Partition) RemovableMembers(regionID int) []bool {
+// RemovabilityCurrent reports whether the partition holds removability
+// verdicts for the region's current version, so that CanRemove on its
+// members runs no pass.
+func (p *Partition) RemovabilityCurrent(regionID int) bool {
 	r := p.Region(regionID)
-	if r == nil {
-		return nil
-	}
-	art := p.g.SubsetArticulation(p.scratch, r.Members)
-	for i := range art {
-		art[i] = !art[i]
-	}
-	return art
+	return r != nil && r.removableAt == r.epoch
 }
 
-// RemovableAndBoundary is RemovableMembers extended to also report the
-// region's boundary in the same traversal: bu/bv list every incidence from a
-// member (bu) to an area outside the region (bv) — including unassigned
-// areas — one entry per adjacency. Local-search refresh uses it to discover
-// affected areas and removability verdicts in a single pass over the region
-// instead of two. All returned slices are reusable scratch buffers valid
-// until the partition's next contiguity or removability query.
-func (p *Partition) RemovableAndBoundary(regionID int) (removable []bool, bu, bv []int32) {
+// RemovableAndBoundary reports the region's boundary: bu/bv list every
+// incidence from a member (bu) to an area outside the region (bv) —
+// including unassigned areas — one entry per adjacency. It runs the
+// articulation pass CanRemove runs, so it also makes the region's
+// removability verdicts current: local-search refresh discovers the
+// affected areas and the verdicts in a single pass over the region instead
+// of two. The returned slices are reusable scratch buffers valid until the
+// partition's next articulation pass.
+func (p *Partition) RemovableAndBoundary(regionID int) (bu, bv []int32) {
 	r := p.Region(regionID)
 	if r == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	art, bu, bv := p.g.SubsetArticulationBoundary(p.scratch, r.Members)
-	for i := range art {
-		art[i] = !art[i]
+	p.keepRemovable(r, art)
+	return bu, bv
+}
+
+// keepRemovable stores an articulation pass over the region's members as
+// their removability verdicts for its current version, counting the pass
+// when the verdicts were stale.
+func (p *Partition) keepRemovable(r *Region, art []bool) {
+	if r.removableAt == r.epoch {
+		return
 	}
-	return art, bu, bv
+	if p.removable == nil {
+		p.removable = make([]bool, len(p.assign))
+	}
+	for i, a := range r.Members {
+		p.removable[a] = !art[i]
+	}
+	r.removableAt = r.epoch
+	p.stats.RemovabilityPasses++
 }
 
 // AdjacentToRegion reports whether the area has at least one neighbor in
@@ -714,7 +734,8 @@ func (p *Partition) Clone() *Partition {
 			epoch:   r.epoch,
 		}
 		// Fenwick trees are per-partition state: rebuild rather than
-		// deep-copy so the pool stays private to each clone.
+		// deep-copy so the pool stays private to each clone. So are the
+		// removability verdicts: the clone's start stale.
 		c.maybeBuildFen(cr)
 		c.regs[id] = cr
 	}
@@ -728,9 +749,9 @@ func (p *Partition) Clone() *Partition {
 //   - trackers and heterogeneity match naive recomputation.
 //
 // It hashes nothing: area ownership is one slice over the areas, contiguity
-// runs on the partition's traversal scratch, and one tracker is refilled
-// per region. It costs O(n + Σ|R|²), a few milliseconds on a paper-scale
-// answer.
+// is one articulation pass per region on the partition's scratch (whose
+// removability verdicts it keeps), and one tracker is refilled per region.
+// It costs O(n + Σ|R|²), a few milliseconds on a paper-scale answer.
 func (p *Partition) Validate() error {
 	count := 0
 	// owner[a] is the first region found listing area a.
@@ -759,7 +780,7 @@ func (p *Partition) Validate() error {
 				return fmt.Errorf("region: area %d assigned to %d but in region %d members", a, p.assign[a], id)
 			}
 		}
-		if !p.connected(r.Members) {
+		if !p.connected(r) {
 			return fmt.Errorf("region: region %d is not contiguous", id)
 		}
 		want.Reset()

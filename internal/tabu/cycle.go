@@ -135,9 +135,9 @@ func (s *searcher) skipCycles(c *cycles, undo []appliedMove, iter, tenure, left 
 // and its refresh only reads and writes their members and the members'
 // neighbours; the proof later checks that the period repeated the window's
 // moves, so it stayed inside this footprint. Outside it, nothing the
-// period can observe changes, except that a refresh may rebuild a
-// neighbouring region's removability cache, and that is compared through
-// each footprint area's region.
+// period can observe changes, except that a refresh may make a
+// neighbouring region's removability verdicts current, and that is compared
+// through each footprint area's region.
 func (s *searcher) startProof(c *cycles, undo []appliedMove, l, tenure, nextIter int) {
 	p := s.p
 	window := undo[len(undo)-max(l, tenure):]
@@ -177,7 +177,7 @@ func (s *searcher) startProof(c *cycles, undo []appliedMove, l, tenure, nextIter
 // appendState appends the exact search state of the footprint to dst. It
 // holds the running objective; each footprint region's exact state
 // (region.AppendRegionState); and for each footprint area its assignment,
-// the validity of its region's removability cache, its candidates as
+// whether its region's removability verdicts are current, its candidates as
 // (target, delta, gain) ordered by target, its live tabu entries as
 // (target, iterations left before nextIter's check expires them) ordered by
 // target, and its donor cache reduced to what a refresh can read. Absolute
@@ -195,7 +195,7 @@ func (s *searcher) appendState(dst []uint64, c *cycles, nextIter int) []uint64 {
 		remValid := uint64(0)
 		if reg != region.Unassigned {
 			r = p.Region(reg)
-			if reg < len(s.remEpoch) && s.remEpoch[reg] == r.Version() {
+			if p.RemovabilityCurrent(reg) {
 				remValid = 1
 			}
 		}

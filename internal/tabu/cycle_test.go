@@ -199,8 +199,9 @@ func TestRevertReplaysSkippedPeriods(t *testing.T) {
 // any part of the footprint's search state changes — the running objective,
 // a region's heterogeneity or member order, a candidate's target, delta or
 // gain, a live tabu entry or the distance to its expiry, a donor cache
-// entry, or the validity of a removability cache (of a footprint region or
-// of a neighbouring one) — and returns to equal when it is restored.
+// entry, or whether the partition's removability verdicts are current (for
+// a footprint region or a neighbouring one) — and returns to equal when it
+// is restored.
 func TestCycleSnapshotSeesFootprint(t *testing.T) {
 	// A 12x12 lattice in nine 4x4 blocks: enough regions that some lie
 	// outside the footprint of a few moves.
@@ -294,6 +295,30 @@ func TestCycleSnapshotSeesFootprint(t *testing.T) {
 		}
 	}
 	ent := &s.area[donor]
+	// toggle returns a setter that flips whether the partition's
+	// removability verdicts for region id are current, changing nothing else
+	// the snapshot reads. CanRemove on a member makes them current. The
+	// region's last member leaving and rejoining makes them stale and keeps
+	// its member order and, on integer data, its heterogeneity bits, tracker
+	// and Fenwick state; it advances the region's version by two, so the
+	// donor entries on the region advance along.
+	toggle := func(id int) func(bool) {
+		return func(bool) {
+			r := p.Region(id)
+			if !p.RemovabilityCurrent(id) {
+				p.CanRemove(r.Members[0])
+				return
+			}
+			last := r.Members[len(r.Members)-1]
+			p.RemoveArea(last)
+			p.AddArea(id, last)
+			for a := range s.area {
+				if s.area[a].reg == id {
+					s.area[a].ver += 2
+				}
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		set  func(on bool)
@@ -309,8 +334,8 @@ func TestCycleSnapshotSeesFootprint(t *testing.T) {
 		{"donor loss", swapOn(&ent.loss, ent.loss+1)},
 		{"donor version", swapOn(&ent.ver, ent.ver-1)},
 		{"donor feasibility", swapOn(&ent.feas, !ent.feas)},
-		{"removability validity", swapOn(&s.remEpoch[r.ID], s.remEpoch[r.ID]-1)},
-		{"neighbouring removability validity", swapOn(&s.remEpoch[p.Assignment(outside)], s.remEpoch[p.Assignment(outside)]-1)},
+		{"removability validity", toggle(r.ID)},
+		{"neighbouring removability validity", toggle(p.Assignment(outside))},
 	} {
 		tc.set(true)
 		if same() {

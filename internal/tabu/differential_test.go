@@ -192,7 +192,7 @@ func referenceImprove(p *region.Partition, cfg Config) []Move {
 				continue
 			}
 			r := p.Region(from)
-			if r.Size() <= 1 || !p.CanRemove(a) || !r.Tracker.SatisfiedAllAfterRemove(a, r.Members) {
+			if r.Size() <= 1 || !p.Graph().ConnectedSubsetExcluding(r.Members, a) || !r.Tracker.SatisfiedAllAfterRemove(a, r.Members) {
 				continue
 			}
 			seen := map[int]bool{from: true}

@@ -132,7 +132,8 @@ func (s *fallbackSearcher) buildAllCandidates() {
 }
 
 // addCandidatesFor registers all valid moves of one area, answering the
-// donor-side contiguity question with a fresh BFS (region.CanRemove).
+// donor-side contiguity question with a fresh map-based BFS
+// (graph.ConnectedSubsetExcluding), independent of the partition's verdicts.
 func (s *fallbackSearcher) addCandidatesFor(a int) {
 	p := s.p
 	if s.restrict != nil && !s.restrict[a] {
@@ -147,7 +148,7 @@ func (s *fallbackSearcher) addCandidatesFor(a int) {
 		return // moving the only member would change p
 	}
 	s.cnt.RemovabilityPasses++
-	if !p.CanRemove(a) || !r.Tracker.SatisfiedAllAfterRemove(a, r.Members) {
+	if !p.Graph().ConnectedSubsetExcluding(r.Members, a) || !r.Tracker.SatisfiedAllAfterRemove(a, r.Members) {
 		return
 	}
 	seen := map[int]bool{from: true}

@@ -6,10 +6,12 @@
 // The hot path is fully incremental: candidate moves live in an indexed
 // min-heap keyed by (delta, area, target), the current objective value is
 // maintained by applied deltas instead of per-iteration recomputation, and
-// donor-side removability is derived once per region mutation epoch from a
-// single articulation-point pass rather than one BFS per candidate. Once a
-// non-improving stretch is proven to repeat an exact cycle, its remaining
-// full periods are accounted for without being executed (cycle.go). See
+// donor-side removability is asked of the partition (Partition.CanRemove),
+// which answers a whole region from one articulation pass per mutation and
+// keeps the verdicts, so the search also reads those that construction or
+// the seam carve left current. Once a non-improving stretch is proven to
+// repeat an exact cycle, its remaining full periods are accounted for
+// without being executed (cycle.go). See
 // docs/ALGORITHM.md ("Complexity of the incremental kernels", "Cycle
 // fast-forward").
 package tabu
@@ -149,11 +151,9 @@ type searcher struct {
 	// An area accumulates few distinct past donors, so lookup is a short
 	// linear scan with no hashing; expired entries are overwritten in place.
 	tabuByArea [][]tabuEnt
-	// remOK[a] caches a's donor-side contiguity verdict; valid while
-	// remEpoch[region] matches the region's mutation epoch (0 = never
-	// computed — live regions always have Version() >= 1).
-	remOK    []bool
-	remEpoch []int
+	// passes0 is the partition's removability pass count when the search
+	// began; the search reports the passes made since.
+	passes0 int64
 	// cur is the running objective value, updated by applied deltas. Unless
 	// exact, it is resynced from Objective.Total on improvements to stop
 	// float drift.
@@ -196,8 +196,7 @@ func newSearcher(p *region.Partition, obj Objective, restrict []bool) *searcher 
 		exact:      hetero && p.HeteroExact(),
 		area:       make([]areaState, n),
 		tabuByArea: make([][]tabuEnt, n),
-		remOK:      make([]bool, n),
-		remEpoch:   make([]int, p.RegionIDBound()),
+		passes0:    p.Stats().RemovabilityPasses,
 		flags:      make([]uint8, n),
 		movedArea:  -1,
 	}
@@ -343,11 +342,12 @@ func Improve(p *region.Partition, cfg Config) Stats {
 	return stats
 }
 
-// counters returns the run's hot-path counters so far, heap traffic
-// included.
+// counters returns the run's hot-path counters so far, heap traffic and
+// the partition's removability passes included.
 func (s *searcher) counters() Counters {
 	c := s.cnt
 	c.HeapPushes, c.HeapPops = s.heap.pushes, s.heap.pops
+	c.RemovabilityPasses = s.p.Stats().RemovabilityPasses - s.passes0
 	return c
 }
 
@@ -429,45 +429,6 @@ func (s *searcher) buildAllCandidates() {
 	}
 }
 
-// canRemove answers the donor-side contiguity check through the per-epoch
-// articulation cache: the first query after a region mutation computes
-// removability for every member in one pass, later queries are O(1).
-func (s *searcher) canRemove(r *region.Region, area int) bool {
-	if r.ID >= len(s.remEpoch) {
-		grown := make([]int, s.p.RegionIDBound())
-		copy(grown, s.remEpoch)
-		s.remEpoch = grown
-	}
-	if s.remEpoch[r.ID] != r.Version() {
-		s.cnt.RemovabilityPasses++
-		rem := s.p.RemovableMembers(r.ID)
-		for i, m := range r.Members {
-			s.remOK[m] = rem[i]
-		}
-		s.remEpoch[r.ID] = r.Version()
-	}
-	return s.remOK[area]
-}
-
-// primeRemovability fills the per-epoch removability cache from an already
-// computed articulation pass, so the refresh loop's canRemove queries on the
-// mutated regions are all O(1) hits.
-func (s *searcher) primeRemovability(r *region.Region, rem []bool) {
-	if r.ID >= len(s.remEpoch) {
-		grown := make([]int, s.p.RegionIDBound())
-		copy(grown, s.remEpoch)
-		s.remEpoch = grown
-	}
-	if s.remEpoch[r.ID] == r.Version() {
-		return
-	}
-	s.cnt.RemovabilityPasses++
-	for i, m := range r.Members {
-		s.remOK[m] = rem[i]
-	}
-	s.remEpoch[r.ID] = r.Version()
-}
-
 // refreshArea brings the candidate set of one area in sync with the current
 // partition state, where f and t are the regions mutated by the triggering
 // move (-1, -1 on the initial build). Existing heap items whose (area,
@@ -495,11 +456,11 @@ func (s *searcher) refreshArea(a, f, t int) {
 		return
 	}
 	// A cut vertex of its region has no move whatever its targets, and in a
-	// refresh about half the members are one: when the removability cache
-	// already holds the region's current pass, drop them before the target
-	// scan. A stale cache is left to canRemove below, so that no pass runs
-	// for an area the scan would have dropped.
-	if r.ID < len(s.remEpoch) && s.remEpoch[r.ID] == r.Version() && !s.remOK[a] {
+	// refresh about half the members are one: when the partition's
+	// removability verdicts for the region are current, drop them before the
+	// target scan. Stale verdicts are left to CanRemove below, so that no
+	// pass runs for an area the scan would have dropped.
+	if p.RemovabilityCurrent(from) && !p.CanRemove(a) {
 		s.dropCandidates(a)
 		return
 	}
@@ -518,7 +479,7 @@ func (s *searcher) refreshArea(a, f, t int) {
 		s.dropCandidates(a)
 		return
 	}
-	if !s.canRemove(r, a) {
+	if !p.CanRemove(a) {
 		s.dropCandidates(a)
 		return
 	}
@@ -712,9 +673,9 @@ func (s *searcher) dropCandidates(a int) {
 //
 // Both mutated regions need an articulation pass this move anyway, so the
 // affected set is read off RemovableAndBoundary's boundary incidences: one
-// traversal per region yields the removability verdicts (primed into the
-// canRemove cache) and every member-to-outside adjacency, replacing a second
-// full member-and-neighbor sweep. Members only need the extra candidate check
+// traversal per region makes the partition's removability verdicts current
+// and yields every member-to-outside adjacency, replacing a second full
+// member-and-neighbor sweep. Members only need the extra candidate check
 // for stale candidates from before they turned interior.
 //
 // Members of f and t get a full refreshArea: their donor side mutated.
@@ -730,12 +691,7 @@ func (s *searcher) refreshAround(a, f, t int) {
 	s.affList = s.affList[:0]
 	s.extList = s.extList[:0]
 	collect := func(id int, adj uint8) {
-		r := p.Region(id)
-		if r == nil {
-			return
-		}
-		rem, bu, bv := p.RemovableAndBoundary(id)
-		s.primeRemovability(r, rem)
+		bu, bv := p.RemovableAndBoundary(id)
 		for i := range bu {
 			v := int(bv[i])
 			to := p.Assignment(v)
@@ -808,7 +764,7 @@ func (s *searcher) removeItem(a int, it *candItem) {
 // and inserted fresh when b gained it. The adjF/adjT verdicts come from the
 // boundary pass — b is adjacent to f iff it appeared among f's outside
 // incidences — so no neighbor rescan is needed. b's donor region did not
-// mutate, so its cached removability verdict, cached donor loss, and all
+// mutate, so its removability verdict, cached donor loss, and all
 // candidates toward other regions stay valid.
 func (s *searcher) refreshExternal(b, f, t int, adjF, adjT bool) {
 	if s.restrict != nil && !s.restrict[b] {
@@ -821,7 +777,7 @@ func (s *searcher) refreshExternal(b, f, t int, adjF, adjT bool) {
 	if ok {
 		from := p.Assignment(b)
 		r := p.Region(from)
-		if r.Size() <= 1 || !s.canRemove(r, b) {
+		if r.Size() <= 1 || !p.CanRemove(b) {
 			ok = false
 		} else {
 			if st.reg != from || st.ver != r.Version() {
