@@ -24,8 +24,10 @@ type Counters struct {
 	// TabuRejections counts candidates skipped because they were tabu
 	// without meeting the aspiration criterion.
 	TabuRejections int64
-	// RemovabilityPasses counts donor-side contiguity computations (whole-
-	// region articulation passes).
+	// RemovabilityPasses counts donor-side contiguity computations: the
+	// whole-region articulation passes the partition ran during the search
+	// to make a region's removability verdicts current (region
+	// PartitionStats.RemovabilityPasses).
 	RemovabilityPasses int64
 }
 

@@ -457,10 +457,11 @@ func (s *searcher) refreshArea(a, f, t int) {
 	}
 	// A cut vertex of its region has no move whatever its targets, and in a
 	// refresh about half the members are one: when the partition's
-	// removability verdicts for the region are current, drop them before the
-	// target scan. Stale verdicts are left to CanRemove below, so that no
-	// pass runs for an area the scan would have dropped.
-	if p.RemovabilityCurrent(from) && !p.CanRemove(a) {
+	// removability verdicts for the region are current, read a's before the
+	// target scan. Stale verdicts are left until the scan finds a target, so
+	// that no pass runs for an area the scan would have dropped.
+	checked := p.RemovabilityCurrent(from)
+	if checked && !p.CanRemove(a) {
 		s.dropCandidates(a)
 		return
 	}
@@ -479,7 +480,7 @@ func (s *searcher) refreshArea(a, f, t int) {
 		s.dropCandidates(a)
 		return
 	}
-	if !p.CanRemove(a) {
+	if !checked && !p.CanRemove(a) {
 		s.dropCandidates(a)
 		return
 	}
