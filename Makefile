@@ -95,8 +95,9 @@ paper:
 # which plain `go test` only replays: the constraint DSL, the shapefile
 # readers, the traceparent header, the wire options, the two decoders that
 # build a dataset from outside bytes (dataset JSON and GeoJSON), contiguity
-# extraction against its map-based reference, and the three durable decoders
-# (journal replay, cache snapshot, job checkpoint). go test fuzzes one target
+# extraction against its map-based reference, the subset articulation pass
+# (every donor-contiguity answer) against its map-based references, and the
+# three durable decoders (journal replay, cache snapshot, job checkpoint). go test fuzzes one target
 # per run, hence one line per target. A failing input is written under the
 # package's testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/data/
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/geojson/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdjacency$$' -fuzztime 10s ./internal/geom/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubsetArticulation$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s ./internal/durable/
