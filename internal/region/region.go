@@ -549,15 +549,16 @@ func (p *Partition) RegionConnected(regionID int) bool {
 	if r == nil {
 		return false
 	}
-	return p.connected(r)
+	return p.removabilityPass(r)
 }
 
-// connected reports whether the region's members induce a connected
-// subgraph, from one articulation pass whose verdicts it keeps.
-func (p *Partition) connected(r *Region) bool {
-	art, ok := p.g.SubsetArticulation(p.scratch, r.Members)
+// removabilityPass runs one articulation pass over the region's members,
+// keeps its removability verdicts and reports whether the members induce a
+// connected subgraph.
+func (p *Partition) removabilityPass(r *Region) bool {
+	art, connected := p.g.SubsetArticulation(p.scratch, r.Members)
 	p.keepRemovable(r, art)
-	return ok
+	return connected
 }
 
 // CanRemove reports whether removing the area keeps its region connected
@@ -571,10 +572,8 @@ func (p *Partition) CanRemove(area int) bool {
 	if id == Unassigned {
 		return false
 	}
-	r := p.regs[id]
-	if r.removableAt != r.epoch {
-		art, _ := p.g.SubsetArticulation(p.scratch, r.Members)
-		p.keepRemovable(r, art)
+	if r := p.regs[id]; r.removableAt != r.epoch {
+		p.removabilityPass(r)
 	}
 	return p.removable[area]
 }
@@ -780,7 +779,7 @@ func (p *Partition) Validate() error {
 				return fmt.Errorf("region: area %d assigned to %d but in region %d members", a, p.assign[a], id)
 			}
 		}
-		if !p.connected(r) {
+		if !p.removabilityPass(r) {
 			return fmt.Errorf("region: region %d is not contiguous", id)
 		}
 		want.Reset()
