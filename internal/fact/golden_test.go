@@ -72,6 +72,9 @@ var goldenCases = []struct {
 	{"10k", "10k", 0.06, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 9}, false},
 	{"20k", "20k", 0.03, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 11}, false},
 	{"30k1_cut4", "30k1", 0.03, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 13, CutShards: 4}, false},
+	// An enriched cut: the seam repair's rescue attaches stranded areas and
+	// grows regions from the unassigned pockets as well as from donors.
+	{"30k1_cut8_count", "30k1", 0.03, "COUNT(*) in [5,40]; SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 13, CutShards: 8}, false},
 	{"2k_iter3", "2k", 0.1, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 17, Iterations: 3}, false},
 	{"20k_iter3", "20k", 0.03, "SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 19, Iterations: 3}, false},
 	{"8k_min_avg", "8k", 0.05, "MIN(POP16UP) <= 3000; AVG(EMPLOYED) in [1500,3500]; SUM(TOTALPOP) >= %[1]d", "", Config{Seed: 23}, false},
