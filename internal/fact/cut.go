@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"emp/internal/constraint"
 	"emp/internal/flight"
@@ -17,13 +18,13 @@ import (
 // cfg.CutShards balanced sub-instances along low-connectivity cuts (the
 // artifact's memoized shard.NewCutPlan), solve each as an independent FaCT
 // instance on a bounded pool, merge in shard order, then repair the stitch
-// seams — rescue boundary areas the cut stranded, and run a Tabu pass
-// restricted to the regions touching cut edges. Unlike component sharding
-// the decomposition is lossy (regions cannot span shards during the
-// sub-solves), so the result differs from the whole-graph solve; it is still
-// a pure function of (dataset, constraints, config), independent of the Pool
-// size, because the plan is deterministic, each sub-solve owns a mixed seed,
-// and merge and repair run in shard order.
+// seams — rescue boundary areas the cut stranded, carve new regions out of
+// the seam zone, and run a Tabu pass restricted to it. Unlike component
+// sharding the decomposition is lossy (regions cannot span shards during
+// the sub-solves), so the result differs from the whole-graph solve; it is
+// still a pure function of (dataset, constraints, config), independent of
+// the Pool size, because the plan is deterministic, each sub-solve owns a
+// mixed seed, and merge and repair run in shard order.
 func solveCut(ctx context.Context, art *prep.Artifact, set constraint.Set, ev *constraint.Evaluator, cfg Config, res *Result) error {
 	flight.FromContext(ctx).SetPhase(flight.PhaseShards)
 	cutSpan, _ := met.spanCut.StartCtx(ctx)
@@ -66,15 +67,14 @@ func solveCut(ctx context.Context, art *prep.Artifact, set constraint.Set, ev *c
 	return nil
 }
 
-// repairSeams fixes the damage the cut did to the merged partition, in four
-// deterministic steps: assign stranded boundary areas into adjacent feasible
-// regions (lowest heterogeneity gain), grow new feasible regions from the
-// unassigned areas that remain, carve additional regions out of the surplus
-// the cut trapped in seam-adjacent regions (growFromDonors — the step that
-// recovers the p the per-shard constructions lost at the boundaries), and
-// run a Tabu pass restricted to the members of regions touching a cut edge —
-// the only regions the decomposition could have shaped suboptimally. The
-// pass runs under the caller's remaining deadline; a deadline that expires
+// repairSeams fixes the damage the cut did to the merged partition, in
+// deterministic order: attach stranded areas to adjacent feasible regions
+// (rescueUnassigned), carve new regions out of the unassigned pockets that
+// remain, carve more out of the surplus the cut trapped in the seam zone —
+// the step that recovers the p the per-shard constructions lost at the
+// boundaries — and run a Tabu pass restricted to the seam zone, the only
+// regions the decomposition could have shaped suboptimally. The pass runs
+// under the caller's remaining deadline; a deadline that expires
 // mid-repair degrades the result, it never fails it.
 func repairSeams(ctx context.Context, p *region.Partition, plan *shard.Plan, feas *Feasibility, cfg Config, res *Result) {
 	span, spanCtx := met.spanSeam.StartCtx(ctx)
@@ -84,12 +84,14 @@ func repairSeams(ctx context.Context, p *region.Partition, plan *shard.Plan, fea
 		res.LocalSearchTime += d
 	}()
 	rescueUnassigned(p)
-	rescueGrow(p, feas)
-	growFromDonors(spanCtx, p, plan)
+	c := newCarver(p)
+	c.rescue(spanCtx, feas)
+	zone, _ := seamZone(p, plan)
+	c.sweep(spanCtx, zone)
 	if cfg.SkipLocalSearch {
 		return
 	}
-	mask, count := seamMask(p, plan)
+	mask, count := seamZone(p, plan)
 	if count == 0 {
 		return
 	}
@@ -113,176 +115,26 @@ func repairSeams(ctx context.Context, p *region.Partition, plan *shard.Plan, fea
 	}
 }
 
-// growFromDonors carves new regions out of the surplus trapped near the
-// cuts: each per-shard construction packs its boundary regions with the
-// leftover mass its shard could not turn into regions, so the merged
-// partition's seam zone holds enough distributed surplus for regions the cut
-// prevented — max-p regionalization on the whole graph would have formed
-// them across the seams. Seeds are the cut-frontier vertices in ascending
-// order; from each, a new region grows by taking the lowest-id adjacent area
-// whose donor region stays contiguous and feasible after the removal
-// (p.CanRemove + Tracker.SatisfiedAllAfterRemove), until the new region
-// satisfies every constraint. A growth that dead-ends rolls its takes back
-// in reverse, so the pass only ever increases p and never invalidates a
-// donor. Returns the number of regions grown.
-func growFromDonors(ctx context.Context, p *region.Partition, plan *shard.Plan) int {
-	// Seeds: every member of every region touching a cut edge (the whole
-	// seam zone, not just the frontier line — the surplus diffuses a region
-	// deep), ascending.
-	seenReg := make(map[int]bool)
-	inSeam := make([]bool, p.Dataset().N())
+// seamZone marks every member of every region that touches a cut edge and
+// counts the marked areas. The zone is where the cut shaped regions: the
+// carve seeds there, since the surplus the cut trapped diffuses a region
+// deep, and the restricted Tabu pass moves only zone areas.
+func seamZone(p *region.Partition, plan *shard.Plan) (zone []bool, count int) {
+	zone = make([]bool, p.Dataset().N())
 	for _, e := range plan.CutEdges {
 		for _, v := range e {
 			r := p.Assignment(int(v))
-			if r == region.Unassigned || seenReg[r] {
+			// A marked endpoint's whole region is marked already.
+			if r == region.Unassigned || zone[v] {
 				continue
 			}
-			seenReg[r] = true
 			for _, a := range p.Region(r).Members {
-				inSeam[a] = true
+				zone[a] = true
 			}
+			count += p.Region(r).Size()
 		}
 	}
-	var seeds []int
-	for a, in := range inSeam {
-		if in {
-			seeds = append(seeds, a)
-		}
-	}
-	// Each committed region frees no surplus but reshapes the donors, which
-	// can unlock a previously refused growth; sweep until a pass grows
-	// nothing.
-	grown := 0
-	for {
-		passGrown := 0
-		for _, s := range seeds {
-			if ctx != nil && ctx.Err() != nil {
-				return grown + passGrown
-			}
-			if growOneFromDonors(p, s) {
-				passGrown++
-			}
-		}
-		grown += passGrown
-		if passGrown == 0 {
-			return grown
-		}
-	}
-}
-
-// growOneFromDonors attempts to grow one new feasible region seeded at area
-// seed, taking areas from adjacent regions whose donors remain contiguous
-// and feasible. Returns whether a region was committed; on failure the
-// partition is exactly as before.
-func growOneFromDonors(p *region.Partition, seed int) bool {
-	g := p.Graph()
-	ev := p.Evaluator()
-	type take struct{ area, from int }
-	var takes []take
-	// takeArea detaches the area from its donor when every donor-side gate
-	// passes; unassigned areas need no detachment.
-	takeArea := func(a int) bool {
-		from := p.Assignment(a)
-		if from == region.Unassigned {
-			return true
-		}
-		r := p.Region(from)
-		// Never empty a donor below two members: consuming a whole region
-		// would make the pass p-neutral churn instead of a net gain.
-		if r.Size() <= 2 {
-			return false
-		}
-		if !p.CanRemove(a) || !r.Tracker.SatisfiedAllAfterRemove(a, r.Members) {
-			return false
-		}
-		p.RemoveArea(a)
-		takes = append(takes, take{area: a, from: from})
-		return true
-	}
-	rollback := func() {
-		for i := len(takes) - 1; i >= 0; i-- {
-			p.AddArea(takes[i].from, takes[i].area)
-		}
-	}
-	if p.Assignment(seed) != region.Unassigned && !takeArea(seed) {
-		return false
-	}
-	tr := ev.NewTracker()
-	tr.Add(seed)
-	members := []int{seed}
-	in := map[int]bool{seed: true}
-	for !tr.SatisfiedAll() {
-		cand := -1
-		for _, m := range members {
-			for _, nb := range g.Neighbors(m) {
-				b := int(nb)
-				if in[b] || (cand >= 0 && b >= cand) {
-					continue
-				}
-				if !tr.UpperSafeAfterAdd(b) {
-					continue
-				}
-				cand = b
-			}
-		}
-		ok := false
-		for cand >= 0 {
-			if takeArea(cand) {
-				ok = true
-				break
-			}
-			// The lowest-id candidate's donor refused; try the next one up.
-			next := -1
-			for _, m := range members {
-				for _, nb := range g.Neighbors(m) {
-					b := int(nb)
-					if in[b] || b <= cand || (next >= 0 && b >= next) {
-						continue
-					}
-					if !tr.UpperSafeAfterAdd(b) {
-						continue
-					}
-					next = b
-				}
-			}
-			cand = next
-		}
-		if !ok {
-			rollback()
-			return false
-		}
-		tr.Add(cand)
-		members = append(members, cand)
-		in[cand] = true
-	}
-	p.NewRegion(members...)
-	return true
-}
-
-// seamMask marks every member of every region that touches a cut edge: the
-// Restrict mask for the seam-repair Tabu pass. count is the number of marked
-// areas.
-func seamMask(p *region.Partition, plan *shard.Plan) (mask []bool, count int) {
-	mask = make([]bool, p.Dataset().N())
-	seen := make(map[int]bool)
-	markRegion := func(v int32) {
-		r := p.Assignment(int(v))
-		if r == region.Unassigned || seen[r] {
-			return
-		}
-		seen[r] = true
-		for _, a := range p.Region(r).Members {
-			if !mask[a] {
-				mask[a] = true
-				count++
-			}
-		}
-	}
-	for _, e := range plan.CutEdges {
-		markRegion(e[0])
-		markRegion(e[1])
-	}
-	return mask, count
+	return zone, count
 }
 
 // rescueUnassigned assigns stranded areas (typically seam areas a sub-solve
@@ -324,66 +176,159 @@ func rescueUnassigned(p *region.Partition) int {
 	}
 }
 
-// rescueGrow builds new feasible regions out of the areas that stay
-// unassigned after rescueUnassigned — a cut can strand a whole cluster that
-// no adjacent region may absorb, but that would have formed its own region
-// in a whole-graph solve. Seeds are taken in ascending order (skipping areas
-// the feasibility phase proved invalid); each grows by repeatedly adding the
-// lowest-id unassigned neighbor that keeps every upper bound safe until all
-// constraints hold, then commits. A seed whose growth dead-ends is abandoned
-// and its areas stay unassigned. p only ever increases. Returns the number
-// of regions grown.
-func rescueGrow(p *region.Partition, feas *Feasibility) int {
-	g := p.Graph()
-	ev := p.Evaluator()
-	grown := 0
-	dead := make(map[int]bool)
-	for {
-		seed := -1
-		for _, a := range p.UnassignedAreas() {
-			if dead[a] || (feas != nil && feas.Invalid[a]) {
-				continue
-			}
-			seed = a
-			break
-		}
-		if seed < 0 {
-			return grown
-		}
-		tr := ev.NewTracker()
-		tr.Add(seed)
-		members := []int{seed}
-		in := map[int]bool{seed: true}
-		ok := tr.SatisfiedAll()
-		for !ok {
-			cand := -1
-			for _, m := range members {
-				for _, nb := range g.Neighbors(m) {
-					b := int(nb)
-					if in[b] || p.Assignment(b) != region.Unassigned {
-						continue
-					}
-					if !tr.UpperSafeAfterAdd(b) {
-						continue
-					}
-					if cand < 0 || b < cand {
-						cand = b
-					}
-				}
-			}
-			if cand < 0 {
-				break
-			}
-			tr.Add(cand)
-			members = append(members, cand)
-			in[cand] = true
-			ok = tr.SatisfiedAll()
-		}
-		if !ok {
-			dead[seed] = true
+// carver grows every new region the seam repair makes. A carve grows one
+// region from a seed: at each step it joins the lowest-id frontier area
+// that keeps every upper bound safe and is either unassigned or, with
+// donors on, an area its donor region can spare (take). It commits the
+// region once every constraint holds; a carve that runs out of candidates
+// hands its takes back in reverse and leaves the partition as it was, so
+// carving only ever raises p and never invalidates a donor. One tracker,
+// the member, frontier and take lists and one mark byte per area serve
+// every carve.
+type carver struct {
+	p       *region.Partition
+	tr      *constraint.Tracker
+	members []int
+	front   []int // areas adjacent to the members, ascending
+	takes   []taken
+	mark    []byte // inFront or inRegion for the current carve, else 0
+}
+
+// taken records an area detached from its donor region.
+type taken struct{ area, from int }
+
+const (
+	inFront byte = 1 + iota
+	inRegion
+)
+
+func newCarver(p *region.Partition) *carver {
+	return &carver{p: p, tr: p.Evaluator().NewTracker(), mark: make([]byte, p.Dataset().N())}
+}
+
+// rescue carves, donors off, new regions out of the areas that stay
+// unassigned after rescueUnassigned: a cut can strand a whole cluster that
+// no adjacent region may absorb but that would have formed its own region
+// in a whole-graph solve. It visits the valid areas once in ascending order
+// and seeds a carve at each one still unassigned when reached; areas the
+// feasibility phase proved invalid seed nothing.
+func (c *carver) rescue(ctx context.Context, feas *Feasibility) {
+	for a, invalid := range feas.Invalid {
+		if invalid || c.p.Assignment(a) != region.Unassigned {
 			continue
 		}
-		p.NewRegion(members...)
-		grown++
+		if ctx.Err() != nil {
+			return
+		}
+		c.carve(a, false)
 	}
+}
+
+// sweep carves, donors on, new regions out of the surplus the cut trapped
+// in the seam zone: each per-shard construction packs its boundary regions
+// with the leftover mass its shard could not turn into regions, so the zone
+// holds enough distributed surplus for regions a whole-graph solve would
+// have formed across the seams. Every zone area seeds a carve, in ascending
+// order. A committed region reshapes its donors, which can unlock a refused
+// carve, so the sweep repeats until a pass grows nothing.
+func (c *carver) sweep(ctx context.Context, zone []bool) {
+	for {
+		grown := false
+		for a, in := range zone {
+			if !in {
+				continue
+			}
+			if ctx.Err() != nil {
+				return
+			}
+			if c.carve(a, true) {
+				grown = true
+			}
+		}
+		if !grown {
+			return
+		}
+	}
+}
+
+// carve tries to grow one new feasible region from seed, which must be
+// unassigned unless donors is on. It reports whether a region was
+// committed; on failure the partition is exactly as before.
+func (c *carver) carve(seed int, donors bool) bool {
+	p := c.p
+	c.takes = c.takes[:0]
+	if p.Assignment(seed) != region.Unassigned && !(donors && c.take(seed)) {
+		return false
+	}
+	c.members, c.front = c.members[:0], c.front[:0]
+	c.tr.Reset()
+	c.join(seed)
+	ok := true
+	for ok && !c.tr.SatisfiedAll() {
+		ok = c.grow(donors)
+	}
+	for _, a := range c.front {
+		c.mark[a] = 0
+	}
+	for _, a := range c.members {
+		c.mark[a] = 0
+	}
+	if !ok {
+		for i := len(c.takes) - 1; i >= 0; i-- {
+			p.AddArea(c.takes[i].from, c.takes[i].area)
+		}
+		return false
+	}
+	p.NewRegion(c.members...)
+	return true
+}
+
+// grow joins the lowest-id frontier area the region can take and reports
+// whether there was one.
+func (c *carver) grow(donors bool) bool {
+	for i, b := range c.front {
+		if !c.tr.UpperSafeAfterAdd(b) {
+			continue
+		}
+		if c.p.Assignment(b) == region.Unassigned || donors && c.take(b) {
+			c.front = slices.Delete(c.front, i, i+1)
+			c.join(b)
+			return true
+		}
+	}
+	return false
+}
+
+// join adds the area to the growing region and its unmarked neighbors to
+// the frontier, keeping the frontier ascending.
+func (c *carver) join(a int) {
+	c.tr.Add(a)
+	c.members = append(c.members, a)
+	c.mark[a] = inRegion
+	for _, nb := range c.p.Graph().Neighbors(a) {
+		b := int(nb)
+		if c.mark[b] != 0 {
+			continue
+		}
+		c.mark[b] = inFront
+		i, _ := slices.BinarySearch(c.front, b)
+		c.front = slices.Insert(c.front, i, b)
+	}
+}
+
+// take detaches the area from its donor region if the donor can spare it:
+// the donor keeps at least two members, stays connected (p.CanRemove) and
+// stays feasible (Tracker.SatisfiedAllAfterRemove), checked in that order.
+// Never shrinking a donor below two members keeps the carve from consuming
+// whole regions, which would be p-neutral churn instead of a net gain.
+func (c *carver) take(a int) bool {
+	p := c.p
+	from := p.Assignment(a)
+	r := p.Region(from)
+	if r.Size() <= 2 || !p.CanRemove(a) || !r.Tracker.SatisfiedAllAfterRemove(a, r.Members) {
+		return false
+	}
+	p.RemoveArea(a)
+	c.takes = append(c.takes, taken{area: a, from: from})
+	return true
 }

@@ -126,3 +126,55 @@ func TestCutPreparedIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCarveKeepsPartitionValid: every carve either commits one new region
+// or leaves every assignment as it was, and after each the partition passes
+// Validate and every region, donors included, satisfies every constraint,
+// with donors off and on.
+// Dissolving every fifth region of a solved partition gives the donors-off
+// carve unassigned pockets to grow from.
+func TestCarveKeepsPartitionValid(t *testing.T) {
+	ds, set := cutTestInstance(t)
+	res, err := Solve(ds, set, Config{Seed: 7, SkipLocalSearch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Partition
+	for i, id := range p.RegionIDs() {
+		if i%5 == 0 {
+			p.DissolveRegion(id)
+		}
+	}
+	c := newCarver(p)
+	before := make([]int, ds.N())
+	for _, donors := range []bool{false, true} {
+		grown := 0
+		for seed := 0; seed < ds.N(); seed++ {
+			for a := range before {
+				before[a] = p.Assignment(a)
+			}
+			regions := p.NumRegions()
+			if c.carve(seed, donors) {
+				grown++
+				if p.NumRegions() != regions+1 {
+					t.Fatalf("donors=%v seed %d: carve committed but p went %d -> %d", donors, seed, regions, p.NumRegions())
+				}
+			} else {
+				for a, r := range before {
+					if p.Assignment(a) != r {
+						t.Fatalf("donors=%v seed %d: failed carve moved area %d from region %d to %d", donors, seed, a, r, p.Assignment(a))
+					}
+				}
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatalf("donors=%v seed %d: %v", donors, seed, err)
+			}
+			if !p.AllSatisfied() {
+				t.Fatalf("donors=%v seed %d: a region violates a constraint", donors, seed)
+			}
+		}
+		if grown == 0 {
+			t.Errorf("donors=%v: no carve succeeded, so the test checks nothing", donors)
+		}
+	}
+}
