@@ -96,8 +96,9 @@ paper:
 # readers, the traceparent header, the wire options, the two decoders that
 # build a dataset from outside bytes (dataset JSON and GeoJSON), contiguity
 # extraction against its map-based reference, the subset articulation pass
-# (every donor-contiguity answer) against its map-based references, and the
-# three durable decoders (journal replay, cache snapshot, job checkpoint). go test fuzzes one target
+# (every donor-contiguity answer) against its map-based references, the cut
+# planner on small graphs with finite, even overflowing, dissimilarities, and
+# the three durable decoders (journal replay, cache snapshot, job checkpoint). go test fuzzes one target
 # per run, hence one line per target. A failing input is written under the
 # package's testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/geojson/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdjacency$$' -fuzztime 10s ./internal/geom/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubsetArticulation$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzNewCutPlan$$' -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 10s ./internal/durable/

@@ -1,7 +1,13 @@
 package graph
 
+import (
+	"cmp"
+	"slices"
+)
+
 // CutEdges returns every undirected edge whose endpoints carry different
-// labels, as (u, v) pairs with u < v, ordered by (u, v) ascending. The label
+// labels, as (u, v) pairs with u < v, ordered by (u, v) ascending whatever
+// the order of the adjacency lists. The label
 // slice assigns each vertex to a part (any int32 labeling works; vertices
 // with equal labels are in the same part). The result is a deterministic
 // function of the adjacency and the labeling — the cut-sharding pipeline
@@ -16,5 +22,8 @@ func (g *Graph) CutEdges(label []int32) [][2]int32 {
 			}
 		}
 	}
+	slices.SortFunc(out, func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 	return out
 }

@@ -35,4 +35,12 @@ func TestCutEdges(t *testing.T) {
 	if !reflect.DeepEqual(all, wantAll) {
 		t.Errorf("CutEdges = %v, want %v", all, wantAll)
 	}
+	// Adjacency lists need not be sorted; the order of the cut is.
+	shuffled := builder{
+		{3, 1}, {4, 2, 0}, {5, 1},
+		{4, 0}, {5, 3, 1}, {4, 2},
+	}.graph()
+	if got := shuffled.CutEdges([]int32{0, 1, 2, 3, 4, 5}); !reflect.DeepEqual(got, wantAll) {
+		t.Errorf("CutEdges over unsorted lists = %v, want %v", got, wantAll)
+	}
 }

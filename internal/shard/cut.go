@@ -79,7 +79,6 @@ func NewCutPlan(ds *data.Dataset, k int) (*Plan, error) {
 	}
 
 	part = connectedParts(levels[0], part, k)
-	part = orderParts(part)
 
 	np := 0
 	for _, p := range part {
@@ -374,12 +373,14 @@ func (l *cutLevel) refine(part []int32, k int) {
 }
 
 // connectedParts splits every part of the level-0 assignment into its
-// connected pieces, then repeatedly merges the smallest piece (ties to the
-// lowest minimum member) into the adjacent piece it shares the most
-// similarity weight with, until at most k pieces remain or no piece has a
-// neighbor left. Merging two adjacent connected subgraphs stays connected,
-// so every returned part is internally connected; only a graph with more
-// than k components can exceed k parts.
+// connected pieces, then repeatedly merges the smallest piece into the
+// adjacent piece it shares the most similarity weight with, until at most
+// k pieces remain or no piece has a neighbor left. Merging two adjacent
+// connected subgraphs stays connected, so every returned part is internally
+// connected; only a graph with more than k components can exceed k parts.
+// Labels follow first appearance in ascending vertex order, before and
+// after every merge, so parts are ordered by their smallest member — the
+// convention component plans use — and every tie goes to the lowest label.
 func connectedParts(l *cutLevel, part []int32, k int) []int32 {
 	lab := make([]int32, l.n)
 	for i := range lab {
@@ -408,16 +409,8 @@ func connectedParts(l *cutLevel, part []int32, k int) []int32 {
 	}
 	for int(np) > k {
 		size := make([]int64, np)
-		minMember := make([]int32, np)
-		for i := range minMember {
-			minMember[i] = int32(l.n)
-		}
 		for u := 0; u < l.n; u++ {
-			p := lab[u]
-			size[p] += l.vw[u]
-			if int32(u) < minMember[p] {
-				minMember[p] = int32(u)
-			}
+			size[lab[u]] += l.vw[u]
 		}
 		// Smallest mergeable piece (one that has at least one neighbor).
 		hasNb := make([]bool, np)
@@ -433,16 +426,18 @@ func connectedParts(l *cutLevel, part []int32, k int) []int32 {
 			if !hasNb[p] {
 				continue
 			}
-			if src < 0 || size[p] < size[src] ||
-				(size[p] == size[src] && minMember[p] < minMember[src]) {
+			if src < 0 || size[p] < size[src] {
 				src = p
 			}
 		}
 		if src < 0 {
 			break // every remaining piece is an isolated component
 		}
-		// Merge src into the neighbor it shares the most weight with.
+		// Merge src into the neighbor it shares the most weight with. A
+		// weight is 0 when a dissimilarity overflows to +Inf, so adjacency
+		// is tracked beside the weight.
 		connW := make([]float64, np)
+		adj := make([]bool, np)
 		for u := 0; u < l.n; u++ {
 			if lab[u] != src {
 				continue
@@ -450,12 +445,13 @@ func connectedParts(l *cutLevel, part []int32, k int) []int32 {
 			for e := l.off[u]; e < l.off[u+1]; e++ {
 				if q := lab[l.to[e]]; q != src {
 					connW[q] += l.w[e]
+					adj[q] = true
 				}
 			}
 		}
 		dst := int32(-1)
 		for q := int32(0); q < np; q++ {
-			if connW[q] <= 0 {
+			if !adj[q] {
 				continue
 			}
 			if dst < 0 || connW[q] > connW[dst] {
@@ -483,24 +479,4 @@ func connectedParts(l *cutLevel, part []int32, k int) []int32 {
 		np = next
 	}
 	return lab
-}
-
-// orderParts renumbers part labels so parts are ordered by their smallest
-// member id — the same convention component plans use, making the shard
-// order (and with it the merged region order) a deterministic function of
-// the dataset and k alone.
-func orderParts(part []int32) []int32 {
-	remap := map[int32]int32{}
-	next := int32(0)
-	for _, p := range part {
-		if _, ok := remap[p]; !ok {
-			remap[p] = next
-			next++
-		}
-	}
-	out := make([]int32, len(part))
-	for u, p := range part {
-		out[u] = remap[p]
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -18,6 +20,67 @@ func cutDataset(t *testing.T, areas int, seed int64) *data.Dataset {
 	return ds
 }
 
+// checkCutPlan asserts what every cut plan promises: each area lands in
+// exactly one shard and the index maps agree, each shard is connected,
+// there are at most max(k, components) shards, and CutEdges lists exactly
+// the severed adjacencies as ascending (u, v) pairs with u < v.
+func checkCutPlan(t testing.TB, ds *data.Dataset, plan *Plan, k int) {
+	t.Helper()
+	if limit := max(k, ds.Components()); len(plan.Shards) > limit {
+		t.Fatalf("k=%d: %d shards, want at most %d", k, len(plan.Shards), limit)
+	}
+	seen := make([]int, ds.N())
+	for c, s := range plan.Shards {
+		if s.Dataset.N() != len(s.GlobalIDs) {
+			t.Errorf("k=%d shard %d: dataset %d areas, %d global ids", k, c, s.Dataset.N(), len(s.GlobalIDs))
+		}
+		for local, global := range s.GlobalIDs {
+			seen[global]++
+			if plan.Component[global] != c || plan.Local[global] != local {
+				t.Fatalf("k=%d: area %d maps to (%d,%d), shard says (%d,%d)",
+					k, global, plan.Component[global], plan.Local[global], c, local)
+			}
+		}
+		if got := s.Dataset.Components(); got != 1 {
+			t.Errorf("k=%d shard %d: %d components, want 1", k, c, got)
+		}
+	}
+	for a, c := range seen {
+		if c != 1 {
+			t.Fatalf("k=%d: area %d appears in %d shards", k, a, c)
+		}
+	}
+	want := 0
+	for u := 0; u < ds.N(); u++ {
+		for _, v := range ds.Graph().Neighbors(u) {
+			if int(v) > u && plan.Component[u] != plan.Component[v] {
+				want++
+			}
+		}
+	}
+	if len(plan.CutEdges) != want {
+		t.Errorf("k=%d: %d cut edges, want %d", k, len(plan.CutEdges), want)
+	}
+	for i, e := range plan.CutEdges {
+		u, v := int(e[0]), int(e[1])
+		if u >= v {
+			t.Fatalf("k=%d: cut edge %v not u < v", k, e)
+		}
+		if plan.Component[u] == plan.Component[v] {
+			t.Errorf("k=%d: cut edge %v within shard %d", k, e, plan.Component[u])
+		}
+		if !ds.Graph().HasEdge(u, v) {
+			t.Errorf("k=%d: cut edge %v is not an adjacency", k, e)
+		}
+		if i > 0 {
+			p := plan.CutEdges[i-1]
+			if p[0] > e[0] || (p[0] == e[0] && p[1] >= e[1]) {
+				t.Fatalf("k=%d: cut edges out of order at %d: %v then %v", k, i, p, e)
+			}
+		}
+	}
+}
+
 func TestNewCutPlanInvariants(t *testing.T) {
 	ds := cutDataset(t, 1200, 5)
 	for _, k := range []int{2, 4, 8} {
@@ -28,33 +91,7 @@ func TestNewCutPlanInvariants(t *testing.T) {
 		if len(plan.Shards) != k {
 			t.Fatalf("k=%d: got %d shards", k, len(plan.Shards))
 		}
-
-		// Coverage: every area in exactly one shard, index maps consistent.
-		seen := make([]int, ds.N())
-		for c, s := range plan.Shards {
-			if s.Dataset.N() != len(s.GlobalIDs) {
-				t.Errorf("k=%d shard %d: dataset %d areas, %d global ids", k, c, s.Dataset.N(), len(s.GlobalIDs))
-			}
-			for local, global := range s.GlobalIDs {
-				seen[global]++
-				if plan.Component[global] != c || plan.Local[global] != local {
-					t.Fatalf("k=%d: area %d maps to (%d,%d), shard says (%d,%d)",
-						k, global, plan.Component[global], plan.Local[global], c, local)
-				}
-			}
-		}
-		for a, c := range seen {
-			if c != 1 {
-				t.Fatalf("k=%d: area %d appears in %d shards", k, a, c)
-			}
-		}
-
-		// Every part internally connected.
-		for c, s := range plan.Shards {
-			if got := s.Dataset.Components(); got != 1 {
-				t.Errorf("k=%d shard %d: %d components, want 1", k, c, got)
-			}
-		}
+		checkCutPlan(t, ds, plan, k)
 
 		// Balance: parts stay within a constant factor of ideal (the
 		// refinement bounds allow 1.3x; the connectivity fix-up can shift a
@@ -65,39 +102,89 @@ func TestNewCutPlanInvariants(t *testing.T) {
 				t.Errorf("k=%d shard %d: %d areas, ideal %.0f", k, c, s.Dataset.N(), ideal)
 			}
 		}
+	}
+}
 
-		// CutEdges: sorted unique (u,v) pairs that are real severed
-		// adjacencies, and complete — every cross-shard adjacency appears.
-		want := 0
-		for u := 0; u < ds.N(); u++ {
-			for _, v := range ds.Graph().Neighbors(u) {
-				if int(v) > u && plan.Component[u] != plan.Component[v] {
-					want++
-				}
-			}
+// fuzzCutDataset builds a dataset of 1 + n%24 areas from fuzz bytes: each
+// byte pair of edges joins two areas (self-loops and repeats dropped), and
+// each 8 bytes of vals is one area's dissimilarity, with NaN and ±Inf read
+// as 0 (datasets reject them) and missing values 0.
+func fuzzCutDataset(t testing.TB, n uint8, edges, vals []byte) *data.Dataset {
+	t.Helper()
+	size := 1 + int(n)%24
+	var linked [24][24]bool
+	adj := make([][]int, size)
+	for i := 0; i+1 < len(edges); i += 2 {
+		u, v := int(edges[i])%size, int(edges[i+1])%size
+		if u == v || linked[u][v] {
+			continue
 		}
-		if len(plan.CutEdges) != want {
-			t.Errorf("k=%d: %d cut edges, want %d", k, len(plan.CutEdges), want)
+		linked[u][v], linked[v][u] = true, true
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+	}
+	ds, err := data.New("fuzz", adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := make([]float64, size)
+	for i := range d {
+		if 8*i+8 > len(vals) {
+			break
 		}
-		for i, e := range plan.CutEdges {
-			u, v := int(e[0]), int(e[1])
-			if u >= v {
-				t.Fatalf("k=%d: cut edge %v not u < v", k, e)
-			}
-			if plan.Component[u] == plan.Component[v] {
-				t.Errorf("k=%d: cut edge %v within shard %d", k, e, plan.Component[u])
-			}
-			if !ds.Graph().HasEdge(u, v) {
-				t.Errorf("k=%d: cut edge %v is not an adjacency", k, e)
-			}
-			if i > 0 {
-				p := plan.CutEdges[i-1]
-				if p[0] > e[0] || (p[0] == e[0] && p[1] >= e[1]) {
-					t.Fatalf("k=%d: cut edges out of order at %d: %v then %v", k, i, p, e)
-				}
-			}
+		if v := math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:])); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			d[i] = v
 		}
 	}
+	if err := ds.AddColumn("D", d); err != nil {
+		t.Fatal(err)
+	}
+	ds.Dissimilarity = "D"
+	return ds
+}
+
+// float64Bytes encodes dissimilarity values the way fuzzCutDataset reads
+// them.
+func float64Bytes(vs ...float64) []byte {
+	out := make([]byte, 8*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	}
+	return out
+}
+
+// TestNewCutPlanZeroWeightSeams: a dissimilarity gap that overflows to +Inf
+// gives its edge similarity weight 0. Here every edge weighs 0, so the
+// connectivity pass must merge pieces that share no weight; it used to pick
+// no merge target and index a label slice at -1.
+func TestNewCutPlanZeroWeightSeams(t *testing.T) {
+	ds := fuzzCutDataset(t, 4, []byte{0, 2, 1, 2, 1, 3}, float64Bytes(1e308, 1e308, -1e308, -1e308))
+	plan, err := NewCutPlan(ds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCutPlan(t, ds, plan, 2)
+	if len(plan.Shards) != 2 {
+		t.Errorf("got %d shards, want 2", len(plan.Shards))
+	}
+}
+
+// FuzzNewCutPlan cuts fuzzed graphs of up to 24 areas with finite fuzzed
+// dissimilarities into k in [2, 8] parts and checks every plan invariant.
+func FuzzNewCutPlan(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 2, 1, 2, 1, 3}, float64Bytes(1e308, 1e308, -1e308, -1e308), uint8(0))
+	f.Add(uint8(9), []byte{0, 1, 1, 2, 3, 4, 4, 5, 6, 7, 7, 8, 0, 3, 3, 6, 1, 4, 4, 7, 2, 5, 5, 8},
+		float64Bytes(1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(1))
+	f.Add(uint8(12), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, []byte{}, uint8(6))
+	f.Fuzz(func(t *testing.T, n uint8, edges, vals []byte, k uint8) {
+		ds := fuzzCutDataset(t, n, edges, vals)
+		parts := 2 + int(k)%7
+		plan, err := NewCutPlan(ds, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCutPlan(t, ds, plan, parts)
+	})
 }
 
 // TestNewCutPlanDeterministic pins the partitioner as a pure function of
