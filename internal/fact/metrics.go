@@ -31,6 +31,11 @@ type pkgMetrics struct {
 
 var met pkgMetrics
 
+// PanicsRecoveredHelp is the help text of emp_panics_recovered_total. The
+// server counts the panics its solve boundary recovers on the same counter,
+// so whichever registers it first describes all three boundaries.
+const PanicsRecoveredHelp = "Panics recovered at the construction-iteration, shard sub-solve and server solve isolation boundaries."
+
 // SetMetrics binds the package's process-wide counters to the registry (nil
 // unbinds). Call during startup wiring, before solves begin.
 func SetMetrics(r *obs.Registry) {
@@ -49,8 +54,7 @@ func SetMetrics(r *obs.Registry) {
 			"Solves that returned a degraded (best-so-far) partition instead of an error: deadline hit post-construction, or shards lost to panics/exhausted retries."),
 		shardRetries: r.Counter("emp_shard_retries_total",
 			"Shard sub-solve attempts beyond the first (transient failures retried with backoff)."),
-		panicsRecovered: r.Counter("emp_panics_recovered_total",
-			"Panics recovered at shard and multi-start isolation boundaries."),
+		panicsRecovered: r.Counter("emp_panics_recovered_total", PanicsRecoveredHelp),
 		warmStarts: r.Counter("emp_solve_warmstart_total",
 			"Construction iterations seeded from a prior partition (Config.WarmStart)."),
 		spanSolve: r.Histogram("emp_solve_duration",

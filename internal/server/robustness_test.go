@@ -172,3 +172,63 @@ func TestSolveDatasetGenerationRetry(t *testing.T) {
 			rec.Code, rec.Body.String())
 	}
 }
+
+// TestChaosSolvePanicIsolated: a panic that escapes fact's own isolation
+// boundaries (here one in the whole-graph search) fails that solve alone
+// with a 500. The sync answer is not cached, a job ends failed, the next
+// request succeeds, and a restarted service on the same state dir does not
+// run the failed job again. Without executeSolve's recover the first
+// request ends the process.
+func TestChaosSolvePanicIsolated(t *testing.T) {
+	dir := t.TempDir()
+	sv, h, reg := newRecoveryService(t, dir)
+	waitRecovered(t, sv)
+	const body = `{"named":"2k","constraints":"SUM(TOTALPOP) >= 20000","options":{"seed":3}}`
+	arm := func() {
+		fault.Enable(&fault.Plan{Rules: []fault.Rule{{Site: "tabu.epoch", Kind: fault.KindPanic, Times: 1}}})
+	}
+	defer fault.Enable(nil)
+
+	arm()
+	rec := postSolve(h, body, "", nil)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking solve status = %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	if got := decodeError(t, rec).Code; got != "internal" {
+		t.Errorf("error code = %q, want internal", got)
+	}
+	if got := counterValue(reg, "emp_panics_recovered_total"); got != 1 {
+		t.Errorf("panics_recovered_total = %d, want 1", got)
+	}
+
+	// The 500 was not cached, so the job runs the solve, and panics too.
+	arm()
+	sub, st := postJob(t, h, body)
+	if sub.Code != http.StatusAccepted {
+		t.Fatalf("job submit status = %d, want 202: %s", sub.Code, sub.Body.String())
+	}
+	final := waitJobTerminal(t, h, st.ID)
+	if final.State != "failed" || final.Error == nil || final.Error.Code != "internal" {
+		t.Fatalf("panicking job = %+v, want failed with an internal error", final)
+	}
+	if got := counterValue(reg, "emp_panics_recovered_total"); got != 2 {
+		t.Errorf("panics_recovered_total = %d, want 2", got)
+	}
+
+	fault.Enable(nil)
+	if rec := postSolve(h, body, "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("solve after the panics: status = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sv2, h2, reg2 := newRecoveryService(t, dir)
+	waitRecovered(t, sv2)
+	if got := counterValue(reg2, "emp_durable_recovered_jobs_total"); got != 0 {
+		t.Errorf("restart re-admitted %d job(s), want 0", got)
+	}
+	if code, st := getJob(t, h2, final.ID); code == http.StatusOK && st.State != "failed" {
+		t.Errorf("failed job after restart = %+v", st)
+	}
+}

@@ -157,6 +157,9 @@ type service struct {
 	pool      *solvecache.Pool
 	dedups    *obs.Counter
 	cancels   *obs.Counter
+	// panics is fact's emp_panics_recovered_total, shared by name through
+	// the registry: executeSolve is the third isolation boundary it counts.
+	panics *obs.Counter
 
 	// fstore retains flight recorders and span events of recent solves for
 	// the /v1/debug/ introspection endpoints. It receives events as one arm
@@ -385,6 +388,7 @@ func New(cfg Config) *Service {
 		resCache:   solvecache.NewLRU(resBytes),
 		dedups:     reg.Counter("emp_solve_dedup_total", "Requests that joined an identical in-flight solve instead of running their own."),
 		cancels:    reg.Counter("emp_solve_canceled_total", "Solve executions abandoned because every interested client disconnected."),
+		panics:     reg.Counter("emp_panics_recovered_total", fact.PanicsRecoveredHelp),
 	}
 	s.dsCache.SetMetrics(solvecache.CacheMetrics{
 		Hits:      reg.Counter("emp_dataset_cache_hits_total", "Dataset artifact cache hits."),

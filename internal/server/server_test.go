@@ -136,6 +136,47 @@ func TestSolveRejectsWrappedAdjacencyID(t *testing.T) {
 	}
 }
 
+// zeroWeightBody cuts a 4-area inline dataset in two. Its dissimilarity
+// gaps overflow to +Inf, so every edge of the cut planner's similarity
+// graph weighs 0; the planner used to pick no merge target for a piece
+// and index a label slice at -1, ending the process.
+const zeroWeightBody = `{"dataset":{"name":"zw","n":4,"adjacency":[[2],[2,3],[0,1],[1]],
+  "attributes":{"D":[1e308,1e308,-1e308,-1e308]},"attr_order":["D"],"dissimilarity":"D"},
+  "constraints":"COUNT(*) >= 1","options":{"seed":1,"cut_shards":2}}`
+
+// TestSolveZeroWeightCut: the zero-weight cut answers 200 on /v1/solve and
+// as a job, and the service keeps serving after both.
+func TestSolveZeroWeightCut(t *testing.T) {
+	h, _ := newServingHandler(t, Config{})
+	rec := postSolve(h, zeroWeightBody, "", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	var got SolveResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.P != 4 {
+		t.Errorf("p = %d, want 4 (one region per area)", got.P)
+	}
+
+	// A fresh service, so the job runs instead of finding the answer cached.
+	hj, _ := newServingHandler(t, Config{})
+	sub, st := postJob(t, hj, zeroWeightBody)
+	if sub.Code != http.StatusAccepted {
+		t.Fatalf("job submit status = %d, want 202: %s", sub.Code, sub.Body.String())
+	}
+	if final := waitJobTerminal(t, hj, st.ID); final.State != "done" || final.P != 4 {
+		t.Fatalf("job = %+v, want done with p 4", final)
+	}
+
+	for _, handler := range []http.Handler{h, hj} {
+		if rec := postSolve(handler, jobBody, "", nil); rec.Code != http.StatusOK {
+			t.Fatalf("solve afterwards: status = %d, want 200: %s", rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestSolveParallelIterations: multi-start iterations fan out on the
 // service's worker pool, and the answer must equal a one-slot library solve.
 func TestSolveParallelIterations(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -217,7 +219,21 @@ func (s *service) runSolve(ctx context.Context, req *SolveRequest, set constrain
 // result cache — the sync path caches in runSolve under the request
 // fingerprint, while the async job path (which may inject a WarmStart and so
 // produce a trajectory-dependent result) picks the answer's key itself.
-func (s *service) executeSolve(ctx context.Context, req *SolveRequest, set constraint.Set, cfg fact.Config) *solveOutcome {
+//
+// It is also the server's panic boundary. Sync solves run on the
+// singleflight's goroutine and jobs on their own, so a panic that escapes
+// fact's isolation boundaries would end the process, and every in-flight
+// request and job with it. Here it becomes a 500 for this solve alone,
+// which no caller caches.
+func (s *service) executeSolve(ctx context.Context, req *SolveRequest, set constraint.Set, cfg fact.Config) (oc *solveOutcome) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.panics.Inc()
+			log.Printf("solve panicked: %v\n%s", v, debug.Stack())
+			oc = &solveOutcome{status: http.StatusInternalServerError,
+				errMsg: fmt.Sprintf("internal error: the solve panicked: %v", v)}
+		}
+	}()
 	art, err := s.datasetFor(ctx, req)
 	if err != nil {
 		return &solveOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
