@@ -183,27 +183,22 @@ func rescueUnassigned(p *region.Partition) int {
 // region once every constraint holds; a carve that runs out of candidates
 // hands its takes back in reverse and leaves the partition as it was, so
 // carving only ever raises p and never invalidates a donor. One tracker,
-// the member, frontier and take lists and one mark byte per area serve
-// every carve.
+// the member, frontier and take lists and one byte per area serve every
+// carve.
 type carver struct {
 	p       *region.Partition
 	tr      *constraint.Tracker
 	members []int
 	front   []int // areas adjacent to the members, ascending
 	takes   []taken
-	mark    []byte // inFront or inRegion for the current carve, else 0
+	seen    []bool // members and frontier of the current carve
 }
 
 // taken records an area detached from its donor region.
 type taken struct{ area, from int }
 
-const (
-	inFront byte = 1 + iota
-	inRegion
-)
-
 func newCarver(p *region.Partition) *carver {
-	return &carver{p: p, tr: p.Evaluator().NewTracker(), mark: make([]byte, p.Dataset().N())}
+	return &carver{p: p, tr: p.Evaluator().NewTracker(), seen: make([]bool, p.Dataset().N())}
 }
 
 // rescue carves, donors off, new regions out of the areas that stay
@@ -268,10 +263,10 @@ func (c *carver) carve(seed int, donors bool) bool {
 		ok = c.grow(donors)
 	}
 	for _, a := range c.front {
-		c.mark[a] = 0
+		c.seen[a] = false
 	}
 	for _, a := range c.members {
-		c.mark[a] = 0
+		c.seen[a] = false
 	}
 	if !ok {
 		for i := len(c.takes) - 1; i >= 0; i-- {
@@ -299,28 +294,27 @@ func (c *carver) grow(donors bool) bool {
 	return false
 }
 
-// join adds the area to the growing region and its unmarked neighbors to
-// the frontier, keeping the frontier ascending.
+// join adds the area to the growing region and its unseen neighbors to the
+// frontier, keeping the frontier ascending.
 func (c *carver) join(a int) {
 	c.tr.Add(a)
 	c.members = append(c.members, a)
-	c.mark[a] = inRegion
+	c.seen[a] = true
 	for _, nb := range c.p.Graph().Neighbors(a) {
 		b := int(nb)
-		if c.mark[b] != 0 {
+		if c.seen[b] {
 			continue
 		}
-		c.mark[b] = inFront
+		c.seen[b] = true
 		i, _ := slices.BinarySearch(c.front, b)
 		c.front = slices.Insert(c.front, i, b)
 	}
 }
 
 // take detaches the area from its donor region if the donor can spare it:
-// the donor keeps at least two members, stays connected (p.CanRemove) and
-// stays feasible (Tracker.SatisfiedAllAfterRemove), checked in that order.
-// Never shrinking a donor below two members keeps the carve from consuming
-// whole regions, which would be p-neutral churn instead of a net gain.
+// the donor keeps at least two members (consuming whole regions would be
+// p-neutral churn), stays connected (p.CanRemove) and stays feasible
+// (Tracker.SatisfiedAllAfterRemove), checked in that order.
 func (c *carver) take(a int) bool {
 	p := c.p
 	from := p.Assignment(a)
