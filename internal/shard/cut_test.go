@@ -244,11 +244,7 @@ func TestNewCutPlanDisconnected(t *testing.T) {
 	if len(plan.Shards) < 3 {
 		t.Fatalf("got %d shards, want >= 3 (one per component)", len(plan.Shards))
 	}
-	for c, s := range plan.Shards {
-		if got := s.Dataset.Components(); got != 1 {
-			t.Errorf("shard %d: %d components", c, got)
-		}
-	}
+	checkCutPlan(t, ds, plan, 2)
 	if len(plan.CutEdges) != 0 && len(plan.Shards) == 3 {
 		t.Errorf("component-aligned split severed %d edges", len(plan.CutEdges))
 	}
