@@ -3,9 +3,10 @@ package census
 import "testing"
 
 // BenchmarkGenerate times cold generation of a named dataset at seed 1: the
-// state lattice layout, rook contiguity (geom.Adjacency) and the attribute
-// draws, the work a dataset-cache miss pays before any solve. The sizes are
-// the datasets the end-to-end benchmark's workloads generate.
+// state lattice layout, rook contiguity read off the lattice and the
+// attribute draws and transform, the work a dataset-cache miss pays before
+// any solve. The sizes are the datasets the end-to-end benchmark's
+// workloads generate.
 func BenchmarkGenerate(b *testing.B) {
 	for _, name := range []string{"2k", "8k", "20k", "30k1", "50k1"} {
 		b.Run(name, func(b *testing.B) {

@@ -10,6 +10,9 @@
 //   - Geometry: jittered polygon lattices organized into "states"; large
 //     datasets contain several connected components (like real tract data
 //     with islands), which EMP explicitly supports.
+//   - Contiguity: rook adjacency read off the state-block lattices as they
+//     are laid out, not extracted from the polygons; it equals what
+//     geom.Adjacency derives from them (FuzzLatticeContiguity).
 //   - Attributes: lognormal draws with a smooth spatial field, calibrated so
 //     the distributional facts the paper relies on hold — EMPLOYED is
 //     positively skewed with the bulk under 4k and outliers around 6.1k
@@ -25,6 +28,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"emp/internal/data"
 	"emp/internal/fault"
@@ -65,7 +69,7 @@ var Sizes = map[string]DatasetSize{
 	"1k":   {Areas: 1012, States: 1, Components: 1},
 	"2k":   {Areas: 2344, States: 1, Components: 1},
 	"4k":   {Areas: 3947, States: 1, Components: 1},
-	"8k":   {Areas: 8049, States: 1, Components: 2},
+	"8k":   {Areas: 8049, States: 1, Components: 1},
 	"10k":  {Areas: 10255, States: 3, Components: 2},
 	"20k":  {Areas: 20570, States: 13, Components: 3},
 	"30k":  {Areas: 29887, States: 18, Components: 3},
@@ -152,13 +156,9 @@ func Generate(opt Options) (*data.Dataset, error) {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	polys := layoutStates(opt.Areas, states, comps, jitter, rng)
-	// Contiguity reads only the polygons and the attribute draws only the
-	// centroids and the rng, so the two overlap; the draws keep their order.
-	adj := make(chan [][]int, 1)
-	go func() { adj <- geom.Adjacency(polys, geom.Rook) }()
+	polys, adj := layoutStates(opt.Areas, states, comps, jitter, rng)
 	cols := synthesizeAttributes(polys, rng)
-	d, err := data.New(opt.Name, <-adj)
+	d, err := data.New(opt.Name, adj)
 	if err != nil {
 		return nil, fmt.Errorf("census: generating %q: %w", opt.Name, err)
 	}
@@ -184,17 +184,11 @@ func NamedSeeded(name string, seed int64) (*data.Dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("census: unknown dataset %q (known: %v)", name, SizeNames())
 	}
-	comps := sz.Components
-	if comps > sz.States {
-		// Some inventory entries (e.g. "8k") record more components than
-		// state blocks; clamp like Scaled does instead of failing.
-		comps = sz.States
-	}
 	return Generate(Options{
 		Name:       name,
 		Areas:      sz.Areas,
 		States:     sz.States,
-		Components: comps,
+		Components: sz.Components,
 		Seed:       seed,
 		Jitter:     -1,
 	})
@@ -242,10 +236,11 @@ func Scaled(name string, scale float64, seed int64) (*data.Dataset, error) {
 	})
 }
 
-// layoutStates places state lattice blocks left to right. States within the
-// same component abut exactly (sharing full border edges); a horizontal gap
+// layoutStates places state lattice blocks left to right and returns their
+// polygons with the layout's rook contiguity. States within the same
+// component abut exactly (sharing full border edges); a horizontal gap
 // separates components so no edges are shared across them.
-func layoutStates(areas, states, comps int, jitter float64, rng *rand.Rand) []geom.Polygon {
+func layoutStates(areas, states, comps int, jitter float64, rng *rand.Rand) ([]geom.Polygon, [][]int) {
 	// Distribute areas over states as evenly as possible.
 	counts := make([]int, states)
 	base, rem := areas/states, areas%states
@@ -266,14 +261,16 @@ func layoutStates(areas, states, comps int, jitter float64, rng *rand.Rand) []ge
 	if rows < 1 {
 		rows = 1
 	}
-	var polys []geom.Polygon
+	blocks := make([]block, states)
+	polys := make([]geom.Polygon, 0, areas)
 	x := 0.0
 	for s := 0; s < states; s++ {
 		if s > 0 && compOf[s] != compOf[s-1] {
 			x += 2 // gap: new connected component
 		}
 		cols := (counts[s] + rows - 1) / rows
-		block := geom.Lattice(geom.LatticeOptions{
+		blocks[s] = block{off: len(polys), cols: cols, cells: counts[s], comp: compOf[s]}
+		polys = append(polys, geom.Lattice(geom.LatticeOptions{
 			Cols:     cols,
 			Rows:     rows,
 			Cells:    counts[s],
@@ -281,16 +278,82 @@ func layoutStates(areas, states, comps int, jitter float64, rng *rand.Rand) []ge
 			Rng:      rng,
 			OriginX:  x,
 			CellSize: 1,
-		})
-		polys = append(polys, block...)
+		})...)
 		x += float64(cols)
 	}
-	return polys
+	return polys, latticeContiguity(blocks, areas)
 }
 
-// lognormal draws exp(N(mu, sigma^2)) using the rng.
-func lognormal(rng *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*rng.NormFloat64())
+// block is one state's lattice in the layout: its first area id, its column
+// count, its trimmed row-major cell count and its component.
+type block struct {
+	off, cols, cells, comp int
+}
+
+// cell returns the area id of block cell (c, r), or -1 when the trimmed
+// block has no such cell.
+func (b block) cell(c, r int) int {
+	if i := r*b.cols + c; i < b.cells {
+		return b.off + i
+	}
+	return -1
+}
+
+// latticeContiguity returns the rook contiguity of the layout, read off the
+// block lattices instead of the polygons: the 4-neighbourhood inside each
+// block, plus, per row, the right column of a block and the left column of
+// the next one when both cells exist and both blocks are in one component.
+// Those two cells share an exact edge, because Lattice jitters interior
+// vertices only and both blocks place the border at the same x and the rows
+// at the same y. It equals geom.Adjacency(polys, geom.Rook) list for list:
+// each list is ascending, since a left-block neighbour precedes the block
+// and a right-block one follows it. The lists are cut from one arena.
+func latticeContiguity(blocks []block, areas int) [][]int {
+	adj := make([][]int, areas)
+	arena := make([]int, 0, 4*areas) // a lattice cell has at most 4 edges
+	for s, b := range blocks {
+		var left, right block
+		if s > 0 && blocks[s-1].comp == b.comp {
+			left = blocks[s-1]
+		}
+		if s+1 < len(blocks) && blocks[s+1].comp == b.comp {
+			right = blocks[s+1]
+		}
+		for i := 0; i < b.cells; i++ {
+			c, r := i%b.cols, i/b.cols
+			start := len(arena)
+			if c == 0 && left.cols > 0 {
+				if v := left.cell(left.cols-1, r); v >= 0 {
+					arena = append(arena, v)
+				}
+			}
+			if r > 0 {
+				arena = append(arena, b.off+i-b.cols)
+			}
+			if c > 0 {
+				arena = append(arena, b.off+i-1)
+			}
+			if c < b.cols-1 && i+1 < b.cells {
+				arena = append(arena, b.off+i+1)
+			}
+			if i+b.cols < b.cells {
+				arena = append(arena, b.off+i+b.cols)
+			}
+			if c == b.cols-1 && right.cols > 0 {
+				if v := right.cell(0, r); v >= 0 {
+					arena = append(arena, v)
+				}
+			}
+			adj[b.off+i] = arena[start:len(arena):len(arena)]
+		}
+	}
+	return adj
+}
+
+// lognormal returns exp(mu + sigma*z): a lognormal value from the standard
+// normal draw z.
+func lognormal(z, mu, sigma float64) float64 {
+	return math.Exp(mu + sigma*z)
 }
 
 // spatialField returns a smooth multiplicative factor in roughly
@@ -343,13 +406,36 @@ type column struct {
 //	TRANSIT:   lognormal(ln 700, 0.80) — heavy-tailed transit ridership.
 //	CALLS:     lognormal(ln 120, 0.60) — patrol calls for service.
 //	WORKLOAD:  50 + U[0,100] — patrol workload units.
+//
+// The rng is drawn in one sequential pass, area by area, in a fixed order,
+// and the raw draws are written into the columns. The rest, most of the
+// cost, runs in chunks of chunkAreas areas on their own goroutines: the
+// centroids with each chunk's extent before the draws, and the transform of
+// the draws (the spatial fields, exp and rounding) as soon as a chunk's
+// draws are done, so it overlaps the draws of the next chunks. Each area's
+// values depend only on its own draws and centroid, and the extent is a
+// min/max, so the columns do not depend on GOMAXPROCS or on the scheduling.
 func synthesizeAttributes(polys []geom.Polygon, rng *rand.Rand) []column {
 	n := len(polys)
-	ext := geom.EmptyBBox()
 	cents := make([]geom.Point, n)
-	for i, pg := range polys {
-		cents[i] = pg.Centroid()
-		ext.Extend(cents[i])
+	exts := make([]geom.BBox, (n+chunkAreas-1)/chunkAreas)
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunkAreas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ext := geom.EmptyBBox()
+			for i := lo; i < min(lo+chunkAreas, n); i++ {
+				cents[i] = polys[i].Centroid()
+				ext.Extend(cents[i])
+			}
+			exts[lo/chunkAreas] = ext
+		}()
+	}
+	wg.Wait()
+	ext := geom.EmptyBBox()
+	for _, e := range exts {
+		ext = ext.Union(e)
 	}
 	extent := math.Max(ext.Width(), ext.Height())
 	popField := newSpatialField(rng, extent, 0.25)
@@ -368,29 +454,49 @@ func synthesizeAttributes(polys []geom.Polygon, rng *rand.Rand) []column {
 
 	muPop, muEmp, muInc := math.Log(4100), math.Log(1800), math.Log(3800)
 	muTrn, muCalls := math.Log(700), math.Log(120)
-	for i := 0; i < n; i++ {
-		c := cents[i]
-		tp := lognormal(rng, muPop, 0.33) * popField.at(c)
-		if tp > 15000 {
-			tp = 15000
+	transform := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := cents[i]
+			tp := lognormal(totalpop[i], muPop, 0.33) * popField.at(c)
+			if tp > 15000 {
+				tp = 15000
+			}
+			tp = math.Round(tp)
+			p16 := math.Round(tp * (0.72 + 0.12*pop16up[i]))
+			emp := lognormal(employed[i], muEmp, 0.40) * empField.at(c)
+			if emp > p16 {
+				emp = p16
+			}
+			if emp > 6149 {
+				emp = 6149
+			}
+			totalpop[i], pop16up[i], employed[i] = tp, p16, math.Round(emp)
+			households[i] = math.Round(tp / (2.8 + 0.4*(households[i]-0.5)))
+			income[i] = math.Round(lognormal(income[i], muInc, 0.30) * incField.at(c))
+			transit[i] = math.Round(lognormal(transit[i], muTrn, 0.80) * trnField.at(c))
+			calls[i] = math.Round(lognormal(calls[i], muCalls, 0.60))
+			workload[i] = math.Round(50 + 100*workload[i])
 		}
-		totalpop[i] = math.Round(tp)
-		p16 := totalpop[i] * (0.72 + 0.12*rng.Float64())
-		pop16up[i] = math.Round(p16)
-		emp := lognormal(rng, muEmp, 0.40) * empField.at(c)
-		if emp > pop16up[i] {
-			emp = pop16up[i]
-		}
-		if emp > 6149 {
-			emp = 6149
-		}
-		employed[i] = math.Round(emp)
-		households[i] = math.Round(totalpop[i] / (2.8 + 0.4*(rng.Float64()-0.5)))
-		income[i] = math.Round(lognormal(rng, muInc, 0.30) * incField.at(c))
-		transit[i] = math.Round(lognormal(rng, muTrn, 0.80) * trnField.at(c))
-		calls[i] = math.Round(lognormal(rng, muCalls, 0.60))
-		workload[i] = math.Round(50 + 100*rng.Float64())
 	}
+	for lo := 0; lo < n; lo += chunkAreas {
+		hi := min(lo+chunkAreas, n)
+		for i := lo; i < hi; i++ {
+			totalpop[i] = rng.NormFloat64()
+			pop16up[i] = rng.Float64()
+			employed[i] = rng.NormFloat64()
+			households[i] = rng.Float64()
+			income[i] = rng.NormFloat64()
+			transit[i] = rng.NormFloat64()
+			calls[i] = rng.NormFloat64()
+			workload[i] = rng.Float64()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			transform(lo, hi)
+		}()
+	}
+	wg.Wait()
 
 	return []column{
 		{AttrTotalPop, totalpop},
@@ -403,3 +509,7 @@ func synthesizeAttributes(polys []geom.Polygon, rng *rand.Rand) []column {
 		{AttrWorkload, workload},
 	}
 }
+
+// chunkAreas is the number of areas synthesizeAttributes hands to one
+// goroutine.
+const chunkAreas = 1024

@@ -128,26 +128,34 @@ func TestGenerateStructure(t *testing.T) {
 	}
 }
 
+// TestNamedDatasets generates every named dataset in full and checks it
+// against its inventory entry: the area count and the number of connected
+// components the inventory reports. Datasets larger than 20k are skipped
+// under -short.
 func TestNamedDatasets(t *testing.T) {
-	// Generate the three smallest paper datasets in full and check their
-	// exact sizes and component structure.
-	for _, name := range []string{"1k", "2k"} {
-		d, err := Named(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.N() != Sizes[name].Areas {
-			t.Errorf("%s: N = %d, want %d", name, d.N(), Sizes[name].Areas)
-		}
-		if got := d.Components(); got != Sizes[name].Components {
-			t.Errorf("%s: components = %d, want %d", name, got, Sizes[name].Components)
-		}
-		if err := d.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if d.Dissimilarity != AttrHouseholds {
-			t.Errorf("%s: dissimilarity = %q", name, d.Dissimilarity)
-		}
+	for _, name := range SizeNames() {
+		t.Run(name, func(t *testing.T) {
+			sz := Sizes[name]
+			if sz.Areas > Sizes["20k"].Areas && testing.Short() {
+				t.Skip("larger than 20k; skipped under -short")
+			}
+			d, err := Named(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.N() != sz.Areas {
+				t.Errorf("N = %d, want %d", d.N(), sz.Areas)
+			}
+			if got := d.Components(); got != sz.Components {
+				t.Errorf("components = %d, want %d", got, sz.Components)
+			}
+			if err := d.Validate(); err != nil {
+				t.Error(err)
+			}
+			if d.Dissimilarity != AttrHouseholds {
+				t.Errorf("dissimilarity = %q", d.Dissimilarity)
+			}
+		})
 	}
 	if _, err := Named("3k"); err == nil {
 		t.Error("unknown dataset name accepted")

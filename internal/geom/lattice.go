@@ -26,7 +26,8 @@ type LatticeOptions struct {
 // Lattice builds a grid of quadrilateral polygons with optionally jittered
 // interior vertices. Cell (c, r) is polygon index r*Cols + c. The polygons
 // tile the plane exactly: neighbors share full edges, so rook adjacency of
-// the result equals 4-neighborhood of the grid.
+// the result equals 4-neighborhood of the grid. The rings are cut from one
+// backing array, each capped at its four vertices.
 func Lattice(opt LatticeOptions) []Polygon {
 	cols, rows := opt.Cols, opt.Rows
 	if cols <= 0 || rows <= 0 {
@@ -36,30 +37,33 @@ func Lattice(opt LatticeOptions) []Polygon {
 	if size <= 0 {
 		size = 1
 	}
-	// Vertex grid (cols+1) x (rows+1), jittered in the interior only so
-	// the overall tile stays rectangular.
-	vx := make([][]Point, rows+1)
+	// Vertex grid (cols+1) x (rows+1), row-major, jittered in the interior
+	// only so the overall tile stays rectangular.
+	w := cols + 1
+	vx := make([]Point, w*(rows+1))
 	for r := 0; r <= rows; r++ {
-		vx[r] = make([]Point, cols+1)
 		for c := 0; c <= cols; c++ {
 			p := Point{opt.OriginX + float64(c)*size, opt.OriginY + float64(r)*size}
 			if opt.Rng != nil && opt.Jitter > 0 && r > 0 && r < rows && c > 0 && c < cols {
 				p.X += (opt.Rng.Float64()*2 - 1) * opt.Jitter * size
 				p.Y += (opt.Rng.Float64()*2 - 1) * opt.Jitter * size
 			}
-			vx[r][c] = p
+			vx[r*w+c] = p
 		}
 	}
 	total := cols * rows
 	if opt.Cells > 0 && opt.Cells < total {
 		total = opt.Cells
 	}
-	polys := make([]Polygon, 0, total)
-	for i := 0; i < total; i++ {
+	polys := make([]Polygon, total)
+	pts := make([]Point, 4*total)
+	for i := range polys {
 		c, r := i%cols, i/cols
+		v := r*w + c
 		// Counter-clockwise ring.
-		ring := Ring{vx[r][c], vx[r][c+1], vx[r+1][c+1], vx[r+1][c]}
-		polys = append(polys, Polygon{Outer: ring})
+		ring := pts[4*i : 4*i+4 : 4*i+4]
+		ring[0], ring[1], ring[2], ring[3] = vx[v], vx[v+1], vx[v+w+1], vx[v+w]
+		polys[i] = Polygon{Outer: ring}
 	}
 	return polys
 }
