@@ -43,6 +43,11 @@ type builder struct {
 	seenIDs    []int
 	mergeTrial *constraint.Tracker
 	swaps      []uint64
+	// noRemoval[id] is region id's Tracker.NoRemovalSatisfies during Step
+	// 3: no removal can leave the region valid, so it donates nothing.
+	// adjustCounting fills it and refreshes an entry after every mutation
+	// of its region (see noteDonor).
+	noRemoval []bool
 }
 
 // construct runs one full construction iteration (Steps 1-3) and returns
@@ -501,6 +506,7 @@ func (b *builder) adjustCounting() {
 		return
 	}
 	swapped := make([]bool, b.ds.N()) // each area is swapped at most once
+	b.noteDonors()
 	for !b.stopped() {
 		changed := false
 		for _, id := range b.p.RegionIDs() {
@@ -567,6 +573,8 @@ func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped []bool) bo
 		}
 		a := int(uint32(b.swaps[i]))
 		b.p.MoveArea(a, r.ID)
+		b.noteDonor(int(b.swaps[i] >> 32))
+		b.noteDonor(r.ID)
 		swapped[a] = true
 		moved = true
 		b.patchSwaps(i, a, r.ID)
@@ -574,13 +582,27 @@ func (b *builder) pullAreas(r *region.Region, countIdx []int, swapped []bool) bo
 	return moved
 }
 
+// noteDonors sizes noRemoval for the partition's region ids and fills it
+// for every region.
+func (b *builder) noteDonors() {
+	b.noRemoval = make([]bool, b.p.RegionIDBound())
+	for _, id := range b.p.RegionIDs() {
+		b.noteDonor(id)
+	}
+}
+
+// noteDonor refreshes region id's noRemoval entry after its aggregates
+// changed.
+func (b *builder) noteDonor(id int) {
+	b.noRemoval[id] = b.p.Region(id).Tracker.NoRemovalSatisfies()
+}
+
 // nextSwap returns the index in the swap list of the first valid swap into
 // r, or -1 when there is none.
 func (b *builder) nextSwap(r *region.Region, swapped []bool) int {
 	for i := 0; i < len(b.swaps); i++ {
 		donor := b.swaps[i] >> 32
-		nb := b.p.Region(int(donor))
-		if nb.Tracker.NoRemovalSatisfies() {
+		if b.noRemoval[donor] {
 			for i+1 < len(b.swaps) && b.swaps[i+1]>>32 == donor {
 				i++
 			}
@@ -590,6 +612,7 @@ func (b *builder) nextSwap(r *region.Region, swapped []bool) int {
 		if swapped[a] {
 			continue
 		}
+		nb := b.p.Region(int(donor))
 		if !nb.Tracker.SatisfiedAllAfterRemove(a, nb.Members) || !r.Tracker.UpperSafeAfterAdd(a) {
 			continue
 		}
@@ -650,6 +673,7 @@ func (b *builder) mergeForLowerBound(r *region.Region) bool {
 		last = pair >> 32
 		if nb := b.p.Region(int(last)); r.Tracker.UpperSafeAfterMerge(nb.Tracker) {
 			b.p.MergeRegions(r.ID, int(last))
+			b.noteDonor(r.ID)
 			return true
 		}
 	}
@@ -681,6 +705,7 @@ func (b *builder) shedAreas(r *region.Region, countIdx []int) bool {
 				continue
 			}
 			b.p.RemoveArea(a)
+			b.noteDonor(r.ID)
 			removed, removedAny = true, true
 			break
 		}

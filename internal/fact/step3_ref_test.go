@@ -29,6 +29,7 @@ func (b *builder) adjustCountingRef(belowGives *int) {
 		return
 	}
 	swapped := make([]bool, b.ds.N())
+	b.noteDonors() // the production shedAreas keeps them
 	for !b.stopped() {
 		changed := false
 		for _, id := range b.p.RegionIDs() {

@@ -25,6 +25,9 @@ type PartitionStats struct {
 	// holds them: the local search reports its share as
 	// emp_tabu_removability_passes_total.
 	RemovabilityPasses int64
+	// localRemovals counts CanRemove answers the local test gave without a
+	// pass (see removableLocally); only tests read it.
+	localRemovals int64
 }
 
 // Stats returns the partition's accumulated hot-path counters since creation

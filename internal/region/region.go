@@ -8,6 +8,7 @@ package region
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"emp/internal/constraint"
@@ -563,19 +564,92 @@ func (p *Partition) removabilityPass(r *Region) bool {
 
 // CanRemove reports whether removing the area keeps its region connected
 // (or empties it). Single-member regions can always lose their member. The
-// partition keeps the verdicts per region version: the first query after a
-// mutation of the area's region answers every member in one articulation
-// pass (O(|R| + induced edges)), and later queries until the next mutation
-// are O(1).
+// partition keeps the verdicts per region version: a query on a region whose
+// verdicts are stale first tries the local test (removableLocally), and only
+// when that fails runs one articulation pass (O(|R| + induced edges)) that
+// answers every member; later queries until the next mutation are O(1).
 func (p *Partition) CanRemove(area int) bool {
 	id := p.assign[area]
 	if id == Unassigned {
 		return false
 	}
 	if r := p.regs[id]; r.removableAt != r.epoch {
+		if p.removableLocally(area, id) {
+			p.stats.localRemovals++
+			return true
+		}
 		p.removabilityPass(r)
 	}
 	return p.removable[area]
+}
+
+// Bounds of the local removability test: the in-region neighbours it links
+// (one bit each of a byte mask) and the distinct areas it files their links
+// under.
+const (
+	localNeighbours = 8
+	localWitnesses  = 32
+)
+
+// removableLocally is a sufficient test, read off the area's two-hop
+// neighbourhood, that the area is not an articulation point of region id, so
+// that the articulation pass would call it removable too. Let N be its
+// neighbours in the region. It passes when |N| = 1, or when N's members are
+// linked into one group, two members being linked by an edge between them or
+// by a common neighbour in the region other than the area: every other
+// member of the area's component then still reaches N without passing
+// through the area. It fills no verdicts. It fails, leaving the answer to the
+// pass, when N is empty, when N falls apart into several groups, and when N
+// or the areas linking it exceed the bounds above.
+func (p *Partition) removableLocally(area, id int) bool {
+	// Each witness is an area of the region other than the area itself, with
+	// the mask of the N members it is or neighbours. Every N member is a
+	// witness of itself, so an edge between two of them lands in one mask.
+	var wit [localWitnesses]int32
+	var mask [localWitnesses]uint8
+	k := 0
+	for _, v := range p.g.Neighbors(area) {
+		if int(v) == area || p.assign[v] != id || slices.Contains(wit[:k], v) {
+			continue
+		}
+		if k == localNeighbours {
+			return false
+		}
+		wit[k], mask[k] = v, 1<<k
+		k++
+	}
+	if k < 2 {
+		return k == 1
+	}
+	w := k
+	for i, u := range wit[:k] {
+		for _, v := range p.g.Neighbors(int(u)) {
+			if int(v) == area || p.assign[v] != id {
+				continue
+			}
+			j := slices.Index(wit[:w], v)
+			if j < 0 {
+				if w == localWitnesses {
+					return false
+				}
+				j, wit[w] = w, v
+				w++
+			}
+			mask[j] |= 1 << i
+		}
+	}
+	// Grow the group of N's first member through every mask that meets it.
+	all, group := ^uint8(0)>>(8-k), uint8(1)
+	for grown := true; grown && group != all; {
+		grown = false
+		for _, m := range mask[:w] {
+			if m&group != 0 && m&^group != 0 {
+				group |= m
+				grown = true
+			}
+		}
+	}
+	return group == all
 }
 
 // RemovabilityCurrent reports whether the partition holds removability

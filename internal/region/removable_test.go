@@ -16,9 +16,11 @@ import (
 // MoveArea, MergeRegions, DissolveRegion and Clone — after which both copies
 // are mutated — keep every region contiguous, choosing their moves by the
 // map-based reference, and after each operation every member's CanRemove
-// must equal graph.ConnectedSubsetExcluding. Each check leaves every
-// region's verdicts current, so an operation that failed to make them stale
-// is caught by the next check.
+// must equal graph.ConnectedSubsetExcluding. A region an operation left
+// stale answers through the local test until it fails and a pass runs, and
+// each check ends by making every region's verdicts current, so an
+// operation that failed to make them stale is caught by the next check.
+// Every sequence must see the local test answer.
 func TestCanRemoveTracksMutations(t *testing.T) {
 	lattice := data.FromPolygons("lattice", geom.Lattice(geom.LatticeOptions{Cols: 16, Rows: 16}), geom.Rook)
 	dis := make([]float64, lattice.N())
@@ -45,19 +47,23 @@ func TestCanRemoveTracksMutations(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(seed))
+				local := 0
 				for step := 0; step < 400; step++ {
 					op := removabilityOp(rng, p)
 					if op != "Clone" {
-						checkCanRemove(t, p, step, op)
+						local += checkCanRemove(t, p, step, op)
 						continue
 					}
 					c := p.Clone()
-					checkCanRemove(t, c, step, "Clone")
-					checkCanRemove(t, c, step, "Clone, then "+removabilityOp(rng, c)+" on the copy")
-					checkCanRemove(t, p, step, "Clone, then "+removabilityOp(rng, p)+" on the original")
+					local += checkCanRemove(t, c, step, "Clone")
+					local += checkCanRemove(t, c, step, "Clone, then "+removabilityOp(rng, c)+" on the copy")
+					local += checkCanRemove(t, p, step, "Clone, then "+removabilityOp(rng, p)+" on the original")
 					if rng.Intn(2) == 0 {
 						p = c
 					}
+				}
+				if local == 0 {
+					t.Error("no CanRemove answer came from the local test")
 				}
 			})
 		}
@@ -65,9 +71,11 @@ func TestCanRemoveTracksMutations(t *testing.T) {
 }
 
 // checkCanRemove compares every member's CanRemove with the map-based
-// reference.
-func checkCanRemove(t *testing.T, p *Partition, step int, op string) {
+// reference, then makes every region's verdicts current, and returns how
+// many of the answers the local test gave.
+func checkCanRemove(t *testing.T, p *Partition, step int, op string) int {
 	t.Helper()
+	before := p.stats.localRemovals
 	for _, id := range p.RegionIDs() {
 		r := p.Region(id)
 		for _, a := range r.Members {
@@ -76,7 +84,9 @@ func checkCanRemove(t *testing.T, p *Partition, step int, op string) {
 					step, op, a, id, got, want, r.Members)
 			}
 		}
+		p.RemovableAndBoundary(id)
 	}
+	return int(p.stats.localRemovals - before)
 }
 
 // removabilityOp applies one random operation that keeps every region

@@ -297,16 +297,17 @@ func TestCycleSnapshotSeesFootprint(t *testing.T) {
 	ent := &s.area[donor]
 	// toggle returns a setter that flips whether the partition's
 	// removability verdicts for region id are current, changing nothing else
-	// the snapshot reads. CanRemove on a member makes them current. The
-	// region's last member leaving and rejoining makes them stale and keeps
-	// its member order and, on integer data, its heterogeneity bits, tracker
-	// and Fenwick state; it advances the region's version by two, so the
-	// donor entries on the region advance along.
+	// the snapshot reads. RemovableAndBoundary makes them current (CanRemove
+	// may answer from its local test and leave them stale). The region's
+	// last member leaving and rejoining makes them stale and keeps its
+	// member order and, on integer data, its heterogeneity bits, tracker and
+	// Fenwick state; it advances the region's version by two, so the donor
+	// entries on the region advance along.
 	toggle := func(id int) func(bool) {
 		return func(bool) {
 			r := p.Region(id)
 			if !p.RemovabilityCurrent(id) {
-				p.CanRemove(r.Members[0])
+				p.RemovableAndBoundary(id)
 				return
 			}
 			last := r.Members[len(r.Members)-1]
