@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -407,32 +408,25 @@ type column struct {
 //	CALLS:     lognormal(ln 120, 0.60) — patrol calls for service.
 //	WORKLOAD:  50 + U[0,100] — patrol workload units.
 //
-// The rng is drawn in one sequential pass, area by area, in a fixed order,
-// and the raw draws are written into the columns. The rest, most of the
-// cost, runs in chunks of chunkAreas areas on their own goroutines: the
-// centroids with each chunk's extent before the draws, and the transform of
-// the draws (the spatial fields, exp and rounding) as soon as a chunk's
-// draws are done, so it overlaps the draws of the next chunks. Each area's
-// values depend only on its own draws and centroid, and the extent is a
-// min/max, so the columns do not depend on GOMAXPROCS or on the scheduling.
+// The rng is drawn in one sequential pass, area by area, and the raw draws
+// are written into the columns. The centroids before it and the transform
+// after it (the spatial fields, exp and rounding, most of the cost) run in
+// GOMAXPROCS contiguous chunks at once. Each area's values depend only on
+// its own draws and centroid, and the extent is a min/max, so the columns
+// are the same at any GOMAXPROCS.
 func synthesizeAttributes(polys []geom.Polygon, rng *rand.Rand) []column {
 	n := len(polys)
+	k := chunks(n)
 	cents := make([]geom.Point, n)
-	exts := make([]geom.BBox, (n+chunkAreas-1)/chunkAreas)
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunkAreas {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ext := geom.EmptyBBox()
-			for i := lo; i < min(lo+chunkAreas, n); i++ {
-				cents[i] = polys[i].Centroid()
-				ext.Extend(cents[i])
-			}
-			exts[lo/chunkAreas] = ext
-		}()
-	}
-	wg.Wait()
+	exts := make([]geom.BBox, k)
+	inChunks(n, k, func(c, lo, hi int) {
+		ext := geom.EmptyBBox()
+		for i := lo; i < hi; i++ {
+			cents[i] = polys[i].Centroid()
+			ext.Extend(cents[i])
+		}
+		exts[c] = ext
+	})
 	ext := geom.EmptyBBox()
 	for _, e := range exts {
 		ext = ext.Union(e)
@@ -451,10 +445,20 @@ func synthesizeAttributes(polys []geom.Polygon, rng *rand.Rand) []column {
 	transit := make([]float64, n)
 	calls := make([]float64, n)
 	workload := make([]float64, n)
+	for i := 0; i < n; i++ {
+		totalpop[i] = rng.NormFloat64()
+		pop16up[i] = rng.Float64()
+		employed[i] = rng.NormFloat64()
+		households[i] = rng.Float64()
+		income[i] = rng.NormFloat64()
+		transit[i] = rng.NormFloat64()
+		calls[i] = rng.NormFloat64()
+		workload[i] = rng.Float64()
+	}
 
 	muPop, muEmp, muInc := math.Log(4100), math.Log(1800), math.Log(3800)
 	muTrn, muCalls := math.Log(700), math.Log(120)
-	transform := func(lo, hi int) {
+	inChunks(n, k, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := cents[i]
 			tp := lognormal(totalpop[i], muPop, 0.33) * popField.at(c)
@@ -477,26 +481,7 @@ func synthesizeAttributes(polys []geom.Polygon, rng *rand.Rand) []column {
 			calls[i] = math.Round(lognormal(calls[i], muCalls, 0.60))
 			workload[i] = math.Round(50 + 100*workload[i])
 		}
-	}
-	for lo := 0; lo < n; lo += chunkAreas {
-		hi := min(lo+chunkAreas, n)
-		for i := lo; i < hi; i++ {
-			totalpop[i] = rng.NormFloat64()
-			pop16up[i] = rng.Float64()
-			employed[i] = rng.NormFloat64()
-			households[i] = rng.Float64()
-			income[i] = rng.NormFloat64()
-			transit[i] = rng.NormFloat64()
-			calls[i] = rng.NormFloat64()
-			workload[i] = rng.Float64()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			transform(lo, hi)
-		}()
-	}
-	wg.Wait()
+	})
 
 	return []column{
 		{AttrTotalPop, totalpop},
@@ -510,6 +495,29 @@ func synthesizeAttributes(polys []geom.Polygon, rng *rand.Rand) []column {
 	}
 }
 
-// chunkAreas is the number of areas synthesizeAttributes hands to one
-// goroutine.
-const chunkAreas = 1024
+// minChunk is the fewest areas worth a goroutine of their own in
+// synthesizeAttributes's parallel passes.
+const minChunk = 1024
+
+// chunks returns how many chunks inChunks should split n areas into:
+// GOMAXPROCS, or fewer so that each holds at least minChunk areas, and at
+// least one.
+func chunks(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/minChunk))
+}
+
+// inChunks splits [0, n) into k contiguous chunks and runs fn on them
+// concurrently, chunk c on [c*n/k, (c+1)*n/k), returning when all are done.
+// Chunk 0 runs on the calling goroutine.
+func inChunks(n, k int, fn func(c, lo, hi int)) {
+	var wg sync.WaitGroup
+	for c := 1; c < k; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(c, c*n/k, (c+1)*n/k)
+		}()
+	}
+	fn(0, 0, n/k)
+	wg.Wait()
+}
