@@ -28,9 +28,9 @@ staticcheck:
 # check is the CI gate: static analysis plus the full suite under the race
 # detector (internal/fact fans component sub-solves, cut sub-solves and
 # multi-start iterations out on a shared worker pool, and plain `go test`
-# never exercises that sharing for races). census.Generate draws attributes
-# while contiguity is extracted on a second goroutine, so the generated
-# datasets are also checked byte for byte at GOMAXPROCS 1, 2 and 4.
+# never exercises that sharing for races). census.Generate transforms the
+# attribute draws in GOMAXPROCS chunks at once, so the generated datasets
+# are also checked byte for byte at GOMAXPROCS 1, 2 and 4.
 check: vet staticcheck race
 	$(GO) test -race -count=1 -cpu 1,2,4 -run TestGeneratedDatasetsByteIdentical ./internal/census/
 
@@ -69,9 +69,9 @@ bench:
 # context), that a search to the solver's stopping rule still fast-forwards
 # its final cycle (replayed-moves/op > 0), that a construction-only solve of
 # prepared 20k still runs, and what rook and queen adjacency and a cold
-# dataset cost. Generation extracts contiguity on a second goroutine while
-# it draws the attributes, so the two 20k runs show what that overlap buys
-# and that one processor does not pay for it. -benchmem keeps the per-run
+# dataset cost. Generation transforms the attribute draws in GOMAXPROCS
+# chunks at once, so the two 20k runs show what the parallel transform pass
+# buys and that one processor does not pay for it. -benchmem keeps the per-run
 # allocation profiles visible so regressions show up in the CI log:
 # adjacency allocs/op stays a small constant at every size, so a count that
 # grows with n means the kernel allocates per edge or per area again. One
@@ -95,12 +95,13 @@ paper:
 # which plain `go test` only replays: the constraint DSL, the shapefile
 # readers, the traceparent header, the wire options, the two decoders that
 # build a dataset from outside bytes (dataset JSON and GeoJSON), contiguity
-# extraction against its map-based reference, the subset articulation pass
-# (every donor-contiguity answer) against its map-based references, the cut
-# planner on small graphs with finite, even overflowing, dissimilarities, and
-# the three durable decoders (journal replay, cache snapshot, job checkpoint). go test fuzzes one target
-# per run, hence one line per target. A failing input is written under the
-# package's testdata/fuzz/ for replay.
+# extraction against its map-based reference, the census layout's lattice
+# contiguity against extraction from its polygons, the subset articulation
+# pass (every donor-contiguity answer) against its map-based references, the
+# cut planner on small graphs with finite, even overflowing, dissimilarities,
+# and the three durable decoders (journal replay, cache snapshot, job
+# checkpoint). go test fuzzes one target per run, hence one line per target.
+# A failing input is written under the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/constraint/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSet$$' -fuzztime 10s ./internal/constraint/
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/data/
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/geojson/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdjacency$$' -fuzztime 10s ./internal/geom/
+	$(GO) test -run '^$$' -fuzz '^FuzzLatticeContiguity$$' -fuzztime 10s ./internal/census/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubsetArticulation$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewCutPlan$$' -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/durable/

@@ -313,7 +313,7 @@ func latticeContiguity(blocks []block, areas int) [][]int {
 	adj := make([][]int, areas)
 	arena := make([]int, 0, 4*areas) // a lattice cell has at most 4 edges
 	for s, b := range blocks {
-		var left, right block
+		var left, right block // the abutting blocks; no columns when none
 		if s > 0 && blocks[s-1].comp == b.comp {
 			left = blocks[s-1]
 		}
