@@ -602,9 +602,10 @@ const (
 // pass, when N is empty, when N falls apart into several groups, and when N
 // or the areas linking it exceed the bounds above.
 func (p *Partition) removableLocally(area, id int) bool {
-	// Each witness is an area of the region other than the area itself, with
-	// the mask of the N members it is or neighbours. Every N member is a
-	// witness of itself, so an edge between two of them lands in one mask.
+	// Each witness is an area of the region other than the area itself,
+	// with the mask of the N members it equals or neighbours. Every N member
+	// is a witness of itself, so an edge between two of them lands in one
+	// mask, and so does a common neighbour's link to both.
 	var wit [localWitnesses]int32
 	var mask [localWitnesses]uint8
 	k := 0
